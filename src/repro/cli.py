@@ -185,9 +185,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser(
         "run", help="run one algorithm on one graph",
         epilog="Engines: runs enforce CONGEST metering by default (the "
-               "simulator's metered loop).  Programmatic callers that pass "
-               "enforce_congest=False get the generator fast loop, and — "
-               "for algorithms with a vectorized twin (luby) — the numpy "
+               "simulator's generator loop estimates every message's "
+               "size).  Programmatic callers that pass "
+               "enforce_congest=False skip the estimate, and — "
+               "for algorithms with a vectorized twin (luby) — get the numpy "
                "whole-round engine over the CSR arrays.  Engine choice "
                "never changes outputs or awake/round/message counts, only "
                "wall-clock time.")
@@ -202,9 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="scaling sweep",
         epilog=_STORE_EPILOG
                + "  Engines: sweep tasks meter CONGEST bits by default, which "
-                 "keeps them on the simulator's metered loop.  Unmetered "
+                 "keeps them on the simulator's generator loop.  Unmetered "
                  "runs (algorithm_params with enforce_congest=False via the "
-                 "Python API) use the generator fast loop, or the numpy "
+                 "Python API) skip the size estimate, or use the numpy "
                  "whole-round engine for algorithms that opt in (luby); "
                  "engine choice never changes recorded rows, only "
                  "wall-clock time.")

@@ -284,12 +284,14 @@ def run_mis(
         maximality; the result records the outcome in ``verified``.
     enforce_congest:
         When True (default) the simulator enforces the CONGEST message-size
-        budget of :func:`default_message_bit_limit`.  Passing False lifts
-        the bit limit, which also unlocks the simulator's fast engines —
-        including the numpy whole-round engine for algorithms that opt in
-        (``luby``; select with the ``vectorized`` parameter, tri-state as
-        in :func:`repro.sim.runner.run_protocol`).  Engine choice never
-        changes outputs or awake/round/message counts, only wall-clock.
+        budget of :func:`default_message_bit_limit`, estimating every
+        message's size.  Passing False lifts the bit limit: the generator
+        loop then skips the estimate (``max_message_bits`` reads ``None``),
+        and algorithms that opt in (``luby``) may take the numpy
+        whole-round engine (select with the ``vectorized`` parameter,
+        tri-state as in :func:`repro.sim.runner.run_protocol`).  Neither
+        choice changes outputs or awake/round/message counts, only
+        wall-clock.
     keep_raw:
         When True the full :class:`repro.sim.runner.RunResult` (including the
         per-node outputs) is attached as ``raw``.

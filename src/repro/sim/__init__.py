@@ -2,7 +2,7 @@
 
 from repro.sim.actions import WakeCall, broadcast_sends, listen
 from repro.sim.context import NodeContext
-from repro.sim.message import Envelope, estimate_bits
+from repro.sim.message import estimate_bits
 from repro.sim.metrics import CompactRunMetrics, NodeMetrics, RunMetrics
 from repro.sim.network import Network
 from repro.sim.runner import ProtocolFactory, RunResult, Simulator, run_protocol
@@ -10,7 +10,6 @@ from repro.sim.trace import MessageEvent, Trace
 
 __all__ = [
     "CompactRunMetrics",
-    "Envelope",
     "MessageEvent",
     "Network",
     "NodeContext",

@@ -15,8 +15,7 @@ silently producing an algorithm that needs LOCAL-sized messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any
 
 
 def estimate_bits(payload: Any) -> int:
@@ -52,45 +51,3 @@ def estimate_bits(payload: Any) -> int:
         f"unsupported message payload type {type(payload).__name__}; "
         "protocols should send tuples of ints / short strings"
     )
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """A message in flight during one simulated round.
-
-    Attributes
-    ----------
-    sender:
-        Global index of the sending node (simulator-internal; protocols never
-        see it — they only see the arrival port, preserving anonymity).
-    receiver:
-        Global index of the receiving node.
-    receiver_port:
-        The port of the *receiver* on which the message arrives.
-    payload:
-        The message content.
-    bits:
-        Estimated size of the payload in bits.
-    """
-
-    sender: int
-    receiver: int
-    receiver_port: int
-    payload: Any
-    bits: int
-
-    @classmethod
-    def create(cls, sender: int, receiver: int, receiver_port: int,
-               payload: Any) -> "Envelope":
-        """Build an envelope, computing the payload's size estimate."""
-        return cls(
-            sender=sender,
-            receiver=receiver,
-            receiver_port=receiver_port,
-            payload=payload,
-            bits=estimate_bits(payload),
-        )
-
-
-#: A received message as seen by a protocol: (arrival_port, payload).
-Delivery = Tuple[int, Any]

@@ -31,21 +31,6 @@ class NodeMetrics:
     max_message_bits: int = 0
     terminated_round: Optional[int] = None
 
-    def record_awake(self) -> None:
-        """Count one awake round."""
-        self.awake_rounds += 1
-
-    def record_send(self, bits: int) -> None:
-        """Count one sent message of the given size."""
-        self.messages_sent += 1
-        self.bits_sent += bits
-        if bits > self.max_message_bits:
-            self.max_message_bits = bits
-
-    def record_receive(self) -> None:
-        """Count one received message."""
-        self.messages_received += 1
-
 
 @dataclass(frozen=True)
 class CompactRunMetrics:
@@ -126,8 +111,8 @@ class RunMetrics:
     last_active_round: Optional[int] = None
     #: Number of distinct rounds in which at least one node was awake.
     active_rounds: int = 0
-    #: False when the run skipped message-size estimation (the simulator's
-    #: unmetered fast path); bit statistics are then "not measured".
+    #: False when the run skipped message-size estimation (no bit limit and
+    #: no trace); bit statistics are then "not measured".
     bits_metered: bool = True
 
     @property

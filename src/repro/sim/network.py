@@ -1,16 +1,24 @@
-"""Port-numbered anonymous network built from a ``networkx`` graph.
+"""Port-numbered anonymous network over flat routing arrays.
 
 The network fixes, for every node, an arbitrary but deterministic numbering
 of its incident edges (its *ports*).  Protocols address neighbours only by
 port number; the mapping from ports to graph nodes lives here and is used by
 the runner to route messages and by the harness to translate protocol
 outputs back to graph node labels.
+
+Both network classes hold the same flat ``(offsets, neighbors, arrivals)``
+word arrays plus the node labels: node ``i``'s port ``p`` leads to
+``neighbors[offsets[i] + p]``, which receives ``i``'s messages on port
+``arrivals[offsets[i] + p]``.  Ports are numbered by ascending neighbour
+index.  :class:`Network` derives the arrays from a networkx graph;
+:class:`CSRNetwork` adopts the ones a :class:`~repro.graphs.csr.CSRGraph`
+already holds.  They differ only in construction.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -19,26 +27,15 @@ from repro.errors import ConfigurationError
 from repro.graphs.csr import CSRGraph, CSRGraphView
 
 
-@dataclass(frozen=True)
-class PortMap:
-    """Port tables for one node.
-
-    ``neighbors[p]`` is the global index of the neighbour reached through
-    port ``p`` and ``port_of[u]`` is the port leading to global index ``u``.
-    """
-
-    neighbors: Tuple[int, ...]
-    port_of: Dict[int, int]
-
-
 class Network:
     """An anonymous, port-numbered view of an undirected graph.
 
     Parameters
     ----------
     graph:
-        Any simple undirected :class:`networkx.Graph`.  Self-loops are
-        rejected (the model has none); multigraphs are rejected.
+        Any simple undirected :class:`networkx.Graph`, with any hashable
+        node labels.  Self-loops are rejected (the model has none);
+        multigraphs are rejected.
     """
 
     def __init__(self, graph: nx.Graph) -> None:
@@ -46,26 +43,36 @@ class Network:
             raise ConfigurationError(
                 "the SLEEPING-CONGEST simulator requires a simple undirected graph"
             )
-        if any(u == v for u, v in graph.edges):
-            raise ConfigurationError("self-loops are not allowed")
-        self._graph = graph
-        self._labels: List[Any] = list(graph.nodes)
-        self._index_of: Dict[Any, int] = {
-            label: index for index, label in enumerate(self._labels)
-        }
-        self._ports: List[PortMap] = []
-        for label in self._labels:
-            neighbor_indices = tuple(
-                sorted(self._index_of[v] for v in graph.neighbors(label))
-            )
-            port_of = {u: p for p, u in enumerate(neighbor_indices)}
-            self._ports.append(PortMap(neighbors=neighbor_indices, port_of=port_of))
+        labels: List[Any] = list(graph.nodes)
+        index_of = {label: index for index, label in enumerate(labels)}
+        offsets = array("q", [0])
+        neighbors = array("q")
+        for index, label in enumerate(labels):
+            row = sorted(index_of[v] for v in graph.neighbors(label))
+            if index in row:
+                raise ConfigurationError("self-loops are not allowed")
+            neighbors.extend(row)
+            offsets.append(len(neighbors))
+        # Rows are sorted and laid out in ascending node order, so when the
+        # scan reaches an entry u -> v, the entries w -> v already seen are
+        # exactly v's neighbours below u: their count is u's port at v.
+        seen = [0] * len(labels)
+        arrivals = array("q")
+        for v in neighbors:
+            arrivals.append(seen[v])
+            seen[v] += 1
+        self._graph: Any = graph
+        self._labels: Sequence[Any] = labels
+        self._index_of: Optional[Dict[Any, int]] = index_of
+        self._offsets: Sequence[int] = offsets
+        self._neighbors: Sequence[int] = neighbors
+        self._arrivals: Sequence[int] = arrivals
 
     # ------------------------------------------------------------------ #
     # Size / lookup helpers
     # ------------------------------------------------------------------ #
     @property
-    def graph(self) -> nx.Graph:
+    def graph(self) -> Any:
         """The underlying graph object (not copied)."""
         return self._graph
 
@@ -77,7 +84,7 @@ class Network:
     @property
     def edge_count(self) -> int:
         """Number of edges."""
-        return self._graph.number_of_edges()
+        return len(self._neighbors) // 2
 
     def labels(self) -> List[Any]:
         """Graph node labels in simulator index order."""
@@ -89,174 +96,70 @@ class Network:
 
     def index_of(self, label: Any) -> int:
         """Return the simulator index of graph node *label*."""
+        if self._index_of is None:
+            self._index_of = {node: index
+                              for index, node in enumerate(self._labels)}
         return self._index_of[label]
 
     def degree(self, index: int) -> int:
         """Return the degree of the node with simulator index *index*."""
-        return len(self._ports[index].neighbors)
+        return self._offsets[index + 1] - self._offsets[index]
 
     def neighbor_via_port(self, index: int, port: int) -> int:
         """Return the simulator index reached from *index* through *port*."""
-        ports = self._ports[index]
-        if not 0 <= port < len(ports.neighbors):
-            raise ConfigurationError(
-                f"node {self._labels[index]} has ports 0..{len(ports.neighbors) - 1}, "
-                f"got {port}"
-            )
-        return ports.neighbors[port]
-
-    def port_towards(self, index: int, neighbor_index: int) -> int:
-        """Return the port of *index* leading to *neighbor_index*."""
-        ports = self._ports[index]
-        if neighbor_index not in ports.port_of:
-            raise ConfigurationError(
-                f"nodes {self._labels[index]} and {self._labels[neighbor_index]} "
-                "are not adjacent"
-            )
-        return ports.port_of[neighbor_index]
-
-    def max_degree(self) -> int:
-        """Return the maximum degree of the network (0 for edgeless graphs)."""
-        if not self._labels:
-            return 0
-        return max(len(p.neighbors) for p in self._ports)
-
-    # ------------------------------------------------------------------ #
-    # Flat routing tables (simulator fast path)
-    # ------------------------------------------------------------------ #
-    def neighbor_tables(self) -> List[Tuple[int, ...]]:
-        """Per-node neighbour tables: ``tables[u][p]`` is the index reached
-        from node ``u`` through port ``p``.
-
-        Equivalent to :meth:`neighbor_via_port` without the per-call bounds
-        check; the runner validates ports once per :class:`WakeCall` and then
-        routes every message through these flat tables.
-        """
-        return [ports.neighbors for ports in self._ports]
-
-    def arrival_port_tables(self) -> List[Tuple[int, ...]]:
-        """Per-node arrival tables: ``tables[u][p]`` is the port on which the
-        neighbour reached from ``u`` through port ``p`` receives ``u``'s
-        messages (i.e. ``port_towards(neighbor_via_port(u, p), u)``).
-        """
-        return [
-            tuple(self._ports[v].port_of[u] for v in ports.neighbors)
-            for u, ports in enumerate(self._ports)
-        ]
-
-    def csr_tables(self) -> Optional[Tuple[Sequence[int], Sequence[int],
-                                           Sequence[int]]]:
-        """Flat ``(offsets, neighbors, arrivals)`` arrays, if CSR-backed.
-
-        The adjacency-list network returns ``None``; the runner falls back
-        to the per-node tables above.
-        """
-        return None
-
-
-class CSRNetwork:
-    """A port-numbered network over flat CSR arrays — zero extra copies.
-
-    Drop-in for :class:`Network` (same accessor surface), but built
-    directly from a :class:`repro.graphs.csr.CSRGraph`: the arrival ports
-    were precomputed when the CSR arrays were built, so construction is
-    O(1) even when the arrays live in a shared-memory segment mapped by a
-    worker slot process.  CSR rows are sorted by neighbour index — the
-    exact port numbering ``Network`` derives — so both views simulate
-    byte-identically (pinned by ``tests/test_csr.py``).
-    """
-
-    def __init__(self, csr: "CSRGraph | CSRGraphView") -> None:
-        if isinstance(csr, CSRGraphView):
-            self._view = csr
-            self._csr = csr.csr
-        else:
-            self._csr = csr
-            self._view = csr.view()
-        self._index_of: Optional[Dict[Any, int]] = None
-
-    # ------------------------------------------------------------------ #
-    # Size / lookup helpers
-    # ------------------------------------------------------------------ #
-    @property
-    def graph(self) -> CSRGraphView:
-        """The underlying graph view (not copied)."""
-        return self._view
-
-    @property
-    def size(self) -> int:
-        return self._csr.n
-
-    @property
-    def edge_count(self) -> int:
-        return self._csr.m
-
-    def labels(self) -> List[Any]:
-        return list(self._csr.labels)
-
-    def label_of(self, index: int) -> Any:
-        return self._csr.labels[index]
-
-    def index_of(self, label: Any) -> int:
-        if self._index_of is None:
-            self._index_of = {node: index for index, node
-                              in enumerate(self._csr.labels)}
-        return self._index_of[label]
-
-    def degree(self, index: int) -> int:
-        return self._csr.degree(index)
-
-    def neighbor_via_port(self, index: int, port: int) -> int:
-        degree = self._csr.degree(index)
+        degree = self.degree(index)
         if not 0 <= port < degree:
             raise ConfigurationError(
                 f"node {self.label_of(index)} has ports 0..{degree - 1}, "
                 f"got {port}"
             )
-        return self._csr.neighbors[self._csr.offsets[index] + port]
+        return self._neighbors[self._offsets[index] + port]
 
     def port_towards(self, index: int, neighbor_index: int) -> int:
-        row = self._csr.neighbor_row(index)
-        port = bisect_left(row, neighbor_index)
-        if port >= len(row) or row[port] != neighbor_index:
+        """Return the port of *index* leading to *neighbor_index*."""
+        start, stop = self._offsets[index], self._offsets[index + 1]
+        cursor = bisect_left(self._neighbors, neighbor_index, start, stop)
+        if cursor == stop or self._neighbors[cursor] != neighbor_index:
             raise ConfigurationError(
                 f"nodes {self.label_of(index)} and "
                 f"{self.label_of(neighbor_index)} are not adjacent"
             )
-        return port
+        return cursor - start
 
     def max_degree(self) -> int:
-        if self._csr.n == 0:
-            return 0
-        try:
-            offsets, _, _, _ = self._csr.as_arrays()
-        except ConfigurationError:  # pragma: no cover - numpy-less hosts
-            offsets = self._csr.offsets
-            return max(offsets[index + 1] - offsets[index]
-                       for index in range(self._csr.n))
-        return int((offsets[1:] - offsets[:-1]).max())
+        """Return the maximum degree of the network (0 for edgeless graphs)."""
+        return max((self.degree(index) for index in range(self.size)),
+                   default=0)
 
-    # ------------------------------------------------------------------ #
-    # Flat routing tables (simulator fast path)
-    # ------------------------------------------------------------------ #
-    def neighbor_tables(self) -> List[memoryview]:
-        """Per-node neighbour tables as zero-copy slices of the flat array."""
-        csr = self._csr
-        return [csr.neighbor_row(index) for index in range(csr.n)]
-
-    def arrival_port_tables(self) -> List[memoryview]:
-        """Per-node arrival tables as zero-copy slices of the flat array."""
-        csr = self._csr
-        return [csr.arrival_row(index) for index in range(csr.n)]
-
-    def csr_tables(self) -> Tuple[Sequence[int], Sequence[int],
-                                  Sequence[int]]:
-        """The flat ``(offsets, neighbors, arrivals)`` arrays themselves."""
-        csr = self._csr
-        return (csr.offsets, csr.neighbors, csr.arrivals)
+    def csr_tables(self) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """The flat ``(offsets, neighbors, arrivals)`` routing arrays."""
+        return (self._offsets, self._neighbors, self._arrivals)
 
 
-def build_network(graph: Any) -> "Network | CSRNetwork":
+class CSRNetwork(Network):
+    """A port-numbered network over CSR arrays — zero extra copies.
+
+    Built directly from a :class:`repro.graphs.csr.CSRGraph`: its rows are
+    sorted by neighbour index and its arrival ports were precomputed when
+    the arrays were built, so construction is O(1) even when the arrays
+    live in a shared-memory segment mapped by a worker slot process.  Both
+    classes simulate byte-identically (pinned by ``tests/test_csr.py``).
+    """
+
+    def __init__(self, csr: "CSRGraph | CSRGraphView") -> None:
+        if isinstance(csr, CSRGraphView):
+            self._graph = csr
+            csr = csr.csr
+        else:
+            self._graph = csr.view()
+        self._labels = csr.labels
+        self._index_of = None
+        self._offsets = csr.offsets
+        self._neighbors = csr.neighbors
+        self._arrivals = csr.arrivals
+
+
+def build_network(graph: Any) -> Network:
     """Build the right network view for *graph*.
 
     CSR-backed graphs (:class:`CSRGraphView` / :class:`CSRGraph`) get the

@@ -22,38 +22,35 @@ Round semantics (paper Section 1.3):
 Engines
 -------
 
-The driver has three interchangeable round engines; all of them produce
-identical outputs and awake/round/message counts, so an engine can only
-ever change wall-clock time, never bytes:
+The driver has two interchangeable round engines; both produce identical
+outputs and awake/round/message counts, so an engine can only ever change
+wall-clock time, never bytes:
 
-1. The **metered loop** (:meth:`Simulator._drive_metered`) handles tracing
-   and CONGEST bit accounting.  It runs whenever ``trace=True`` or a
-   ``message_bit_limit`` is set — note that
+1. The **generator loop** (:meth:`Simulator._drive`) runs every protocol.
+   It routes messages through the network's flat
+   ``(offsets, neighbors, arrivals)`` arrays (straight out of the
+   shared-memory segment for CSR-backed graphs), reuses one inbox buffer
+   per node across rounds, and meters only when asked: with a
+   ``message_bit_limit`` or ``trace=True`` every message's size is
+   estimated with :func:`~repro.sim.message.estimate_bits`, checked
+   against the limit and counted, and the trace hook records awake sets
+   and message events.  Otherwise sizes are never estimated: the
+   aggregate ``max_message_bits`` then reads ``None`` ("not measured")
+   and per-node bit counters stay 0.  Note that
    :func:`repro.experiments.harness.run_mis` enforces CONGEST by default,
-   so sweeps stay on this loop unless ``enforce_congest=False``.
-2. The **generator fast loop** (:meth:`Simulator._drive_fast`) runs
-   whenever neither is requested (``trace=False`` and
-   ``message_bit_limit=None``).  It routes messages through flat
-   neighbour/arrival-port arrays precomputed from the
-   :class:`~repro.sim.network.Network` (straight out of the flat CSR
-   arrays for CSR-backed graphs), skips
-   :func:`~repro.sim.message.estimate_bits` entirely (the aggregate
-   ``max_message_bits`` then reads ``None`` — "not measured" — and
-   per-node bit counters stay 0), and reuses one delivery buffer per node
-   across rounds.
-3. The **vectorized engine** (:mod:`repro.sim.vectorized`) computes whole
-   rounds as numpy array operations over the CSR arrays, for protocols
-   whose rounds are dense (every undecided node awake every iteration,
-   Luby-style).  A protocol opts in by exposing a ``vectorized_engine``
-   attribute on its factory (``luby`` does); the engine engages only
-   under the fast loop's gating (no trace, no bit limit) *and* when
-   numpy is importable, falling back to the generator fast loop
-   otherwise.  Priorities are drawn from the same per-node ``spawn_rng``
-   streams in the same per-node order, so the run is bit-for-bit
-   identical to the other engines (pinned by
-   ``tests/test_runner_semantics.py``).  Pass ``vectorized=False`` to
-   pin the generator loops, ``vectorized=True`` to require the engine
-   (a configuration that cannot use it then raises).
+   so sweeps meter unless ``enforce_congest=False``.
+2. The **vectorized engine** (:mod:`repro.sim.vectorized`) computes whole
+   rounds as numpy array operations over the same flat arrays, for
+   protocols whose rounds are dense (every undecided node awake every
+   iteration, Luby-style).  A protocol opts in by exposing a
+   ``vectorized_engine`` attribute on its factory (``luby`` does); the
+   engine engages only on unmetered runs (no trace, no bit limit),
+   falling back to the generator loop otherwise.  Priorities are drawn
+   from the same per-node ``spawn_rng`` streams in the same per-node
+   order, so the run is bit-for-bit identical to the generator loop
+   (pinned by ``tests/test_runner_semantics.py``).  Pass
+   ``vectorized=False`` to pin the generator loop, ``vectorized=True`` to
+   require the engine (a configuration that cannot use it then raises).
 
 Buffer-reuse contract: the inbox list a generator is resumed with is only
 valid until the node's next ``yield``; protocols must consume (or copy) it
@@ -87,7 +84,7 @@ ProtocolFactory = Callable[[NodeContext], Generator[WakeCall, List[Receive], Any
 
 
 # --------------------------------------------------------------------------- #
-# Safety-valve / coverage errors shared by all three round engines.  A
+# Safety-valve / coverage errors shared by both round engines.  A
 # divergent message would break golden-log diffs across engines, so every
 # engine raises through these helpers.
 # --------------------------------------------------------------------------- #
@@ -149,8 +146,8 @@ class Simulator:
         If not ``None``, sending a message whose estimated size exceeds this
         many bits raises :class:`MessageTooLargeError`.  The experiment
         harness sets it to a multiple of ``log2(N)`` to enforce CONGEST.
-        When ``None`` (and tracing is off) the driver takes the fast path
-        and does not estimate message sizes at all.
+        When ``None`` and tracing is off, the driver does not estimate
+        message sizes at all (bit statistics then read "not measured").
     max_active_rounds:
         Safety valve: abort (with :class:`SimulationError`) if more than this
         many *active* rounds elapse, which indicates a livelocked protocol.
@@ -162,8 +159,8 @@ class Simulator:
     vectorized:
         Engine selection for protocols that expose a ``vectorized_engine``
         hook: ``None`` (default) engages the numpy whole-round engine
-        whenever the fast-path gating holds (no trace, no bit limit) and
-        numpy is importable; ``False`` pins the generator loops; ``True``
+        whenever the run is unmetered (no trace, no bit limit); ``False``
+        pins the generator loop; ``True``
         requires the vectorized engine and raises
         :class:`~repro.errors.ConfigurationError` when it cannot run.
         Engine choice never changes outputs or counts.
@@ -211,8 +208,12 @@ class Simulator:
 
         generators: List[Optional[Generator[WakeCall, List[Receive], Any]]] = []
         outputs: Dict[Any, Any] = {}
-        metrics = RunMetrics(per_node=[NodeMetrics() for _ in range(n)])
         trace = Trace() if self._trace_enabled else None
+        metrics = RunMetrics(
+            per_node=[NodeMetrics() for _ in range(n)],
+            bits_metered=(trace is not None
+                          or self._message_bit_limit is not None),
+        )
 
         # (round, node_index, WakeCall) heap of pending wake-ups.
         pending: List[tuple] = []
@@ -239,11 +240,7 @@ class Simulator:
             self._validate_call(first_call, index, previous_round=-1)
             heapq.heappush(pending, (first_call.round, index, first_call))
 
-        if trace is None and self._message_bit_limit is None:
-            metrics.bits_metered = False
-            self._drive_fast(pending, generators, outputs, metrics)
-        else:
-            self._drive_metered(pending, generators, outputs, metrics, trace)
+        self._drive(pending, generators, outputs, metrics, trace)
 
         # Nodes that never terminated explicitly (generator exhausted without
         # return) have output None already; nodes still pending cannot exist
@@ -271,11 +268,11 @@ class Simulator:
         """Return the protocol's vectorized engine when it should engage.
 
         The engine engages only when the protocol opts in (a
-        ``vectorized_engine`` hook on the factory), the fast-path gating
-        holds (no trace, no bit limit), numpy is importable, and the
-        caller did not pin ``vectorized=False``.  ``vectorized=True``
-        turns every reason *not* to engage into a
-        :class:`ConfigurationError` instead of a silent fallback.
+        ``vectorized_engine`` hook on the factory), the run is unmetered
+        (no trace, no bit limit), and the caller did not pin
+        ``vectorized=False``.  ``vectorized=True`` turns every reason
+        *not* to engage into a :class:`ConfigurationError` instead of a
+        silent fallback.
         """
         if self._vectorized is False:
             return None
@@ -287,11 +284,6 @@ class Simulator:
             blocker = "tracing is enabled"
         elif self._message_bit_limit is not None:
             blocker = "a message bit limit is set (CONGEST metering)"
-        else:
-            from repro.sim.vectorized import numpy_or_none
-
-            if numpy_or_none() is None:
-                blocker = "numpy is not installed"
         if blocker is None:
             return hook
         if self._vectorized is True:
@@ -317,37 +309,30 @@ class Simulator:
         return state.to_result()
 
     # ------------------------------------------------------------------ #
-    def _drive_fast(
+    def _drive(
         self,
         pending: List[tuple],
         generators: List[Optional[Generator[WakeCall, List[Receive], Any]]],
         outputs: Dict[Any, Any],
         metrics: RunMetrics,
+        trace: Optional[Trace],
     ) -> None:
-        """Round loop for the common configuration: no trace, no bit limit.
+        """The round loop: wake, send, deliver to awake receivers, resume.
 
-        Messages are routed through flat port tables, sizes are never
-        estimated, and each node's delivery buffer is reused across rounds
-        (cleared when the node next wakes).  Produces the same outputs and
-        the same awake/round/message counts as :meth:`_drive_metered`; only
-        the bit statistics differ (per-node counters stay 0, the aggregate
-        ``max_message_bits`` reads ``None`` via ``bits_metered=False``).
+        Messages are routed through the network's flat routing arrays and
+        each node's inbox buffer is reused across rounds (cleared when the
+        node next wakes).  Sizes are estimated, checked against the bit
+        limit and counted only when the run is metered (a bit limit or a
+        trace is set); *trace*, when given, records every awake set and
+        message event.
         """
         network = self._network
-        csr = getattr(network, "csr_tables", lambda: None)()
-        if csr is None:
-            neighbor_of = network.neighbor_tables()
-            arrival_port_of = network.arrival_port_tables()
-            offsets = flat_neighbors = flat_arrivals = None
-        else:
-            # CSR fast path: route straight out of the flat arrays — no
-            # per-node table objects at all, which also means a network
-            # over a shared-memory segment is simulated without copying
-            # any part of the adjacency into the process.
-            offsets, flat_neighbors, flat_arrivals = csr
-            neighbor_of = arrival_port_of = None
+        offsets, flat_neighbors, flat_arrivals = network.csr_tables()
+        label_of = network.label_of
         per_node = metrics.per_node
         max_awake = self._max_awake_per_node
+        bit_limit = self._message_bit_limit
+        metered = metrics.bits_metered
         inboxes: List[List[Receive]] = [[] for _ in range(network.size)]
 
         active_rounds = 0
@@ -369,136 +354,56 @@ class Simulator:
                 node_metrics = per_node[index]
                 node_metrics.awake_rounds += 1
                 if node_metrics.awake_rounds > max_awake:
-                    raise awake_budget_error(network.label_of(index),
-                                             max_awake)
-                sends = call.sends
-                if not sends:
-                    continue
-                if offsets is not None:
-                    base = offsets[index]
-                    for port, payload in sends:
-                        node_metrics.messages_sent += 1
-                        receiver = flat_neighbors[base + port]
-                        if receiver in awake:
-                            inboxes[receiver].append(
-                                (flat_arrivals[base + port], payload))
-                            per_node[receiver].messages_received += 1
-                else:
-                    neighbors = neighbor_of[index]
-                    arrivals = arrival_port_of[index]
-                    for port, payload in sends:
-                        node_metrics.messages_sent += 1
-                        receiver = neighbors[port]
-                        if receiver in awake:
-                            inboxes[receiver].append(
-                                (arrivals[port], payload))
-                            per_node[receiver].messages_received += 1
+                    raise awake_budget_error(label_of(index), max_awake)
+                base = offsets[index]
+                for port, payload in call.sends:
+                    node_metrics.messages_sent += 1
+                    if metered:
+                        bits = estimate_bits(payload)
+                        if bit_limit is not None and bits > bit_limit:
+                            raise MessageTooLargeError(
+                                f"node {label_of(index)} sent a {bits}-bit "
+                                f"message (limit {bit_limit}) in round "
+                                f"{current_round}: {payload!r}"
+                            )
+                        node_metrics.bits_sent += bits
+                        if bits > node_metrics.max_message_bits:
+                            node_metrics.max_message_bits = bits
+                    receiver = flat_neighbors[base + port]
+                    delivered = receiver in awake
+                    if delivered:
+                        inboxes[receiver].append(
+                            (flat_arrivals[base + port], payload))
+                        per_node[receiver].messages_received += 1
+                    if trace is not None:
+                        trace.record_message(MessageEvent(
+                            round=current_round,
+                            sender=label_of(index),
+                            receiver=label_of(receiver),
+                            payload=payload,
+                            delivered=delivered,
+                        ))
 
+            if trace is not None:
+                trace.record_awake(current_round,
+                                   [label_of(index) for index in awake])
             metrics.last_active_round = current_round
 
-            # Resume every awake node with its inbox.  Heap pops already
-            # produced increasing indices, so the dict iterates in the same
-            # node order the metered loop uses.
+            # Resume every awake node with its inbox.  Heap pops produced
+            # increasing indices, so the dict iterates in node order.
             for index in awake:
                 gen = generators[index]
                 assert gen is not None
                 try:
                     next_call = gen.send(inboxes[index])
                 except StopIteration as stop:
-                    outputs[network.label_of(index)] = stop.value
+                    outputs[label_of(index)] = stop.value
                     per_node[index].terminated_round = current_round
                     generators[index] = None
                     continue
                 self._validate_call(next_call, index, previous_round=current_round)
                 heapq.heappush(pending, (next_call.round, index, next_call))
         metrics.active_rounds = active_rounds
-
-    # ------------------------------------------------------------------ #
-    def _drive_metered(
-        self,
-        pending: List[tuple],
-        generators: List[Optional[Generator[WakeCall, List[Receive], Any]]],
-        outputs: Dict[Any, Any],
-        metrics: RunMetrics,
-        trace: Optional[Trace],
-    ) -> None:
-        """Round loop with CONGEST bit accounting and optional tracing."""
-        network = self._network
-        neighbor_of = network.neighbor_tables()
-        arrival_port_of = network.arrival_port_tables()
-        bit_limit = self._message_bit_limit
-
-        active_rounds = 0
-        while pending:
-            current_round = pending[0][0]
-            active_rounds += 1
-            if active_rounds > self._max_active_rounds:
-                raise livelocked_error(self._max_active_rounds)
-
-            # Pop every node awake in this round.
-            awake: Dict[int, WakeCall] = {}
-            while pending and pending[0][0] == current_round:
-                _, index, call = heapq.heappop(pending)
-                awake[index] = call
-
-            # Transmit: deliveries[index] collects (arrival_port, payload).
-            deliveries: Dict[int, List[Receive]] = {index: [] for index in awake}
-            for index, call in awake.items():
-                node_metrics = metrics.per_node[index]
-                node_metrics.record_awake()
-                if node_metrics.awake_rounds > self._max_awake_per_node:
-                    raise awake_budget_error(network.label_of(index),
-                                             self._max_awake_per_node)
-                for port, payload in call.sends:
-                    receiver = neighbor_of[index][port]
-                    bits = estimate_bits(payload)
-                    if bit_limit is not None and bits > bit_limit:
-                        raise MessageTooLargeError(
-                            f"node {network.label_of(index)} sent a {bits}-bit "
-                            f"message (limit {bit_limit}) in round "
-                            f"{current_round}: {payload!r}"
-                        )
-                    node_metrics.record_send(bits)
-                    delivered = receiver in awake
-                    if delivered:
-                        arrival_port = arrival_port_of[index][port]
-                        deliveries[receiver].append((arrival_port, payload))
-                        metrics.per_node[receiver].record_receive()
-                    if trace is not None:
-                        trace.record_message(
-                            MessageEvent(
-                                round=current_round,
-                                sender=network.label_of(index),
-                                receiver=network.label_of(receiver),
-                                payload=payload,
-                                delivered=delivered,
-                            )
-                        )
-
-            if trace is not None:
-                trace.record_awake(
-                    current_round,
-                    [network.label_of(index) for index in awake],
-                )
-
-            metrics.last_active_round = current_round
-            metrics.active_rounds = active_rounds
-
-            # Resume every awake node with its inbox.
-            for index in sorted(awake):
-                gen = generators[index]
-                assert gen is not None
-                inbox = deliveries[index]
-                try:
-                    next_call = gen.send(inbox)
-                except StopIteration as stop:
-                    label = network.label_of(index)
-                    outputs[label] = stop.value
-                    metrics.per_node[index].terminated_round = current_round
-                    generators[index] = None
-                    continue
-                self._validate_call(next_call, index, previous_round=current_round)
-                heapq.heappush(pending, (next_call.round, index, next_call))
 
     # ------------------------------------------------------------------ #
     def _validate_call(

@@ -1,61 +1,51 @@
 """Numpy-vectorized whole-round engine for dense, everyone-awake phases.
 
-The third simulator engine (after the metered loop and the generator fast
-loop of :mod:`repro.sim.runner`): protocols whose rounds are *dense* —
-every undecided node awake every iteration, Luby-style — can compute whole
+The second simulator engine (beside the generator loop of
+:mod:`repro.sim.runner`): protocols whose rounds are *dense* — every
+undecided node awake every iteration, Luby-style — can compute whole
 rounds as array operations over the flat CSR adjacency instead of resuming
 one generator per node per round.
 
 A protocol opts in by exposing a ``vectorized_engine`` attribute on its
 factory (see ``repro.algorithms.luby``): a callable receiving one
-:class:`VectorizedRun` — the CSR arrays as numpy views, the per-node RNG
-streams, per-node metric arrays, and the same safety valves the other two
-engines enforce.  The engine engages only when tracing is off, no bit limit
-is set, and numpy is importable (exactly the gating discipline of the
-generator fast path); everything else falls back, so results can never
-depend on whether numpy is installed.
+:class:`VectorizedRun` — the network's flat arrays as numpy views, the
+per-node RNG streams, per-node metric arrays, and the same safety valves
+the generator loop enforces.  The engine engages only when tracing is off
+and no bit limit is set; metered runs take the generator loop.
 
 Byte-identity contract (pinned by ``tests/test_runner_semantics.py`` and
 ``tests/test_vectorized.py``): outputs, awake/round/message counts,
 ``awake_by_label``, termination rounds and error messages are identical to
-both other engines.  In particular engines must draw from the *same*
+the generator loop.  In particular engines must draw from the *same*
 per-node ``spawn_rng`` streams the generator path would — the streams are
 spawned here in index order, exactly like ``Simulator.run`` does — and
 consume the same number of draws per node, so a run is bit-for-bit
-reproducible across all three engines.
+reproducible across both engines.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.rng import SeedLike, spawn_rngs
 from repro.sim.metrics import NodeMetrics, RunMetrics
 
-try:  # gate, never require: the engine falls back when numpy is missing
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _numpy = None
-
 #: Sentinel for "never terminated" in the int64 terminated-round array.
 _NEVER = -(2**62)
-
-
-def numpy_or_none():
-    """Return the numpy module, or ``None`` when it is not installed."""
-    return _numpy
 
 
 class VectorizedRun:
     """Mutable state handed to a protocol's vectorized engine.
 
     Exposes the graph as flat int64 numpy arrays (zero-copy views over the
-    CSR buffers when the network is CSR-backed — including shared-memory
-    segments), one private RNG per node (spawned in index order, exactly
-    like the generator path), and the per-node metric arrays the engine
-    fills in.  Engines record rounds through :meth:`begin_round` /
+    network's routing arrays — shared-memory segments included), one
+    private RNG per node (spawned in index order, exactly like the
+    generator path), and the per-node metric arrays the engine fills in.
+    Engines record rounds through :meth:`begin_round` /
     :meth:`record_awake` so the livelock and awake-budget safety valves
-    fire with the same messages as the other two engines.
+    fire with the same messages as the generator loop.
     """
 
     def __init__(
@@ -67,15 +57,14 @@ class VectorizedRun:
         max_active_rounds: int,
         max_awake_per_node: int,
     ) -> None:
-        np = _numpy
-        if np is None:  # pragma: no cover - callers gate on numpy_or_none()
-            raise RuntimeError("the vectorized engine requires numpy")
         self.np = np
         self.network = network
         self.inputs = inputs
         self.local_inputs = local_inputs
         self.n = network.size
-        self.offsets, self.neighbors = _flat_adjacency(network, np)
+        offsets, neighbors, _ = network.csr_tables()
+        self.offsets = _int64_view(offsets)
+        self.neighbors = _int64_view(neighbors)
         self.degrees = self.offsets[1:] - self.offsets[:-1]
         #: Graph labels in simulator index order (bulk lookup once; engines
         #: fill outputs for thousands of nodes per round).
@@ -122,7 +111,6 @@ class VectorizedRun:
         """
         from repro.sim.runner import awake_budget_error
 
-        np = self.np
         updated = self.awake_rounds[indices] + 1
         self.awake_rounds[indices] = updated
         over = updated > self._max_awake_per_node
@@ -142,7 +130,6 @@ class VectorizedRun:
         ``reduceat`` would otherwise return the element *at* the offset
         instead of the identity.
         """
-        np = self.np
         out = np.full(self.n, empty, dtype=np.asarray(values).dtype)
         if self.neighbors.size == 0:
             return out
@@ -152,7 +139,6 @@ class VectorizedRun:
 
     def row_count(self, mask):
         """Per-node count of neighbours for which *mask* is True."""
-        np = self.np
         out = np.zeros(self.n, dtype=np.int64)
         if self.neighbors.size == 0:
             return out
@@ -198,30 +184,7 @@ class VectorizedRun:
         )
 
 
-def _flat_adjacency(network, np):
-    """Return ``(offsets, neighbors)`` int64 arrays for *network*.
-
-    CSR-backed networks hand out zero-copy ``np.frombuffer`` views over
-    their flat buffers (shared-memory segments included); adjacency-list
-    networks are flattened once.
-    """
-    tables = getattr(network, "csr_tables", lambda: None)()
-    if tables is not None:
-        offsets_words, neighbor_words, _ = tables
-        return (_int64_view(offsets_words, np), _int64_view(neighbor_words, np))
-    rows = network.neighbor_tables()
-    n = len(rows)
-    degrees = np.fromiter((len(row) for row in rows), dtype=np.int64, count=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    total = int(offsets[-1]) if n else 0
-    neighbors = np.fromiter(
-        (neighbor for row in rows for neighbor in row),
-        dtype=np.int64, count=total)
-    return offsets, neighbors
-
-
-def _int64_view(words, np):
+def _int64_view(words):
     """Zero-copy read-only int64 numpy view over a word buffer."""
     view = memoryview(words)
     if view.nbytes == 0:

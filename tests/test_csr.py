@@ -43,7 +43,10 @@ def _records_sans_wall_time(result):
 # --------------------------------------------------------------------------- #
 class TestNetworkEquivalence:
     def test_csr_network_matches_network_on_every_family(self, family_graph):
-        """Same labels, same ports, same tables — on every family."""
+        """Same labels, same ports, same tables — on every family.
+
+        ``Network`` derives its arrival ports with its own counting pass,
+        so it is the oracle for ``CSRGraph.from_graph``'s lexsort."""
         reference = Network(family_graph)
         csr_net = CSRNetwork(generators.to_csr(family_graph))
 
@@ -55,10 +58,8 @@ class TestNetworkEquivalence:
             assert csr_net.degree(index) == reference.degree(index)
             assert csr_net.label_of(index) == reference.label_of(index)
             assert csr_net.index_of(reference.label_of(index)) == index
-        assert [list(row) for row in csr_net.neighbor_tables()] == \
-               [list(row) for row in reference.neighbor_tables()]
-        assert [list(row) for row in csr_net.arrival_port_tables()] == \
-               [list(row) for row in reference.arrival_port_tables()]
+        assert [list(table) for table in csr_net.csr_tables()] == \
+               [list(table) for table in reference.csr_tables()]
 
     def test_port_routing_agrees_everywhere(self, family_graph):
         reference = Network(family_graph)
@@ -80,14 +81,18 @@ class TestNetworkEquivalence:
         with pytest.raises(ConfigurationError, match="not adjacent"):
             csr_net.port_towards(0, 3)
 
-    def test_csr_tables_present_only_on_csr_network(self):
+    def test_csr_tables_on_both_networks(self):
         graph = generators.gnp_graph(24, p=0.2, seed=5)
-        assert Network(graph).csr_tables() is None
-        offsets, neighbors, arrivals = \
-            CSRNetwork(generators.to_csr(graph)).csr_tables()
-        assert len(offsets) == graph.number_of_nodes() + 1
-        assert len(neighbors) == len(arrivals) == \
-               2 * graph.number_of_edges()
+        for network in (Network(graph), CSRNetwork(generators.to_csr(graph))):
+            offsets, neighbors, arrivals = network.csr_tables()
+            assert len(offsets) == graph.number_of_nodes() + 1
+            assert len(neighbors) == len(arrivals) == \
+                   2 * graph.number_of_edges()
+            for index in range(network.size):
+                for port in range(network.degree(index)):
+                    neighbor = neighbors[offsets[index] + port]
+                    assert arrivals[offsets[index] + port] == \
+                           network.port_towards(neighbor, index)
 
     def test_build_network_dispatches_on_type(self):
         graph = generators.cycle_graph(8)

@@ -1,9 +1,9 @@
 """Round-semantics regression tests for the SLEEPING-CONGEST driver.
 
-The simulator has three round engines — the generator fast loop (no trace,
-no bit limit), the metered loop (tracing and/or CONGEST accounting), and
-the numpy whole-round engine for protocols that opt in (``luby``).  These
-tests pin the model semantics of paper Section 1.3 on all of them: messages
+The simulator has two round engines — the generator loop, which meters
+message sizes when a bit limit or a trace is set, and the numpy
+whole-round engine for protocols that opt in (``luby``).  These tests pin
+the model semantics of paper Section 1.3 on every configuration: messages
 to sleeping nodes are lost, the bit budget fires exactly at the limit,
 protocol violations (non-increasing rounds, out-of-range ports) are
 rejected, and every engine agrees on every count-based metric (the
@@ -15,13 +15,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MessageTooLargeError, ProtocolViolationError
+from repro.experiments.harness import available_algorithms, run_mis
 from repro.graphs import generators
 from repro.sim import WakeCall, estimate_bits, run_protocol
 from repro.sim.metrics import CompactRunMetrics
 
 
-#: Simulator configurations covering both round loops.  A huge bit limit
-#: forces the metered loop without ever tripping the budget.
+#: Generator-loop configurations: unmetered, metered and traced.  A huge
+#: bit limit turns metering on without ever tripping the budget.
 PATHS = {
     "fast": {"trace": False, "message_bit_limit": None},
     "metered": {"trace": False, "message_bit_limit": 10_000},
@@ -213,31 +214,44 @@ class TestOutputsCoverage:
 
 
 class TestPathEquivalence:
-    @pytest.mark.parametrize("algorithm_seed", [3, 4])
-    def test_fast_and_metered_loops_agree_on_counts(self, algorithm_seed):
-        """Same protocol, same seed: every count-based metric must match
-        between the fast loop and the metered loop (bit statistics are the
-        documented exception — the fast loop reports them as 0)."""
-        from repro.algorithms.luby import luby_protocol
+    #: Three runs of one generator loop: CONGEST-metered, unmetered (the
+    #: vectorized engine pinned off) and traced.
+    RUNS = {
+        "metered": {"enforce_congest": True},
+        "unmetered": {"enforce_congest": False, "vectorized": False},
+        "traced": {"enforce_congest": False, "trace": True},
+    }
 
-        graph = generators.gnp_graph(48, expected_degree=6, seed=2)
-        inputs = {"max_iterations": 4096}
-        # vectorized=False pins the generator fast loop (luby would
-        # otherwise auto-dispatch to the numpy whole-round engine here).
-        fast = run_protocol(graph, luby_protocol, inputs=inputs,
-                            seed=algorithm_seed, vectorized=False)
-        metered = run_protocol(graph, luby_protocol, inputs=inputs,
-                               seed=algorithm_seed, trace=True,
-                               message_bit_limit=10_000)
+    @pytest.mark.parametrize("family", ["gnp", "rgg", "tree", "star"])
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_metered_unmetered_and_traced_runs_agree(self, algorithm, family):
+        """Same algorithm, graph and seed: metering and tracing may only
+        add bit statistics and a trace — outputs (in insertion order) and
+        every per-node counter must be identical."""
+        graph = generators.by_name(family, 32, seed=5)
 
-        assert {k: bool(v) for k, v in fast.outputs.items()} == \
-               {k: bool(v) for k, v in metered.outputs.items()}
-        assert fast.awake_by_label == metered.awake_by_label
-        fast_summary = fast.metrics.summary()
-        metered_summary = metered.metrics.summary()
-        fast_summary.pop("max_message_bits")
-        metered_summary.pop("max_message_bits")
-        assert fast_summary == metered_summary
+        def essence(result):
+            per_node = [
+                (node.awake_rounds, node.messages_sent,
+                 node.messages_received, node.terminated_round)
+                for node in result.metrics.per_node
+            ]
+            return (list(result.outputs.items()), per_node,
+                    result.metrics.active_rounds,
+                    result.metrics.last_active_round)
+
+        results = {name: run_mis(graph, algorithm, seed=3, keep_raw=True,
+                                 **config)
+                   for name, config in self.RUNS.items()}
+        assert all(result.verified for result in results.values())
+        runs = {name: result.raw for name, result in results.items()}
+        assert essence(runs["unmetered"]) == essence(runs["metered"])
+        assert essence(runs["traced"]) == essence(runs["metered"])
+        assert runs["unmetered"].metrics.max_message_bits is None
+        assert runs["traced"].metrics.max_message_bits == \
+               runs["metered"].metrics.max_message_bits
+        assert len(runs["traced"].trace.messages) == \
+               runs["metered"].metrics.total_messages
 
     def test_unmetered_bit_statistics_read_not_measured(self):
         """Unmetered runs report max_message_bits as None (never a
@@ -268,12 +282,13 @@ class TestPathEquivalence:
 
 
 class TestCSRPathEquivalence:
-    """The CSR fast path must change *speed*, never bytes.
+    """The CSR representation must change *speed*, never bytes.
 
     ``run_protocol`` over a CSR-backed graph routes sends straight out
-    of the flat ``(offsets, neighbors, arrivals)`` arrays in the fast
-    loop; the metered loop and the adjacency-list representation are the
-    oracles it must agree with, count for count.
+    of the CSR graph's own ``(offsets, neighbors, arrivals)`` arrays; the
+    metered runs and the networkx representation, whose arrays
+    ``Network`` derives independently, are the oracles it must agree
+    with, count for count.
     """
 
     @pytest.mark.parametrize("algorithm_seed", [3, 4])
@@ -317,10 +332,11 @@ class TestCSRPathEquivalence:
 
 
 class TestVectorizedEngineEquivalence:
-    """The numpy whole-round engine is the third interchangeable engine.
+    """The numpy whole-round engine is the second interchangeable engine.
 
-    For a protocol that opts in (``luby``), all three engines must produce
-    the same outputs *in the same insertion order*, the same per-node
+    For a protocol that opts in (``luby``), it must produce the same
+    outputs as the unmetered, metered and traced generator-loop runs *in
+    the same insertion order*, the same per-node
     awake/message/termination counters and the same aggregate metrics —
     byte identity, not statistical agreement.  (The engine's own unit and
     property tests live in ``tests/test_vectorized.py``.)

@@ -1,8 +1,9 @@
 """Tests for the numpy whole-round engine (:mod:`repro.sim.vectorized`).
 
 The engine's contract is "bytes never change, only wall-clock": these
-tests pin three-way agreement (metered loop / generator fast loop /
-vectorized engine) across graph families and seeds, the dispatch gating
+tests pin three-way agreement (metered generator loop / unmetered
+generator loop / vectorized engine) across graph families and seeds, the
+dispatch gating
 (``vectorized`` tri-state), equal RNG consumption per node stream, the
 whole-round array primitives, and identical safety-valve messages.
 """
@@ -132,7 +133,7 @@ class TestThreeWayByteIdentity:
         graph = by_name("gnp", 48, seed=2)
         fast, vectorized, metered = _run_three_ways(graph, seed)
         assert _summarize(vectorized) == _summarize(fast)
-        # The metered loop measures bits; everything else must match.
+        # The metered run measures bits; everything else must match.
         assert _summarize(vectorized)[:-1] == _summarize(metered)[:-1]
 
     @pytest.mark.parametrize("seed", [3, 4])
