@@ -85,22 +85,22 @@ def test_bench_parallel_sweep_equivalence_and_speedup(benchmark, repro_scale,
 
 
 def test_bench_backend_matrix(repro_scale, bench_record):
-    """Time every scheduler × transport combination; record tasks/sec.
+    """Time every backend × scheduler combination; record tasks/sec.
 
     Byte-identity across combinations is asserted here too (a benchmark
     that silently computed different numbers would be meaningless); the
-    timing spread — serial vs GIL-bound threads vs pool vs framed-JSON
-    subprocesses vs TCP workers, and fifo vs large-first vs cost-model
-    dispatch — is what the perf trajectory tracks.  The matrix iterates
-    ``available_schedulers()``, so new policies (cost-model landed this
-    way) get a row automatically.  The large-first/cost-model rows are
-    where the straggler-tail win on skewed (ascending-n) grids shows
-    up; the ``socket`` rows run against two freshly served local
-    workers.
+    timing spread — serial vs process pool vs TCP workers, and fifo vs
+    large-first vs cost-model dispatch — is what the perf trajectory
+    tracks.  The matrix iterates ``available_backends()`` and
+    ``available_schedulers()``, so a new backend or policy gets a row
+    automatically.  The large-first/cost-model rows are where the
+    straggler-tail win on skewed (ascending-n) grids shows up; the
+    ``socket`` rows run against two freshly served local workers.
     """
-    from repro.experiments.backends import (ComposedBackend, SocketTransport,
-                                            available_schedulers,
-                                            available_transports)
+    from repro.experiments.backends import (BACKENDS, ComposedBackend,
+                                            SocketTransport,
+                                            available_backends,
+                                            available_schedulers)
     from repro.experiments.worker import spawn_local_worker
 
     grid = GRID_BY_SCALE[repro_scale]
@@ -108,43 +108,33 @@ def test_bench_backend_matrix(repro_scale, bench_record):
     task_count = len(plan_sweep_tasks(**grid))
     workers = [spawn_local_worker() for _ in range(2)]
     addresses = ",".join(address for _, address in workers)
-    # One 2-slot worker per slot mode: process subprocesses mapping the
-    # shared CSR cache vs the historical GIL-bound slot threads.
-    slot_workers = {
-        "socket[proc-slots]": spawn_local_worker(slots=2),
-        "socket[thread-slots]": spawn_local_worker(slots=2,
-                                                   slot_mode="thread"),
-    }
+    # One 2-slot worker: slot subprocesses mapping the shared CSR cache.
+    slot_workers = {"socket[proc-slots]": spawn_local_worker(slots=2)}
 
     try:
         reference = None
         rows, numbers, telemetry = [], {}, {}
-        # The scheduler × transport grid, plus two windowed socket
+        # The backend × scheduler grid, plus two windowed socket
         # variants (fifo only, to keep the matrix inside its CI budget):
         # the strict window-1 alternation vs the pipelined+batched
-        # default the CLI now composes — and one row per worker slot
-        # mode, dialing both slots of a single 2-slot worker process.
-        combos = [(scheduler, transport, None)
-                  for transport in available_transports()
+        # default the CLI now composes — and one row dialing both slots
+        # of a single 2-slot worker process.
+        combos = [(scheduler, name, None)
+                  for name in available_backends()
                   for scheduler in available_schedulers()]
         combos += [("fifo", "socket", dict(window=1, max_batch=1)),
                    ("fifo", "socket", dict(window=4, max_batch=8))]
         combos += [("fifo", variant, None) for variant in slot_workers]
-        for scheduler, transport, pipeline in combos:
-            if transport in slot_workers:
-                _, slot_address = slot_workers[transport]
-                backend = ComposedBackend(
-                    scheduler=scheduler,
-                    transport=SocketTransport(f"{slot_address}*2"),
-                    jobs=jobs)
-            elif transport == "socket":
-                backend = ComposedBackend(
-                    scheduler=scheduler,
-                    transport=SocketTransport(addresses, **(pipeline or {})),
-                    jobs=jobs)
+        for scheduler, name, pipeline in combos:
+            if name in slot_workers:
+                _, slot_address = slot_workers[name]
+                transport = SocketTransport(f"{slot_address}*2")
+            elif name == "socket":
+                transport = SocketTransport(addresses, **(pipeline or {}))
             else:
-                backend = ComposedBackend(scheduler=scheduler,
-                                          transport=transport, jobs=jobs)
+                transport = BACKENDS[name]()
+            backend = ComposedBackend(scheduler=scheduler,
+                                      transport=transport, jobs=jobs)
             started = time.perf_counter()
             sweep = run_sweep(**grid, jobs=jobs, backend=backend)
             seconds = time.perf_counter() - started
@@ -152,12 +142,12 @@ def test_bench_backend_matrix(repro_scale, bench_record):
                 reference = sweep
             assert repr(sweep.rows()) == repr(reference.rows())
             rate = task_count / max(seconds, 1e-9)
-            variant = transport
+            variant = name
             if pipeline:
                 variant += (f"(w={pipeline['window']},"
                             f"b={pipeline['max_batch']})")
             label = f"{scheduler}+{variant}"
-            rows.append({"scheduler": scheduler, "transport": variant,
+            rows.append({"scheduler": scheduler, "backend": variant,
                          "jobs": jobs, "seconds": round(seconds, 3),
                          "tasks_per_s": round(rate, 2)})
             numbers[f"{label}_seconds"] = round(seconds, 4)
@@ -193,7 +183,7 @@ def test_bench_backend_matrix(repro_scale, bench_record):
             seconds = time.perf_counter() - started
             rate = engine_task_count / max(seconds, 1e-9)
             label = f"unmetered-luby+{engine}"
-            rows.append({"scheduler": "serial", "transport": label,
+            rows.append({"scheduler": "serial", "backend": label,
                          "jobs": 1, "seconds": round(seconds, 3),
                          "tasks_per_s": round(rate, 2)})
             numbers[f"{label}_seconds"] = round(seconds, 4)
@@ -207,7 +197,7 @@ def test_bench_backend_matrix(repro_scale, bench_record):
             proc.wait()
 
     print()
-    print(format_table(rows, title=f"scheduler x transport matrix "
+    print(format_table(rows, title=f"backend x scheduler matrix "
                                    f"({task_count} tasks, jobs={jobs}, "
                                    "socket = 2 local workers)"))
     bench_record("backend_matrix", scale=repro_scale, tasks=task_count,
@@ -300,92 +290,3 @@ def test_bench_windowed_socket(bench_record):
         f"windowed transport only {speedup:.2f}x faster than "
         f"stop-and-wait on a {frame_latency * 1000:.0f}ms-latency link; "
         "pipelining is not engaging")
-
-
-def test_bench_process_slots_vs_thread_slots(bench_record):
-    """Process slots donate cores; thread slots time-slice one GIL.
-
-    The tentpole's headline number: the same CPU-bound grid through a
-    4-slot *process-backed* worker vs a 4-slot *thread* worker (one
-    worker process each, all four slots dialed).  Thread slots execute
-    pure-Python simulation under one GIL, so four of them approximate
-    serial throughput; process slots run four interpreters fed from the
-    serving process's shared-memory CSR graph cache.
-
-    Byte identity with serial and a leak-free /dev/shm are asserted
-    unconditionally.  The ≥2× throughput bound is asserted only where it
-    can physically hold (``os.cpu_count() >= 4``); the measured numbers
-    are always recorded for the perf trajectory either way.
-    """
-    from repro.experiments.backends import ComposedBackend, SocketTransport
-    from repro.experiments.shm_cache import SEGMENT_PREFIX, active_segments
-    from repro.experiments.worker import spawn_local_worker
-
-    # CPU-bound by construction: dense graphs, ~0.15s of simulation per
-    # task, negligible frame traffic.
-    grid = dict(algorithms=["luby"], sizes=[512], families=("gnp_dense",),
-                repetitions=8, seed=33)
-    task_count = len(plan_sweep_tasks(**grid))
-    slots = 4
-
-    def timed(slot_mode):
-        proc, address = spawn_local_worker(slots=slots,
-                                           slot_mode=slot_mode)
-        try:
-            backend = ComposedBackend(transport=SocketTransport(
-                f"{address}*{slots}"), jobs=slots)
-            started = time.perf_counter()
-            sweep = run_sweep(**grid, jobs=slots, backend=backend)
-            seconds = time.perf_counter() - started
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
-        leaked = [name for name in active_segments()
-                  if name.startswith(f"{SEGMENT_PREFIX}-{proc.pid}-")]
-        return seconds, sweep, leaked
-
-    serial = run_sweep(**grid)
-    thread_seconds, thread_sweep, thread_leaked = timed("thread")
-    process_seconds, process_sweep, process_leaked = timed("process")
-
-    assert repr(thread_sweep.rows()) == repr(serial.rows())
-    assert repr(process_sweep.rows()) == repr(serial.rows())
-    # The segment-lifecycle invariant, asserted on every run: nothing in
-    # /dev/shm outlives its serving process (thread mode creates none).
-    assert thread_leaked == []
-    assert process_leaked == []
-
-    thread_rate = task_count / max(thread_seconds, 1e-9)
-    process_rate = task_count / max(process_seconds, 1e-9)
-    speedup = thread_seconds / max(process_seconds, 1e-9)
-    rows = [
-        {"worker": f"thread slots (x{slots})",
-         "seconds": round(thread_seconds, 3),
-         "tasks_per_s": round(thread_rate, 2)},
-        {"worker": f"process slots (x{slots})",
-         "seconds": round(process_seconds, 3),
-         "tasks_per_s": round(process_rate, 2)},
-        {"worker": "speedup", "seconds": round(speedup, 2),
-         "tasks_per_s": ""},
-    ]
-    print()
-    print(format_table(rows, title=f"process vs thread worker slots "
-                                   f"({task_count} CPU-bound tasks, "
-                                   f"{os.cpu_count()} CPUs visible)"))
-
-    bench_record(
-        "process_slots",
-        tasks=task_count,
-        slots=slots,
-        cpu_count=os.cpu_count(),
-        thread_seconds=round(thread_seconds, 4),
-        process_seconds=round(process_seconds, 4),
-        thread_tasks_per_second=round(thread_rate, 3),
-        process_tasks_per_second=round(process_rate, 3),
-        speedup=round(speedup, 3),
-    )
-    if (os.cpu_count() or 1) >= 4:
-        assert speedup >= 2.0, (
-            f"process slots only {speedup:.2f}x thread slots on a "
-            f"{os.cpu_count()}-CPU host; slot subprocesses are not "
-            "executing in parallel")

@@ -4,8 +4,8 @@ The sweep executor's cluster path is the framed worker protocol served
 over TCP.  One worker *process* can serve many execution slots
 (``--slots N``): each slot is one coordinator connection handled by its
 own **subprocess**, so an N-slot worker donates N cores instead of
-sharing one GIL (``--slot-mode thread`` restores the historical
-in-process slots).  Slots do not rebuild graphs: the serving process
+sharing one GIL (with ``--slots 1`` the serving process handles its one
+connection itself).  Slots do not rebuild graphs: the serving process
 builds each ``(family, n, graph_seed)`` graph once, publishes its flat
 CSR arrays in a ``multiprocessing.shared_memory`` segment, and every
 slot maps the segment read-only — zero copies, one build per host.
@@ -13,7 +13,7 @@ Segments are owned by the serving process and unlinked exactly once (on
 LRU eviction or shutdown), so a terminated worker leaves /dev/shm
 clean.  Because every task seed is derived up front, the resulting
 tables are byte-identical to a serial run, whatever the workers' timing
-or slot mode.
+or slot count.
 
 On real hardware you would run, on each worker host (one process per
 host, as many slots as you want to donate)::

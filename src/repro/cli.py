@@ -9,7 +9,7 @@ Sub-commands
     Run a scaling sweep over several sizes/algorithms and print the table
     plus growth-law fits.  ``--jobs K`` fans the grid out over ``K``
     workers (``--jobs 0`` uses every CPU) and ``--backend`` picks where
-    they run (serial/thread/process/async); because the sweep executor
+    they run (serial/process/socket); because the sweep executor
     derives every task seed up front, the printed rows and fits are
     identical for every ``--jobs``/``--backend`` combination.  ``--output
     FILE`` persists every result to a JSONL store as it completes
@@ -29,14 +29,14 @@ Sub-commands
     Print the paper's Figure 1/2 worked example.
 ``worker serve``
     Serve sweep tasks over TCP (``--listen HOST:PORT``) for the socket
-    transport: run one per core on any host, point a sweep at them with
-    ``--workers host:port,...``.
+    backend: run one per host with ``--slots N`` (one slot per core),
+    point a sweep at them with ``--workers host:port*N,...``.
 ``store merge``
     Compact one or more stores of the same sweep (sharded or not) into a
     single fresh store file.
 ``list``
-    List available algorithms, graph families, schedulers, transports,
-    backends and experiments.
+    List available algorithms, graph families, backends, schedulers and
+    experiments.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.backends import (available_backends,
-                                        available_schedulers,
-                                        available_transports, make_backend)
+                                        available_schedulers, make_backend)
 from repro.experiments.harness import available_algorithms, run_mis
 from repro.experiments.registry import available_experiments, run_experiment
 from repro.experiments.store import (load_sweep_result, merge_stores,
@@ -73,16 +72,15 @@ _STORE_EPILOG = (
     "every shard, so --resume and 'repro-mis report' accept the base path "
     "under any shard count; compact shards later with 'repro-mis store "
     "merge'.  "
-    "Execution: --backend serial|thread|process|async|socket picks a "
-    "(scheduler x transport) composition; --scheduler "
-    "fifo|large-first|cost-model overrides the dispatch order "
+    "Execution: --backend serial|process|socket picks where tasks run "
+    "(in-process, a local process pool, or TCP workers); --scheduler "
+    "fifo|large-first|cost-model picks the dispatch order "
     "(large-first sends big-n tasks out first to cut the straggler "
     "tail; cost-model ranks tasks by estimated cost from family x "
     "algorithm x n, so a dense small graph outranks a sparse large one "
-    "on mixed grids) and --transport picks the byte path explicitly.  "
-    "Results are byte-identical for every combination; the "
-    "crash-recovering transports (async/subprocess, socket) restart "
-    "or fail over dead workers and requeue their tasks.  "
+    "on mixed grids).  Results are byte-identical for every "
+    "combination; the socket backend fails over dead workers and "
+    "requeues their tasks.  "
     "Running a multi-host sweep: on each worker host run "
     "'repro-mis worker serve --listen 0.0.0.0:8750 --slots N' (one "
     "serving process per host; with N > 1 each slot runs in its own "
@@ -120,8 +118,7 @@ _STORE_EPILOG = (
 )
 
 _BACKEND_HELP = ("execution backend for the grid (default: serial when "
-                 "--jobs 1, process pool otherwise; async = crash-"
-                 "recovering worker subprocesses, socket = TCP workers "
+                 "--jobs 1, process pool otherwise; socket = TCP workers "
                  "via --workers)")
 _SCHEDULER_HELP = ("task dispatch order: fifo (planned order, default), "
                    "large-first (descending n, cuts the straggler tail on "
@@ -129,36 +126,31 @@ _SCHEDULER_HELP = ("task dispatch order: fifo (planned order, default), "
                    "cost from family x algorithm x n — better on "
                    "mixed-family grids); never changes results, only "
                    "wall-clock")
-_TRANSPORT_HELP = ("execution transport (overrides the --backend alias): "
-                   "inline|thread|process|subprocess|socket")
 _WORKERS_HELP = ("socket workers to dial, as HOST:PORT[*SLOTS][,...] "
                  "(serve them with 'repro-mis worker serve'; '*K' dials "
                  "K connections to one multi-slot worker, '[::1]:8750' "
-                 "for IPv6); implies --transport socket")
+                 "for IPv6); implies --backend socket")
 _WINDOW_HELP = ("task frames kept in flight per worker connection "
-                "(framed transports only): an integer cap, or 'adaptive' "
-                "(the socket default) to start at 1 and self-tune via "
+                "(socket backend only): an integer cap, or 'adaptive' "
+                "(the default) to start at 1 and self-tune via "
                 "AIMD — +1 per acked result, halved on reconnect; a lost "
                 "connection requeues every in-flight frame, so results "
                 "never depend on the window")
 _MAX_BATCH_HELP = ("group up to N tiny tasks into one 'tasks' frame to "
-                   "amortize per-frame overhead (framed transports only; "
+                   "amortize per-frame overhead (socket backend only; "
                    "default 1 = no batching; workers without batch "
                    "support fall back to single-task frames)")
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser,
                              jobs_help: str) -> None:
-    """The shared --jobs/--backend/--scheduler/--transport/--workers flags."""
+    """The shared --jobs/--backend/--scheduler/--workers/... flags."""
     parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
     parser.add_argument("--backend", default=None,
                         choices=available_backends(), help=_BACKEND_HELP)
     parser.add_argument("--scheduler", default=None,
                         choices=available_schedulers(),
                         help=_SCHEDULER_HELP)
-    parser.add_argument("--transport", default=None,
-                        choices=available_transports(),
-                        help=_TRANSPORT_HELP)
     parser.add_argument("--workers", metavar="HOST:PORT,...", default=None,
                         help=_WORKERS_HELP)
     parser.add_argument("--window", metavar="N|adaptive", default=None,
@@ -290,9 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
                "with --workers host:port*N on the coordinator).  With "
                "N > 1 each connection is handed to its own slot "
                "subprocess, so N slots donate N cores instead of "
-               "time-slicing one GIL; --slot-mode thread restores the "
-               "historical in-process threads, and --slots 1 stays "
-               "in-process unless --slot-mode process is explicit.  "
+               "time-slicing one GIL; --slots 1 serves its one "
+               "connection in the serving process itself.  "
                "Process slots never rebuild graphs the server already "
                "has: the serving process builds each (family, n, seed) "
                "graph once as flat CSR arrays in a shared-memory "
@@ -326,21 +317,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "concurrently; N > 1 runs each slot in "
                                    "its own subprocess mapping a shared "
                                    "read-only CSR graph cache (default: 1)")
-    serve_parser.add_argument("--slot-mode", choices=("thread", "process"),
-                              default=None,
-                              help="force slot execution mode (default: "
-                                   "process when --slots > 1, else thread)")
     serve_parser.add_argument("--start-method",
                               choices=("fork", "spawn", "forkserver"),
                               default=None,
                               help="multiprocessing start method for "
-                                   "process slots (default: the "
-                                   "platform default)")
+                                   "the slot subprocesses of --slots > 1 "
+                                   "(default: the platform default)")
     serve_parser.add_argument("--max-connections", type=int, default=None,
                               metavar="N",
-                              help="exit after N connections that served "
-                                   "at least one task (default: serve "
-                                   "forever)")
+                              help="exit after N >= 1 connections that "
+                                   "served at least one task (default: "
+                                   "serve forever)")
 
     store_parser = sub.add_parser(
         "store", help="maintenance tooling for results stores")
@@ -390,19 +377,18 @@ def _open_store(parser: argparse.ArgumentParser, args: argparse.Namespace):
 
 
 def _compose_backend(args: argparse.Namespace):
-    """Build the execution backend from --backend/--scheduler/--transport.
+    """Build the execution backend from the execution flags.
 
-    Returns ``None`` when no flag was given, so the historical jobs-driven
-    default (which also sees the grid size) still applies downstream.
-    Raises :class:`~repro.errors.ConfigurationError` for an unrunnable
+    With no flag given this is the jobs-driven default (serial for
+    ``--jobs 1``, the process pool otherwise).  Raises
+    :class:`~repro.errors.ConfigurationError` for an unrunnable
     composition — callers invoke this *before* opening the results store,
-    so e.g. ``--transport socket`` with no workers configured fails fast
+    so e.g. ``--backend socket`` with no workers configured fails fast
     without stamping a store header for a sweep that never starts.
     """
     return make_backend(backend=args.backend, scheduler=args.scheduler,
-                        transport=args.transport, workers=args.workers,
-                        jobs=args.jobs, window=args.window,
-                        max_batch=args.max_batch)
+                        workers=args.workers, jobs=args.jobs,
+                        window=args.window, max_batch=args.max_batch)
 
 
 def _progress_printer():
@@ -426,15 +412,7 @@ def _progress_printer():
 
 def _print_telemetry(backend) -> None:
     """Print the backend's per-worker telemetry table to stderr."""
-    telemetry = getattr(backend, "telemetry", None)
-    if not callable(telemetry):
-        # Jobs-driven default backends are resolved inside the executor;
-        # there is no object to read counters from.
-        print("transport telemetry: unavailable (pass --backend/"
-              "--transport/--workers to compose an instrumented backend)",
-              file=sys.stderr, flush=True)
-        return
-    print(format_telemetry(telemetry()), file=sys.stderr, flush=True)
+    print(format_telemetry(backend.telemetry()), file=sys.stderr, flush=True)
 
 
 def _write_rows_csv(rows: List[dict], destination: str) -> None:
@@ -536,8 +514,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         try:
             return serve(args.listen, max_connections=args.max_connections,
-                         slots=args.slots, slot_mode=args.slot_mode,
-                         start_method=args.start_method)
+                         slots=args.slots, start_method=args.start_method)
         except ConfigurationError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -608,7 +585,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("families   :", ", ".join(sorted(FAMILIES)))
         print("backends   :", ", ".join(available_backends()))
         print("schedulers :", ", ".join(available_schedulers()))
-        print("transports :", ", ".join(available_transports()))
         print("experiments:", ", ".join(available_experiments()))
         return 0
 

@@ -33,10 +33,10 @@ class UnknownFamilyError(ConfigurationError, KeyError):
 class WorkerCrashError(ReproError):
     """Raised when an execution-backend worker fails irrecoverably.
 
-    The async subprocess backend restarts crashed workers and requeues
-    their in-flight tasks; this error surfaces only when a task keeps
-    killing its workers (crash loop) or a task raised inside a worker (the
-    traceback text is included)."""
+    The socket backend reconnects to crashed workers and requeues their
+    in-flight tasks; this error surfaces only when a task keeps killing
+    its workers (crash loop), every execution slot is lost, or a task
+    raised inside a worker (the traceback text is included)."""
 
 
 class SimulationError(ReproError):

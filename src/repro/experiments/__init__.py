@@ -4,10 +4,7 @@ and the E1–E9 registry."""
 
 from repro.experiments.backends import (
     BACKENDS,
-    AsyncSubprocessBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
+    ComposedBackend,
     available_backends,
     resolve_backend,
 )
@@ -40,14 +37,11 @@ __all__ = [
     "ALGORITHMS",
     "BACKENDS",
     "CODE_SCHEMA_VERSION",
-    "AsyncSubprocessBackend",
+    "ComposedBackend",
     "MISRunResult",
-    "ProcessBackend",
     "ResultStore",
-    "SerialBackend",
     "ShardedResultStore",
     "SweepTask",
-    "ThreadBackend",
     "available_algorithms",
     "available_backends",
     "default_message_bit_limit",

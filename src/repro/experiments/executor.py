@@ -29,14 +29,13 @@ single-run debugging, tracebacks and profiling simple.
 
 *Where* and *in what order* tasks execute is delegated to a pluggable
 execution backend (:mod:`repro.experiments.backends`): a **scheduler**
-(:mod:`repro.experiments.schedulers` — ``fifo`` or ``large-first``
-ordering, retry/requeue, crash-loop accounting) composed with a
-**transport** (:mod:`repro.experiments.transports` — ``inline``,
-``thread``, ``process``, ``subprocess`` pipes, or ``socket`` workers on
-other hosts).  The historical ``backend="serial"|"thread"|"process"|
-"async"|"socket"`` strings select ready-made compositions.  Every
-combination consumes the same up-front-seeded task specs, so they are
-interchangeable without affecting a single result byte.
+(:mod:`repro.experiments.schedulers` — ``fifo``, ``large-first`` or
+``cost-model`` ordering, retry/requeue, crash-loop accounting) composed
+with a **transport** (:mod:`repro.experiments.transports` — ``inline``,
+a ``process`` pool, or ``socket`` workers on any host).  The
+``backend="serial"|"process"|"socket"`` names select one transport each.
+Every combination consumes the same up-front-seeded task specs, so they
+are interchangeable without affecting a single result byte.
 
 Two consumption modes are offered: :func:`execute_tasks` returns the full
 result list in task order (batch), while :func:`iter_task_results` /
@@ -91,9 +90,9 @@ class SweepTask:
     def to_json(self) -> Dict[str, Any]:
         """JSON-safe dict round-trippable via :meth:`from_json`.
 
-        Shared by the on-disk results store and the subprocess worker
-        protocol, so a task spec means exactly the same thing on disk, on a
-        pipe and in memory.
+        Shared by the on-disk results store and the socket worker
+        protocol, so a task spec means exactly the same thing on disk, on
+        the wire and in memory.
         """
         return {
             "algorithm": self.algorithm,
@@ -210,12 +209,12 @@ class _GraphCache:
 
     Cache contract — **cached graphs are read-only**.  Every consumer of
     :func:`run_task` may receive the same graph object as every other
-    consumer in the process, concurrently: a multi-slot socket worker
+    consumer in the process, and a multi-slot socket worker
     (``repro-mis worker serve --slots N``) shares each ``(family, n,
-    graph_seed)`` graph across its slots — thread slots through this one
-    LRU, process slots through the serving process's shared-memory CSR
-    segments (see :mod:`repro.experiments.shm_cache`), which land here
-    via :func:`set_shared_graph_source`.  Algorithm adapters must
+    graph_seed)`` graph across its slot subprocesses through the serving
+    process's shared-memory CSR segments (see
+    :mod:`repro.experiments.shm_cache`), which land here via
+    :func:`set_shared_graph_source`.  Algorithm adapters must
     therefore never mutate the graph they are handed (pinned by
     ``tests/test_executor.py::TestGraphCacheLifecycle``); anything
     needing scratch state copies it out first.  Lookups are
@@ -394,8 +393,8 @@ def iter_task_results(
     *backend* selects where tasks execute (see
     :mod:`repro.experiments.backends`): ``None`` keeps the historical
     behaviour — in-process for ``jobs=1``, the process pool otherwise —
-    while ``"serial"``/``"thread"``/``"process"``/``"async"`` (or a backend
-    object) pick one explicitly.  Every backend yields byte-identical
+    while ``"serial"``/``"process"``/``"socket"`` (or a backend object)
+    pick one explicitly.  Every backend yields byte-identical
     results; they differ only in placement and failure model.
 
     *progress*, when given, is called in the coordinator process as

@@ -7,8 +7,8 @@ The execution layer is split along two orthogonal axes:
   accounting, and surfacing worker errors; while
 * a **transport** (:mod:`repro.experiments.transports`) owns *how bytes
   move*: carrying :class:`~repro.experiments.executor.SweepTask` frames
-  to execution slots (in-process, a pool, worker subprocesses, or TCP
-  workers on other hosts) and reporting completions and slot deaths.
+  to execution slots (in-process, a process pool, or TCP workers on
+  any host) and reporting completions and slot deaths.
 
 A scheduler drives a :class:`~repro.experiments.transports
 .TransportSession` through a small event loop: keep every available slot
@@ -22,8 +22,8 @@ policy can affect a single result byte — policies only move wall-clock
 time around.
 
 The loop re-reads ``session.slots`` every iteration, and ``slots`` is a
-*capacity*, not a worker count: the windowed framed transports report
-the sum of their per-connection congestion windows, so as windows grow
+*capacity*, not a worker count: the windowed socket transport reports
+the sum of its per-connection congestion windows, so as windows grow
 (one increment per acked result — see :mod:`repro.experiments
 .transports`) the same loop pipelines more frames into the same
 connections with no scheduler-side changes.  A ``lost`` event may arrive

@@ -10,8 +10,8 @@ Execution is delegated to :mod:`repro.experiments.executor`: the grid is
 expanded into seed-carrying task specs up front, then streamed through a
 pluggable execution backend — a scheduler × transport composition
 (in-process by default for ``jobs=1``, a process pool for ``jobs>1``, or
-any of ``backend="serial"|"thread"|"process"|"async"|"socket"`` / an
-explicit :class:`~repro.experiments.backends.ComposedBackend`, e.g.
+any of ``backend="serial"|"process"|"socket"`` / an explicit
+:class:`~repro.experiments.backends.ComposedBackend`, e.g.
 large-first dispatch over TCP workers) with bit-identical results on
 every combination.  Aggregation is **incremental**: each
 :class:`SweepCell` folds results into running :class:`MetricAccumulator`
@@ -263,10 +263,10 @@ def run_sweep(
 
     *jobs* selects how many workers execute the grid: ``1`` (default) runs
     in-process, ``None``/``0`` uses one worker per CPU.  *backend* selects
-    the execution backend (``"serial"``, ``"thread"``, ``"process"``,
-    ``"async"``, ``"socket"`` or a :class:`~repro.experiments.backends
-    .Backend` object — e.g. :class:`~repro.experiments.backends
-    .ComposedBackend` pairing a scheduling policy with a transport);
+    the execution backend (``"serial"``, ``"process"``, ``"socket"`` or
+    a :class:`~repro.experiments.backends.Backend` object — e.g.
+    :class:`~repro.experiments.backends.ComposedBackend` pairing a
+    scheduling policy with a transport);
     ``None`` keeps the jobs-driven default of in-process vs process pool.
 
     *keep_runs* controls whether cells retain the raw

@@ -106,8 +106,7 @@ def format_telemetry(telemetry: Dict[str, Any],
     workers = telemetry.get("workers") or []
     if not workers:
         text = (f"{header}\n(no framed connections — per-connection "
-                "counters exist only for the subprocess and socket "
-                "transports)")
+                "counters exist only for the socket transport)")
         return f"{text}\n{cache_line}" if cache_line else text
     columns = ["worker", "connections", "frames_sent", "tasks_sent",
                "batches_sent", "acks", "slow_acks", "requeues",

@@ -1,7 +1,7 @@
 """Transport telemetry: RTT estimation and per-connection counters.
 
-The framed transports (:mod:`repro.experiments.transports`) used to tune
-their pipelining off a single hand-set constant (``ack_timeout``) and
+The socket transport (:mod:`repro.experiments.transports`) used to tune
+its pipelining off a single hand-set constant (``ack_timeout``) and
 reported almost nothing about what the pipeline actually did — at odds
 with a reproduction whose whole point is *measuring* a cost dimension
 other accountings ignore.  This module closes both gaps:
@@ -51,7 +51,7 @@ RTT_K = 4.0
 RTT_PRIME_SAMPLES = 4
 
 #: Floor for any RTT-derived threshold, in seconds.  Sub-millisecond
-#: links (loopback, pipes) produce estimates so tight that scheduler
+#: links (loopback) produce estimates so tight that scheduler
 #: jitter alone would read as congestion; no real stall is shorter than
 #: this.
 RTT_MIN_THRESHOLD = 0.010

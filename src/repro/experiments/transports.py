@@ -33,29 +33,21 @@ Transports
     Execute in the coordinator process, synchronously.  Zero pickling;
     an unpicklable monkeypatched algorithm adapter still works, which is
     load-bearing for several tests.
-``thread`` (:class:`ThreadTransport`)
-    A ``ThreadPoolExecutor``: shared memory, GIL-bound, the cheapest way
-    to exercise consumers against out-of-order arrival.
 ``process`` (:class:`ProcessTransport`)
-    The historical ``ProcessPoolExecutor`` fan-out, including the worker
-    initializer that clears fork-inherited graph-cache entries.
-``subprocess`` (:class:`SubprocessTransport`)
-    One ``python -m repro.experiments.worker`` per slot, speaking
-    length-prefixed JSON over stdio pipes.  A worker that dies mid-task
-    is respawned and the death reported as ``lost`` — the scheduler
-    requeues the task and the sweep completes byte-identically.
+    A ``ProcessPoolExecutor`` fan-out, including the worker initializer
+    that clears fork-inherited graph-cache entries.
 ``socket`` (:class:`SocketTransport`)
-    The same framed-JSON worker protocol served over TCP: workers run
-    ``repro-mis worker serve --listen HOST:PORT [--slots N]`` (any
-    host), the coordinator dials each address and gets one slot per
+    The framed-JSON worker protocol over TCP: workers run ``repro-mis
+    worker serve --listen HOST:PORT [--slots N]`` (any host, localhost
+    included), the coordinator dials each address and gets one slot per
     connection.  A ``host:port*K`` entry in the worker list dials K
     independent connections to the same worker — the way to use a
-    worker serving ``--slots K``, whose slot threads share one graph
-    cache.  The handshake carries :data:`~repro.experiments.store
+    worker serving ``--slots K``, whose slot subprocesses share one
+    graph cache.  The handshake carries :data:`~repro.experiments.store
     .CODE_SCHEMA_VERSION`, so a coordinator refuses workers running
-    incompatible code; a dropped connection is requeued exactly like a
-    killed subprocess (with one reconnect attempt in case only the
-    connection — not the worker — died).
+    incompatible code; a dropped connection is requeued (with one
+    reconnect attempt in case only the connection — not the worker —
+    died), and a worker that is gone for good retires its slot.
 
 Every coordinator↔worker conversation starts with the worker's hello
 frame (``{"kind": "hello", "schema": CODE_SCHEMA_VERSION}``); frames are
@@ -65,10 +57,10 @@ frame (``{"kind": "hello", "schema": CODE_SCHEMA_VERSION}``); frames are
 Windowed, self-clocking pipelining
 ----------------------------------
 
-The framed transports (``subprocess`` and ``socket``) keep a **sliding
-window** of sequence-numbered task frames in flight per peer instead of
-strictly alternating one frame and one reply.  A worker serves each
-connection sequentially and replies in send order, so the coordinator
+The socket transport keeps a **sliding window** of sequence-numbered
+task frames in flight per connection instead of strictly alternating one
+frame and one reply.  A worker serves each connection sequentially and
+replies in send order, so the coordinator
 tracks its in-flight frames in a deque and matches every reply against
 the head — no reordering machinery, just TCP-Reno-style self-clocking:
 each acked result frees window space, which the slot thread refills from
@@ -115,13 +107,10 @@ import os
 import queue
 import select
 import socket
-import subprocess
-import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.experiments.executor import (_build_graph,
@@ -132,9 +121,9 @@ from repro.experiments.store import CODE_SCHEMA_VERSION
 from repro.experiments.telemetry import ConnectionStats, aggregate_by_worker
 
 #: Environment variable naming a directory of fault-injection markers for
-#: framed-protocol workers (see :func:`repro.experiments.worker.maybe_crash`).
-#: Test-only: lets the crash-recovery suites kill a worker mid-task
-#: deterministically, over pipes and over TCP alike.
+#: socket workers (see :func:`repro.experiments.worker.maybe_crash`).
+#: Test-only: lets the crash-recovery suites kill a worker (or one slot
+#: subprocess of a multi-slot worker) mid-task deterministically.
 WORKER_FAULT_DIR_ENV = "REPRO_WORKER_FAULT_DIR"
 
 #: Environment variable holding default socket worker addresses
@@ -342,7 +331,7 @@ def _reply_within(peer, timeout: float) -> bool:
 class Transport:
     """Base transport: configuration + cumulative session statistics."""
 
-    #: Registry name ("inline", "thread", ...), set by subclasses.
+    #: Registry name ("inline", "process", "socket"), set by subclasses.
     name = "inline"
 
     def __init__(self) -> None:
@@ -393,7 +382,7 @@ class Transport:
 
         Cumulative across every session the transport opened (successive
         sweeps on one backend keep appending connections).  Per-frame
-        counters and RTT estimates only exist for the framed transports;
+        counters and RTT estimates only exist for the socket transport;
         for the others this reports the transport-level basics with an
         empty connection list.
         """
@@ -467,20 +456,23 @@ class InlineTransport(Transport):
 
 
 # --------------------------------------------------------------------------- #
-# concurrent.futures pools (thread / process)
+# Process pool
 # --------------------------------------------------------------------------- #
 class _PoolSession(TransportSession):
-    """Shared pool session: futures feed a completion-event queue.
+    """Process-pool session: futures feed a completion-event queue.
 
     The scheduler keeps at most ``slots`` tasks in flight, so the pool's
     internal queue never grows beyond one task per worker — which is
     exactly what gives the scheduler, not the pool, control of dispatch
-    order.
+    order.  The pool initializer clears fork-inherited graph-cache
+    entries so workers never pin stale graphs left by a previous
+    in-process sweep.
     """
 
-    def __init__(self, pool_cls: Type, pool_kwargs: Dict, slots: int) -> None:
+    def __init__(self, slots: int) -> None:
         self.slots = slots
-        self._pool = pool_cls(max_workers=slots, **pool_kwargs)
+        self._pool = ProcessPoolExecutor(
+            max_workers=slots, initializer=_reset_worker_graph_cache)
         self._events: "queue.Queue[Tuple]" = queue.Queue()
         self._futures: set = set()
 
@@ -510,83 +502,18 @@ class _PoolSession(TransportSession):
         _build_graph.cache_clear()
 
 
-class ThreadTransport(Transport):
-    """Thread-pool slots: completion order, shared memory, GIL-bound."""
-
-    name = "thread"
-
-    def open(self, slots: int) -> _PoolSession:
-        return _PoolSession(ThreadPoolExecutor, {}, slots)
-
-
 class ProcessTransport(Transport):
-    """The historical ``ProcessPoolExecutor`` fan-out.
-
-    The initializer clears fork-inherited graph-cache entries so workers
-    never pin stale graphs left by a previous in-process sweep.
-    """
+    """The ``ProcessPoolExecutor`` fan-out (the default for ``jobs > 1``)."""
 
     name = "process"
 
     def open(self, slots: int) -> _PoolSession:
-        return _PoolSession(ProcessPoolExecutor,
-                            {"initializer": _reset_worker_graph_cache}, slots)
+        return _PoolSession(slots)
 
 
 # --------------------------------------------------------------------------- #
-# Framed-JSON peers (subprocess pipes and TCP sockets)
+# Framed-JSON socket workers
 # --------------------------------------------------------------------------- #
-class _SubprocessPeer:
-    """One ``python -m repro.experiments.worker`` over stdio pipes."""
-
-    def __init__(self) -> None:
-        #: Capabilities from the worker's hello frame (set post-handshake).
-        self.features: Tuple[str, ...] = ()
-        #: Pid of the serving process, from the hello (set post-handshake).
-        self.pid: Optional[int] = None
-        # The worker must be able to `import repro` even when the
-        # coordinator runs from a source checkout that is only on
-        # sys.path, not installed: prepend our package root.
-        import repro
-
-        env = dict(os.environ)
-        package_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (package_root if not existing
-                             else package_root + os.pathsep + existing)
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments.worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
-        )
-        self.reader = self.proc.stdout
-        self.writer = self.proc.stdin
-
-    def interrupt(self) -> None:
-        """Unblock a thread reading from this peer (rude, thread-safe)."""
-        with contextlib.suppress(OSError):
-            self.proc.kill()
-
-    def dispose(self, graceful: bool = True) -> None:
-        if graceful:
-            # EOF on stdin ends the worker loop; kill if it lingers.
-            with contextlib.suppress(OSError, ValueError):
-                self.proc.stdin.close()
-            try:
-                self.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                with contextlib.suppress(OSError):
-                    self.proc.kill()
-                self.proc.wait()
-        else:
-            with contextlib.suppress(OSError):
-                self.proc.kill()
-            self.proc.wait()
-        for stream in (self.proc.stdin, self.proc.stdout):
-            if stream is not None:
-                with contextlib.suppress(OSError, ValueError):
-                    stream.close()
-
-
 class _SocketPeer:
     """One TCP connection to a ``repro-mis worker serve`` process."""
 
@@ -620,8 +547,7 @@ class _SocketPeer:
         with contextlib.suppress(OSError):
             self.sock.shutdown(socket.SHUT_RDWR)
 
-    def dispose(self, graceful: bool = True) -> None:
-        del graceful  # closing the connection is already the graceful form
+    def dispose(self) -> None:
         for closer in (self.reader, self.writer, self.sock):
             with contextlib.suppress(OSError, ValueError):
                 closer.close()
@@ -630,13 +556,14 @@ class _SocketPeer:
 class _FramedSession(TransportSession):
     """Thread-per-slot session speaking the framed worker protocol.
 
-    Each slot is one coordinator-side thread driving one peer (a local
-    subprocess or a TCP connection).  Threads pull from a shared inbox —
+    Each slot is one coordinator-side thread driving one TCP connection
+    to a worker (one per configured address; the connections are dialled
+    by :meth:`SocketTransport.open`).  Threads pull from a shared inbox —
     so a requeued task is picked up by whichever slot frees first — and
     push completion events to a shared queue.  A peer that dies mid-task
     is replaced *before* the ``lost`` events are reported, so the slot's
-    fate (alive with a fresh peer, or permanently retired) is settled by
-    the time the scheduler decides whether to requeue.
+    fate (alive with a fresh connection, or permanently retired) is
+    settled by the time the scheduler decides whether to requeue.
 
     Each slot keeps a **sliding window** of sequence-numbered frames in
     flight (see the module docstring): ``slots`` reports the *sum of the
@@ -650,18 +577,19 @@ class _FramedSession(TransportSession):
     pre-windowing protocol.
     """
 
-    def __init__(self, transport: Transport, slots: int,
-                 peers: Optional[List] = None, window=1, max_batch=1,
-                 ack_timeout: Optional[float] = None,
-                 frame_latency: float = 0.0) -> None:
+    def __init__(self, transport: "SocketTransport",
+                 addresses: List[Tuple[str, int]],
+                 peers: List["_SocketPeer"]) -> None:
+        slots = len(addresses)
         self._transport = transport
-        self._window_cap = resolve_window(window)
-        self._max_batch = resolve_max_batch(max_batch)
-        self._ack_timeout = ack_timeout
-        self._frame_latency = frame_latency
-        #: How long close() waits for a thread that cannot be interrupted
-        #: (mid-dial); socket sessions widen this to cover connect_timeout.
-        self._shutdown_grace = 5.0
+        self._addresses = addresses
+        self._window_cap = transport.window
+        self._max_batch = transport.max_batch
+        self._ack_timeout = transport.ack_timeout
+        self._frame_latency = transport.frame_latency
+        #: How long close() waits for a thread that cannot be interrupted:
+        #: at worst it is one dial deep, so cover connect_timeout + slack.
+        self._shutdown_grace = transport.connect_timeout + 1.0
         self._inbox: "queue.Queue" = queue.Queue()
         self._events: "queue.Queue[Tuple]" = queue.Queue()
         self._closing = threading.Event()
@@ -677,15 +605,16 @@ class _FramedSession(TransportSession):
         self._batch_ok = [False] * slots
         #: Per-slot telemetry: counters + the RTT estimator that
         #: self-calibrates the slow-ack threshold and batch-flush hold.
-        #: Each block is written only by its own slot thread.
-        self._stats = [ConnectionStats(self._slot_label(slot), slot)
-                       for slot in range(slots)]
+        #: Each block is written only by its own slot thread.  Labelled by
+        #: worker address, so the per-worker aggregation groups a
+        #: host:port*K multi-slot worker's K connections into one row.
+        self._stats = [ConnectionStats(format_address(*address), slot)
+                       for slot, address in enumerate(addresses)]
         for stats in self._stats:
             transport.register_connection(stats)
-        self._peers: List = list(peers) if peers else [None] * slots
-        for slot, peer in enumerate(self._peers):
-            if peer is not None:
-                self._apply_peer_capabilities(slot, peer)
+        self._peers: List[Optional[_SocketPeer]] = list(peers)
+        for slot, peer in enumerate(peers):
+            self._apply_peer_capabilities(slot, peer)
         self._threads = [
             threading.Thread(target=self._slot_main, args=(slot,),
                              name=f"repro-transport-slot-{slot}", daemon=True)
@@ -724,9 +653,8 @@ class _FramedSession(TransportSession):
         self._closing.set()
         for _ in self._threads:
             self._inbox.put(_SHUTDOWN)
-        # Graceful first: idle threads wake on their sentinel and shut
-        # their own peer down (EOF for subprocess workers, connection
-        # close for socket workers — which then loop back to accept).
+        # Graceful first: idle threads wake on their sentinel and close
+        # their own connection (the worker then loops back to accept).
         for thread in self._threads:
             thread.join(timeout=5.0)
         stuck = [thread for thread in self._threads if thread.is_alive()]
@@ -751,25 +679,46 @@ class _FramedSession(TransportSession):
             leftovers = [peer for peer in self._peers if peer is not None]
             self._peers = [None] * len(self._peers)
         for peer in leftovers:
-            peer.dispose(graceful=False)
+            peer.dispose()
 
-    # ------------------------------------------------------------------ #
-    # Transport-specific hooks
-    # ------------------------------------------------------------------ #
-    def _slot_label(self, slot: int) -> str:
-        """Telemetry label for *slot*'s connection (worker address when
-        there is one; sessions without addresses group per transport)."""
-        return f"{self._transport.name}"
+    def _make_peer(self, slot: int) -> "_SocketPeer":
+        """Re-dial *slot*'s worker after its connection died.
 
-    def _make_peer(self, slot: int):
-        """Create (or re-create) the peer for *slot*.
-
-        Raises :class:`~repro.errors.ConfigurationError` for fatal setup
-        problems (schema mismatch, not-a-worker) and any other exception
-        when the slot simply cannot get a peer (worker gone) — the slot
-        is then retired.
+        Initial connections are dialled eagerly by
+        :meth:`SocketTransport.open`.  If merely the connection died the
+        worker answers again; if the worker process died the dial fails
+        and :class:`~repro.errors.WorkerCrashError` retires the slot — its
+        tasks fail over to the other workers.  A schema mismatch or
+        not-a-worker peer raises :class:`~repro.errors.ConfigurationError`.
+        Every step aborts on the closing flag so close() never waits on a
+        slot grinding through reconnect attempts.
         """
-        raise NotImplementedError
+        address = format_address(*self._addresses[slot])
+        last_error: Optional[Exception] = None
+        for attempt in range(self._transport.reconnect_attempts):
+            if attempt and self._closing.wait(self._transport.reconnect_delay):
+                break
+            if self._closing.is_set():
+                break
+            try:
+                peer = _dial_worker(self._addresses[slot],
+                                    self._transport.connect_timeout)
+            except ConfigurationError:
+                raise
+            except OSError as error:
+                last_error = error
+                continue
+            if self._closing.is_set():
+                # close() already swept the peer table; a connection
+                # registered now would leak.
+                peer.dispose()
+                break
+            return peer
+        if self._closing.is_set():
+            raise WorkerCrashError(
+                f"session closing; abandoning reconnect to worker {address}")
+        raise WorkerCrashError(
+            f"worker {address} is gone ({last_error}); retiring its slot")
 
     # ------------------------------------------------------------------ #
     # Slot thread
@@ -811,10 +760,10 @@ class _FramedSession(TransportSession):
                 return
             self._events.put(("lost", item[0]))
 
-    def _drop_peer(self, slot: int, graceful: bool) -> None:
+    def _drop_peer(self, slot: int) -> None:
         peer = self._take_peer(slot)
         if peer is not None:
-            peer.dispose(graceful=graceful)
+            peer.dispose()
 
     def _apply_peer_capabilities(self, slot: int, peer) -> None:
         """Clamp the slot's AIMD state to what the peer's hello offered.
@@ -823,7 +772,7 @@ class _FramedSession(TransportSession):
         strict request/reply alternation (cap 1); one that never
         advertised ``batch`` gets single-task frames only.
         """
-        features = getattr(peer, "features", ())
+        features = peer.features
         with self._lock:
             self._caps[slot] = (self._window_cap if "window" in features
                                 else 1)
@@ -834,7 +783,7 @@ class _FramedSession(TransportSession):
             # The hello's pid is whatever process executes this slot's
             # tasks (a slot subprocess for process-backed workers), so
             # telemetry rows name the actual worker process.
-            self._stats[slot].note_peer(getattr(peer, "pid", None))
+            self._stats[slot].note_peer(peer.pid)
 
     def _slow_threshold(self, slot: int) -> Optional[float]:
         """The blocked-read duration that reads as congestion for *slot*.
@@ -904,7 +853,7 @@ class _FramedSession(TransportSession):
         thread should exit (shutdown, or the slot retired); the caller
         must clear its in-flight deque either way.
         """
-        self._drop_peer(slot, graceful=False)
+        self._drop_peer(slot)
         if self._closing.is_set():
             return False
         self._transport.count_restart()
@@ -1134,106 +1083,7 @@ class _FramedSession(TransportSession):
                     self._events.put(("error", anchor, error))
                     return
         finally:
-            self._drop_peer(slot, graceful=True)
-
-
-class _SubprocessSession(_FramedSession):
-    """Slots backed by local worker subprocesses (spawned lazily)."""
-
-    def _make_peer(self, slot: int) -> _SubprocessPeer:
-        from repro.experiments.worker import read_frame
-
-        peer = _SubprocessPeer()
-        try:
-            hello = read_frame(peer.reader)
-            _check_hello(hello, f"worker subprocess (pid {peer.proc.pid})")
-        except ConfigurationError:
-            peer.dispose(graceful=False)
-            raise
-        peer.features = tuple(hello.get("features", ()))
-        peer.pid = hello.get("pid")
-        return peer
-
-
-class SubprocessTransport(Transport):
-    """Crash-recovering worker subprocesses over stdio pipes.
-
-    Local pipes have no per-frame RTT worth amortising, so the window
-    defaults to 1 (the historical behaviour); both knobs exist mainly so
-    the windowed protocol can be exercised without sockets.
-    """
-
-    name = "subprocess"
-
-    def __init__(self, window=1, max_batch=1) -> None:
-        super().__init__()
-        self.window = resolve_window(window)
-        self.max_batch = resolve_max_batch(max_batch)
-
-    def open(self, slots: int) -> _SubprocessSession:
-        return _SubprocessSession(self, slots, window=self.window,
-                                  max_batch=self.max_batch)
-
-
-class _SocketSession(_FramedSession):
-    """Slots backed by TCP connections, one per configured worker."""
-
-    def __init__(self, transport: "SocketTransport",
-                 addresses: List[Tuple[str, int]], peers: List) -> None:
-        self._addresses = addresses
-        self._reconnect_attempts = transport.reconnect_attempts
-        self._reconnect_delay = transport.reconnect_delay
-        self._connect_timeout = transport.connect_timeout
-        super().__init__(transport, len(addresses), peers=peers,
-                         window=transport.window,
-                         max_batch=transport.max_batch,
-                         ack_timeout=transport.ack_timeout,
-                         frame_latency=transport.frame_latency)
-        # A thread close() cannot interrupt is at worst one dial deep;
-        # wait that out (plus slack) instead of joining forever.
-        self._shutdown_grace = transport.connect_timeout + 1.0
-
-    def _slot_label(self, slot: int) -> str:
-        # Label by worker address so the per-worker aggregation groups a
-        # host:port*K multi-slot worker's K connections into one row.
-        return format_address(*self._addresses[slot])
-
-    def _make_peer(self, slot: int) -> _SocketPeer:
-        # Reconnect path only (initial connections are dialled eagerly by
-        # SocketTransport.open): if merely the connection died the worker
-        # answers again; if the worker process died the dial fails and
-        # the slot is retired — its tasks fail over to the other workers.
-        # Every step aborts on the closing flag so close() never waits on
-        # a slot grinding through reconnect attempts.
-        last_error: Optional[Exception] = None
-        for attempt in range(self._reconnect_attempts):
-            if attempt and self._closing.wait(self._reconnect_delay):
-                break
-            if self._closing.is_set():
-                break
-            try:
-                peer = _dial_worker(self._addresses[slot],
-                                    self._connect_timeout)
-            except ConfigurationError:
-                raise
-            except OSError as error:
-                last_error = error
-                continue
-            if self._closing.is_set():
-                # close() already swept the peer table; a connection
-                # registered now would leak.
-                peer.dispose(graceful=False)
-                break
-            return peer
-        if self._closing.is_set():
-            raise WorkerCrashError(
-                f"session closing; abandoning reconnect to worker "
-                f"{format_address(*self._addresses[slot])}"
-            )
-        raise WorkerCrashError(
-            f"worker {format_address(*self._addresses[slot])} is gone "
-            f"({last_error}); retiring its slot"
-        )
+            self._drop_peer(slot)
 
 
 def _dial_worker(address: Tuple[str, int],
@@ -1246,7 +1096,7 @@ def _dial_worker(address: Tuple[str, int],
         hello = read_frame(peer.reader)
         _check_hello(hello, peer.origin)
     except (ConfigurationError, OSError):
-        peer.dispose(graceful=False)
+        peer.dispose()
         raise
     peer.features = tuple(hello.get("features", ()))
     peer.pid = hello.get("pid")
@@ -1311,7 +1161,7 @@ class SocketTransport(Transport):
             )
         return addresses
 
-    def open(self, slots: int) -> _SocketSession:
+    def open(self, slots: int) -> _FramedSession:
         del slots  # capacity == number of configured workers
         addresses = self.addresses()
         peers: List[_SocketPeer] = []
@@ -1327,41 +1177,18 @@ class SocketTransport(Transport):
                     ) from error
         except ConfigurationError:
             for peer in peers:
-                peer.dispose(graceful=False)
+                peer.dispose()
             raise
-        return _SocketSession(self, addresses, peers)
+        return _FramedSession(self, addresses, peers)
 
 
-#: Registry of selectable transports (the CLI's ``--transport`` choices).
-TRANSPORTS: Dict[str, Type[Transport]] = {
-    "inline": InlineTransport,
-    "thread": ThreadTransport,
-    "process": ProcessTransport,
-    "subprocess": SubprocessTransport,
-    "socket": SocketTransport,
-}
-
-
-def available_transports() -> List[str]:
-    """Transport names accepted by ``--transport`` / :func:`resolve_transport`."""
-    return sorted(TRANSPORTS)
-
-
-def resolve_transport(transport, jobs: int = 1) -> Transport:
+def resolve_transport(transport: Optional[Transport],
+                      jobs: int = 1) -> Transport:
     """Turn a transport selector into a transport object.
 
-    ``None`` preserves the historical ``jobs``-driven choice — inline for
-    one worker, the process pool otherwise.  A string is looked up in
-    :data:`TRANSPORTS`; anything else is assumed to already be a
-    transport object and returned as-is.
+    ``None`` is the ``jobs``-driven choice — inline for one worker, the
+    process pool otherwise; a transport object is returned as-is.
     """
     if transport is None:
         return InlineTransport() if jobs == 1 else ProcessTransport()
-    if isinstance(transport, str):
-        if transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport '{transport}'; known: "
-                f"{available_transports()}"
-            )
-        return TRANSPORTS[transport]()
     return transport

@@ -1,11 +1,9 @@
-"""Framed-JSON task worker (stdio pipes or a TCP listener).
+"""Framed-JSON task worker served over TCP.
 
-Run as ``python -m repro.experiments.worker`` to serve tasks over the
-stdio pipes (how :class:`~repro.experiments.transports
-.SubprocessTransport` spawns it), or with ``--listen HOST:PORT`` /
-``repro-mis worker serve --listen HOST:PORT`` to serve them over TCP for
-:class:`~repro.experiments.transports.SocketTransport` — the same loop,
-framing and failure semantics either way.
+Run as ``repro-mis worker serve --listen HOST:PORT`` (or ``python -m
+repro.experiments.worker --listen HOST:PORT``) to serve sweep tasks for
+:class:`~repro.experiments.transports.SocketTransport`, on any host —
+localhost included (:func:`spawn_local_worker`).
 
 The protocol is length-prefixed JSON: each frame is a 4-byte big-endian
 length followed by that many bytes of UTF-8 JSON.
@@ -39,21 +37,20 @@ at-a-time protocol; ``seq`` is optional on task frames and echoed on
 replies when present, which is how the coordinator cross-checks its
 per-connection in-flight tracking.
 
-EOF on the task stream is the shutdown signal (over TCP the worker then
-loops back to ``accept``, so a long-lived worker serves many sweeps).  A
-task exception is reported as an ``error`` frame (the worker survives and
-keeps serving); only an actual worker death — which the coordinator
-detects as EOF/reset on *its* end — triggers restart/reconnect-and-
-requeue.
+EOF on a connection ends it and the worker loops back to ``accept``, so
+a long-lived worker serves many sweeps.  A task exception is reported as
+an ``error`` frame (the worker survives and keeps serving); only an
+actual worker death — which the coordinator detects as EOF/reset on
+*its* end — triggers reconnect-and-requeue.
 
-``--slots N`` makes one TCP worker serve up to N coordinator connections
+``--slots N`` makes one worker serve up to N coordinator connections
 concurrently (the handshake is unchanged — it happens once per
 connection, and its ``pid`` is the pid of whatever actually executes the
-tasks).  With more than one slot, each accepted connection is served by
-a **slot subprocess** (``--slot-mode process``, the default), so an
-N-slot worker donates N cores instead of N threads fighting over one
-GIL.  What the slots share is the graph work: the *serving* process owns
-a :class:`~repro.experiments.shm_cache.SharedGraphCache` of flat CSR
+tasks).  With one slot the connection is served in the serving process
+itself.  With more than one slot, each accepted connection is served by
+a **slot subprocess**, so an N-slot worker donates N cores.  What the
+slots share is the graph work: the *serving* process owns a
+:class:`~repro.experiments.shm_cache.SharedGraphCache` of flat CSR
 adjacency arrays (:mod:`repro.graphs.csr`) in
 ``multiprocessing.shared_memory`` — one segment per ``(family, n,
 graph_seed)``, generated once per host — and every slot maps the
@@ -61,12 +58,8 @@ segments read-only (zero-copy) instead of regenerating graphs.  That
 sharing is safe because graphs are **read-only** after construction —
 algorithms never mutate them (pinned by ``tests/test_executor.py``) —
 and the segments are owned by the serving process and unlinked exactly
-once (LRU eviction or shutdown), never by a slot.  ``--slot-mode
-thread`` restores the historical thread slots (shared in-process
-:func:`~repro.experiments.executor._build_graph` LRU, GIL-bound);
-``--start-method fork|spawn|forkserver`` pins how slot subprocesses are
-started.  A single-slot worker stays in-process either way unless
-``--slot-mode process`` is asked for explicitly.
+once (LRU eviction or shutdown), never by a slot.  ``--start-method
+fork|spawn|forkserver`` pins how slot subprocesses are started.
 """
 
 from __future__ import annotations
@@ -167,7 +160,7 @@ def _log_execution(task: SweepTask) -> None:
     """Append one ``run_seed`` line to the execution log, when armed.
 
     Open-append-close per line: O_APPEND keeps concurrent writes from
-    slot threads (and multiple worker processes) whole for lines this
+    slot subprocesses (and multiple worker processes) whole for lines this
     small.
     """
     path = os.environ.get(WORKER_EXEC_LOG_ENV)
@@ -177,16 +170,7 @@ def _log_execution(task: SweepTask) -> None:
         handle.write(f"{task.run_seed}\n")
 
 
-class _InjectedConnectionDeath(Exception):
-    """Raised by :func:`maybe_crash` to kill one connection, not the process.
-
-    Only fault injection raises it; the multi-slot serve loop turns it
-    into an abrupt connection close, which the coordinator observes as a
-    peer death (EOF mid-task) exactly like a killed single-slot worker.
-    """
-
-
-def maybe_crash(task: SweepTask, scope: str = "process") -> None:
+def maybe_crash(task: SweepTask) -> None:
     """Test-only fault injection: die mid-task when a marker file says so.
 
     When :data:`~repro.experiments.transports.WORKER_FAULT_DIR_ENV` names
@@ -194,15 +178,11 @@ def maybe_crash(task: SweepTask, scope: str = "process") -> None:
     removed and the fault fires — *after* accepting the task but *before*
     producing its result, exactly the window a real crash/kill/OOM hits.
     Removing the marker first makes the fault one-shot: the retry of the
-    requeued task succeeds, which is what the recovery tests need.  Works
-    identically for pipe and socket workers.
+    requeued task succeeds, which is what the recovery tests need.
 
-    *scope* picks what dies.  ``"process"`` (single-slot workers, stdio
-    workers) exits hard with code 17 — the historical behaviour the
-    crash-recovery suites assert on.  ``"connection"`` (multi-slot
-    workers, where one slot cannot take the process down without killing
-    its siblings) raises :class:`_InjectedConnectionDeath`, which the
-    serve loop turns into an abrupt close of just that connection.
+    The fault exits hard with code 17.  In a single-slot worker that is
+    the whole worker; in a multi-slot worker it is just the slot
+    subprocess serving the task — the serving process survives.
     """
     fault_dir = os.environ.get(WORKER_FAULT_DIR_ENV)
     if not fault_dir:
@@ -210,16 +190,12 @@ def maybe_crash(task: SweepTask, scope: str = "process") -> None:
     marker = os.path.join(fault_dir, f"crash-run_seed-{task.run_seed}")
     if os.path.exists(marker):
         os.unlink(marker)
-        if scope == "connection":
-            raise _InjectedConnectionDeath(
-                f"fault marker for run_seed {task.run_seed}")
         os._exit(17)
 
 
 def serve_stream(reader: BinaryIO, writer: BinaryIO,
-                 fault_scope: str = "process",
                  stats: Optional[Dict[str, int]] = None) -> int:
-    """Serve one framed task stream until EOF (pipe or socket alike).
+    """Serve one framed task stream until EOF.
 
     Returns the number of task frames handled.  *stats*, when given, has
     its ``"tasks"`` entry updated incrementally — so a caller watching a
@@ -242,7 +218,7 @@ def serve_stream(reader: BinaryIO, writer: BinaryIO,
             handled += 1
             if stats is not None:
                 stats["tasks"] = handled
-            maybe_crash(task, scope=fault_scope)
+            maybe_crash(task)
             _log_execution(task)
             # `seq` is echoed when present so the coordinator can
             # cross-check its in-flight tracking; old coordinators never
@@ -312,10 +288,10 @@ def _slot_process_main(connection: socket.socket, control: Any) -> None:
     slot-local :func:`~repro.experiments.executor._build_graph` LRU, so
     the control round-trip happens once per combo per slot.
 
-    Fault injection runs with ``scope="process"`` here: ``os._exit(17)``
-    kills *this slot only* — the serving process survives, the
-    coordinator sees a connection death, and the shared segments stay
-    owned (and eventually unlinked) by the server.
+    Fault injection's ``os._exit(17)`` kills *this slot only* — the
+    serving process survives, the coordinator sees a connection death,
+    and the shared segments stay owned (and eventually unlinked) by the
+    server.
     """
     import signal
 
@@ -362,7 +338,7 @@ def _slot_process_main(connection: socket.socket, control: Any) -> None:
     reader = connection.makefile("rb")
     writer = connection.makefile("wb")
     try:
-        serve_stream(reader, writer, fault_scope="process", stats=stats)
+        serve_stream(reader, writer, stats=stats)
     except OSError:
         pass  # the coordinator vanished mid-frame
     except Exception as error:
@@ -391,37 +367,38 @@ def parse_listen_address(listen: str) -> Tuple[str, int]:
         ) from None
 
 
+def _require_positive_int(name: str, value: Any, meaning: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigurationError(
+            f"invalid {name} value {value!r}: need a positive int "
+            f"({meaning})")
+
+
 def serve(listen: str, max_connections: Optional[int] = None,
           slots: int = 1,
           on_listening: Optional[Callable[[str, int], None]] = None,
-          slot_mode: Optional[str] = None,
           start_method: Optional[str] = None) -> int:
     """Serve the framed task protocol over TCP until interrupted.
 
     *slots* is how many coordinator connections are served concurrently,
     and the accept loop stops handing out connections while all slots
-    are busy.  *slot_mode* picks what a slot is:
-
-    - ``"process"`` (the default whenever ``slots > 1``): each accepted
-      connection is served by a subprocess, so N slots donate N cores.
-      Graphs are shared through this process's
-      :class:`~repro.experiments.shm_cache.SharedGraphCache` — flat CSR
-      arrays in ``multiprocessing.shared_memory``, generated once per
-      ``(family, n, graph_seed)`` and mapped read-only by every slot.
-      The segments are owned *here* and unlinked exactly once (eviction
-      or the shutdown path below); slots only close their mappings.
-    - ``"thread"`` (the default for ``slots == 1``, and the historical
-      multi-slot behaviour): slot threads in this process sharing the
-      in-process :func:`~repro.experiments.executor._build_graph` LRU.
+    are busy.  One slot is served in this process.  With ``slots > 1``
+    each accepted connection is served by a subprocess, so N slots
+    donate N cores.  Graphs are then shared through this process's
+    :class:`~repro.experiments.shm_cache.SharedGraphCache` — flat CSR
+    arrays in ``multiprocessing.shared_memory``, generated once per
+    ``(family, n, graph_seed)`` and mapped read-only by every slot.  The
+    segments are owned *here* and unlinked exactly once (eviction or the
+    shutdown path below); slots only close their mappings.
 
     *start_method* (``fork``/``spawn``/``forkserver``) pins how slot
     subprocesses start; ``None`` uses the platform default.
 
     *max_connections* bounds how many connections are served before
-    returning (``None`` = forever); tests and demos use it for a
-    self-terminating worker.  Only connections that prove themselves —
-    deliver at least one valid task frame after the hello — count
-    toward the budget: a port-scanner, a garbage peer or a coordinator
+    returning (``None`` = forever, otherwise at least 1); tests and demos
+    use it for a self-terminating worker.  Only connections that prove
+    themselves — deliver at least one valid task frame after the hello —
+    count toward the budget: a port-scanner, a garbage peer or a coordinator
     that refused our schema and hung up must not permanently consume a
     bounded worker's capacity.
 
@@ -431,19 +408,15 @@ def serve(listen: str, max_connections: Optional[int] = None,
     in-process callers that cannot watch stderr).
     """
     host, port = parse_listen_address(listen)
-    if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
-        raise ConfigurationError(
-            f"invalid slots value {slots!r}: need a positive int (the "
-            "number of coordinator connections served concurrently)"
-        )
-    if slot_mode not in (None, "thread", "process"):
-        raise ConfigurationError(
-            f"invalid slot mode {slot_mode!r}: choose 'thread' or "
-            "'process'")
-    resolved_mode = slot_mode or ("process" if slots > 1 else "thread")
+    _require_positive_int("slots", slots, "the number of coordinator "
+                          "connections served concurrently")
+    if max_connections is not None:
+        _require_positive_int("max_connections", max_connections,
+                              "connections served before exiting; omit "
+                              "it to serve forever")
     mp_context = None
     shared_cache = None
-    if resolved_mode == "process":
+    if slots > 1:
         try:
             mp_context = multiprocessing.get_context(start_method)
         except ValueError:
@@ -462,8 +435,8 @@ def serve(listen: str, max_connections: Optional[int] = None,
         shared_cache = SharedGraphCache()
     elif start_method is not None:
         raise ConfigurationError(
-            "--start-method only applies to process slots "
-            "(slot mode 'process')")
+            "--start-method only applies to --slots > 1 (slot "
+            "subprocesses)")
     family = socket.AF_INET6 if ":" in host else socket.AF_INET
     server = socket.create_server((host, port), family=family)
     lock = threading.Lock()
@@ -471,13 +444,6 @@ def serve(listen: str, max_connections: Optional[int] = None,
     capacity = threading.BoundedSemaphore(slots)
     threads: List[threading.Thread] = []
     slot_processes: List[Any] = []
-    # A single-slot in-process worker dies whole on an injected fault (the
-    # historical exit-17 the crash suites assert on); in a multi-slot
-    # worker one slot cannot take its siblings down, so the fault kills
-    # just the connection (thread slots) or just the slot subprocess
-    # (process slots — which exits 17, the same signature, without
-    # touching the serving process).
-    fault_scope = "process" if slots == 1 else "connection"
     interrupted = False
 
     def _exhausted() -> bool:
@@ -500,14 +466,7 @@ def serve(listen: str, max_connections: Optional[int] = None,
                 reader = connection.makefile("rb")
                 writer = connection.makefile("wb")
                 try:
-                    serve_stream(reader, writer, fault_scope=fault_scope,
-                                 stats=stats)
-                except _InjectedConnectionDeath as death:
-                    # Test-only: drop this connection abruptly (no result
-                    # frame) so the coordinator sees a peer death.
-                    print(f"repro-mis worker: fault injection killed the "
-                          f"connection from {peer}: {death}",
-                          file=sys.stderr, flush=True)
+                    serve_stream(reader, writer, stats=stats)
                 except OSError:
                     pass  # the coordinator vanished mid-frame
                 except Exception as error:
@@ -593,20 +552,17 @@ def serve(listen: str, max_connections: Optional[int] = None,
             _count_connection(proved)
             capacity.release()
 
-    handler = (_relay_connection if resolved_mode == "process"
-               else _serve_connection)
+    handler = _relay_connection if slots > 1 else _serve_connection
 
     try:
         bound_host, bound_port = server.getsockname()[:2]
         print("repro-mis worker: listening on "
               f"{format_address(bound_host, bound_port)}",
               file=sys.stderr, flush=True)
-        if slots > 1 or resolved_mode == "process":
-            detail = ("process slots, shared-memory CSR graph cache"
-                      if resolved_mode == "process"
-                      else "thread slots, shared graph cache")
+        if slots > 1:
             print(f"repro-mis worker: serving up to {slots} concurrent "
-                  f"connections ({detail})", file=sys.stderr, flush=True)
+                  "connections (process slots, shared-memory CSR graph "
+                  "cache)", file=sys.stderr, flush=True)
         if on_listening is not None:
             on_listening(bound_host, bound_port)
         # Accept with a short timeout rather than blocking forever: a slot
@@ -693,7 +649,6 @@ def serve(listen: str, max_connections: Optional[int] = None,
 def spawn_local_worker(extra_env: Optional[Dict[str, str]] = None,
                        host: str = "127.0.0.1", slots: int = 1,
                        max_connections: Optional[int] = None,
-                       slot_mode: Optional[str] = None,
                        start_method: Optional[str] = None,
                        ) -> Tuple[Any, str]:
     """Spawn a local TCP worker on an ephemeral port (test/demo helper).
@@ -719,8 +674,6 @@ def spawn_local_worker(extra_env: Optional[Dict[str, str]] = None,
         command += ["--slots", str(slots)]
     if max_connections is not None:
         command += ["--max-connections", str(max_connections)]
-    if slot_mode is not None:
-        command += ["--slot-mode", slot_mode]
     if start_method is not None:
         command += ["--start-method", start_method]
     process = subprocess.Popen(command, stderr=subprocess.PIPE, text=True,
@@ -746,59 +699,48 @@ def spawn_local_worker(extra_env: Optional[Dict[str, str]] = None,
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Entry point: stdio worker by default, TCP worker with ``--listen``."""
+    """Entry point: serve the TCP worker on ``--listen``."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="repro-mis-worker",
-        description="framed-JSON sweep-task worker (stdio or TCP)",
+        description="framed-JSON sweep-task worker over TCP",
     )
-    parser.add_argument("--listen", metavar="HOST:PORT", default=None,
-                        help="serve over TCP on this address instead of "
-                             "the stdio pipes (port 0 = ephemeral, "
+    parser.add_argument("--listen", metavar="HOST:PORT", required=True,
+                        help="address to serve on (port 0 = ephemeral, "
                              "[IPV6]:PORT accepted)")
     parser.add_argument("--slots", type=int, default=1, metavar="N",
                         help="serve up to N coordinator connections "
                              "concurrently, sharing the host's graph "
-                             "work (default: 1; TCP mode only)")
+                             "work (default: 1)")
     parser.add_argument("--max-connections", type=int, default=None,
                         metavar="N",
                         help="exit after N connections that served at "
                              "least one task (default: serve forever)")
-    parser.add_argument("--slot-mode", choices=["thread", "process"],
-                        default=None,
-                        help="what a slot is: 'process' (subprocess per "
-                             "connection, shared-memory CSR graph cache; "
-                             "default when --slots > 1) or 'thread' "
-                             "(historical GIL-bound slot threads; default "
-                             "for --slots 1)")
     parser.add_argument("--start-method",
                         choices=["fork", "spawn", "forkserver"],
                         default=None,
-                        help="multiprocessing start method for process "
-                             "slots (default: platform default)")
+                        help="multiprocessing start method for the slot "
+                             "subprocesses of --slots > 1 (default: "
+                             "platform default)")
     args = parser.parse_args(argv)
-    if args.listen is not None:
-        # SIGTERM (plain `kill`, fixture teardown) takes the same orderly
-        # shutdown path as Ctrl-C: join/terminate slots, unlink every
-        # shared graph segment exactly once.  SIGKILL is unmaskable; the
-        # next worker to start reaps any segments it orphaned.
-        import signal
+    # SIGTERM (plain `kill`, fixture teardown) takes the same orderly
+    # shutdown path as Ctrl-C: join/terminate slots, unlink every shared
+    # graph segment exactly once.  SIGKILL is unmaskable; the next worker
+    # to start reaps any segments it orphaned.
+    import signal
 
-        def _terminate(signum, frame):
-            raise KeyboardInterrupt
+    def _terminate(signum, frame):
+        raise KeyboardInterrupt
 
-        with contextlib.suppress(ValueError, OSError):
-            signal.signal(signal.SIGTERM, _terminate)
-        try:
-            return serve(args.listen, max_connections=args.max_connections,
-                         slots=args.slots, slot_mode=args.slot_mode,
-                         start_method=args.start_method)
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    serve_stream(sys.stdin.buffer, sys.stdout.buffer)
-    return 0
+    with contextlib.suppress(ValueError, OSError):
+        signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return serve(args.listen, max_connections=args.max_connections,
+                     slots=args.slots, start_method=args.start_method)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -182,10 +182,10 @@ def spawn_socket_worker():
     spawned = []
 
     def spawn(extra_env=None, slots=1, max_connections=None,
-              slot_mode=None, start_method=None):
+              start_method=None):
         process, address = spawn_local_worker(
             extra_env, slots=slots, max_connections=max_connections,
-            slot_mode=slot_mode, start_method=start_method)
+            start_method=start_method)
         spawned.append(process)
         return process, address
 
@@ -212,7 +212,7 @@ def multislot_socket_worker(spawn_socket_worker):
     """One worker process serving two slots: ``"127.0.0.1:PORT*2"``.
 
     The ``*2`` multiplier makes the coordinator dial both slots of the
-    single process, exercising the shared-graph-cache path the
+    single process, exercising the shared-memory graph-cache path the
     equivalence matrix pins against serial.  Session-scoped for the same
     reason as ``socket_workers``; tests that kill connections or the
     process must spawn their own.

@@ -1,14 +1,13 @@
-"""Tests for the pluggable execution backends (repro.experiments.backends).
+"""Tests for the execution backends (repro.experiments.backends).
 
-Backends are now (scheduler × transport) compositions; the cross-backend
-byte-identity matrix lives in ``tests/test_executor.py`` (it extends the
-historical jobs=1-vs-jobs=4 test) and the transport/scheduler layers have
-their own suites (``test_transports.py``, ``test_schedulers.py``).  This
-file covers the backend facade itself: alias selection rules, CLI-style
-composition (``make_backend``), the framed worker protocol, and the
-subprocess backend's crash-recovery guarantee — kill a worker mid-task
-and the task is requeued, the sweep completes, and the results are
-byte-identical to a serial run.
+A backend is a (scheduler × transport) composition; the cross-backend
+byte-identity matrix lives in ``tests/test_executor.py`` and the
+transport/scheduler layers have their own suites
+(``test_transports.py``, ``test_schedulers.py``).  This file covers the
+backend facade itself: name resolution, CLI-style composition
+(``make_backend``), the framed worker protocol, and crash recovery over
+socket workers — a worker dying mid-task is requeued, a crash loop is
+bounded, and task errors come back as the right exception.
 """
 
 from __future__ import annotations
@@ -24,18 +23,14 @@ from repro.experiments.backends import (
     BACKENDS,
     SOCKET_WORKERS_ENV,
     WORKER_FAULT_DIR_ENV,
-    AsyncSubprocessBackend,
     ComposedBackend,
-    ProcessBackend,
-    SerialBackend,
-    SocketBackend,
-    ThreadBackend,
+    SocketTransport,
     available_backends,
     make_backend,
     resolve_backend,
 )
-from repro.experiments.executor import (iter_task_results, plan_sweep_tasks,
-                                        run_task)
+from repro.experiments.executor import (SweepTask, iter_task_results,
+                                        plan_sweep_tasks, run_task)
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.worker import read_frame, write_frame
 
@@ -52,26 +47,29 @@ def enable_socket_backend(name, request, monkeypatch):
 
 class TestResolveBackend:
     def test_default_is_serial_for_one_worker(self):
-        assert isinstance(resolve_backend(None, jobs=1), SerialBackend)
+        assert resolve_backend(None, jobs=1).transport.name == "inline"
 
     def test_default_is_process_pool_for_many_workers(self):
         backend = resolve_backend(None, jobs=4)
-        assert isinstance(backend, ProcessBackend)
+        assert backend.transport.name == "process"
         assert backend.jobs == 4
 
     def test_tiny_grids_stay_in_process(self):
         # A pool for <= 1 task is pure overhead.
-        assert isinstance(resolve_backend(None, jobs=4, total=1),
-                          SerialBackend)
-        assert isinstance(resolve_backend(None, jobs=4, total=0),
-                          SerialBackend)
+        assert resolve_backend(None, jobs=4, total=1).transport.name == \
+            "inline"
+        assert resolve_backend(None, jobs=4, total=0).transport.name == \
+            "inline"
 
-    def test_names_resolve_to_their_classes(self):
-        for name, cls in BACKENDS.items():
-            assert isinstance(resolve_backend(name, jobs=2), cls)
+    def test_names_resolve_to_their_transports(self):
+        for name, transport_cls in BACKENDS.items():
+            backend = resolve_backend(name, jobs=2)
+            assert isinstance(backend, ComposedBackend)
+            assert isinstance(backend.transport, transport_cls)
+            assert backend.scheduler.name == "fifo"
 
     def test_backend_objects_pass_through(self):
-        backend = ThreadBackend(jobs=2)
+        backend = ComposedBackend(jobs=2)
         assert resolve_backend(backend) is backend
 
     def test_unknown_name_rejected_with_known_list(self):
@@ -82,36 +80,32 @@ class TestResolveBackend:
         for name in available_backends():
             assert name in message
 
-    def test_available_backends_is_sorted(self):
-        assert available_backends() == sorted(BACKENDS)
+    def test_available_backends_are_the_three_measured_paths(self):
+        assert available_backends() == ["process", "serial", "socket"]
 
-    def test_aliases_compose_the_documented_pairs(self):
-        """The backend strings are (scheduler × transport) aliases."""
-        pairs = {"serial": ("fifo", "inline"), "thread": ("fifo", "thread"),
-                 "process": ("fifo", "process"),
-                 "async": ("fifo", "subprocess"),
-                 "socket": ("fifo", "socket")}
-        for alias, (scheduler, transport) in pairs.items():
-            backend = BACKENDS[alias](jobs=2)
-            assert backend.scheduler.name == scheduler
-            assert backend.transport.name == transport
+    def test_names_map_to_the_documented_transports(self):
+        pairs = {"serial": "inline", "process": "process",
+                 "socket": "socket"}
+        for name, transport in pairs.items():
+            assert resolve_backend(name, jobs=2).name == f"fifo+{transport}"
 
 
 class TestMakeBackend:
-    """CLI-style composition: --backend/--scheduler/--transport/--workers."""
+    """CLI-style composition: --backend/--scheduler/--workers/--window."""
 
-    def test_all_none_defers_to_the_jobs_driven_default(self):
-        assert make_backend() is None
+    def test_no_selector_is_the_jobs_driven_default(self):
+        assert make_backend().transport.name == "inline"
+        assert make_backend(jobs=4).transport.name == "process"
+        assert make_backend(jobs=4).jobs == 4
 
-    def test_backend_alias_alone(self):
-        backend = make_backend(backend="thread", jobs=3)
-        assert isinstance(backend, ThreadBackend)
+    def test_backend_name_alone(self):
+        backend = make_backend(backend="process", jobs=3)
+        assert backend.name == "fifo+process"
         assert backend.jobs == 3
 
-    def test_scheduler_overrides_an_alias_ordering(self):
+    def test_scheduler_overrides_the_default_ordering(self):
         backend = make_backend(backend="process", scheduler="large-first",
                                jobs=2)
-        assert isinstance(backend, ProcessBackend)
         assert backend.scheduler.name == "large-first"
         assert backend.transport.name == "process"
 
@@ -121,29 +115,15 @@ class TestMakeBackend:
         assert make_backend(scheduler="large-first",
                             jobs=4).transport.name == "process"
 
-    def test_explicit_transport(self):
-        backend = make_backend(transport="thread", jobs=2)
-        assert isinstance(backend, ComposedBackend)
-        assert backend.name == "fifo+thread"
-
-    def test_workers_imply_the_socket_transport(self):
+    def test_workers_imply_the_socket_backend(self):
         backend = make_backend(workers="127.0.0.1:1,127.0.0.1:2")
         assert backend.transport.name == "socket"
         assert backend.transport.workers == "127.0.0.1:1,127.0.0.1:2"
 
-    def test_workers_rejected_for_other_transports(self):
-        with pytest.raises(ConfigurationError, match="--workers"):
-            make_backend(backend="thread", workers="127.0.0.1:1")
-        with pytest.raises(ConfigurationError, match="--workers"):
-            make_backend(transport="process", workers="127.0.0.1:1")
-
-    def test_backend_plus_transport_conflict_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            make_backend(backend="async", transport="thread")
-        # Regression: the socket transport must not bypass the conflict
-        # check and silently drop the --backend half.
-        with pytest.raises(ConfigurationError, match="not both"):
-            make_backend(backend="thread", transport="socket")
+    def test_workers_rejected_for_other_backends(self):
+        for name in ("serial", "process"):
+            with pytest.raises(ConfigurationError, match="--workers"):
+                make_backend(backend=name, workers="127.0.0.1:1")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
@@ -152,7 +132,7 @@ class TestMakeBackend:
     def test_socket_backend_without_workers_fails_at_open_not_construct(
             self, monkeypatch):
         monkeypatch.delenv(SOCKET_WORKERS_ENV, raising=False)
-        backend = SocketBackend(jobs=2)  # construction stays lazy
+        backend = resolve_backend("socket", jobs=2)  # stays lazy
         tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                  repetitions=1, seed=1)
         with pytest.raises(ConfigurationError, match="worker addresses"):
@@ -165,17 +145,16 @@ class TestMakeBackend:
         instead of deferring to session-open time (by which point the
         CLI has already stamped a results-store header)."""
         monkeypatch.delenv(SOCKET_WORKERS_ENV, raising=False)
-        for selector in (dict(transport="socket"), dict(backend="socket")):
-            with pytest.raises(ConfigurationError) as excinfo:
-                make_backend(**selector)
-            message = str(excinfo.value)
-            assert "--workers" in message
-            assert SOCKET_WORKERS_ENV in message
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_backend(backend="socket")
+        message = str(excinfo.value)
+        assert "--workers" in message
+        assert SOCKET_WORKERS_ENV in message
 
     def test_make_backend_socket_env_var_satisfies_the_fail_fast_check(
             self, monkeypatch):
         monkeypatch.setenv(SOCKET_WORKERS_ENV, "127.0.0.1:1")
-        backend = make_backend(transport="socket")
+        backend = make_backend(backend="socket")
         assert backend.transport.name == "socket"
 
     def test_make_backend_rejects_malformed_workers_eagerly(self):
@@ -184,7 +163,7 @@ class TestMakeBackend:
             make_backend(workers="127.0.0.1:notaport")
         with pytest.raises(ConfigurationError,
                            match="invalid worker address"):
-            make_backend(transport="socket", workers="host:8750*0")
+            make_backend(backend="socket", workers="host:8750*0")
 
     def test_make_backend_rejects_malformed_env_workers_eagerly(
             self, monkeypatch):
@@ -194,14 +173,14 @@ class TestMakeBackend:
         monkeypatch.setenv(SOCKET_WORKERS_ENV, "garbage")
         with pytest.raises(ConfigurationError,
                            match="invalid worker address"):
-            make_backend(transport="socket")
+            make_backend(backend="socket")
 
     def test_make_backend_rejects_empty_workers_eagerly(self, monkeypatch):
         # An explicit-but-empty --workers must not slip past the
         # fail-fast check just because it is not None.
         monkeypatch.delenv(SOCKET_WORKERS_ENV, raising=False)
         with pytest.raises(ConfigurationError, match="worker addresses"):
-            make_backend(transport="socket", workers="")
+            make_backend(backend="socket", workers="")
 
     def test_make_backend_composes_cost_model(self):
         backend = make_backend(scheduler="cost-model", jobs=2)
@@ -220,25 +199,8 @@ class TestMakeBackend:
         # Untouched selectors keep the transport defaults.
         assert make_backend(workers="127.0.0.1:1").transport.max_batch == 1
 
-    def test_make_backend_window_composes_the_subprocess_transport(self):
-        """--window with the async alias (or the subprocess transport)
-        composes a windowed ComposedBackend instead of the historical
-        AsyncSubprocessBackend — which has no windows to configure."""
-        from repro.experiments.transports import SubprocessTransport
-
-        backend = make_backend(backend="async", window=4, max_batch=2,
-                               jobs=2)
-        assert isinstance(backend, ComposedBackend)
-        assert isinstance(backend.transport, SubprocessTransport)
-        assert backend.transport.window == 4
-        assert backend.transport.max_batch == 2
-        backend = make_backend(transport="subprocess", window=2, jobs=2)
-        assert backend.transport.window == 2
-        # Without pipeline flags the alias keeps its historical class.
-        assert make_backend(backend="async", jobs=2).name == "async"
-
-    def test_make_backend_rejects_window_for_unframed_selections(self):
-        for selector in (dict(backend="thread"), dict(transport="process"),
+    def test_make_backend_rejects_window_for_non_socket_selections(self):
+        for selector in (dict(backend="serial"), dict(backend="process"),
                          dict()):
             with pytest.raises(ConfigurationError,
                                match="--window/--max-batch"):
@@ -259,7 +221,7 @@ class TestBackendStreams:
     def test_empty_task_list_yields_nothing(self, name):
         # No transport session is even opened for an empty grid, so the
         # socket backend needs no live workers here.
-        backend = BACKENDS[name](jobs=2)
+        backend = resolve_backend(name, jobs=2)
         assert list(backend.submit_tasks([])) == []
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -267,7 +229,7 @@ class TestBackendStreams:
                                                 monkeypatch):
         enable_socket_backend(name, request, monkeypatch)
         tasks = plan_sweep_tasks(**GRID)
-        backend = BACKENDS[name](jobs=2)
+        backend = resolve_backend(name, jobs=2)
         reference = {index: run_task(task)
                      for index, task in enumerate(tasks)}
         for index, result in backend.submit_tasks(tasks):
@@ -340,83 +302,61 @@ class _DribbleStream:
         return self._buffer.read(min(1, count))
 
 
-class TestAsyncCrashRecovery:
-    def _arm_crash(self, tmp_path, monkeypatch, task):
-        marker = tmp_path / f"crash-run_seed-{task.run_seed}"
-        marker.write_text("")
-        monkeypatch.setenv(WORKER_FAULT_DIR_ENV, str(tmp_path))
-        return marker
+class TestSocketCrashRecovery:
+    """Crash-loop bounds and error propagation over socket workers.
 
-    def test_killed_worker_is_replaced_and_task_requeued(
-            self, tmp_path, monkeypatch):
-        """The satellite guarantee: a worker killed mid-task costs nothing.
-
-        The fault marker makes one worker die after accepting a task but
-        before producing its result — exactly a kill/OOM window.  The
-        backend must replace the worker, requeue the task, and still end
-        with results byte-identical to the serial run.
-        """
-        serial = run_sweep(**GRID)
-        victim = plan_sweep_tasks(**GRID)[3]
-        marker = self._arm_crash(tmp_path, monkeypatch, victim)
-
-        backend = AsyncSubprocessBackend(jobs=2)
-        recovered = run_sweep(**GRID, backend=backend)
-
-        assert not marker.exists()  # the fault actually fired
-        assert backend.worker_restarts >= 1
-        assert repr(recovered.rows()) == repr(serial.rows())
-        assert recovered.fits("awake_max") == serial.fits("awake_max")
-
-    def test_every_task_executes_exactly_once_despite_the_crash(
-            self, tmp_path, monkeypatch):
-        tasks = plan_sweep_tasks(**GRID)
-        self._arm_crash(tmp_path, monkeypatch, tasks[0])
-        backend = AsyncSubprocessBackend(jobs=2)
-        pairs = list(iter_task_results(tasks, jobs=2, backend=backend))
-        assert sorted(t.run_seed for t, _ in pairs) == sorted(
-            t.run_seed for t in tasks)
+    Kill-and-requeue byte identity over TCP lives in
+    ``tests/test_transports.py::TestSocketFailureModes``.
+    """
 
     def test_crash_looping_task_raises_instead_of_spinning(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, spawn_socket_worker):
         # With a one-attempt budget the single injected crash exhausts it:
         # the backend must surface a WorkerCrashError, not retry forever.
-        self._arm_crash(tmp_path, monkeypatch, plan_sweep_tasks(**GRID)[0])
-        backend = AsyncSubprocessBackend(jobs=2, max_attempts=1)
+        # In a 2-slot worker the fault exits the slot subprocess (17); the
+        # serving process survives it.
+        victim = plan_sweep_tasks(**GRID)[0]
+        marker = tmp_path / f"crash-run_seed-{victim.run_seed}"
+        marker.write_text("")
+        process, address = spawn_socket_worker(
+            extra_env={WORKER_FAULT_DIR_ENV: str(tmp_path)}, slots=2)
+        backend = ComposedBackend(
+            transport=SocketTransport(f"{address}*2"), max_attempts=1)
         with pytest.raises(WorkerCrashError, match="crashed its worker"):
             run_sweep(**GRID, backend=backend)
+        assert not marker.exists()  # the fault actually fired
+        assert process.poll() is None
 
-    def test_configuration_error_in_worker_re_raises_as_itself(self):
+    def test_configuration_error_in_worker_re_raises_as_itself(
+            self, socket_workers):
         # A configuration mistake inside a worker must come back as a
         # ConfigurationError (clean CLI rendering on every backend), not
         # wrapped in WorkerCrashError — matching the serial backend.
-        from repro.experiments.executor import SweepTask
-
         good = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                 repetitions=1, seed=7)
         bad = SweepTask(algorithm="luby", family="not-a-family", n=16,
                         graph_seed=1, run_seed=2)
-        backend = AsyncSubprocessBackend(jobs=1)
+        backend = ComposedBackend(transport=SocketTransport(socket_workers))
         with pytest.raises(ConfigurationError,
                            match="unknown graph family 'not-a-family'"):
             list(backend.submit_tasks([*good, bad]))
 
-    def test_task_exception_propagates_without_killing_the_sweep_worker(
-            self):
+    def test_task_exception_propagates_without_killing_the_worker(
+            self, spawn_socket_worker):
         # A non-configuration task exception (here: a CONGEST budget of 0
         # bits) is an error frame, not a crash: the worker survives and
         # the coordinator re-raises with the worker traceback.
-        from repro.experiments.executor import SweepTask
-
         bad = SweepTask(algorithm="luby", family="gnp", n=16,
                         graph_seed=1, run_seed=2,
                         params=(("message_bit_limit", 0),))
-        backend = AsyncSubprocessBackend(jobs=1)
+        process, address = spawn_socket_worker()
+        backend = ComposedBackend(transport=SocketTransport(address))
         with pytest.raises(WorkerCrashError, match="failed in worker"):
             list(backend.submit_tasks([bad]))
+        assert process.poll() is None
 
-    def test_restart_counter_starts_at_zero(self):
-        backend = AsyncSubprocessBackend(jobs=2)
+    def test_restart_counter_starts_at_zero(self, socket_workers):
+        backend = ComposedBackend(transport=SocketTransport(socket_workers))
         run_sweep(algorithms=["luby"], sizes=[16], repetitions=1, seed=1,
                   backend=backend)
         assert backend.worker_restarts == 0

@@ -14,9 +14,9 @@ class TestCLI:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "awake_mis" in out and "E8" in out
-        assert "backends" in out and "async" in out and "socket" in out
+        assert "backends   : process, serial, socket\n" in out
         assert "schedulers" in out and "large-first" in out
-        assert "transports" in out and "subprocess" in out
+        assert "transports" not in out
 
     def test_figure(self, capsys):
         assert main(["figure"]) == 0
@@ -77,8 +77,7 @@ class TestCLI:
                   "--backend", "cluster"])
         assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process",
-                                         "async"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_sweep_backend_output_matches_default(self, backend, capsys):
         argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
                 "--families", "gnp", "--repetitions", "1", "--seed", "3"]
@@ -91,13 +90,13 @@ class TestCLI:
                                        ["--scheduler", "large-first",
                                         "--jobs", "2"],
                                        ["--scheduler", "large-first",
-                                        "--backend", "thread", "--jobs", "2"],
+                                        "--backend", "process", "--jobs",
+                                        "2"],
                                        ["--scheduler", "cost-model"],
                                        ["--scheduler", "cost-model",
-                                        "--backend", "thread", "--jobs", "2"],
-                                       ["--transport", "thread",
-                                        "--jobs", "2"]])
-    def test_sweep_scheduler_and_transport_flags_never_change_output(
+                                        "--backend", "process", "--jobs",
+                                        "2"]])
+    def test_sweep_scheduler_flags_never_change_output(
             self, extra, capsys):
         argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
                 "--families", "gnp", "--repetitions", "1", "--seed", "3"]
@@ -125,9 +124,9 @@ class TestCLI:
                   "--scheduler", "smallest-first"])
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_workers_with_non_socket_transport_renders_error(self, capsys):
+    def test_workers_with_non_socket_backend_renders_error(self, capsys):
         assert main(["sweep", "--algorithms", "luby", "--sizes", "16",
-                     "--repetitions", "1", "--transport", "process",
+                     "--repetitions", "1", "--backend", "process",
                      "--workers", "127.0.0.1:1"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "--workers" in err
@@ -144,7 +143,7 @@ class TestCLI:
 
     def test_socket_without_workers_fails_fast_naming_flag_and_env(
             self, tmp_path, capsys, monkeypatch):
-        """The fail-fast satellite: --transport socket with neither
+        """The fail-fast satellite: --backend socket with neither
         --workers nor REPRO_WORKERS must error out *before* the results
         store is touched, and the message must name both ways to fix
         it."""
@@ -153,7 +152,7 @@ class TestCLI:
         monkeypatch.delenv(SOCKET_WORKERS_ENV, raising=False)
         out_path = tmp_path / "never-created.jsonl"
         assert main(["sweep", "--algorithms", "luby", "--sizes", "16",
-                     "--repetitions", "1", "--transport", "socket",
+                     "--repetitions", "1", "--backend", "socket",
                      "--output", str(out_path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
@@ -188,9 +187,9 @@ class TestCLI:
                             "--window", "4"]) == 0
         assert capsys.readouterr().out == default_out
 
-    def test_window_with_non_framed_backend_renders_error(self, capsys):
+    def test_window_with_non_socket_backend_renders_error(self, capsys):
         assert main(["sweep", "--algorithms", "luby", "--sizes", "16",
-                     "--repetitions", "1", "--backend", "thread",
+                     "--repetitions", "1", "--backend", "process",
                      "--window", "4"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "--window/--max-batch" in err
@@ -222,6 +221,49 @@ class TestCLI:
                      "--slots", "0"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "slots" in err
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_worker_serve_invalid_max_connections_renders_error(
+            self, bad, capsys):
+        """--max-connections 0 used to announce 'listening on' and exit 0
+        without serving; a script waiting for that line dialled a dead
+        port.  It is refused before binding, like --slots 0."""
+        assert main(["worker", "serve", "--listen", "127.0.0.1:0",
+                     "--max-connections", bad]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "max_connections" in err
+        assert "listening on" not in err
+
+    @staticmethod
+    def _help_options(argv, capsys):
+        import re
+
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        return set(re.findall(r"--[a-z][a-z-]*", usage))
+
+    def test_help_lists_exactly_the_kept_flags(self, capsys):
+        assert self._help_options(["sweep"], capsys) == {
+            "--algorithms", "--sizes", "--families",
+            "--repetitions", "--seed", "--jobs", "--backend", "--scheduler",
+            "--workers", "--window", "--max-batch", "--progress",
+            "--output", "--shards", "--resume"}
+        assert self._help_options(["worker", "serve"], capsys) == {
+            "--listen", "--slots", "--start-method",
+            "--max-connections"}
+
+    def test_progress_reports_telemetry_on_the_default_backend(self,
+                                                               capsys):
+        argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
+                "--families", "gnp", "--repetitions", "1", "--seed", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--progress"]) == 0
+        progressed = capsys.readouterr()
+        assert progressed.out == plain.out
+        assert "graph cache hits=" in progressed.err
+        assert "unavailable" not in progressed.err
 
     def test_worker_serve_invalid_listen_address_renders_error(self,
                                                                capsys):
@@ -263,7 +305,7 @@ class TestCLIFamilyErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("extra", [["--jobs", "2"],
-                                       ["--backend", "async"]])
+                                       ["--backend", "process"]])
     def test_sweep_unknown_family_renders_cleanly_on_every_backend(
             self, extra, capsys):
         assert main(["sweep", "--algorithms", "luby", "--sizes", "16", "24",

@@ -250,7 +250,7 @@ class TestSerialParallelEquivalence:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize(
-        "backend", [None, "serial", "thread", "process", "async", "socket"])
+        "backend", [None, "serial", "process", "socket"])
     def test_sweep_rows_byte_identical_across_backends_and_jobs(
             self, backend, jobs, serial_baseline, request, monkeypatch):
         """The cross-backend equivalence matrix.
@@ -267,7 +267,7 @@ class TestSerialParallelEquivalence:
         assert sweep.all_verified and serial_baseline.all_verified
 
     @pytest.mark.parametrize(
-        "backend", ["serial", "thread", "process", "async", "socket"])
+        "backend", ["serial", "process", "socket"])
     @pytest.mark.parametrize("scheduler",
                              ["fifo", "large-first", "cost-model"])
     def test_sweep_rows_byte_identical_across_schedulers(
@@ -295,9 +295,9 @@ class TestSerialParallelEquivalence:
     def test_multislot_worker_byte_identical_to_serial(
             self, scheduler, serial_baseline, multislot_socket_worker):
         """The ``socket --slots 2`` rows of the matrix: one worker
-        *process* serving two concurrent connections (slot threads
-        sharing a single graph cache) must reproduce the serial rows and
-        fits byte-for-byte under every scheduling policy."""
+        *process* serving two concurrent connections (slot subprocesses
+        sharing one shared-memory graph cache) must reproduce the serial
+        rows and fits byte-for-byte under every scheduling policy."""
         from repro.experiments.backends import ComposedBackend
         from repro.experiments.transports import SocketTransport
 
@@ -336,7 +336,7 @@ class TestSerialParallelEquivalence:
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
 
     @pytest.mark.parametrize(
-        "backend", ["serial", "thread", "process", "async", "socket"])
+        "backend", ["serial", "process", "socket"])
     def test_stream_covers_every_task_on_every_backend(self, backend,
                                                        request, monkeypatch):
         _enable_socket(backend, request, monkeypatch)
@@ -455,10 +455,10 @@ class TestGraphCacheConfiguration:
         assert GRAPH_CACHE_ENV in capsys.readouterr().err
 
     def test_counters_reach_backend_telemetry(self):
-        from repro.experiments.backends import SerialBackend
+        from repro.experiments.backends import resolve_backend
         from repro.experiments.sweeps import run_sweep
 
-        backend = SerialBackend()
+        backend = resolve_backend("serial")
         run_sweep(["luby", "vt_mis"], [16], repetitions=1, seed=5,
                   backend=backend)
         cache = backend.telemetry()["graph_cache"]

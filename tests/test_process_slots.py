@@ -5,9 +5,10 @@ slot *subprocess* mapping the serving process's shared-memory CSR graph
 cache read-only.  These tests pin the contracts the tentpole makes:
 
 * byte identity with serial under both ``fork`` and ``spawn`` start
-  methods (and under the historical ``--slot-mode thread``);
+  methods;
 * telemetry names the *executing* process — the hello pid is the slot
-  subprocess, not the serving process;
+  subprocess, not the serving process (a single-slot worker executes
+  in the serving process itself);
 * no shared-memory segment outlives the worker (graceful shutdown
   unlinks everything; the leak check reads /dev/shm, not bookkeeping).
 """
@@ -19,13 +20,17 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.backends import SocketBackend
+from repro.experiments.backends import ComposedBackend, SocketTransport
 from repro.experiments.shm_cache import SEGMENT_PREFIX, active_segments
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.worker import serve
 
 GRID = dict(algorithms=["luby", "vt_mis"], sizes=[16, 32],
             families=("gnp",), repetitions=2, seed=99)
+
+
+def _backend(workers):
+    return ComposedBackend(transport=SocketTransport(workers))
 
 
 def _worker_segments(pid):
@@ -46,32 +51,10 @@ class TestProcessSlotEquivalence:
             self, spawn_socket_worker, serial_rows, start_method):
         process, address = spawn_socket_worker(
             slots=2, start_method=start_method)
-        sweep = run_sweep(**GRID, backend=SocketBackend(
-            workers=f"{address}*2"))
+        sweep = run_sweep(**GRID, backend=_backend(f"{address}*2"))
         assert (repr(sweep.rows()),
                 repr(sweep.fits("awake_max"))) == serial_rows
         assert process.poll() is None
-
-    def test_explicit_thread_mode_still_byte_identical(
-            self, spawn_socket_worker, serial_rows):
-        """--slot-mode thread restores the historical in-process slots;
-        the bytes must not care which mode served them."""
-        process, address = spawn_socket_worker(slots=2, slot_mode="thread")
-        sweep = run_sweep(**GRID, backend=SocketBackend(
-            workers=f"{address}*2"))
-        assert (repr(sweep.rows()),
-                repr(sweep.fits("awake_max"))) == serial_rows
-        # Thread mode never creates shared segments.
-        assert _worker_segments(process.pid) == []
-
-    def test_single_slot_process_mode_byte_identical(
-            self, spawn_socket_worker, serial_rows):
-        """--slots 1 defaults to thread mode, but process mode can be
-        forced explicitly — and still matches serial."""
-        _, address = spawn_socket_worker(slots=1, slot_mode="process")
-        sweep = run_sweep(**GRID, backend=SocketBackend(workers=address))
-        assert (repr(sweep.rows()),
-                repr(sweep.fits("awake_max"))) == serial_rows
 
 
 class TestSlotProcessTelemetry:
@@ -80,7 +63,7 @@ class TestSlotProcessTelemetry:
         two slots of one worker report two distinct pids, neither of
         which is the serving process."""
         process, address = spawn_socket_worker(slots=2)
-        backend = SocketBackend(workers=f"{address}*2")
+        backend = _backend(f"{address}*2")
         run_sweep(**GRID, backend=backend)
         (row,) = backend.telemetry()["workers"]
         pids = row["worker_pids"]
@@ -88,13 +71,16 @@ class TestSlotProcessTelemetry:
         assert process.pid not in pids
         assert all(isinstance(pid, int) for pid in pids)
 
-    def test_thread_slots_report_the_serving_process(
+    def test_single_slot_reports_the_serving_process(
             self, spawn_socket_worker):
-        process, address = spawn_socket_worker(slots=2, slot_mode="thread")
-        backend = SocketBackend(workers=f"{address}*2")
+        """One slot is served in-process: no slot subprocess, no shared
+        segment, and telemetry names the serving pid."""
+        process, address = spawn_socket_worker(slots=1)
+        backend = _backend(address)
         run_sweep(**GRID, backend=backend)
         (row,) = backend.telemetry()["workers"]
         assert row["worker_pids"] == [process.pid]
+        assert _worker_segments(process.pid) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
@@ -106,7 +92,7 @@ class TestSegmentLifecycle:
         point); after SIGTERM the worker's shutdown path must have
         unlinked them all."""
         process, address = spawn_socket_worker(slots=2)
-        run_sweep(**GRID, backend=SocketBackend(workers=f"{address}*2"))
+        run_sweep(**GRID, backend=_backend(f"{address}*2"))
         assert _worker_segments(process.pid)  # cache is warm
 
         process.terminate()
@@ -118,20 +104,21 @@ class TestSegmentLifecycle:
         """A --max-connections worker that exits on its own budget takes
         the same unlink path as SIGTERM."""
         process, address = spawn_socket_worker(slots=2, max_connections=2)
-        run_sweep(**GRID, backend=SocketBackend(workers=f"{address}*2"))
+        run_sweep(**GRID, backend=_backend(f"{address}*2"))
         assert process.wait(timeout=10) == 0
         assert _worker_segments(process.pid) == []
 
 
 class TestServeValidation:
-    def test_invalid_slot_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="slot mode"):
-            serve("127.0.0.1:0", slot_mode="fibers")
-
-    def test_start_method_requires_process_mode(self):
+    def test_start_method_requires_slot_subprocesses(self):
         with pytest.raises(ConfigurationError, match="--start-method"):
-            serve("127.0.0.1:0", slots=2, slot_mode="thread",
-                  start_method="spawn")
+            serve("127.0.0.1:0", slots=1, start_method="spawn")
+
+    @pytest.mark.parametrize("bad", [0, -3, True, 1.5])
+    def test_invalid_max_connections_rejected(self, bad):
+        with pytest.raises(ConfigurationError,
+                           match="invalid max_connections"):
+            serve("127.0.0.1:0", max_connections=bad)
 
     def test_invalid_start_method_rejected(self):
         with pytest.raises(ConfigurationError, match="start method"):

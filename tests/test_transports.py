@@ -17,17 +17,14 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.experiments.backends import ComposedBackend, SocketBackend
+from repro.experiments.backends import ComposedBackend, resolve_backend
 from repro.experiments.executor import iter_task_results, plan_sweep_tasks
 from repro.experiments.store import CODE_SCHEMA_VERSION
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.transports import (
     ADAPTIVE_WINDOW_CAP,
-    TRANSPORTS,
     WORKER_FAULT_DIR_ENV,
     SocketTransport,
-    SubprocessTransport,
-    available_transports,
     parse_worker_addresses,
     resolve_max_batch,
     resolve_transport,
@@ -38,6 +35,11 @@ from repro.experiments.worker import write_frame
 
 GRID = dict(algorithms=["luby", "vt_mis"], sizes=[16, 32],
             families=("gnp",), repetitions=2, seed=99)
+
+
+def socket_backend(workers, **options):
+    """A fifo backend over socket workers at *workers*."""
+    return ComposedBackend(transport=SocketTransport(workers), **options)
 
 
 def _transport_threads():
@@ -60,24 +62,9 @@ class TestResolveTransport:
         assert resolve_transport(None, jobs=1).name == "inline"
         assert resolve_transport(None, jobs=4).name == "process"
 
-    def test_names_resolve_to_their_classes(self):
-        for name, cls in TRANSPORTS.items():
-            assert isinstance(resolve_transport(name), cls)
-
     def test_objects_pass_through(self):
         transport = SocketTransport("127.0.0.1:1")
         assert resolve_transport(transport) is transport
-
-    def test_unknown_name_rejected_with_known_list(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            resolve_transport("carrier-pigeon")
-        message = str(excinfo.value)
-        assert "unknown transport 'carrier-pigeon'" in message
-        for name in available_transports():
-            assert name in message
-
-    def test_available_transports_is_sorted(self):
-        assert available_transports() == sorted(TRANSPORTS)
 
 
 class TestWorkerAddresses:
@@ -150,7 +137,7 @@ class TestListenAddresses:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()  # free the port again; nothing listens now
-        backend = SocketBackend(workers=f"127.0.0.1:{port}")
+        backend = socket_backend(f"127.0.0.1:{port}")
         tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                  repetitions=1, seed=1)
         with pytest.raises(ConfigurationError, match="cannot reach worker"):
@@ -160,8 +147,7 @@ class TestListenAddresses:
 class TestSocketEquivalenceAndReuse:
     def test_sweep_byte_identical_to_serial(self, socket_workers):
         serial = run_sweep(**GRID)
-        over_tcp = run_sweep(**GRID, backend=SocketBackend(
-            workers=socket_workers))
+        over_tcp = run_sweep(**GRID, backend=socket_backend(socket_workers))
         assert repr(over_tcp.rows()) == repr(serial.rows())
         assert over_tcp.fits("awake_max") == serial.fits("awake_max")
 
@@ -170,8 +156,7 @@ class TestSocketEquivalenceAndReuse:
         same two worker processes, both byte-identical to serial."""
         serial = run_sweep(**GRID)
         for _ in range(2):
-            again = run_sweep(**GRID, backend=SocketBackend(
-                workers=socket_workers))
+            again = run_sweep(**GRID, backend=socket_backend(socket_workers))
             assert repr(again.rows()) == repr(serial.rows())
 
     def test_large_first_over_sockets_matches_serial(self, socket_workers):
@@ -188,8 +173,8 @@ class TestMultiSlotWorker:
     def test_one_process_two_slots_byte_identical_to_serial(
             self, multislot_socket_worker):
         serial = run_sweep(**GRID)
-        sweep = run_sweep(**GRID, backend=SocketBackend(
-            workers=multislot_socket_worker))
+        sweep = run_sweep(**GRID,
+                          backend=socket_backend(multislot_socket_worker))
         assert repr(sweep.rows()) == repr(serial.rows())
         assert sweep.fits("awake_max") == serial.fits("awake_max")
 
@@ -199,17 +184,17 @@ class TestMultiSlotWorker:
         the same 2-slot process serves back-to-back sweeps."""
         serial = run_sweep(**GRID)
         for _ in range(2):
-            again = run_sweep(**GRID, backend=SocketBackend(
-                workers=multislot_socket_worker))
+            again = run_sweep(
+                **GRID, backend=socket_backend(multislot_socket_worker))
             assert repr(again.rows()) == repr(serial.rows())
 
-    def test_killing_one_slot_connection_spares_the_process(
+    def test_killing_one_slot_spares_the_serving_process(
             self, tmp_path, spawn_socket_worker):
-        """The multi-slot failover satellite: a fault that kills one
-        slot's connection mid-task must cost exactly that connection —
-        the worker *process* survives, the coordinator reconnects the
-        slot (or fails the task over to the surviving slot), and the
-        rows stay byte-identical to serial."""
+        """Multi-slot failover: a fault that kills one slot subprocess
+        mid-task must cost exactly that slot's connection — the serving
+        *process* survives, the coordinator reconnects the slot (or
+        fails the task over to the surviving slot), and the rows stay
+        byte-identical to serial."""
         serial = run_sweep(**GRID)
         victim = plan_sweep_tasks(**GRID)[3]
         marker = tmp_path / f"crash-run_seed-{victim.run_seed}"
@@ -217,7 +202,7 @@ class TestMultiSlotWorker:
         proc, address = spawn_socket_worker(
             extra_env={WORKER_FAULT_DIR_ENV: str(tmp_path)}, slots=2)
 
-        backend = SocketBackend(workers=f"{address}*2")
+        backend = socket_backend(f"{address}*2")
         recovered = run_sweep(**GRID, backend=backend)
 
         assert not marker.exists()  # the fault actually fired
@@ -243,7 +228,7 @@ class TestMultiSlotWorker:
         assert proc.poll() is None  # the junk did not burn the budget
 
         serial = run_sweep(**GRID)
-        sweep = run_sweep(**GRID, backend=SocketBackend(workers=address))
+        sweep = run_sweep(**GRID, backend=socket_backend(address))
         assert repr(sweep.rows()) == repr(serial.rows())
         # The real sweep was the budgeted connection: the worker exits.
         assert proc.wait(timeout=10) == 0
@@ -270,8 +255,8 @@ class TestMultiSlotWorker:
         assert ready.wait(5)
 
         serial = run_sweep(**GRID)
-        sweep = run_sweep(**GRID, backend=SocketBackend(
-            workers=f"127.0.0.1:{bound['port']}*2"))
+        sweep = run_sweep(**GRID, backend=socket_backend(
+            f"127.0.0.1:{bound['port']}*2"))
         server.join(timeout=10)
         assert not server.is_alive()  # the budget terminated serve()
         leaked = [thread.name for thread in threading.enumerate()
@@ -311,8 +296,7 @@ class TestSocketFailureModes:
         workers = [spawn_socket_worker(extra_env=fault_env)
                    for _ in range(2)]
 
-        backend = SocketBackend(workers=",".join(address
-                                                 for _, address in workers))
+        backend = socket_backend(",".join(address for _, address in workers))
         recovered = run_sweep(**GRID, backend=backend)
 
         assert not marker.exists()  # the fault actually fired
@@ -331,7 +315,7 @@ class TestSocketFailureModes:
         fault_env = {WORKER_FAULT_DIR_ENV: str(tmp_path)}
         addresses = [spawn_socket_worker(extra_env=fault_env)[1]
                      for _ in range(2)]
-        backend = SocketBackend(workers=",".join(addresses))
+        backend = socket_backend(",".join(addresses))
         pairs = list(iter_task_results(tasks, backend=backend))
         assert sorted(t.run_seed for t, _ in pairs) == sorted(
             t.run_seed for t in tasks)
@@ -343,7 +327,7 @@ class TestSocketFailureModes:
             self._arm_crash(tmp_path, task)
         fault_env = {WORKER_FAULT_DIR_ENV: str(tmp_path)}
         _, only_address = spawn_socket_worker(extra_env=fault_env)
-        backend = SocketBackend(workers=only_address, max_attempts=5)
+        backend = socket_backend(only_address, max_attempts=5)
         with pytest.raises(WorkerCrashError,
                            match="every execution slot was lost"):
             list(backend.submit_tasks(tasks))
@@ -368,7 +352,7 @@ class TestSocketFailureModes:
         thread = threading.Thread(target=impostor, daemon=True)
         thread.start()
         try:
-            backend = SocketBackend(workers=f"127.0.0.1:{port}")
+            backend = socket_backend(f"127.0.0.1:{port}")
             tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                      repetitions=1, seed=1)
             with pytest.raises(ConfigurationError,
@@ -429,7 +413,7 @@ class TestSocketFailureModes:
         thread = threading.Thread(target=liar, daemon=True)
         thread.start()
         try:
-            backend = SocketBackend(workers=f"127.0.0.1:{port}")
+            backend = socket_backend(f"127.0.0.1:{port}")
             tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                      repetitions=1, seed=1)
             with pytest.raises(KeyError):
@@ -451,7 +435,7 @@ class TestSocketFailureModes:
         time.sleep(0.1)
         assert proc.poll() is None  # the worker did not die
         serial = run_sweep(**GRID)
-        sweep = run_sweep(**GRID, backend=SocketBackend(workers=address))
+        sweep = run_sweep(**GRID, backend=socket_backend(address))
         assert repr(sweep.rows()) == repr(serial.rows())
 
     def test_abandoned_run_closes_all_connections(self, socket_workers):
@@ -461,26 +445,26 @@ class TestSocketFailureModes:
         serial = run_sweep(**GRID)
         tasks = plan_sweep_tasks(**GRID)
         stream = iter_task_results(
-            tasks, backend=SocketBackend(workers=socket_workers))
+            tasks, backend=socket_backend(socket_workers))
         next(stream)
         stream.close()
         _wait_for_no_transport_threads()
         again = run_sweep(**GRID,
-                          backend=SocketBackend(workers=socket_workers))
+                          backend=socket_backend(socket_workers))
         assert repr(again.rows()) == repr(serial.rows())
 
 
 class TestProgressCallbackSafety:
     """A raising progress callback must not leak workers or transports."""
 
-    @pytest.mark.parametrize("transport", ["thread", "subprocess", "socket"])
+    @pytest.mark.parametrize("name", ["serial", "process", "socket"])
     def test_raising_callback_shuts_transport_down_and_re_raises(
-            self, transport, request, monkeypatch):
-        if transport == "socket":
+            self, name, request, monkeypatch):
+        if name == "socket":
             workers = request.getfixturevalue("socket_workers")
-            backend = SocketBackend(workers=workers)
+            backend = socket_backend(workers)
         else:
-            backend = ComposedBackend(transport=transport, jobs=2)
+            backend = resolve_backend(name, jobs=2)
         tasks = plan_sweep_tasks(**GRID)
 
         class CallbackBoom(RuntimeError):
@@ -516,7 +500,7 @@ class TestProgressCallbackSafety:
         with pytest.raises(RuntimeError, match="boom"):
             run_sweep(**GRID, store=ResultStore(path),
                       progress=explode_after_three,
-                      backend=SocketBackend(workers=socket_workers))
+                      backend=socket_backend(socket_workers))
         _wait_for_no_transport_threads()
 
         # The callback raised while the third result was in hand, so
@@ -526,32 +510,28 @@ class TestProgressCallbackSafety:
         resumed = run_sweep(
             **GRID, store=ResultStore(path), resume=True,
             progress=lambda task, *_: executed.append(task.run_seed),
-            backend=SocketBackend(workers=socket_workers))
+            backend=socket_backend(socket_workers))
         assert repr(resumed.rows()) == repr(serial.rows())
         assert len(executed) == len(plan_sweep_tasks(**GRID)) - 2
 
     def test_subsequent_sweeps_unaffected_by_an_earlier_callback_crash(
-            self):
+            self, socket_workers):
         def explode(task, result, done, total):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            run_sweep(**GRID, jobs=2, backend="async", progress=explode)
+            run_sweep(**GRID, jobs=2, backend=socket_backend(socket_workers),
+                      progress=explode)
         _wait_for_no_transport_threads()
-        assert repr(run_sweep(**GRID, jobs=2, backend="async").rows()) == \
-            repr(run_sweep(**GRID).rows())
+        again = run_sweep(**GRID, jobs=2,
+                          backend=socket_backend(socket_workers))
+        assert repr(again.rows()) == repr(run_sweep(**GRID).rows())
 
 
-class TestSubprocessTransportHygiene:
-    def test_no_threads_leak_after_a_normal_sweep(self):
-        run_sweep(**GRID, jobs=2, backend="async")
+class TestSocketTransportHygiene:
+    def test_no_threads_leak_after_a_normal_sweep(self, socket_workers):
+        run_sweep(**GRID, jobs=2, backend=socket_backend(socket_workers))
         _wait_for_no_transport_threads()
-
-    def test_restart_counter_counts_replacements_only(self):
-        backend = ComposedBackend(transport="subprocess", jobs=2)
-        run_sweep(algorithms=["luby"], sizes=[16], repetitions=1, seed=1,
-                  backend=backend)
-        assert backend.worker_restarts == 0
 
     def test_concurrent_restart_counts_lose_no_increment(self):
         """Regression for the unsynchronised ``restarts += 1``: many slot
@@ -560,7 +540,7 @@ class TestSubprocessTransportHygiene:
         restarts each must land on exactly 8000."""
         import sys
 
-        transport = SubprocessTransport()
+        transport = SocketTransport("127.0.0.1:1")  # never dialled
         barrier = threading.Barrier(16)
 
         def hammer():
@@ -677,7 +657,6 @@ class TestWindowedProtocol:
         assert transport.window == ADAPTIVE_WINDOW_CAP
         assert transport.max_batch == 8
         assert SocketTransport("host:8750").window == ADAPTIVE_WINDOW_CAP
-        assert SubprocessTransport().window == 1  # pipes: no RTT to hide
 
     def test_invalid_window_and_batch_selectors_rejected(self):
         for bad in (0, -3, "turbo", 1.5, True, None):
@@ -690,7 +669,7 @@ class TestWindowedProtocol:
         with pytest.raises(ConfigurationError, match="invalid window"):
             SocketTransport("host:8750", window=0)
         with pytest.raises(ConfigurationError, match="invalid max_batch"):
-            SubprocessTransport(max_batch=0)
+            SocketTransport("host:8750", max_batch=0)
 
     def test_adaptive_window_grows_and_fixed_window_1_does_not(
             self, spawn_socket_worker):
@@ -722,16 +701,6 @@ class TestWindowedProtocol:
             repr(serial.rows())
         assert backend.transport.peak_window == 1
 
-    def test_windowed_subprocess_byte_identical(self):
-        """The windowed protocol is transport-agnostic: worker
-        subprocesses over pipes honour windows and batch frames too."""
-        serial = run_sweep(**self.WGRID)
-        backend = ComposedBackend(
-            transport=SubprocessTransport(window=4, max_batch=4), jobs=2)
-        sweep = run_sweep(**self.WGRID, backend=backend)
-        assert repr(sweep.rows()) == repr(serial.rows())
-        _wait_for_no_transport_threads()
-
     def test_mid_window_connection_kill_requeues_every_in_flight_frame(
             self, tmp_path, spawn_socket_worker):
         """A connection dying with a window full of frames loses nothing:
@@ -751,7 +720,7 @@ class TestWindowedProtocol:
         pairs = list(iter_task_results(tasks, backend=backend))
 
         assert not marker.exists()  # the fault actually fired
-        assert proc.poll() is None  # connection-scope fault: process lives
+        assert proc.poll() is None  # the slot died, the server lives
         assert backend.worker_restarts >= 1
         assert sorted(t.run_seed for t, _ in pairs) == sorted(
             t.run_seed for t in tasks)
