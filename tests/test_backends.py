@@ -83,6 +83,9 @@ class TestResolveBackend:
     def test_available_backends_are_the_three_measured_paths(self):
         assert available_backends() == ["process", "serial", "socket"]
 
+    def test_available_backends_is_sorted(self):
+        assert available_backends() == sorted(BACKENDS)
+
     def test_names_map_to_the_documented_transports(self):
         pairs = {"serial": "inline", "process": "process",
                  "socket": "socket"}
@@ -108,6 +111,18 @@ class TestMakeBackend:
                                jobs=2)
         assert backend.scheduler.name == "large-first"
         assert backend.transport.name == "process"
+
+    @pytest.mark.parametrize("scheduler",
+                             ["fifo", "large-first", "cost-model"])
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_every_backend_composes_with_every_scheduler(self, name,
+                                                         scheduler):
+        workers = "127.0.0.1:1" if name == "socket" else None
+        backend = make_backend(backend=name, scheduler=scheduler,
+                               workers=workers, jobs=3)
+        assert isinstance(backend.transport, BACKENDS[name])
+        assert backend.name == f"{scheduler}+{backend.transport.name}"
+        assert backend.jobs == 3
 
     def test_scheduler_alone_keeps_the_jobs_driven_transport(self):
         assert make_backend(scheduler="large-first",
@@ -237,6 +252,19 @@ class TestBackendStreams:
             assert result.seed == reference[index].seed
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_one_slot_yields_every_index_exactly_once(self, name, request,
+                                                      monkeypatch):
+        # jobs=1 opens a single slot: one pool worker, or one connection
+        # to the first socket worker.
+        enable_socket_backend(name, request, monkeypatch)
+        tasks = plan_sweep_tasks(**GRID)
+        backend = resolve_backend(name, jobs=1)
+        pairs = list(backend.submit_tasks(tasks))
+        assert sorted(index for index, _ in pairs) == list(range(len(tasks)))
+        for index, result in pairs:
+            assert result.mis == run_task(tasks[index]).mis
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_abandoning_the_stream_shuts_down_cleanly(self, name, request,
                                                       monkeypatch):
         enable_socket_backend(name, request, monkeypatch)
@@ -305,9 +333,49 @@ class _DribbleStream:
 class TestSocketCrashRecovery:
     """Crash-loop bounds and error propagation over socket workers.
 
-    Kill-and-requeue byte identity over TCP lives in
-    ``tests/test_transports.py::TestSocketFailureModes``.
+    Failover between separate worker processes lives in
+    ``tests/test_transports.py::TestSocketFailureModes``; the kill cases
+    here dial a ``--slots 2`` worker once, so recovery must come from
+    reconnecting to the same serving process.
     """
+
+    def _arm_crash(self, tmp_path, task):
+        marker = tmp_path / f"crash-run_seed-{task.run_seed}"
+        marker.write_text("")
+        return marker
+
+    def test_killed_worker_is_replaced_and_task_requeued(
+            self, tmp_path, spawn_socket_worker):
+        """A slot subprocess killed mid-task costs nothing: the fault
+        marker makes it die after accepting a task but before producing
+        its result — exactly a kill/OOM window.  With only one connection
+        there is no other slot to fail over to, so the coordinator must
+        reconnect (the serving process starts a fresh slot subprocess),
+        requeue the task, and still end byte-identical to serial."""
+        serial = run_sweep(**GRID)
+        marker = self._arm_crash(tmp_path, plan_sweep_tasks(**GRID)[3])
+        process, address = spawn_socket_worker(
+            extra_env={WORKER_FAULT_DIR_ENV: str(tmp_path)}, slots=2)
+
+        backend = ComposedBackend(transport=SocketTransport(address))
+        recovered = run_sweep(**GRID, backend=backend)
+
+        assert not marker.exists()  # the fault actually fired
+        assert process.poll() is None
+        assert backend.worker_restarts == 1
+        assert repr(recovered.rows()) == repr(serial.rows())
+        assert recovered.fits("awake_max") == serial.fits("awake_max")
+
+    def test_every_task_executes_exactly_once_despite_the_crash(
+            self, tmp_path, spawn_socket_worker):
+        tasks = plan_sweep_tasks(**GRID)
+        self._arm_crash(tmp_path, tasks[0])
+        _, address = spawn_socket_worker(
+            extra_env={WORKER_FAULT_DIR_ENV: str(tmp_path)}, slots=2)
+        backend = ComposedBackend(transport=SocketTransport(address))
+        pairs = list(iter_task_results(tasks, backend=backend))
+        assert sorted(t.run_seed for t, _ in pairs) == sorted(
+            t.run_seed for t in tasks)
 
     def test_crash_looping_task_raises_instead_of_spinning(
             self, tmp_path, spawn_socket_worker):

@@ -77,8 +77,14 @@ class TestCLI:
                   "--backend", "cluster"])
         assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_sweep_backend_output_matches_default(self, backend, capsys):
+    @pytest.mark.parametrize("backend", ["serial", "process", "socket"])
+    def test_sweep_backend_output_matches_default(self, backend, capsys,
+                                                  request, monkeypatch):
+        if backend == "socket":
+            from repro.experiments.backends import SOCKET_WORKERS_ENV
+
+            monkeypatch.setenv(SOCKET_WORKERS_ENV,
+                               request.getfixturevalue("socket_workers"))
         argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
                 "--families", "gnp", "--repetitions", "1", "--seed", "3"]
         assert main(argv) == 0
@@ -95,7 +101,11 @@ class TestCLI:
                                        ["--scheduler", "cost-model"],
                                        ["--scheduler", "cost-model",
                                         "--backend", "process", "--jobs",
-                                        "2"]])
+                                        "2"],
+                                       ["--scheduler", "large-first",
+                                        "--backend", "serial"],
+                                       ["--scheduler", "cost-model",
+                                        "--backend", "serial"]])
     def test_sweep_scheduler_flags_never_change_output(
             self, extra, capsys):
         argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
@@ -234,6 +244,25 @@ class TestCLI:
         assert "error:" in err and "max_connections" in err
         assert "listening on" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--algorithms", "luby", "--sizes", "16",
+         "--transport", "socket"],
+        ["worker", "serve", "--listen", "127.0.0.1:0",
+         "--slot-mode", "thread"]], ids=["transport", "slot-mode"])
+    def test_removed_execution_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and argv[-2] in err
+
+    def test_worker_serve_requires_listen(self, capsys):
+        # There is no stdio mode any more: a worker only serves over TCP.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "serve", "--slots", "2"])
+        assert excinfo.value.code == 2
+        assert "--listen" in capsys.readouterr().err
+
     @staticmethod
     def _help_options(argv, capsys):
         import re
@@ -264,6 +293,26 @@ class TestCLI:
         assert progressed.out == plain.out
         assert "graph cache hits=" in progressed.err
         assert "unavailable" not in progressed.err
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "socket"])
+    def test_progress_never_changes_output_on_any_backend(
+            self, backend, capsys, request, monkeypatch):
+        if backend == "socket":
+            from repro.experiments.backends import SOCKET_WORKERS_ENV
+
+            monkeypatch.setenv(SOCKET_WORKERS_ENV,
+                               request.getfixturevalue("socket_workers"))
+        argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
+                "--families", "gnp", "--repetitions", "1", "--seed", "3",
+                "--backend", backend, "--jobs", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--progress"]) == 0
+        progressed = capsys.readouterr()
+        assert progressed.out == plain.out
+        assert "graph cache hits=" in progressed.err
+        framed = "no framed connections" not in progressed.err
+        assert framed == (backend == "socket")
 
     def test_worker_serve_invalid_listen_address_renders_error(self,
                                                                capsys):

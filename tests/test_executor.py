@@ -29,12 +29,20 @@ GRID = dict(algorithms=["luby", "vt_mis"], sizes=[16, 32],
 
 
 def _enable_socket(backend, request, monkeypatch):
-    """Point the socket backend at the session worker pool when needed."""
-    if backend == "socket":
-        from repro.experiments.backends import SOCKET_WORKERS_ENV
+    """Point the socket backend at a session worker pool when needed.
 
-        monkeypatch.setenv(SOCKET_WORKERS_ENV,
-                           request.getfixturevalue("socket_workers"))
+    ``socket`` dials two single-slot workers; ``socket-slots`` dials both
+    slots of one ``--slots 2`` worker.  Returns the backend name to select.
+    """
+    fixtures = {"socket": "socket_workers",
+                "socket-slots": "multislot_socket_worker"}
+    if backend not in fixtures:
+        return backend
+    from repro.experiments.backends import SOCKET_WORKERS_ENV
+
+    monkeypatch.setenv(SOCKET_WORKERS_ENV,
+                       request.getfixturevalue(fixtures[backend]))
+    return "socket"
 
 
 class TestPlanning:
@@ -250,7 +258,7 @@ class TestSerialParallelEquivalence:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize(
-        "backend", [None, "serial", "process", "socket"])
+        "backend", [None, "serial", "process", "socket", "socket-slots"])
     def test_sweep_rows_byte_identical_across_backends_and_jobs(
             self, backend, jobs, serial_baseline, request, monkeypatch):
         """The cross-backend equivalence matrix.
@@ -258,9 +266,10 @@ class TestSerialParallelEquivalence:
         Every backend × jobs combination must reproduce the serial rows,
         fits and their repr byte-for-byte — the grid's seeds are fixed at
         planning time, so execution placement can never leak into results.
-        ``socket`` runs against two live local workers.
+        ``socket`` runs against two live local workers, ``socket-slots``
+        against both slots of one ``--slots 2`` worker.
         """
-        _enable_socket(backend, request, monkeypatch)
+        backend = _enable_socket(backend, request, monkeypatch)
         sweep = run_sweep(**GRID, jobs=jobs, backend=backend)
         assert repr(sweep.rows()) == repr(serial_baseline.rows())
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
@@ -336,10 +345,10 @@ class TestSerialParallelEquivalence:
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
 
     @pytest.mark.parametrize(
-        "backend", ["serial", "process", "socket"])
+        "backend", ["serial", "process", "socket", "socket-slots"])
     def test_stream_covers_every_task_on_every_backend(self, backend,
                                                        request, monkeypatch):
-        _enable_socket(backend, request, monkeypatch)
+        backend = _enable_socket(backend, request, monkeypatch)
         tasks = plan_sweep_tasks(**GRID)
         pairs = list(iter_task_results(tasks, jobs=2, backend=backend))
         assert sorted(t.run_seed for t, _ in pairs) == sorted(

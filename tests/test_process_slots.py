@@ -56,6 +56,21 @@ class TestProcessSlotEquivalence:
                 repr(sweep.fits("awake_max"))) == serial_rows
         assert process.poll() is None
 
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_byte_identical_to_serial_at_every_slot_count(
+            self, spawn_socket_worker, serial_rows, slots):
+        """One slot is served in the serving process, more by slot
+        subprocesses; dialling every slot must match serial either way."""
+        process, address = spawn_socket_worker(slots=slots)
+        backend = ComposedBackend(
+            transport=SocketTransport(f"{address}*{slots}"), jobs=slots)
+        sweep = run_sweep(**GRID, backend=backend)
+        assert (repr(sweep.rows()),
+                repr(sweep.fits("awake_max"))) == serial_rows
+        assert process.poll() is None
+        (row,) = backend.telemetry()["workers"]
+        assert len(set(row["worker_pids"])) == slots
+
 
 class TestSlotProcessTelemetry:
     def test_hello_pid_is_the_slot_subprocess(self, spawn_socket_worker):
@@ -107,6 +122,18 @@ class TestSegmentLifecycle:
         run_sweep(**GRID, backend=_backend(f"{address}*2"))
         assert process.wait(timeout=10) == 0
         assert _worker_segments(process.pid) == []
+
+
+class TestSingleSlotWorker:
+    def test_bounded_single_slot_worker_exits_after_its_budget(
+            self, spawn_socket_worker, serial_rows):
+        """The in-process handler honours --max-connections too: one
+        budgeted sweep, then a clean exit."""
+        process, address = spawn_socket_worker(slots=1, max_connections=1)
+        sweep = run_sweep(**GRID, backend=_backend(address))
+        assert (repr(sweep.rows()),
+                repr(sweep.fits("awake_max"))) == serial_rows
+        assert process.wait(timeout=10) == 0
 
 
 class TestServeValidation:

@@ -231,6 +231,26 @@ class TestEndToEndTelemetry:
         connections = telemetry["connections"]
         assert all(snap["samples"] == snap["acks"] for snap in connections)
 
+    def test_single_slot_workers_account_for_every_task(self,
+                                                         socket_workers):
+        """Two single-slot workers (served in-process): one telemetry row
+        per worker, each naming one pid, and acks == tasks planned."""
+        from repro.experiments.backends import ComposedBackend
+        from repro.experiments.executor import plan_sweep_tasks
+        from repro.experiments.sweeps import run_sweep
+        from repro.experiments.transports import SocketTransport
+
+        grid = dict(algorithms=["luby"], sizes=[16], repetitions=4, seed=5)
+        backend = ComposedBackend(transport=SocketTransport(socket_workers),
+                                  jobs=2)
+        sweep = run_sweep(**grid, backend=backend)
+        rows = sweep.telemetry["workers"]
+        assert len(rows) == 2
+        assert all(len(row["worker_pids"]) == 1 for row in rows)
+        planned = len(plan_sweep_tasks(**grid))
+        assert sum(row["tasks_sent"] for row in rows) == planned
+        assert sum(row["acks"] for row in rows) == planned
+
     def test_serial_sweep_reports_no_worker_rows(self):
         """The inline transport has no framed connections: telemetry is
         present but its worker table is empty (and format_telemetry says

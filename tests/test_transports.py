@@ -533,6 +533,21 @@ class TestSocketTransportHygiene:
         run_sweep(**GRID, jobs=2, backend=socket_backend(socket_workers))
         _wait_for_no_transport_threads()
 
+    def test_restart_counter_counts_replacements_only(
+            self, tmp_path, spawn_socket_worker):
+        """A clean sweep counts nothing; one injected slot death counts
+        exactly one replacement, accumulated on the same transport."""
+        victim = plan_sweep_tasks(**GRID)[2]
+        proc, address = spawn_socket_worker(
+            extra_env={WORKER_FAULT_DIR_ENV: str(tmp_path)}, slots=2)
+        backend = socket_backend(f"{address}*2")
+        run_sweep(**GRID, backend=backend)
+        assert backend.worker_restarts == 0
+        (tmp_path / f"crash-run_seed-{victim.run_seed}").write_text("")
+        run_sweep(**GRID, backend=backend)
+        assert backend.worker_restarts == 1
+        assert proc.poll() is None
+
     def test_concurrent_restart_counts_lose_no_increment(self):
         """Regression for the unsynchronised ``restarts += 1``: many slot
         threads reporting peer deaths at once used to lose increments (a
@@ -700,6 +715,19 @@ class TestWindowedProtocol:
         assert repr(run_sweep(**self.WGRID, backend=backend).rows()) == \
             repr(serial.rows())
         assert backend.transport.peak_window == 1
+
+    def test_windowed_single_slot_worker_byte_identical(
+            self, socket_workers):
+        """Single-slot workers serve in-process; that handler honours
+        windows and batched ``tasks`` frames like the slot subprocesses."""
+        serial = run_sweep(**self.WGRID)
+        backend = ComposedBackend(
+            transport=SocketTransport(socket_workers, window=4, max_batch=4),
+            jobs=2)
+        sweep = run_sweep(**self.WGRID, backend=backend)
+        assert repr(sweep.rows()) == repr(serial.rows())
+        assert backend.transport.peak_window > 1
+        _wait_for_no_transport_threads()
 
     def test_mid_window_connection_kill_requeues_every_in_flight_frame(
             self, tmp_path, spawn_socket_worker):
