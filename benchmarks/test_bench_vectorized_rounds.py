@@ -6,14 +6,19 @@ generator fast loop resumes tens of thousands of generators per round
 while the vectorized engine computes the same rounds as a handful of
 array operations over the CSR arrays.
 
-Byte-identity is asserted first (outputs, per-node awake/message/round
-counters, ``awake_by_label`` — the engine contract), then the speedup:
-the ≥5× floor is part of the engine's acceptance criteria, measured
-best-of-N on both sides so a transient scheduler stall on a shared CI
-runner cannot fail it spuriously.  Both engines' throughput lands in the
-perf-trajectory file (``vectorized_luby_tasks_per_second`` /
+Byte-identity is asserted first (outputs, per-node awake/message/bit/
+round counters, ``awake_by_label`` — the engine contract), then the
+speedup: the ≥5× floor is part of the engine's acceptance criteria,
+measured best-of-N on both sides so a transient scheduler stall on a
+shared CI runner cannot fail it spuriously.  Both engines' throughput
+lands in the perf-trajectory file (``vectorized_luby_tasks_per_second`` /
 ``generator_luby_tasks_per_second``) and is gated by
 ``compare_bench.py`` against ``BENCH_seed.json``.
+
+The CONGEST-on rows time the engine as the paper experiments run it —
+with the harness's default bit limit, metered by the engine itself — for
+luby and rank_greedy (``congest_vectorized_luby_tasks_per_second`` /
+``congest_vectorized_rank_greedy_tasks_per_second``).
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import time
 
 from repro.algorithms.luby import luby_protocol
+from repro.algorithms.rank_greedy import rank_greedy_protocol
+from repro.experiments.harness import default_message_bit_limit
 from repro.experiments.tables import format_table
 from repro.graphs.generators import build_csr
 from repro.sim.runner import run_protocol
@@ -33,6 +40,9 @@ N_BY_SCALE = {"smoke": 20_000, "default": 20_000, "full": 30_000}
 #: for the speedup either way.
 RUNS_BY_SCALE = {"smoke": (2, 4), "default": (3, 5), "full": (3, 6)}
 
+#: Timed CONGEST-on vectorized repetitions per protocol, per scale.
+CONGEST_RUNS_BY_SCALE = {"smoke": 3, "default": 3, "full": 4}
+
 #: The asserted speedup floor (acceptance criterion of the engine).
 SPEEDUP_FLOOR = 5.0
 
@@ -43,12 +53,25 @@ def _summarize(result):
     """Every byte an engine is allowed to influence — i.e. none."""
     per_node = [
         (node.awake_rounds, node.messages_sent, node.messages_received,
-         node.terminated_round)
+         node.bits_sent, node.max_message_bits, node.terminated_round)
         for node in result.metrics.per_node
     ]
     return (result.outputs, per_node, result.awake_by_label,
             result.metrics.active_rounds, result.metrics.last_active_round,
-            result.metrics.bits_metered)
+            result.metrics.bits_metered, result.metrics.max_message_bits)
+
+
+def _time_congest_runs(csr, protocol, runs, bit_limit):
+    """Per-run seconds of *runs* CONGEST-on vectorized runs."""
+    times = []
+    for run in range(runs):
+        started = time.perf_counter()
+        result = run_protocol(csr, protocol, seed=run + 1,
+                              message_bit_limit=bit_limit)
+        times.append(time.perf_counter() - started)
+        assert result.engine == "vectorized"
+        assert result.metrics.max_message_bits <= bit_limit
+    return times
 
 
 def test_bench_vectorized_rounds(repro_scale, bench_record):
@@ -76,6 +99,13 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
         run_protocol(csr, luby_protocol, seed=run + 1, vectorized=True)
         vectorized_times.append(time.perf_counter() - started)
 
+    congest_runs = CONGEST_RUNS_BY_SCALE[repro_scale]
+    bit_limit = default_message_bit_limit(n)
+    congest_times = {
+        name: _time_congest_runs(csr, protocol, congest_runs, bit_limit)
+        for name, protocol in (("luby", luby_protocol),
+                               ("rank_greedy", rank_greedy_protocol))}
+
     generator_seconds = sum(generator_times)
     vectorized_seconds = sum(vectorized_times)
     generator_rate = generator_runs / max(generator_seconds, 1e-9)
@@ -92,9 +122,20 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
         {"engine": "speedup (best-of)", "best_s": round(speedup, 2),
          "tasks_per_s": ""},
     ]
+    congest_numbers = {}
+    for name, times in congest_times.items():
+        rate = congest_runs / max(sum(times), 1e-9)
+        rows.append({
+            "engine": f"vectorized {name}, CONGEST on (x{congest_runs})",
+            "best_s": round(min(times), 3),
+            "tasks_per_s": round(rate, 2)})
+        congest_numbers[f"congest_vectorized_{name}_seconds"] = round(
+            sum(times), 4)
+        congest_numbers[f"congest_vectorized_{name}_tasks_per_second"] = (
+            round(rate, 3))
     print()
-    print(format_table(rows, title=f"vectorized rounds, unmetered luby "
-                                   f"(gnp n={n}, m={csr.m})"))
+    print(format_table(rows,
+                       title=f"vectorized rounds (gnp n={n}, m={csr.m})"))
 
     bench_record(
         "vectorized_rounds",
@@ -108,6 +149,8 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
         generator_luby_tasks_per_second=round(generator_rate, 3),
         vectorized_luby_tasks_per_second=round(vectorized_rate, 3),
         speedup=round(speedup, 3),
+        congest_runs=congest_runs,
+        **congest_numbers,
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"vectorized engine only {speedup:.2f}x the generator fast loop "

@@ -22,9 +22,12 @@ experiments E1/E2 compare against.
 
 from __future__ import annotations
 
+import functools
+
 from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
 from repro.sim.actions import WakeCall
 from repro.sim.context import NodeContext
+from repro.sim.message import estimate_bits
 
 #: Priorities are drawn from [0, PRIORITY_SPACE); collisions simply cause the
 #: colliding nodes to skip one iteration, so correctness never depends on
@@ -33,6 +36,13 @@ PRIORITY_SPACE = 2**48
 
 #: Rounds per Luby iteration (priority exchange + MIS announcement).
 ROUNDS_PER_ITERATION = 2
+
+#: Tag of the round-1 priority message.
+PRIORITY_TAG = "priority"
+
+#: Raised (formatted with ``max_iterations``) when iterations run out.
+EXHAUSTED = ("Luby did not terminate within {} iterations "
+             "(this indicates a bug or an absurdly small max_iterations)")
 
 
 def luby_protocol(ctx: NodeContext):
@@ -53,12 +63,12 @@ def luby_protocol(ctx: NodeContext):
         # Round 1: exchange priorities with the still-undecided neighbours.
         inbox = yield WakeCall(
             round=base,
-            sends=[(port, ("priority", priority)) for port in ports],
+            sends=[(port, (PRIORITY_TAG, priority)) for port in ports],
         )
         neighbor_priorities = [
             payload[1]
             for _, payload in inbox
-            if isinstance(payload, tuple) and payload[0] == "priority"
+            if isinstance(payload, tuple) and payload[0] == PRIORITY_TAG
         ]
         is_local_minimum = all(priority < other for other in neighbor_priorities)
 
@@ -83,56 +93,73 @@ def luby_protocol(ctx: NodeContext):
                 detail={"iterations": iteration + 1},
             )
 
-    raise RuntimeError(
-        f"Luby did not terminate within {max_iterations} iterations "
-        "(this indicates a bug or an absurdly small max_iterations)"
-    )
+    raise RuntimeError(EXHAUSTED.format(max_iterations))
 
 
-def luby_vectorized(run):
-    """Whole-round numpy twin of :func:`luby_protocol`.
+def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
+                             exhausted):
+    """Whole-round numpy twin of the two-round local-minimum protocols.
 
-    Byte-identity with the generator above is a hard contract (pinned by
-    ``tests/test_vectorized.py``): one ``randrange`` per undecided node per
-    iteration in ascending index order, the same message counts (round 1
-    sends on every port, round 2 only winners send, a message is received
-    only by awake — i.e. undecided — neighbours), the same termination
-    rounds, the same :class:`MISDecision` payloads, and the same
-    ``RuntimeError`` when ``max_iterations`` runs out.
+    One engine serves :func:`luby_protocol` and
+    :func:`~repro.algorithms.rank_greedy.rank_greedy_protocol`, which
+    differ only in the message ``tag``, the ``value_space`` values are
+    drawn from, whether values are redrawn every iteration (``redraw``,
+    Luby) or drawn once up front (rank greedy), the optional ``value_key``
+    under which the drawn value also lands in each decision's ``detail``,
+    and the ``exhausted`` message template (``{}`` is ``max_iterations``).
+
+    Byte-identity with the generators is a hard contract (pinned by
+    ``tests/test_vectorized.py``): one ``randrange`` per node per draw in
+    ascending index order, the same message counts (round 1 sends
+    ``(tag, value)`` on every port, round 2 only winners send ``IN_MIS``,
+    a message is received only by awake — i.e. undecided — neighbours),
+    the same bit counts on metered runs (``estimate_bits`` of those real
+    payloads), the same termination rounds, the same :class:`MISDecision`
+    payloads, and the same ``RuntimeError`` when ``max_iterations`` runs
+    out.
     """
     np = run.np
     max_iterations = run.inputs.get("max_iterations", 4096)
     undecided = np.ones(run.n, dtype=bool)
     labels = run.labels
     draw = [rng.randrange for rng in run.rngs]
-    # Decided nodes read as +inf in the priority array so a strict local
+    # Decided nodes read as +inf in the value array so a strict local
     # minimum among *undecided* neighbours is just a strict minimum over
-    # all neighbours (any real priority is < INF, and empty rows win).
+    # all neighbours (any real value is < INF, and empty rows win).
     INF = np.int64(1) << 62
+    values = np.full(run.n, INF, dtype=np.int64)
+    if not redraw:
+        values[:] = [d(value_space) for d in draw]
+    in_mis_bits = estimate_bits(IN_MIS)
+
+    def value_payload(index):
+        return (tag, int(values[index]))
 
     for iteration in range(max_iterations):
         idx = np.flatnonzero(undecided)
         if idx.size == 0:
             return
         base = ROUNDS_PER_ITERATION * iteration
+        if redraw:
+            values[idx] = [draw[i](value_space) for i in idx.tolist()]
+        bits = ([estimate_bits((tag, value)) for value in values[idx].tolist()]
+                if run.metered else None)
 
-        priorities = np.full(run.n, INF, dtype=np.int64)
-        priorities[idx] = [draw[i](PRIORITY_SPACE) for i in idx.tolist()]
-
-        # Round 1: every undecided node is awake, sends its priority on
+        # Round 1: every undecided node is awake, sends its value on
         # every port, and receives one message per undecided neighbour.
         run.begin_round(base)
         run.record_awake(idx)
-        run.messages_sent[idx] += run.degrees[idx]
+        run.record_sends(idx, bits, base, value_payload)
         run.messages_received[idx] += run.row_count(undecided)[idx]
-        winners = undecided & (priorities < run.row_min(priorities, empty=INF))
+        winners = undecided & (values < run.row_min(values, empty=INF))
 
         # Round 2: winners announce on every port; every undecided node is
         # awake and hears one message per winning neighbour (0 for winners
         # themselves — no two adjacent strict local minima exist).
         run.begin_round(base + 1)
         run.record_awake(idx)
-        run.messages_sent[winners] += run.degrees[winners]
+        run.record_sends(np.flatnonzero(winners), in_mis_bits, base + 1,
+                         lambda index: IN_MIS)
         winning = run.row_count(winners)
         run.messages_received[idx] += winning[idx]
 
@@ -141,21 +168,23 @@ def luby_vectorized(run):
         if decided_idx.size:
             run.terminated_round[decided_idx] = base + 1
             outputs = run.outputs
-            for i, won in zip(decided_idx.tolist(),
-                              winners[decided_idx].tolist()):
+            for i, won, value in zip(decided_idx.tolist(),
+                                     winners[decided_idx].tolist(),
+                                     values[decided_idx].tolist()):
+                detail = {"iterations": iteration + 1}
+                if value_key is not None:
+                    detail[value_key] = value
                 outputs[labels[i]] = MISDecision(
-                    in_mis=won,
-                    decided_round=base + 1,
-                    detail={"iterations": iteration + 1},
-                )
+                    in_mis=won, decided_round=base + 1, detail=detail)
             undecided[decided_idx] = False
+            values[decided_idx] = INF
 
-    raise RuntimeError(
-        f"Luby did not terminate within {max_iterations} iterations "
-        "(this indicates a bug or an absurdly small max_iterations)"
-    )
+    if undecided.any():
+        raise RuntimeError(exhausted.format(max_iterations))
 
 
 #: Opt the generator protocol into the vectorized engine (see
 #: ``repro.sim.vectorized``); the simulator discovers this attribute.
-luby_protocol.vectorized_engine = luby_vectorized
+luby_protocol.vectorized_engine = functools.partial(
+    local_minimum_vectorized, tag=PRIORITY_TAG, value_space=PRIORITY_SPACE,
+    redraw=True, value_key=None, exhausted=EXHAUSTED)

@@ -17,12 +17,21 @@ Luby, but with the LFMIS output.
 
 from __future__ import annotations
 
+import functools
+
 from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
+from repro.algorithms.luby import local_minimum_vectorized
 from repro.sim.actions import WakeCall
 from repro.sim.context import NodeContext
 
 #: Ranks are drawn from this space once per run.
 RANK_SPACE = 2**48
+
+#: Tag of the round-1 rank message.
+RANK_TAG = "rank"
+
+#: Raised (formatted with ``max_iterations``) when iterations run out.
+EXHAUSTED = "rank-greedy did not terminate within {} iterations"
 
 
 def rank_greedy_protocol(ctx: NodeContext):
@@ -38,12 +47,12 @@ def rank_greedy_protocol(ctx: NodeContext):
         # Round 1: exchange (rank, state) with undecided neighbours.
         inbox = yield WakeCall(
             round=base,
-            sends=[(port, ("rank", rank)) for port in ports],
+            sends=[(port, (RANK_TAG, rank)) for port in ports],
         )
         neighbor_ranks = [
             payload[1]
             for _, payload in inbox
-            if isinstance(payload, tuple) and payload[0] == "rank"
+            if isinstance(payload, tuple) and payload[0] == RANK_TAG
         ]
         wins = all(rank < other for other in neighbor_ranks)
 
@@ -58,6 +67,11 @@ def rank_greedy_protocol(ctx: NodeContext):
             return MISDecision(in_mis=False, decided_round=base + 1,
                                detail={"iterations": iteration + 1, "rank": rank})
 
-    raise RuntimeError(
-        f"rank-greedy did not terminate within {max_iterations} iterations"
-    )
+    raise RuntimeError(EXHAUSTED.format(max_iterations))
+
+
+#: Opt into the vectorized engine Luby uses: ranks are drawn once, one
+#: ``randrange(RANK_SPACE)`` per node in index order, like the generators.
+rank_greedy_protocol.vectorized_engine = functools.partial(
+    local_minimum_vectorized, tag=RANK_TAG, value_space=RANK_SPACE,
+    redraw=False, value_key="rank", exhausted=EXHAUSTED)

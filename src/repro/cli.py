@@ -176,14 +176,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser(
         "run", help="run one algorithm on one graph",
-        epilog="Engines: runs enforce CONGEST metering by default (the "
-               "simulator's generator loop estimates every message's "
-               "size).  Programmatic callers that pass "
-               "enforce_congest=False skip the estimate, and — "
-               "for algorithms with a vectorized twin (luby) — get the numpy "
-               "whole-round engine over the CSR arrays.  Engine choice "
-               "never changes outputs or awake/round/message counts, only "
-               "wall-clock time.")
+        epilog="Engines: runs enforce CONGEST metering by default (every "
+               "message's size is estimated and checked).  Algorithms "
+               "with a vectorized twin (luby, rank_greedy) run on the "
+               "numpy whole-round engine over the CSR arrays, which "
+               "meters CONGEST itself; the rest take the simulator's "
+               "generator loop.  Programmatic callers that pass "
+               "enforce_congest=False skip the estimate.  Engine choice "
+               "never changes outputs or awake/round/message/bit counts, "
+               "only wall-clock time.")
     run_parser.add_argument("--algorithm", default="awake_mis",
                             choices=available_algorithms())
     run_parser.add_argument("--family", default="gnp",

@@ -195,10 +195,11 @@ def _run_rank_greedy(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
     return run_protocol(
         graph,
         rank_greedy_protocol,
-        inputs={},
+        inputs={"max_iterations": params.get("max_iterations", 4096)},
         seed=seed,
         message_bit_limit=params.get("message_bit_limit"),
         trace=params.get("trace", False),
+        vectorized=params.get("vectorized"),
     )
 
 
@@ -285,12 +286,13 @@ def run_mis(
     enforce_congest:
         When True (default) the simulator enforces the CONGEST message-size
         budget of :func:`default_message_bit_limit`, estimating every
-        message's size.  Passing False lifts the bit limit: the generator
-        loop then skips the estimate (``max_message_bits`` reads ``None``),
-        and algorithms that opt in (``luby``) may take the numpy
-        whole-round engine (select with the ``vectorized`` parameter,
-        tri-state as in :func:`repro.sim.runner.run_protocol`).  Neither
-        choice changes outputs or awake/round/message counts, only
+        message's size.  Passing False lifts the bit limit: sizes are then
+        never estimated (``max_message_bits`` reads ``None``).  Either way,
+        algorithms that opt in (``luby``, ``rank_greedy``) take the numpy
+        whole-round engine, which meters CONGEST itself (select with the
+        ``vectorized`` parameter, tri-state as in
+        :func:`repro.sim.runner.run_protocol`).  Engine choice never
+        changes outputs, awake/round/message counts or bit counts, only
         wall-clock.
     keep_raw:
         When True the full :class:`repro.sim.runner.RunResult` (including the

@@ -32,23 +32,27 @@ wall-clock time, never bytes:
    shared-memory segment for CSR-backed graphs), reuses one inbox buffer
    per node across rounds, and meters only when asked: with a
    ``message_bit_limit`` or ``trace=True`` every message's size is
-   estimated with :func:`~repro.sim.message.estimate_bits`, checked
-   against the limit and counted, and the trace hook records awake sets
-   and message events.  Otherwise sizes are never estimated: the
-   aggregate ``max_message_bits`` then reads ``None`` ("not measured")
-   and per-node bit counters stay 0.  Note that
+   estimated with :func:`~repro.sim.message.estimate_bits` (once per run
+   of consecutive sends carrying the same object, as broadcasts do),
+   checked against the limit and counted, and the trace hook records
+   awake sets and message events.  Otherwise sizes are never estimated:
+   the aggregate ``max_message_bits`` then reads ``None`` ("not
+   measured") and per-node bit counters stay 0.  Note that
    :func:`repro.experiments.harness.run_mis` enforces CONGEST by default,
    so sweeps meter unless ``enforce_congest=False``.
 2. The **vectorized engine** (:mod:`repro.sim.vectorized`) computes whole
    rounds as numpy array operations over the same flat arrays, for
    protocols whose rounds are dense (every undecided node awake every
    iteration, Luby-style).  A protocol opts in by exposing a
-   ``vectorized_engine`` attribute on its factory (``luby`` does); the
-   engine engages only on unmetered runs (no trace, no bit limit),
-   falling back to the generator loop otherwise.  Priorities are drawn
+   ``vectorized_engine`` attribute on its factory (``luby`` and
+   ``rank_greedy`` do); the engine engages whenever tracing is off,
+   CONGEST-metered runs included (it meters message sizes itself, with
+   the same per-message limit check and per-node bit counters), and
+   falls back to the generator loop under tracing.  Priorities are drawn
    from the same per-node ``spawn_rng`` streams in the same per-node
    order, so the run is bit-for-bit identical to the generator loop
-   (pinned by ``tests/test_runner_semantics.py``).  Pass
+   (pinned by ``tests/test_runner_semantics.py``).
+   :attr:`RunResult.engine` names the engine that ran.  Pass
    ``vectorized=False`` to pin the generator loop, ``vectorized=True`` to
    require the engine (a configuration that cannot use it then raises).
 
@@ -82,6 +86,9 @@ from repro.sim.trace import MessageEvent, Trace
 #: node's generator.
 ProtocolFactory = Callable[[NodeContext], Generator[WakeCall, List[Receive], Any]]
 
+#: Sentinel "previous payload" no real send can be identical to.
+_NO_PAYLOAD = object()
+
 
 # --------------------------------------------------------------------------- #
 # Safety-valve / coverage errors shared by both round engines.  A
@@ -100,6 +107,16 @@ def awake_budget_error(label: Any, max_awake_per_node: int) -> SimulationError:
     """The per-node awake valve: one node stayed awake too long."""
     return SimulationError(
         f"node {label} exceeded {max_awake_per_node} awake rounds"
+    )
+
+
+def message_too_large_error(label: Any, bits: int, bit_limit: int,
+                            round_index: int,
+                            payload: Any) -> MessageTooLargeError:
+    """The CONGEST check: one message exceeded the bit limit."""
+    return MessageTooLargeError(
+        f"node {label} sent a {bits}-bit message (limit {bit_limit}) in "
+        f"round {round_index}: {payload!r}"
     )
 
 
@@ -122,6 +139,9 @@ class RunResult:
     awake_by_label: Dict[Any, int] = field(default_factory=dict)
     #: Optional trace (present only when tracing was enabled).
     trace: Optional[Trace] = None
+    #: The round engine that ran: ``"generator"`` or ``"vectorized"``.
+    #: Diagnostic only; never compared, and never written to records.
+    engine: str = field(default="generator", compare=False)
 
     def output_set(self, predicate: Callable[[Any], bool] = bool) -> set:
         """Return the labels whose output satisfies *predicate*.
@@ -159,7 +179,7 @@ class Simulator:
     vectorized:
         Engine selection for protocols that expose a ``vectorized_engine``
         hook: ``None`` (default) engages the numpy whole-round engine
-        whenever the run is unmetered (no trace, no bit limit); ``False``
+        whenever tracing is off (bit limits included); ``False``
         pins the generator loop; ``True``
         requires the vectorized engine and raises
         :class:`~repro.errors.ConfigurationError` when it cannot run.
@@ -268,11 +288,10 @@ class Simulator:
         """Return the protocol's vectorized engine when it should engage.
 
         The engine engages only when the protocol opts in (a
-        ``vectorized_engine`` hook on the factory), the run is unmetered
-        (no trace, no bit limit), and the caller did not pin
-        ``vectorized=False``.  ``vectorized=True`` turns every reason
-        *not* to engage into a :class:`ConfigurationError` instead of a
-        silent fallback.
+        ``vectorized_engine`` hook on the factory), tracing is off, and
+        the caller did not pin ``vectorized=False``.  ``vectorized=True``
+        turns every reason *not* to engage into a
+        :class:`ConfigurationError` instead of a silent fallback.
         """
         if self._vectorized is False:
             return None
@@ -282,8 +301,6 @@ class Simulator:
             blocker = "the protocol exposes no vectorized_engine hook"
         elif self._trace_enabled:
             blocker = "tracing is enabled"
-        elif self._message_bit_limit is not None:
-            blocker = "a message bit limit is set (CONGEST metering)"
         if blocker is None:
             return hook
         if self._vectorized is True:
@@ -304,6 +321,7 @@ class Simulator:
             local_inputs=local_inputs,
             max_active_rounds=self._max_active_rounds,
             max_awake_per_node=self._max_awake_per_node,
+            message_bit_limit=self._message_bit_limit,
         )
         engine(state)
         return state.to_result()
@@ -323,8 +341,10 @@ class Simulator:
         each node's inbox buffer is reused across rounds (cleared when the
         node next wakes).  Sizes are estimated, checked against the bit
         limit and counted only when the run is metered (a bit limit or a
-        trace is set); *trace*, when given, records every awake set and
-        message event.
+        trace is set); a send repeating the previous send's payload
+        *object* reuses its estimate (identity, never equality: ``True ==
+        1`` but they cost 1 and 2 bits).  *trace*, when given, records
+        every awake set and message event.
         """
         network = self._network
         offsets, flat_neighbors, flat_arrivals = network.csr_tables()
@@ -356,16 +376,17 @@ class Simulator:
                 if node_metrics.awake_rounds > max_awake:
                     raise awake_budget_error(label_of(index), max_awake)
                 base = offsets[index]
+                last_payload = _NO_PAYLOAD
                 for port, payload in call.sends:
                     node_metrics.messages_sent += 1
                     if metered:
-                        bits = estimate_bits(payload)
+                        if payload is not last_payload:
+                            bits = estimate_bits(payload)
+                            last_payload = payload
                         if bit_limit is not None and bits > bit_limit:
-                            raise MessageTooLargeError(
-                                f"node {label_of(index)} sent a {bits}-bit "
-                                f"message (limit {bit_limit}) in round "
-                                f"{current_round}: {payload!r}"
-                            )
+                            raise message_too_large_error(
+                                label_of(index), bits, bit_limit,
+                                current_round, payload)
                         node_metrics.bits_sent += bits
                         if bits > node_metrics.max_message_bits:
                             node_metrics.max_message_bits = bits

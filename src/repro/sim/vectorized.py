@@ -10,14 +10,19 @@ A protocol opts in by exposing a ``vectorized_engine`` attribute on its
 factory (see ``repro.algorithms.luby``): a callable receiving one
 :class:`VectorizedRun` — the network's flat arrays as numpy views, the
 per-node RNG streams, per-node metric arrays, and the same safety valves
-the generator loop enforces.  The engine engages only when tracing is off
-and no bit limit is set; metered runs take the generator loop.
+the generator loop enforces.  The engine engages whenever tracing is off,
+CONGEST-metered runs included: it meters message sizes itself
+(:meth:`VectorizedRun.record_sends`), with the generator loop's
+``estimate_bits`` on each sender's real payload and the same
+per-message limit check.
 
 Byte-identity contract (pinned by ``tests/test_runner_semantics.py`` and
 ``tests/test_vectorized.py``): outputs, awake/round/message counts,
-``awake_by_label``, termination rounds and error messages are identical to
-the generator loop.  In particular engines must draw from the *same*
-per-node ``spawn_rng`` streams the generator path would — the streams are
+per-node bit counters, ``awake_by_label``, termination rounds and error
+messages (safety valves and ``MessageTooLargeError`` alike, in the same
+precedence) are identical to the generator loop.  In particular engines
+must draw from the *same* per-node ``spawn_rng`` streams the generator
+path would — the streams are
 spawned here in index order, exactly like ``Simulator.run`` does — and
 consume the same number of draws per node, so a run is bit-for-bit
 reproducible across both engines.
@@ -43,9 +48,10 @@ class VectorizedRun:
     network's routing arrays — shared-memory segments included), one
     private RNG per node (spawned in index order, exactly like the
     generator path), and the per-node metric arrays the engine fills in.
-    Engines record rounds through :meth:`begin_round` /
-    :meth:`record_awake` so the livelock and awake-budget safety valves
-    fire with the same messages as the generator loop.
+    Engines record every round through :meth:`begin_round`,
+    :meth:`record_awake` and :meth:`record_sends` (in that order), so the
+    livelock, awake-budget and CONGEST checks fire with the same messages,
+    in the same precedence, as the generator loop.
     """
 
     def __init__(
@@ -56,6 +62,7 @@ class VectorizedRun:
         local_inputs: Dict[Any, Any],
         max_active_rounds: int,
         max_awake_per_node: int,
+        message_bit_limit: Optional[int] = None,
     ) -> None:
         self.np = np
         self.network = network
@@ -83,6 +90,13 @@ class VectorizedRun:
         self.messages_sent = np.zeros(self.n, dtype=np.int64)
         self.messages_received = np.zeros(self.n, dtype=np.int64)
         self.terminated_round = np.full(self.n, _NEVER, dtype=np.int64)
+        #: Message sizes are estimated only on metered runs (a bit limit is
+        #: set), exactly like the generator loop; otherwise the bit arrays
+        #: stay 0 and ``max_message_bits`` reads "not measured".
+        self.message_bit_limit = message_bit_limit
+        self.metered = message_bit_limit is not None
+        self.bits_sent = np.zeros(self.n, dtype=np.int64)
+        self.max_message_bits = np.zeros(self.n, dtype=np.int64)
         #: Graph label -> protocol return value, inserted in termination
         #: order (round order, then index order within a round) — the same
         #: insertion order the generator engines produce.
@@ -91,6 +105,10 @@ class VectorizedRun:
         self.last_active_round: Optional[int] = None
         self._max_active_rounds = max_active_rounds
         self._max_awake_per_node = max_awake_per_node
+        #: Lowest index that tripped the awake valve this round, raised by
+        #: :meth:`record_sends` once it knows whether a lower-index sender
+        #: tripped the bit limit first.
+        self._awake_offender: Optional[int] = None
 
     # -- round bookkeeping + safety valves ------------------------------
 
@@ -106,18 +124,59 @@ class VectorizedRun:
     def record_awake(self, indices) -> None:
         """Count one awake round for *indices* (ascending simulator order).
 
-        The awake-budget valve raises for the lowest offending index —
-        the same node the per-node loops (which iterate ascending) name.
+        The awake-budget valve names the lowest offending index — the node
+        the per-node loop (which iterates ascending) names.  It fires in
+        the round's :meth:`record_sends`, because the loop checks node
+        *i*'s awake budget, then its sends, before node *i + 1*: a
+        lower-index oversize sender wins.
         """
-        from repro.sim.runner import awake_budget_error
-
         updated = self.awake_rounds[indices] + 1
         self.awake_rounds[indices] = updated
         over = updated > self._max_awake_per_node
         if over.any():
-            offender = int(indices[int(np.argmax(over))])
+            self._awake_offender = int(indices[int(np.argmax(over))])
+
+    def record_sends(self, senders, bits, round_index: int,
+                     payload_of) -> None:
+        """Count one message on every port of each node in *senders*.
+
+        *senders* is ascending; *bits* is each sender's estimated message
+        size (a scalar when all send the same payload), read only on
+        metered runs; ``payload_of(index)`` rebuilds a sender's payload for
+        the error message.  Degree-0 senders send nothing and are skipped.
+        Raises the generator loop's :class:`MessageTooLargeError` for the
+        first oversize sender in index order, after any awake-valve
+        offender at or below it.  Engines call this once per round, after
+        :meth:`record_awake`.
+        """
+        from repro.sim.runner import (
+            awake_budget_error,
+            message_too_large_error,
+        )
+
+        sending = self.degrees[senders] > 0
+        senders = senders[sending]
+        degrees = self.degrees[senders]
+        self.messages_sent[senders] += degrees
+        oversize = None
+        if self.metered:
+            sizes = np.broadcast_to(np.asarray(bits, dtype=np.int64),
+                                    sending.shape)[sending]
+            self.bits_sent[senders] += degrees * sizes
+            self.max_message_bits[senders] = np.maximum(
+                self.max_message_bits[senders], sizes)
+            over = sizes > self.message_bit_limit
+            if over.any():
+                first = int(np.argmax(over))
+                oversize = int(senders[first])
+        offender = self._awake_offender
+        if offender is not None and (oversize is None or offender <= oversize):
             raise awake_budget_error(self.labels[offender],
                                      self._max_awake_per_node)
+        if oversize is not None:
+            raise message_too_large_error(
+                self.labels[oversize], int(sizes[first]),
+                self.message_bit_limit, round_index, payload_of(oversize))
 
     # -- whole-round array primitives -----------------------------------
 
@@ -154,23 +213,26 @@ class VectorizedRun:
 
         labels = self.labels
         awake = self.awake_rounds.tolist()
-        sent = self.messages_sent.tolist()
-        received = self.messages_received.tolist()
-        terminated = self.terminated_round.tolist()
         per_node: List[NodeMetrics] = [
             NodeMetrics(
                 awake_rounds=a,
                 messages_sent=s,
                 messages_received=r,
+                bits_sent=b,
+                max_message_bits=m,
                 terminated_round=(None if t == _NEVER else t),
             )
-            for a, s, r, t in zip(awake, sent, received, terminated)
+            for a, s, r, b, m, t in zip(
+                awake, self.messages_sent.tolist(),
+                self.messages_received.tolist(), self.bits_sent.tolist(),
+                self.max_message_bits.tolist(),
+                self.terminated_round.tolist())
         ]
         metrics = RunMetrics(
             per_node=per_node,
             last_active_round=self.last_active_round,
             active_rounds=self.active_rounds,
-            bits_metered=False,
+            bits_metered=self.metered,
         )
         awake_by_label = dict(zip(labels, awake))
         missing = [label for label in labels if label not in self.outputs]
@@ -181,6 +243,7 @@ class VectorizedRun:
             metrics=metrics,
             awake_by_label=awake_by_label,
             trace=None,
+            engine="vectorized",
         )
 
 

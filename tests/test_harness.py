@@ -79,3 +79,24 @@ class TestRunMIS:
             result = run_mis(small_gnp, algorithm=algorithm, seed=5,
                              enforce_congest=True)
             assert result.verified
+
+    @pytest.mark.parametrize("algorithm", ["luby", "rank_greedy"])
+    @pytest.mark.parametrize("vectorized, engine", [
+        (None, "vectorized"), (True, "vectorized"), (False, "generator")])
+    def test_vectorized_is_forwarded(self, small_gnp, algorithm, vectorized,
+                                     engine):
+        result = run_mis(small_gnp, algorithm=algorithm, seed=3,
+                         keep_raw=True, vectorized=vectorized)
+        assert result.raw.engine == engine
+        assert result.metrics.max_message_bits is not None  # CONGEST on
+
+    @pytest.mark.parametrize("algorithm, text", [
+        ("luby", "Luby did not terminate within 1 iterations"),
+        ("rank_greedy", "rank-greedy did not terminate within 1 iterations"),
+    ])
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_max_iterations_is_forwarded(self, algorithm, text, vectorized):
+        graph = generators.gnp_graph(36, expected_degree=5, seed=4)
+        with pytest.raises(RuntimeError, match=text):
+            run_mis(graph, algorithm=algorithm, seed=2, max_iterations=1,
+                    vectorized=vectorized)

@@ -2,7 +2,8 @@
 
 The simulator has two round engines — the generator loop, which meters
 message sizes when a bit limit or a trace is set, and the numpy
-whole-round engine for protocols that opt in (``luby``).  These tests pin
+whole-round engine for protocols that opt in (``luby``, ``rank_greedy``;
+it meters bit limits itself).  These tests pin
 the model semantics of paper Section 1.3 on every configuration: messages
 to sleeping nodes are lost, the bit budget fires exactly at the limit,
 protocol violations (non-increasing rounds, out-of-range ports) are
@@ -214,10 +215,10 @@ class TestOutputsCoverage:
 
 
 class TestPathEquivalence:
-    #: Three runs of one generator loop: CONGEST-metered, unmetered (the
-    #: vectorized engine pinned off) and traced.
+    #: Three runs of one generator loop (the vectorized engine pinned off
+    #: where it could engage): CONGEST-metered, unmetered and traced.
     RUNS = {
-        "metered": {"enforce_congest": True},
+        "metered": {"enforce_congest": True, "vectorized": False},
         "unmetered": {"enforce_congest": False, "vectorized": False},
         "traced": {"enforce_congest": False, "trace": True},
     }

@@ -188,6 +188,25 @@ class TestEnforcement:
         with pytest.raises(MessageTooLargeError):
             run_protocol(graph, protocol, seed=1, message_bit_limit=64)
 
+    def test_repeated_payload_estimate_keys_on_identity(self):
+        """A send repeating the previous payload object reuses its size; an
+        equal but different object is estimated afresh (``True == 1``, but
+        they cost 1 and 2 bits)."""
+        graph = generators.star_graph(5)  # a hub with four ports
+        shared = ("tag", 2**40)
+
+        def protocol(ctx):
+            if ctx.degree == 4:
+                yield WakeCall(round=0, sends=[(0, True), (1, 1),
+                                               (2, shared), (3, shared)])
+            return True
+
+        result = run_protocol(graph, protocol, seed=1,
+                              message_bit_limit=1000)
+        hub = max(result.metrics.per_node, key=lambda node: node.bits_sent)
+        assert hub.bits_sent == 1 + 2 + 2 * estimate_bits(shared)
+        assert hub.max_message_bits == estimate_bits(shared)
+
     def test_non_increasing_round_rejected(self):
         graph = generators.path_graph(2)
 
