@@ -19,6 +19,10 @@ The CONGEST-on rows time the engine as the paper experiments run it —
 with the harness's default bit limit, metered by the engine itself — for
 luby and rank_greedy (``congest_vectorized_luby_tasks_per_second`` /
 ``congest_vectorized_rank_greedy_tasks_per_second``).
+
+The graph itself is built inside a timed key too: ``graph_build_seconds``
+is one ``build_csr`` of the gnp graph (numpy edge arrays straight into
+CSR) and ``generate_us_per_edge`` the same time per generated edge.
 """
 
 from __future__ import annotations
@@ -77,7 +81,9 @@ def _time_congest_runs(csr, protocol, runs, bit_limit):
 def test_bench_vectorized_rounds(repro_scale, bench_record):
     n = N_BY_SCALE[repro_scale]
     generator_runs, vectorized_runs = RUNS_BY_SCALE[repro_scale]
+    started = time.perf_counter()
     csr = build_csr("gnp", n, seed=GRAPH_SEED)
+    graph_build_seconds = time.perf_counter() - started
 
     # Warm both engines (numpy import, allocator, code caches) and pin the
     # byte-identity contract on this exact workload before timing anything.
@@ -113,6 +119,8 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
     speedup = min(generator_times) / max(min(vectorized_times), 1e-9)
 
     rows = [
+        {"engine": "graph build (build_csr, x1)",
+         "best_s": round(graph_build_seconds, 3), "tasks_per_s": ""},
         {"engine": f"generator fast loop (x{generator_runs})",
          "best_s": round(min(generator_times), 3),
          "tasks_per_s": round(generator_rate, 2)},
@@ -142,6 +150,9 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
         scale=repro_scale,
         n=n,
         edges=csr.m,
+        graph_build_seconds=round(graph_build_seconds, 4),
+        generate_us_per_edge=round(1e6 * graph_build_seconds / max(csr.m, 1),
+                                   4),
         generator_runs=generator_runs,
         vectorized_runs=vectorized_runs,
         generator_luby_seconds=round(generator_seconds, 4),

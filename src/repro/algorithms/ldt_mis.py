@@ -31,6 +31,7 @@ import networkx as nx
 from repro.algorithms.common import IN_MIS, MISDecision
 from repro.algorithms.vt_mis import vt_mis_core
 from repro.core.virtual_tree import communication_set  # noqa: F401  (re-export convenience)
+from repro.graphs.properties import component_sizes
 from repro.ldt.construct import construction_rounds, ldt_construct
 from repro.ldt.procedures import broadcast_chunks, ldt_ranking
 from repro.ldt.schedule import block_length
@@ -190,8 +191,7 @@ def run_ldt_mis(graph: nx.Graph, seed: SeedLike = None,
     """Run standalone LDT-MIS on *graph* (used by the harness and tests)."""
     n = graph.number_of_nodes()
     if n_bound is None:
-        components = list(nx.connected_components(graph)) if n else []
-        n_bound = max((len(c) for c in components), default=1)
+        n_bound = max(component_sizes(graph), default=1)
     if id_space is None:
         id_space = max(16, (n + 2) ** 3)
     rng = make_rng(seed)

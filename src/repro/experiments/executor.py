@@ -17,8 +17,10 @@ Design invariants
   arbitrary: parallel results are cell-for-cell identical to serial ones.
 * **Workers regenerate graphs locally.**  A task carries ``(family, n,
   graph_seed)`` instead of a graph object; the worker rebuilds the graph
-  from the deterministic generator registry, so nothing graph-sized ever
-  crosses a process boundary in either direction.
+  from the deterministic generator registry as flat CSR arrays
+  (:func:`repro.graphs.generators.build_csr`), so nothing graph-sized ever
+  crosses a process boundary in either direction, and serial, pool and
+  slot processes all simulate on the same zero-copy ``CSRNetwork``.
 * **Results ship compact.**  Workers run :func:`repro.experiments.harness
   .run_mis` with ``collect_raw=False`` so each result carries scalar
   :class:`~repro.sim.metrics.CompactRunMetrics` rather than per-node
@@ -57,7 +59,9 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
 
 from repro.errors import ConfigurationError, UnknownFamilyError
 from repro.experiments.harness import MISRunResult, run_mis
-from repro.graphs.generators import by_name
+# by_name stays importable from here: perfbench/spans.py wraps
+# ``executor.by_name`` when it traces a run.
+from repro.graphs.generators import build_csr, by_name  # noqa: F401
 from repro.rng import SeedLike, make_rng
 
 #: Upper bound for derived seeds (matches the serial sweep's historical
@@ -205,7 +209,10 @@ class _GraphCache:
     consecutive tasks in a worker's chunk usually share ``(family, n,
     graph_seed)``; caching avoids regenerating the graph once per
     algorithm.  Generators are deterministic, so cached and regenerated
-    graphs are identical.
+    graphs are identical.  Every entry is a read-only
+    :class:`repro.graphs.csr.CSRGraphView`: a miss builds the CSR arrays
+    with :func:`repro.graphs.generators.build_csr` (or attaches a shared
+    segment holding the same arrays), never a networkx graph.
 
     Cache contract — **cached graphs are read-only**.  Every consumer of
     :func:`run_task` may receive the same graph object as every other
@@ -262,7 +269,7 @@ class _GraphCache:
         graph = source(family, n, graph_seed) if source is not None else None
         shared = graph is not None
         if graph is None:
-            graph = by_name(family, n, seed=graph_seed)
+            graph = build_csr(family, n, seed=graph_seed).view()
         with self._lock:
             self._misses += 1
             if shared:

@@ -16,6 +16,12 @@ arrays:
   port numbering, so simulations over either representation are
   byte-identical.
 
+Every CSR graph is built by :meth:`CSRGraph.from_edges` from a flat edge
+list: the ``gnp`` and ``rgg`` families generate their edge arrays in numpy
+and land here directly (:func:`repro.graphs.generators.build_csr`), while
+:meth:`CSRGraph.from_graph` reads a networkx graph's edges once and hands
+them over.
+
 The arrays serialise into one contiguous buffer (``pack_into`` /
 ``from_buffer``) with a small header, which is what the worker's
 ``multiprocessing.shared_memory`` graph cache maps read-only into every
@@ -31,16 +37,13 @@ can flow through ``run_mis`` unchanged.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Collection, Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-
-try:  # optional: every numpy path below has a pure-Python fallback
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _numpy = None
 
 #: First header word of every serialised CSR buffer ("CSRG"); attaching a
 #: shared-memory segment that does not start with it fails loudly instead
@@ -68,7 +71,6 @@ def _np_int64_view(words: memoryview, writable: bool = False) -> Any:
     views are marked unwriteable so a caller cannot mutate a shared CSR
     buffer through them by accident.
     """
-    np = _numpy
     if len(words) == 0:
         return np.empty(0, dtype=np.int64)
     view = memoryview(words)
@@ -111,86 +113,86 @@ class CSRGraph:
     # -- construction ---------------------------------------------------
 
     @classmethod
+    def from_edges(cls, n: int, u: Any, v: Any,
+                   labels: Any = None) -> "CSRGraph":
+        """Build CSR arrays for *n* rows from an undirected edge list.
+
+        *u* and *v* are equal-length integer sequences of row indices
+        listing every undirected edge exactly once, in either orientation;
+        *labels* names the rows (default ``0 .. n-1``).  Both orientations
+        are sorted by ``(source, destination)`` so every row's neighbours
+        come out ascending; offsets are one ``bincount`` + ``cumsum``.  The
+        arrival-port table — the port on which each directed edge
+        ``u -> v`` is received, i.e. the rank of ``u`` within ``v``'s row —
+        comes from one lexsort: sorting edge ids by ``(destination,
+        source)`` lists the reversed edges in CSR order, so an edge's
+        arrival port is its sorted position minus its destination's row
+        start.  The result matches ``Network``'s own counting pass exactly
+        (pinned by ``tests/test_csr.py``).
+        """
+        half_src = np.asarray(u, dtype=np.int64)
+        half_dst = np.asarray(v, dtype=np.int64)
+        label_array = (np.arange(n, dtype=np.int64) if labels is None
+                       else np.ascontiguousarray(labels, dtype=np.int64))
+        if half_src.shape != half_dst.shape or len(label_array) != n:
+            raise ConfigurationError(
+                "CSR edge endpoints and labels disagree in length")
+        if half_src.size and (min(half_src.min(), half_dst.min()) < 0
+                              or max(half_src.max(), half_dst.max()) >= n):
+            raise ConfigurationError(
+                f"CSR edge endpoints must be row indices below {n}")
+        loops = np.flatnonzero(half_src == half_dst)
+        if loops.size:
+            label = int(label_array[half_src[loops[0]]])
+            raise ConfigurationError(
+                f"CSR graphs reject self-loops (node {label!r})")
+        src = np.concatenate((half_src, half_dst))
+        dst = np.concatenate((half_dst, half_src))
+        order = np.lexsort((dst, src))
+        src = src[order]
+        neighbors = dst[order]
+        if np.any((src[1:] == src[:-1]) & (neighbors[1:] == neighbors[:-1])):
+            raise ConfigurationError("CSR graphs reject parallel edges")
+        directed_m = len(neighbors)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        position = np.empty(directed_m, dtype=np.int64)
+        position[np.lexsort((src, neighbors))] = np.arange(
+            directed_m, dtype=np.int64)
+        arrivals = position - offsets[neighbors]
+        return cls(n, directed_m // 2, _np_as_word_view(offsets),
+                   _np_as_word_view(neighbors), _np_as_word_view(arrivals),
+                   _np_as_word_view(label_array),
+                   owner=(offsets, neighbors, arrivals, label_array))
+
+    @classmethod
     def from_graph(cls, graph: Any) -> "CSRGraph":
         """Build CSR arrays from a networkx-style graph.
 
-        Node order and per-row neighbour order match what
-        ``Network(graph)`` computes, so port numbering — and therefore
-        every simulated byte — is identical between representations.
+        Rows follow ``graph.nodes`` order and each row's neighbours are
+        sorted by row index, which is exactly ``Network(graph)``'s port
+        numbering, so every simulated byte is identical between the two
+        representations.  The edges are read once, mapped from labels to
+        rows, and handed to :meth:`from_edges`.
         """
         if graph.is_directed() or graph.is_multigraph():
             raise ConfigurationError(
                 "CSR graphs require a simple undirected graph")
         label_list = list(graph.nodes)
-        n = len(label_list)
-        index_of: Dict[Any, int] = {label: index
-                                    for index, label in enumerate(label_list)}
         for label in label_list:
             if not isinstance(label, int) or isinstance(label, bool):
                 raise ConfigurationError(
                     "CSR graphs require integer node labels; got "
                     f"{label!r}")
-        adjacency: List[List[int]] = []
-        for index, label in enumerate(label_list):
-            row = sorted(index_of[neighbor]
-                         for neighbor in graph.neighbors(label))
-            if index in row:
-                raise ConfigurationError(
-                    f"CSR graphs reject self-loops (node {label!r})")
-            adjacency.append(row)
-
-        if _numpy is not None:
-            return cls._from_adjacency_numpy(n, adjacency, label_list)
-
-        offsets = array(_WORD_FORMAT, [0]) * (n + 1)
-        for index, row in enumerate(adjacency):
-            offsets[index + 1] = offsets[index] + len(row)
-        directed_m = offsets[n] if n else 0
-        neighbors = array(_WORD_FORMAT)
-        for row in adjacency:
-            neighbors.extend(row)
-        arrivals = array(_WORD_FORMAT, [0]) * directed_m
-        for u, row in enumerate(adjacency):
-            base = offsets[u]
-            for port, v in enumerate(row):
-                arrivals[base + port] = bisect_left(adjacency[v], u)
-        labels = array(_WORD_FORMAT, label_list)
-        return cls(n, directed_m // 2, memoryview(offsets),
-                   memoryview(neighbors), memoryview(arrivals),
-                   memoryview(labels))
-
-    @classmethod
-    def _from_adjacency_numpy(cls, n: int, adjacency: List[List[int]],
-                              label_list: List[int]) -> "CSRGraph":
-        """Array-at-a-time twin of the pure-Python ``from_graph`` tail.
-
-        Offsets come from one cumsum; the arrival-port table — the port on
-        which each directed edge ``u -> v`` is received, i.e. the rank of
-        ``u`` within ``adjacency[v]`` — comes from one lexsort: sorting
-        edge ids by ``(dst, src)`` groups each destination's in-edges into
-        its CSR block in source order, so an edge's arrival port is its
-        sorted position minus its destination's block start.  Produces the
-        exact arrays the bisect loop above does (pinned by tests).
-        """
-        np = _numpy
-        degrees = np.fromiter((len(row) for row in adjacency),
-                              dtype=np.int64, count=n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        directed_m = int(offsets[-1]) if n else 0
-        neighbors = np.fromiter(
-            (neighbor for row in adjacency for neighbor in row),
-            dtype=np.int64, count=directed_m)
-        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        position = np.empty(directed_m, dtype=np.int64)
-        position[np.lexsort((src, neighbors))] = np.arange(
-            directed_m, dtype=np.int64)
-        arrivals = position - offsets[neighbors]
+        n = len(label_list)
         labels = np.fromiter(label_list, dtype=np.int64, count=n)
-        return cls(n, directed_m // 2, _np_as_word_view(offsets),
-                   _np_as_word_view(neighbors), _np_as_word_view(arrivals),
-                   _np_as_word_view(labels),
-                   owner=(offsets, neighbors, arrivals, labels))
+        ends = np.fromiter(chain.from_iterable(graph.edges()),
+                           dtype=np.int64,
+                           count=2 * graph.number_of_edges())
+        if not np.array_equal(labels, np.arange(n, dtype=np.int64)):
+            sorter = np.argsort(labels)
+            ends = sorter[np.searchsorted(labels, ends, sorter=sorter)]
+        return cls.from_edges(n, ends[0::2], ends[1::2], labels=labels)
 
     @classmethod
     def from_buffer(cls, buffer: Any, owner: Any = None) -> "CSRGraph":
@@ -240,20 +242,14 @@ class CSRGraph:
         words[1] = self.n
         words[2] = self.m
         cursor = HEADER_WORDS
-        if _numpy is not None:
-            # One flat int64 destination view; each segment lands as a
-            # single vectorised copy instead of a word-format slice assign.
-            destination = _np_int64_view(words, writable=True)
-            for segment in (self.offsets, self.neighbors, self.arrivals,
-                            self.labels):
-                length = len(segment)
-                destination[cursor:cursor + length] = _np_int64_view(segment)
-                cursor += length
-            return
+        # One flat int64 destination view; each segment lands as a single
+        # vectorised copy instead of a word-format slice assign.
+        destination = _np_int64_view(words, writable=True)
         for segment in (self.offsets, self.neighbors, self.arrivals,
                         self.labels):
-            words[cursor:cursor + len(segment)] = segment
-            cursor += len(segment)
+            length = len(segment)
+            destination[cursor:cursor + length] = _np_int64_view(segment)
+            cursor += length
 
     def to_bytes(self) -> bytes:
         buffer = bytearray(self.nbytes)
@@ -269,12 +265,8 @@ class CSRGraph:
         Works for any backing storage — ``array`` module storage, numpy
         owners, and ``SharedMemory`` mappings alike — because the views are
         built with ``np.frombuffer`` over the existing memoryviews; nothing
-        is copied.  Raises :class:`ConfigurationError` when numpy is not
-        installed (every consumer gates on availability first).
+        is copied.
         """
-        if _numpy is None:  # pragma: no cover - numpy-less hosts
-            raise ConfigurationError(
-                "CSRGraph.as_arrays() requires numpy")
         return (_np_int64_view(self.offsets), _np_int64_view(self.neighbors),
                 _np_int64_view(self.arrivals), _np_int64_view(self.labels))
 
@@ -362,10 +354,26 @@ class CSRGraphView:
         return self._csr
 
     def _index(self, label: Any) -> int:
+        return self._index_map()[label]
+
+    def _index_map(self) -> Dict[int, int]:
         if self._index_of is None:
             self._index_of = {node: index for index, node
                               in enumerate(self._csr.labels)}
-        return self._index_of[label]
+        return self._index_of
+
+    def member_mask(self, nodes: Collection[Any]) -> Tuple[Any, bool]:
+        """``(mask, complete)`` for a collection of distinct labels.
+
+        *mask* is a boolean array over the rows selecting those of *nodes*
+        that are nodes of this graph; *complete* says whether all of them
+        are.  Labels match by Python equality, as networkx lookups do.
+        """
+        index_of = self._index_map()
+        rows = [row for row in map(index_of.get, nodes) if row is not None]
+        mask = np.zeros(self._csr.n, dtype=bool)
+        mask[rows] = True
+        return mask, len(rows) == len(nodes)
 
     # -- networkx surface ----------------------------------------------
 

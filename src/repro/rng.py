@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Set, Union
 
+import numpy as np
+
 SeedLike = Union[int, random.Random, None]
 
 #: Large prime used to decorrelate derived seeds.
@@ -65,11 +67,7 @@ def spawn_rngs(master: SeedLike, count: int) -> List[random.Random]:
         return [spawn_rng(master, index) for index in range(count)]
     base = int(master) * _DERIVE_PRIME
     golden = 0x9E3779B9
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy-less hosts
-        np = None
-    if np is None or count < 1024:
+    if count < 1024:
         return [
             random.Random((base + golden * (index + 1)) % (2**63))
             for index in range(count)
@@ -99,6 +97,27 @@ def spawn_rngs(master: SeedLike, count: int) -> List[random.Random]:
         rng.gauss_next = None
         append(rng)
     return rngs
+
+
+def replay_stream(seed: int) -> np.random.Generator:
+    """Return a numpy generator that replays ``random.Random(seed)``.
+
+    CPython's ``Random`` is an MT19937 whose ``random()`` combines two
+    32-bit outputs into a 53-bit double with the same formula numpy's
+    ``MT19937`` uses, so moving the 624 state words (and the position)
+    across makes ``replay_stream(seed).random(k)`` equal the next *k*
+    ``random.Random(seed).random()`` draws bit for bit, in blocks of any
+    size (pinned by ``tests/test_rng.py``).  Only ``random()`` replays:
+    numpy's integer samplers use different algorithms.
+    """
+    words = random.Random(seed).getstate()[1]
+    bit_generator = np.random.MT19937()
+    bit_generator.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(words[:624], dtype=np.uint32),
+                  "pos": words[624]},
+    }
+    return np.random.Generator(bit_generator)
 
 
 def random_unique_ids(

@@ -12,6 +12,7 @@ the serialisation round-trip, and the shared-memory segment lifecycle
 from __future__ import annotations
 
 import os
+import struct
 from multiprocessing import shared_memory
 
 import pytest
@@ -195,31 +196,57 @@ class TestSerialisation:
 # Numpy fast paths (construction, packing, zero-copy array views)
 # --------------------------------------------------------------------------- #
 class TestNumpyPaths:
-    """The numpy construction/packing paths must be byte-identical to the
-    portable Python paths, and ``as_arrays()`` must be zero-copy and
-    read-only — the contract the vectorized engine and the graph
-    statistics fast paths rely on."""
+    """Construction and packing must produce exactly the documented word
+    layout, and ``as_arrays()`` must be zero-copy and read-only — the
+    contract the vectorized engine and the graph statistics fast paths
+    rely on."""
 
-    def test_numpy_and_python_construction_agree(self, family_graph,
-                                                 monkeypatch):
-        import repro.graphs.csr as csr_module
+    @staticmethod
+    def _reference_words(graph):
+        """The serialised layout, derived from ``Network``'s own tables."""
+        network = Network(graph)
+        offsets, neighbors, arrivals = network.csr_tables()
+        words = [MAGIC, network.size, network.edge_count, *offsets,
+                 *neighbors, *arrivals, *network.labels()]
+        return struct.pack(f"<{len(words)}q", *words)
 
-        if csr_module._numpy is None:
-            pytest.skip("numpy not installed")
-        with_numpy = CSRGraph.from_graph(family_graph).to_bytes()
-        monkeypatch.setattr(csr_module, "_numpy", None)
-        pure_python = CSRGraph.from_graph(family_graph).to_bytes()
-        assert with_numpy == pure_python
+    def test_construction_matches_the_reference_layout(self, family_graph):
+        assert CSRGraph.from_graph(family_graph).to_bytes() == \
+               self._reference_words(family_graph)
 
-    def test_pack_into_paths_agree(self, family_graph, monkeypatch):
-        import repro.graphs.csr as csr_module
+    def test_from_edges_matches_from_graph(self, family_graph):
+        """Edges in any order and orientation give the same arrays."""
+        import random
 
-        if csr_module._numpy is None:
-            pytest.skip("numpy not installed")
-        csr = generators.to_csr(family_graph)
-        with_numpy = csr.to_bytes()
-        monkeypatch.setattr(csr_module, "_numpy", None)
-        assert csr.to_bytes() == with_numpy
+        edges = [(v, u) if index % 2 else (u, v)
+                 for index, (u, v) in enumerate(family_graph.edges)]
+        random.Random(3).shuffle(edges)
+        built = CSRGraph.from_edges(family_graph.number_of_nodes(),
+                                    [u for u, _ in edges],
+                                    [v for _, v in edges])
+        assert built.to_bytes() == \
+               CSRGraph.from_graph(family_graph).to_bytes()
+
+    def test_non_identity_labels_map_to_rows(self):
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from([40, 7, 19, 3])
+        graph.add_edges_from([(7, 3), (40, 19), (19, 3)])
+        csr = CSRGraph.from_graph(graph)
+        assert list(csr.labels) == [40, 7, 19, 3]
+        assert csr.to_bytes() == self._reference_words(graph)
+
+    @pytest.mark.parametrize("u, v, match", [
+        ([0, 1], [1, 0], "parallel edges"),
+        ([0, 0], [1, 1], "parallel edges"),
+        ([0], [4], "row indices below 4"),
+        ([-1], [2], "row indices below 4"),
+        ([0, 1], [2], "disagree in length"),
+    ])
+    def test_from_edges_rejects_malformed_edge_lists(self, u, v, match):
+        with pytest.raises(ConfigurationError, match=match):
+            CSRGraph.from_edges(4, u, v)
 
     def test_as_arrays_values_and_read_only(self, family_graph):
         np = pytest.importorskip("numpy")
@@ -250,14 +277,6 @@ class TestNumpyPaths:
         restored = CSRGraph.from_buffer(csr.to_bytes())
         for mine, theirs in zip(csr.as_arrays(), restored.as_arrays()):
             assert mine.tolist() == theirs.tolist()
-
-    def test_as_arrays_requires_numpy(self, monkeypatch):
-        import repro.graphs.csr as csr_module
-
-        csr = generators.to_csr(generators.cycle_graph(6))
-        monkeypatch.setattr(csr_module, "_numpy", None)
-        with pytest.raises(ConfigurationError, match="requires numpy"):
-            csr.as_arrays()
 
 
 # --------------------------------------------------------------------------- #

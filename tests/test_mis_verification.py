@@ -115,3 +115,72 @@ class TestGreedyFromOrder:
         result = mis.greedy_mis_from_order(graph, order)
         assert mis.is_independent_set(graph, result)
         assert mis.is_maximal_independent_set(graph, result)
+
+
+# --------------------------------------------------------------------------- #
+# The CSR path must agree with the networkx path, messages included
+# --------------------------------------------------------------------------- #
+def _outcome(check, *args):
+    """``("ok", value)`` or ``("error", type name, message)``."""
+    try:
+        return ("ok", check(*args))
+    except VerificationError as error:
+        return ("error", type(error).__name__, str(error))
+
+
+@st.composite
+def labelled_graphs_with_candidates(draw):
+    """A graph with shuffled integer labels and unsorted adjacency, plus a
+    candidate set that may include a non-node."""
+    n = draw(st.integers(min_value=0, max_value=24))
+    labels = draw(st.permutations(range(0, 3 * n + 1, 3)))[:n]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)
+                  if pairs else st.just([]))
+    graph = nx.Graph()
+    graph.add_nodes_from(labels)
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        graph.add_edge(labels[u], labels[v])
+    candidate = set(draw(st.lists(st.sampled_from(labels)))
+                    if labels else [])
+    if draw(st.booleans()):
+        candidate.add(draw(st.sampled_from([-1, 1, "stranger"])))
+    return graph, candidate
+
+
+class TestCSRPathAgreesWithNetworkx:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_graphs_with_candidates())
+    def test_every_verifier_agrees(self, case):
+        graph, candidate = case
+        view = generators.to_csr(graph).view()
+        for check in (mis.is_independent_set, mis.is_maximal_independent_set,
+                      mis.uncovered_nodes, mis.conflicting_edges,
+                      mis.verify_mis):
+            assert _outcome(check, view, candidate) == \
+                   _outcome(check, graph, candidate), check.__name__
+
+    @pytest.mark.parametrize("family", sorted(generators.FAMILIES))
+    def test_greedy_mis_verifies_on_both(self, family):
+        graph = generators.by_name(family, 60, seed=4)
+        view = generators.build_csr(family, 60, seed=4).view()
+        chosen = mis.greedy_mis_from_order(graph, list(graph.nodes))
+        assert mis.is_maximal_independent_set(view, chosen)
+        assert mis.verify_mis(view, chosen) == chosen
+        broken = set(chosen)
+        broken.discard(min(broken))
+        assert _outcome(mis.verify_mis, view, broken) == \
+               _outcome(mis.verify_mis, graph, broken)
+
+    def test_conflicts_come_out_in_node_order(self):
+        graph = nx.Graph()
+        graph.add_nodes_from([0, 1, 2, 3])
+        graph.add_edges_from([(0, 3), (0, 1), (2, 1)])
+        assert mis.conflicting_edges(graph, {0, 1, 2, 3}) == \
+               [(0, 1), (0, 3), (1, 2)]
+        with pytest.raises(VerificationError,
+                           match=r"3 conflicting edge\(s\), e\.g\. "
+                                 r"\[\(0, 1\), \(0, 3\), \(1, 2\)\]"):
+            mis.verify_mis(generators.to_csr(graph).view(), {0, 1, 2, 3})

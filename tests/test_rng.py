@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import rng as rng_module
@@ -91,3 +92,25 @@ class TestRandomUniqueIds:
     def test_impossible_request_rejected(self):
         with pytest.raises(ValueError):
             rng_module.random_unique_ids(11, 10)
+
+
+class TestReplayStream:
+    """``replay_stream(seed)`` must replay ``random.Random(seed).random()``
+    draw for draw: the gnp and rgg builders rely on it to draw exactly
+    the numbers networkx's generators drew."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**40 + 5])
+    def test_matches_python_random(self, seed):
+        reference = random.Random(seed)
+        assert rng_module.replay_stream(seed).random(3000).tolist() == \
+               [reference.random() for _ in range(3000)]
+
+    def test_blocks_continue_the_stream(self):
+        stream = rng_module.replay_stream(11)
+        reference = random.Random(11)
+        buffer = np.empty(700)
+        drawn = []
+        for size in (1, 623, 624, 625, 700, 3):
+            stream.random(out=buffer[:size])
+            drawn.extend(buffer[:size].tolist())
+        assert drawn == [reference.random() for _ in range(len(drawn))]
