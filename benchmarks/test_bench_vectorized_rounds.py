@@ -20,6 +20,12 @@ with the harness's default bit limit, metered by the engine itself — for
 luby and rank_greedy (``congest_vectorized_luby_tasks_per_second`` /
 ``congest_vectorized_rank_greedy_tasks_per_second``).
 
+The Awake-MIS rows time the paper's own algorithm the same way, CONGEST
+on, at gnp n=2048: the generator loop against the schedule engine
+(``congest_generator_awake_mis_seconds`` /
+``congest_schedule_awake_mis_seconds``).  They record numbers only — no
+speedup floor.
+
 The graph itself is built inside a timed key too: ``graph_build_seconds``
 is one ``build_csr`` of the gnp graph (numpy edge arrays straight into
 CSR) and ``generate_us_per_edge`` the same time per generated edge.
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import time
 
+from repro.algorithms.awake_mis import AwakeMISParameters, awake_mis_protocol
 from repro.algorithms.luby import luby_protocol
 from repro.algorithms.rank_greedy import rank_greedy_protocol
 from repro.experiments.harness import default_message_bit_limit
@@ -46,6 +53,10 @@ RUNS_BY_SCALE = {"smoke": (2, 4), "default": (3, 5), "full": (3, 6)}
 
 #: Timed CONGEST-on vectorized repetitions per protocol, per scale.
 CONGEST_RUNS_BY_SCALE = {"smoke": 3, "default": 3, "full": 4}
+
+#: Awake-MIS graph size, and timed runs per engine per scale.
+AWAKE_N = 2048
+AWAKE_RUNS_BY_SCALE = {"smoke": 2, "default": 3, "full": 3}
 
 #: The asserted speedup floor (acceptance criterion of the engine).
 SPEEDUP_FLOOR = 5.0
@@ -75,6 +86,28 @@ def _time_congest_runs(csr, protocol, runs, bit_limit):
         times.append(time.perf_counter() - started)
         assert result.engine == "vectorized"
         assert result.metrics.max_message_bits <= bit_limit
+    return times
+
+
+def _time_awake_mis(runs):
+    """Per-engine per-run seconds of CONGEST-on Awake-MIS at AWAKE_N."""
+    csr = build_csr("gnp", AWAKE_N, seed=GRAPH_SEED)
+    bit_limit = default_message_bit_limit(AWAKE_N)
+    inputs = {"awake_params": AwakeMISParameters.scaled(AWAKE_N)}
+    times = {}
+    results = {}
+    for engine, pinned in (("generator", False), ("schedule", True)):
+        times[engine] = []
+        for run in range(runs):
+            started = time.perf_counter()
+            result = run_protocol(csr, awake_mis_protocol, inputs=inputs,
+                                  seed=run + 1, message_bit_limit=bit_limit,
+                                  vectorized=pinned)
+            times[engine].append(time.perf_counter() - started)
+            assert result.engine == engine
+        results[engine] = result
+    assert _summarize(results["schedule"]) == _summarize(
+        results["generator"])
     return times
 
 
@@ -112,6 +145,9 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
         for name, protocol in (("luby", luby_protocol),
                                ("rank_greedy", rank_greedy_protocol))}
 
+    awake_runs = AWAKE_RUNS_BY_SCALE[repro_scale]
+    awake_times = _time_awake_mis(awake_runs)
+
     generator_seconds = sum(generator_times)
     vectorized_seconds = sum(vectorized_times)
     generator_rate = generator_runs / max(generator_seconds, 1e-9)
@@ -141,6 +177,14 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
             sum(times), 4)
         congest_numbers[f"congest_vectorized_{name}_tasks_per_second"] = (
             round(rate, 3))
+    for engine, times in awake_times.items():
+        rows.append({
+            "engine": f"awake_mis n={AWAKE_N} {engine}, CONGEST on "
+                      f"(x{awake_runs})",
+            "best_s": round(min(times), 3),
+            "tasks_per_s": round(awake_runs / max(sum(times), 1e-9), 2)})
+        congest_numbers[f"congest_{engine}_awake_mis_seconds"] = round(
+            sum(times), 4)
     print()
     print(format_table(rows,
                        title=f"vectorized rounds (gnp n={n}, m={csr.m})"))
@@ -161,6 +205,8 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
         vectorized_luby_tasks_per_second=round(vectorized_rate, 3),
         speedup=round(speedup, 3),
         congest_runs=congest_runs,
+        awake_mis_n=AWAKE_N,
+        awake_mis_runs=awake_runs,
         **congest_numbers,
     )
     assert speedup >= SPEEDUP_FLOOR, (

@@ -30,16 +30,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Tuple
 
 import networkx as nx
 
 from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
 from repro.algorithms.ldt_mis import ldt_mis_core, ldt_mis_round_budget
-from repro.core.virtual_tree import communication_set
+from repro.core.virtual_tree import communication_set, in_communication_set
 from repro.rng import SeedLike
 from repro.sim.actions import WakeCall
-from repro.sim.context import NodeContext
+from repro.sim.context import NodeContext, require_input
+from repro.sim.message import estimate_bits
 from repro.sim.runner import RunResult, run_protocol
 
 
@@ -184,6 +186,8 @@ def awake_mis_protocol(ctx: NodeContext):
     """Protocol factory for ``Awake-MIS``.
 
     Global inputs: ``awake_params`` (an :class:`AwakeMISParameters`).
+    Untraced runs take its schedule engine, :func:`awake_mis_schedule`,
+    unless pinned to the generator loop with ``vectorized=False``.
     """
     params: AwakeMISParameters = ctx.require_input("awake_params")
     rng = ctx.rng
@@ -232,14 +236,190 @@ def awake_mis_protocol(ctx: NodeContext):
     )
 
 
+#: Attendances per chunk when the schedule engine tabulates the edges a
+#: communication round can deliver on (bounds its scratch memory).
+_EDGE_CHUNK = 1 << 14
+
+
+def awake_mis_schedule(run) -> None:
+    """Schedule engine: Awake-MIS with array-valued communication rounds.
+
+    A node's wake schedule is a pure function of its batch — it attends
+    exactly the communication rounds of ``communication_set(batch,
+    batch_count)`` (Observation 4) — so the engine draws every node's ID
+    and batch up front (from its own stream, in the protocol's order),
+    tabulates once which nodes attend each phase and which edges join two
+    attendees of one phase, and walks the phases in order.  In each
+    communication round the decided attendees broadcast their state on
+    every port and the undecided ones listen: a message is delivered
+    exactly on the tabulated edges whose sender is decided, and an
+    ``IN_MIS`` sender decides its receivers ``NOT_IN_MIS``.  Then the
+    still-undecided members of the phase's batch — the only nodes awake
+    before the next communication round — run :func:`ldt_mis_core` on the
+    generator loop (:meth:`~repro.sim.vectorized.VectorizedRun.drive`),
+    on the same round clock and counters.  A node terminates in its last
+    communication round, or in its last LDT-MIS round when that comes
+    later; outputs are inserted in (round, index) order at the end, which
+    is the order the generator loop inserts them in.
+
+    Byte-identical to driving :func:`awake_mis_protocol` on the generator
+    loop (pinned by ``tests/test_vectorized.py``): outputs and their
+    insertion order, every per-node and bit counter, active rounds,
+    valve and ``MessageTooLargeError`` messages in the loop's precedence,
+    and draw-for-draw RNG use.
+    """
+    run.engine = "schedule"
+    if run.n == 0:
+        return
+    np = run.np
+    params: AwakeMISParameters = require_input(run.inputs, "awake_params")
+    batch_count = params.batch_count
+    phase_length = params.phase_length
+    rngs = run.rngs
+    ids, pairs = [], []
+    for rng in rngs:
+        ids.append(rng.randint(1, params.id_space))
+        pairs.append(choose_batch(rng, params))
+    batches = [batch_index(group, slot, params) for group, slot in pairs]
+    schedules = {batch: sorted(communication_set(batch, batch_count))
+                 for batch in set(batches)}
+    node_rounds = [schedules[batch] for batch in batches]
+    lengths = [len(rounds) for rounds in node_rounds]
+    phase_ends = np.arange(1, batch_count + 2)
+
+    # Phase -> attending nodes, ascending (the stable sort keeps the node
+    # order the pairs are generated in); phase -> batch members likewise.
+    phase_of = np.fromiter(chain.from_iterable(node_rounds), dtype=np.int64,
+                           count=sum(lengths))
+    order = np.argsort(phase_of, kind="stable")
+    phase_of = phase_of[order]
+    attendees = np.repeat(np.arange(run.n), lengths)[order]
+    attendee_bounds = np.searchsorted(phase_of, phase_ends).tolist()
+    batch_of = np.array(batches, dtype=np.int64)
+    members = np.argsort(batch_of, kind="stable")
+    member_bounds = np.searchsorted(batch_of[members], phase_ends).tolist()
+    edge_senders, edge_receivers, edge_bounds = _phase_edges(
+        run, phase_of, attendees, batch_of, phase_ends)
+
+    decided = np.zeros(run.n, dtype=bool)
+    in_mis = np.zeros(run.n, dtype=bool)
+    delivered = np.zeros(len(edge_senders), dtype=bool)
+    bits_of = np.array([estimate_bits(NOT_IN_MIS), estimate_bits(IN_MIS)],
+                       dtype=np.int64)
+    last_phase = [rounds[-1] for rounds in node_rounds]
+    terminated = [(phase - 1) * phase_length for phase in last_phase]
+
+    def payload_of(index):
+        return IN_MIS if in_mis[index] else NOT_IN_MIS
+
+    for phase in range(1, batch_count + 1):
+        low, high = attendee_bounds[phase - 1], attendee_bounds[phase]
+        if low == high:
+            continue
+        awake = attendees[low:high]
+        communication_round = (phase - 1) * phase_length
+        run.begin_round(communication_round)
+        run.record_awake(awake)
+        senders = awake[decided[awake]]
+        run.record_sends(
+            senders,
+            bits_of[in_mis[senders].view(np.uint8)] if run.metered else None,
+            communication_round, payload_of)
+        low, high = edge_bounds[phase - 1], edge_bounds[phase]
+        if len(senders) and low < high:
+            sending = edge_senders[low:high]
+            delivered[low:high] = decided[sending]
+            decided[edge_receivers[low:high][in_mis[sending]]] = True
+
+        low, high = member_bounds[phase - 1], member_bounds[phase]
+        starting = members[low:high]
+        starting = starting[~decided[starting]].tolist()
+        if not starting:
+            continue
+        generators = {
+            index: ldt_mis_core(
+                my_id=ids[index],
+                id_space=params.id_space,
+                ports=range(int(run.degrees[index])),
+                n_bound=params.n_bound,
+                start_round=communication_round + 1,
+                rng=rngs[index],
+                variant=params.variant,
+            )
+            for index in starting
+        }
+        for index, state, stopped in run.drive(generators,
+                                               communication_round):
+            decided[index] = state != UNDECIDED
+            in_mis[index] = state == IN_MIS
+            if last_phase[index] == phase:
+                terminated[index] = stopped
+
+    # Communication-round receipts were only marked per edge.  They are
+    # sums, so adding them last gives the loop's counts (``drive`` added
+    # the LDT-MIS receipts in between).
+    run.messages_received += np.bincount(edge_receivers[delivered],
+                                         minlength=run.n)
+    run.terminated_round[:] = terminated
+    labels, outputs = run.labels, run.outputs
+    joined = in_mis.tolist()
+    for index in np.argsort(run.terminated_round, kind="stable").tolist():
+        outputs[labels[index]] = MISDecision(
+            in_mis=joined[index],
+            detail={
+                "batch": pairs[index],
+                "batch_index": batches[index],
+                "id": ids[index],
+                "communication_rounds": lengths[index],
+                "ldt_awake_before": 0,
+            },
+        )
+
+
+def _phase_edges(run, phase_of, attendees, batch_of, phase_ends):
+    """The directed edges joining two attendees of one phase.
+
+    *phase_of* and *attendees* are the (phase, node) attendance pairs,
+    sorted by phase; *batch_of* is every node's batch.  Returns
+    ``(senders, receivers, bounds)``: the edges grouped by phase (phase
+    *p*'s are ``[bounds[p - 1], bounds[p])``).  Each attendance's CSR row
+    is expanded, a chunk of attendances at a time to bound the scratch
+    memory, and kept where the neighbour's schedule holds the phase too.
+    """
+    np = run.np
+    senders, receivers, phases = [], [], []
+    for start in range(0, len(attendees), _EDGE_CHUNK):
+        nodes = attendees[start:start + _EDGE_CHUNK]
+        degrees = run.degrees[nodes]
+        ends = np.cumsum(degrees)
+        slots = (np.repeat(run.offsets[nodes] - ends + degrees, degrees)
+                 + np.arange(ends[-1]))
+        neighbors = run.neighbors[slots]
+        phase = np.repeat(phase_of[start:start + _EDGE_CHUNK], degrees)
+        shared = in_communication_set(phase, batch_of[neighbors])
+        senders.append(np.repeat(nodes, degrees)[shared])
+        receivers.append(neighbors[shared])
+        phases.append(phase[shared])
+    bounds = np.searchsorted(np.concatenate(phases), phase_ends).tolist()
+    return np.concatenate(senders), np.concatenate(receivers), bounds
+
+
+awake_mis_protocol.vectorized_engine = awake_mis_schedule
+
+
 def run_awake_mis(graph: nx.Graph, seed: SeedLike = None,
                   preset: str = "scaled",
                   variant: str = "awake",
                   params: Optional[AwakeMISParameters] = None,
                   message_bit_limit: Optional[int] = None,
                   trace: bool = False,
-                  max_active_rounds: int = 20_000_000) -> RunResult:
-    """Run ``Awake-MIS`` on *graph* (harness / tests / benchmarks entry point)."""
+                  max_active_rounds: int = 20_000_000,
+                  vectorized: Optional[bool] = None) -> RunResult:
+    """Run ``Awake-MIS`` on *graph* (harness / tests / benchmarks entry point).
+
+    *vectorized* selects the schedule engine as in
+    :func:`~repro.sim.runner.run_protocol`; it never changes bytes.
+    """
     n = graph.number_of_nodes()
     if params is None:
         if preset == "paper":
@@ -254,4 +434,5 @@ def run_awake_mis(graph: nx.Graph, seed: SeedLike = None,
         message_bit_limit=message_bit_limit,
         trace=trace,
         max_active_rounds=max_active_rounds,
+        vectorized=vectorized,
     )

@@ -59,6 +59,18 @@ from repro.experiments.tables import (format_table, format_telemetry,
 from repro.graphs.generators import FAMILIES, by_name
 
 #: Shared --help epilog for the store-aware subcommands.
+#: How ``run`` and ``sweep`` pick a round engine (both epilogs say it).
+_ENGINES_EPILOG = (
+    "Engines: runs enforce CONGEST metering by default (every message's "
+    "size is estimated and checked).  Algorithms with a numpy engine run "
+    "on it, metered or not: luby and rank_greedy on the whole-round "
+    "engine, awake_mis on the schedule engine (its communication rounds "
+    "as array operations, LDT-MIS on the generator loop); the rest take "
+    "the simulator's generator loop, which every algorithm falls back to "
+    "when traced or when the Python API pins vectorized=False.  Engine "
+    "choice never changes outputs, recorded rows or awake/round/message/"
+    "bit counts, only wall-clock time.")
+
 _STORE_EPILOG = (
     "Results store: --output FILE appends one JSON record per completed "
     "task (atomic line writes keyed by the task's spec hash), so a killed "
@@ -176,15 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser(
         "run", help="run one algorithm on one graph",
-        epilog="Engines: runs enforce CONGEST metering by default (every "
-               "message's size is estimated and checked).  Algorithms "
-               "with a vectorized twin (luby, rank_greedy) run on the "
-               "numpy whole-round engine over the CSR arrays, which "
-               "meters CONGEST itself; the rest take the simulator's "
-               "generator loop.  Programmatic callers that pass "
-               "enforce_congest=False skip the estimate.  Engine choice "
-               "never changes outputs or awake/round/message/bit counts, "
-               "only wall-clock time.")
+        epilog=_ENGINES_EPILOG)
     run_parser.add_argument("--algorithm", default="awake_mis",
                             choices=available_algorithms())
     run_parser.add_argument("--family", default="gnp",
@@ -195,13 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.add_parser(
         "sweep", help="scaling sweep",
         epilog=_STORE_EPILOG
-               + "  Engines: sweep tasks meter CONGEST bits by default, which "
-                 "keeps them on the simulator's generator loop.  Unmetered "
-                 "runs (algorithm_params with enforce_congest=False via the "
-                 "Python API) skip the size estimate, or use the numpy "
-                 "whole-round engine for algorithms that opt in (luby); "
-                 "engine choice never changes recorded rows, only "
-                 "wall-clock time.")
+               + "  " + _ENGINES_EPILOG)
     sweep_parser.add_argument("--algorithms", nargs="+",
                               default=["awake_mis", "luby"],
                               choices=available_algorithms())

@@ -28,9 +28,13 @@ both by :mod:`repro.algorithms.vt_mis` and by the phase scheduling of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
+
+#: Entries kept by the :func:`communication_set` memo (a few MB at most).
+COMMUNICATION_SET_CACHE = 4096
 
 
 def tree_depth(i: int) -> int:
@@ -112,6 +116,7 @@ def _height_of_label(label: int) -> int:
     return height
 
 
+@functools.lru_cache(maxsize=COMMUNICATION_SET_CACHE)
 def communication_set(k: int, i: int) -> FrozenSet[int]:
     """Return ``S_k([1, i])``: the awake-round set for step ``k``.
 
@@ -119,12 +124,30 @@ def communication_set(k: int, i: int) -> FrozenSet[int]:
     leaf labeled ``k``, truncated to ``[1, i]`` — exactly the set used in the
     paper's Figure 2 example (``S_3([1,6]) = {3, 4, 5}``,
     ``S_5([1,6]) = {5, 6}``).
+
+    Memoised in a bounded LRU cache (the sets are immutable): every
+    Awake-MIS batch and every LDT-MIS participant asks for one, while
+    callers drawing random IDs from a huge space (``vt_mis`` with
+    ``id_source="random"``) must not grow it without bound.
     """
     if not 1 <= k <= i:
         raise ValueError(f"k={k} must lie in [1, {i}]")
     leaf = leaf_label_in_b(k)
     labels = {relabel(x) for x in ancestors_in_b(leaf, i)}
     return frozenset(label for label in labels if 1 <= label <= i)
+
+
+def in_communication_set(r, k):
+    """Whether step ``r`` lies in ``S_k([1, i])``, for any ``i >= max(r, k)``.
+
+    The closed form of ``r in communication_set(k, i)``, elementwise on
+    numpy integer arrays as well as on ints.  ``B*`` label ``r`` is the
+    image of the ``B`` labels ``2r - 1`` — a leaf, on the path of leaf
+    ``2k - 1`` only when ``r == k`` — and ``2r - 2``, whose subtree spans
+    every leaf closer to it than its lowest set bit.
+    """
+    inner = 2 * r - 2
+    return (r == k) | ((r >= 2) & (abs(2 * k - 1 - inner) < (inner & -inner)))
 
 
 def communication_sets(i: int) -> Dict[int, FrozenSet[int]]:

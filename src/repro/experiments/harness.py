@@ -230,6 +230,7 @@ def _run_awake_mis(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
         message_bit_limit=params.get("message_bit_limit"),
         trace=params.get("trace", False),
         max_active_rounds=params.get("max_active_rounds", 20_000_000),
+        vectorized=params.get("vectorized"),
     )
 
 
@@ -288,10 +289,12 @@ def run_mis(
         budget of :func:`default_message_bit_limit`, estimating every
         message's size.  Passing False lifts the bit limit: sizes are then
         never estimated (``max_message_bits`` reads ``None``).  Either way,
-        algorithms that opt in (``luby``, ``rank_greedy``) take the numpy
-        whole-round engine, which meters CONGEST itself (select with the
+        algorithms that opt in take a numpy engine, which meters CONGEST
+        itself: ``luby`` and ``rank_greedy`` the whole-round engine,
+        ``awake_mis`` the schedule engine.  Select it with the
         ``vectorized`` parameter, tri-state as in
-        :func:`repro.sim.runner.run_protocol`).  Engine choice never
+        :func:`repro.sim.runner.run_protocol`; ``vectorized=False`` or
+        ``trace=True`` runs the generator loop.  Engine choice never
         changes outputs, awake/round/message counts or bit counts, only
         wall-clock.
     keep_raw:

@@ -44,13 +44,22 @@ class NodeContext:
 
     def require_input(self, key: str) -> Any:
         """Return ``inputs[key]``, raising a helpful error when missing."""
-        if key not in self.inputs:
-            raise KeyError(
-                f"protocol requires global input '{key}' but only "
-                f"{sorted(self.inputs)} were provided"
-            )
-        return self.inputs[key]
+        return require_input(self.inputs, key)
 
     def input(self, key: str, default: Optional[Any] = None) -> Any:
         """Return ``inputs[key]`` or *default* when absent."""
         return self.inputs.get(key, default)
+
+
+def require_input(inputs: Dict[str, Any], key: str) -> Any:
+    """Return ``inputs[key]``, raising a helpful error when missing.
+
+    Shared by :meth:`NodeContext.require_input` and the vectorized
+    engines, which read the same global inputs without a context.
+    """
+    if key not in inputs:
+        raise KeyError(
+            f"protocol requires global input '{key}' but only "
+            f"{sorted(inputs)} were provided"
+        )
+    return inputs[key]

@@ -30,7 +30,22 @@ def estimate_bits(payload: Any) -> int:
     * tuples/lists/sets cost the sum of their items plus 2 bits of framing
       per item,
     * dicts cost keys + values plus framing.
+
+    Exact ``int``, ``str`` and ``tuple`` payloads (and the ints inside
+    tuples) take a fast path with the same formula; every other type,
+    ``bool`` and ``int`` subclasses included, takes the general one.
     """
+    kind = type(payload)
+    if kind is int:
+        return (payload.bit_length() or 1) + 1
+    if kind is str:
+        return 8 * (len(payload) or 1)
+    if kind is tuple:
+        total = 0
+        for item in payload:
+            total += ((item.bit_length() or 1) + 3 if type(item) is int
+                      else estimate_bits(item) + 2)
+        return total
     if payload is None or isinstance(payload, bool):
         return 1
     if isinstance(payload, int):

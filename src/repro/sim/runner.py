@@ -22,7 +22,7 @@ Round semantics (paper Section 1.3):
 Engines
 -------
 
-The driver has two interchangeable round engines; both produce identical
+The driver has interchangeable round engines; all produce identical
 outputs and awake/round/message counts, so an engine can only ever change
 wall-clock time, never bytes:
 
@@ -40,21 +40,26 @@ wall-clock time, never bytes:
    measured") and per-node bit counters stay 0.  Note that
    :func:`repro.experiments.harness.run_mis` enforces CONGEST by default,
    so sweeps meter unless ``enforce_congest=False``.
-2. The **vectorized engine** (:mod:`repro.sim.vectorized`) computes whole
-   rounds as numpy array operations over the same flat arrays, for
-   protocols whose rounds are dense (every undecided node awake every
-   iteration, Luby-style).  A protocol opts in by exposing a
-   ``vectorized_engine`` attribute on its factory (``luby`` and
-   ``rank_greedy`` do); the engine engages whenever tracing is off,
-   CONGEST-metered runs included (it meters message sizes itself, with
-   the same per-message limit check and per-node bit counters), and
-   falls back to the generator loop under tracing.  Priorities are drawn
-   from the same per-node ``spawn_rng`` streams in the same per-node
-   order, so the run is bit-for-bit identical to the generator loop
-   (pinned by ``tests/test_runner_semantics.py``).
-   :attr:`RunResult.engine` names the engine that ran.  Pass
-   ``vectorized=False`` to pin the generator loop, ``vectorized=True`` to
-   require the engine (a configuration that cannot use it then raises).
+2. The **numpy engines** (:mod:`repro.sim.vectorized`) compute rounds as
+   array operations over the same flat arrays.  A protocol opts in by
+   exposing a ``vectorized_engine`` attribute on its factory: ``luby``
+   and ``rank_greedy`` share the *whole-round* engine (every undecided
+   node awake every iteration); ``awake_mis`` has the *schedule* engine,
+   which computes its communication rounds from each node's
+   batch-determined wake schedule and drives LDT-MIS, in between, on the
+   generator loop above (:meth:`VectorizedRun.drive
+   <repro.sim.vectorized.VectorizedRun.drive>`).  They engage whenever
+   tracing is off, CONGEST-metered runs included (they meter message
+   sizes themselves, with the same per-message limit check and per-node
+   bit counters), and fall back to the generator loop under tracing.
+   Random draws come from the same per-node ``spawn_rng`` streams in the
+   same per-node order, so the run is bit-for-bit identical to the
+   generator loop (pinned by ``tests/test_runner_semantics.py`` and
+   ``tests/test_vectorized.py``).  :attr:`RunResult.engine` names the
+   engine that ran (``"generator"``, ``"vectorized"`` or
+   ``"schedule"``).  Pass ``vectorized=False`` to pin the generator loop,
+   ``vectorized=True`` to require the protocol's engine (a configuration
+   that cannot use it then raises).
 
 Buffer-reuse contract: the inbox list a generator is resumed with is only
 valid until the node's next ``yield``; protocols must consume (or copy) it
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -139,7 +144,8 @@ class RunResult:
     awake_by_label: Dict[Any, int] = field(default_factory=dict)
     #: Optional trace (present only when tracing was enabled).
     trace: Optional[Trace] = None
-    #: The round engine that ran: ``"generator"`` or ``"vectorized"``.
+    #: The round engine that ran: ``"generator"``, ``"vectorized"`` or
+    #: ``"schedule"``.
     #: Diagnostic only; never compared, and never written to records.
     engine: str = field(default="generator", compare=False)
 
@@ -178,10 +184,10 @@ class Simulator:
         message events.
     vectorized:
         Engine selection for protocols that expose a ``vectorized_engine``
-        hook: ``None`` (default) engages the numpy whole-round engine
+        hook: ``None`` (default) engages the protocol's numpy engine
         whenever tracing is off (bit limits included); ``False``
         pins the generator loop; ``True``
-        requires the vectorized engine and raises
+        requires the numpy engine and raises
         :class:`~repro.errors.ConfigurationError` when it cannot run.
         Engine choice never changes outputs or counts.
     """
@@ -260,7 +266,13 @@ class Simulator:
             self._validate_call(first_call, index, previous_round=-1)
             heapq.heappush(pending, (first_call.round, index, first_call))
 
-        self._drive(pending, generators, outputs, metrics, trace)
+        by_index: Dict[int, Any] = {}
+        metrics.active_rounds, metrics.last_active_round = self._drive(
+            pending, generators, by_index, metrics.per_node,
+            [[] for _ in range(n)], metered=metrics.bits_metered,
+            trace=trace)
+        for index, value in by_index.items():
+            outputs[network.label_of(index)] = value
 
         # Nodes that never terminated explicitly (generator exhausted without
         # return) have output None already; nodes still pending cannot exist
@@ -330,32 +342,40 @@ class Simulator:
     def _drive(
         self,
         pending: List[tuple],
-        generators: List[Optional[Generator[WakeCall, List[Receive], Any]]],
-        outputs: Dict[Any, Any],
-        metrics: RunMetrics,
-        trace: Optional[Trace],
-    ) -> None:
+        generators,
+        outputs: Dict[int, Any],
+        per_node,
+        inboxes: List[List[Receive]],
+        *,
+        metered: bool,
+        trace: Optional[Trace] = None,
+        active_rounds: int = 0,
+    ) -> Tuple[int, Optional[int]]:
         """The round loop: wake, send, deliver to awake receivers, resume.
 
-        Messages are routed through the network's flat routing arrays and
-        each node's inbox buffer is reused across rounds (cleared when the
-        node next wakes).  Sizes are estimated, checked against the bit
-        limit and counted only when the run is metered (a bit limit or a
-        trace is set); a send repeating the previous send's payload
-        *object* reuses its estimate (identity, never equality: ``True ==
-        1`` but they cost 1 and 2 bits).  *trace*, when given, records
-        every awake set and message event.
+        *pending* is the ``(round, index, WakeCall)`` heap of the nodes to
+        drive; *generators* and *per_node* are indexable by node index
+        (lists over every node, or dicts over just the driven ones), and
+        only driven nodes are ever awake, so only their entries are
+        touched.  Return values land in *outputs* keyed by node index, in
+        termination order.  *inboxes* holds one buffer per node, reused
+        across rounds (cleared when the node next wakes).  Sizes are
+        estimated, checked against the bit limit and counted only when
+        *metered*; a send repeating the previous send's payload *object*
+        reuses its estimate (identity, never equality: ``True == 1`` but
+        they cost 1 and 2 bits).  *trace*, when given, records every awake
+        set and message event.  The livelock valve counts on from
+        *active_rounds*, so a run that drives its nodes in several calls
+        keeps one global count.  Returns ``(active_rounds,
+        last_active_round)``, the latter ``None`` when no round ran.
         """
         network = self._network
         offsets, flat_neighbors, flat_arrivals = network.csr_tables()
         label_of = network.label_of
-        per_node = metrics.per_node
         max_awake = self._max_awake_per_node
         bit_limit = self._message_bit_limit
-        metered = metrics.bits_metered
-        inboxes: List[List[Receive]] = [[] for _ in range(network.size)]
 
-        active_rounds = 0
+        last_round: Optional[int] = None
         awake: Dict[int, WakeCall] = {}
         while pending:
             current_round = pending[0][0]
@@ -408,7 +428,7 @@ class Simulator:
             if trace is not None:
                 trace.record_awake(current_round,
                                    [label_of(index) for index in awake])
-            metrics.last_active_round = current_round
+            last_round = current_round
 
             # Resume every awake node with its inbox.  Heap pops produced
             # increasing indices, so the dict iterates in node order.
@@ -418,13 +438,13 @@ class Simulator:
                 try:
                     next_call = gen.send(inboxes[index])
                 except StopIteration as stop:
-                    outputs[label_of(index)] = stop.value
+                    outputs[index] = stop.value
                     per_node[index].terminated_round = current_round
                     generators[index] = None
                     continue
                 self._validate_call(next_call, index, previous_round=current_round)
                 heapq.heappush(pending, (next_call.round, index, next_call))
-        metrics.active_rounds = active_rounds
+        return active_rounds, last_round
 
     # ------------------------------------------------------------------ #
     def _validate_call(
@@ -466,7 +486,7 @@ def run_protocol(
     CSR-backed graphs (``repro.graphs.csr.CSRGraphView``) get the
     zero-copy ``CSRNetwork``; networkx graphs get the classic
     ``Network`` — the simulated bytes are identical either way.
-    *vectorized* selects the whole-round numpy engine for protocols that
+    *vectorized* selects the protocol's numpy engine for protocols that
     opt in (see :class:`Simulator`); it can only change speed, never bytes.
     """
     network = build_network(graph)

@@ -1,20 +1,27 @@
-"""Numpy-vectorized whole-round engine for dense, everyone-awake phases.
+"""Numpy round engines: whole rounds, or schedules, as array operations.
 
-The second simulator engine (beside the generator loop of
-:mod:`repro.sim.runner`): protocols whose rounds are *dense* — every
-undecided node awake every iteration, Luby-style — can compute whole
-rounds as array operations over the flat CSR adjacency instead of resuming
-one generator per node per round.
-
-A protocol opts in by exposing a ``vectorized_engine`` attribute on its
-factory (see ``repro.algorithms.luby``): a callable receiving one
+The simulator's second kind of engine (beside the generator loop of
+:mod:`repro.sim.runner`).  A protocol opts in by exposing a
+``vectorized_engine`` attribute on its factory: a callable receiving one
 :class:`VectorizedRun` — the network's flat arrays as numpy views, the
 per-node RNG streams, per-node metric arrays, and the same safety valves
-the generator loop enforces.  The engine engages whenever tracing is off,
-CONGEST-metered runs included: it meters message sizes itself
+the generator loop enforces.  Two engines use it:
+
+* the **whole-round** engine of ``luby`` and ``rank_greedy``
+  (``repro.algorithms.luby``), for dense phases in which every undecided
+  node is awake every iteration;
+* the **schedule** engine of ``awake_mis``
+  (``repro.algorithms.awake_mis``), for sparse phases whose wake
+  schedule is known up front: it computes the communication rounds as
+  array operations and hands the LDT-MIS rounds in between back to the
+  generator loop through :meth:`VectorizedRun.drive`.
+
+The engines engage whenever tracing is off, CONGEST-metered runs
+included: they meter message sizes themselves
 (:meth:`VectorizedRun.record_sends`), with the generator loop's
 ``estimate_bits`` on each sender's real payload and the same
-per-message limit check.
+per-message limit check.  Under tracing, or with ``vectorized=False``,
+the generator loop runs instead.
 
 Byte-identity contract (pinned by ``tests/test_runner_semantics.py`` and
 ``tests/test_vectorized.py``): outputs, awake/round/message counts,
@@ -30,15 +37,29 @@ reproducible across both engines.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.rng import SeedLike, spawn_rngs
 from repro.sim.metrics import NodeMetrics, RunMetrics
+from repro.sim.runner import (
+    RunResult,
+    Simulator,
+    awake_budget_error,
+    livelocked_error,
+    message_too_large_error,
+    missing_outputs_error,
+)
 
 #: Sentinel for "never terminated" in the int64 terminated-round array.
 _NEVER = -(2**62)
+
+#: The per-node counter arrays :meth:`VectorizedRun.drive` bridges into
+#: :class:`NodeMetrics` — named like its fields, in its field order.
+_COUNTERS = ("awake_rounds", "messages_sent", "messages_received",
+             "bits_sent", "max_message_bits")
 
 
 class VectorizedRun:
@@ -48,10 +69,11 @@ class VectorizedRun:
     network's routing arrays — shared-memory segments included), one
     private RNG per node (spawned in index order, exactly like the
     generator path), and the per-node metric arrays the engine fills in.
-    Engines record every round through :meth:`begin_round`,
-    :meth:`record_awake` and :meth:`record_sends` (in that order), so the
-    livelock, awake-budget and CONGEST checks fire with the same messages,
-    in the same precedence, as the generator loop.
+    Engines record every array-computed round through :meth:`begin_round`,
+    :meth:`record_awake` and :meth:`record_sends` (in that order), and
+    run generator rounds through :meth:`drive`, so the livelock,
+    awake-budget and CONGEST checks fire with the same messages, in the
+    same precedence, as the generator loop.
     """
 
     def __init__(
@@ -82,6 +104,9 @@ class VectorizedRun:
         # row_min/row_count several times per iteration.
         self._nonempty = self.degrees > 0
         self._starts = self.offsets[:-1][self._nonempty]
+        #: Whether any node has degree 0 (its sends go nowhere and are
+        #: never counted, so :meth:`record_sends` must filter them out).
+        self._isolated = not self._nonempty.all()
         #: One private generator per node, spawned in index order — the same
         #: derivation order ``Simulator.run`` uses, so streams are identical
         #: (``spawn_rngs`` is the batched twin of per-index ``spawn_rng``).
@@ -109,13 +134,18 @@ class VectorizedRun:
         #: :meth:`record_sends` once it knows whether a lower-index sender
         #: tripped the bit limit first.
         self._awake_offender: Optional[int] = None
+        #: The name :attr:`RunResult.engine` reports; engines may rename it.
+        self.engine = "vectorized"
+        #: Generator-loop state for :meth:`drive`, built on first use: one
+        #: :class:`~repro.sim.runner.Simulator` with this run's valves and
+        #: one inbox buffer per node, shared by every call.
+        self._simulator = None
+        self._inboxes: Optional[List[list]] = None
 
     # -- round bookkeeping + safety valves ------------------------------
 
     def begin_round(self, round_index: int) -> None:
         """Count one active round; trip the livelock valve like the loops."""
-        from repro.sim.runner import livelocked_error
-
         self.active_rounds += 1
         if self.active_rounds > self._max_active_rounds:
             raise livelocked_error(self._max_active_rounds)
@@ -143,25 +173,30 @@ class VectorizedRun:
         *senders* is ascending; *bits* is each sender's estimated message
         size (a scalar when all send the same payload), read only on
         metered runs; ``payload_of(index)`` rebuilds a sender's payload for
-        the error message.  Degree-0 senders send nothing and are skipped.
+        the error message.  Degree-0 senders send nothing and are skipped;
+        a round with no sender and no awake-valve offender records nothing.
         Raises the generator loop's :class:`MessageTooLargeError` for the
         first oversize sender in index order, after any awake-valve
         offender at or below it.  Engines call this once per round, after
         :meth:`record_awake`.
         """
-        from repro.sim.runner import (
-            awake_budget_error,
-            message_too_large_error,
-        )
-
-        sending = self.degrees[senders] > 0
-        senders = senders[sending]
+        offender = self._awake_offender
+        if offender is None and not len(senders):
+            return
         degrees = self.degrees[senders]
+        sizes = None
+        if self.metered:
+            sizes = np.asarray(bits, dtype=np.int64)
+            if not sizes.ndim:
+                sizes = np.full(len(senders), sizes)
+        if self._isolated:
+            sending = degrees > 0
+            senders, degrees = senders[sending], degrees[sending]
+            if sizes is not None:
+                sizes = sizes[sending]
         self.messages_sent[senders] += degrees
         oversize = None
-        if self.metered:
-            sizes = np.broadcast_to(np.asarray(bits, dtype=np.int64),
-                                    sending.shape)[sending]
+        if sizes is not None:
             self.bits_sent[senders] += degrees * sizes
             self.max_message_bits[senders] = np.maximum(
                 self.max_message_bits[senders], sizes)
@@ -169,7 +204,6 @@ class VectorizedRun:
             if over.any():
                 first = int(np.argmax(over))
                 oversize = int(senders[first])
-        offender = self._awake_offender
         if offender is not None and (oversize is None or offender <= oversize):
             raise awake_budget_error(self.labels[offender],
                                      self._max_awake_per_node)
@@ -177,6 +211,61 @@ class VectorizedRun:
             raise message_too_large_error(
                 self.labels[oversize], int(sizes[first]),
                 self.message_bit_limit, round_index, payload_of(oversize))
+
+    # -- generator-loop rounds --------------------------------------------
+
+    def drive(self, generators: Dict[int, Any], previous_round: int):
+        """Run per-node protocol *generators* on the simulator's round loop.
+
+        *generators* maps ascending node indices to fresh generators, as
+        if each node's protocol entered them when resumed in
+        *previous_round*.  They are started in index order, then driven
+        through :meth:`Simulator._drive <repro.sim.runner.Simulator._drive>`
+        — the one generator round loop — on this run's round clock: the
+        livelock valve counts on from :attr:`active_rounds`, and the
+        driven nodes' counters are bridged in and out of the metric
+        arrays (the caller must keep every other node asleep meanwhile).
+        Returns ``[(index, return value, round)]`` in termination order;
+        the caller decides what a return means, so termination rounds are
+        not written back.
+        """
+        if self._simulator is None:
+            self._simulator = Simulator(
+                self.network,
+                message_bit_limit=self.message_bit_limit,
+                max_active_rounds=self._max_active_rounds,
+                max_awake_per_node=self._max_awake_per_node,
+            )
+            self._inboxes = [[] for _ in range(self.n)]
+        simulator = self._simulator
+        indices = np.fromiter(generators, dtype=np.int64,
+                              count=len(generators))
+        nodes = [NodeMetrics(*counters) for counters in zip(
+            *(getattr(self, name)[indices].tolist() for name in _COUNTERS))]
+        per_node = dict(zip(generators, nodes))
+        finished = []
+        pending: List[tuple] = []
+        for index, gen in generators.items():
+            try:
+                call = next(gen)
+            except StopIteration as stop:
+                finished.append((index, stop.value, previous_round))
+                continue
+            simulator._validate_call(call, index, previous_round)
+            pending.append((call.round, index, call))
+        heapq.heapify(pending)
+        outputs: Dict[int, Any] = {}
+        self.active_rounds, last_round = simulator._drive(
+            pending, dict(generators), outputs, per_node, self._inboxes,
+            metered=self.metered, active_rounds=self.active_rounds)
+        if last_round is not None:
+            self.last_active_round = last_round
+        for name in _COUNTERS:
+            getattr(self, name)[indices] = [getattr(node, name)
+                                            for node in nodes]
+        finished.extend((index, value, per_node[index].terminated_round)
+                        for index, value in outputs.items())
+        return finished
 
     # -- whole-round array primitives -----------------------------------
 
@@ -209,8 +298,6 @@ class VectorizedRun:
 
     def to_result(self):
         """Package the filled-in state as a :class:`RunResult`."""
-        from repro.sim.runner import RunResult, missing_outputs_error
-
         labels = self.labels
         awake = self.awake_rounds.tolist()
         per_node: List[NodeMetrics] = [
@@ -243,7 +330,7 @@ class VectorizedRun:
             metrics=metrics,
             awake_by_label=awake_by_label,
             trace=None,
-            engine="vectorized",
+            engine=self.engine,
         )
 
 

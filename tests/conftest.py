@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import socket
 import struct
+import subprocess
 import threading
 
 import networkx as nx
@@ -166,6 +167,42 @@ def flap_proxy():
         proxy.close()
 
 
+def stop_workers(processes, timeout=10.0):
+    """Stop spawned workers the way an operator would, then check for leaks.
+
+    SIGTERM to all first: it takes each worker's orderly shutdown path,
+    which unlinks every shared-memory graph segment it owns; SIGKILL only
+    for a worker that does not finish within *timeout*.  Workers that
+    tests killed on purpose never ran that path, so their orphans are
+    reaped (``reap_stale_segments`` only touches segments of dead
+    owners).  Afterwards no ``repro-csr-<pid>-*`` segment may remain for
+    any of *processes*.
+    """
+    from repro.experiments import shm_cache
+
+    for process in processes:
+        if process.poll() is None:
+            process.terminate()
+    for process in processes:
+        try:
+            process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+    shm_cache.reap_stale_segments()
+    prefixes = tuple(f"{shm_cache.SEGMENT_PREFIX}-{process.pid}-"
+                     for process in processes)
+    leaked = [name for name in shm_cache.active_segments()
+              if name.startswith(prefixes)]
+    assert not leaked, f"spawned workers leaked shared memory: {leaked}"
+
+
+@pytest.fixture(scope="session")
+def worker_stopper():
+    """:func:`stop_workers`, for fixtures that spawn workers themselves."""
+    return stop_workers
+
+
 @pytest.fixture(scope="session")
 def spawn_socket_worker():
     """Factory spawning one TCP sweep worker on an ephemeral port.
@@ -174,8 +211,8 @@ def spawn_socket_worker():
     worker announced its listening address; *extra_env* lets the
     crash-recovery suite arm fault-injection markers in the worker's
     environment, and *slots*/*max_connections* pass straight through to
-    ``repro-mis worker serve``.  Every spawned worker is killed at
-    session teardown.
+    ``repro-mis worker serve``.  Every spawned worker is stopped at
+    session teardown by :func:`stop_workers`.
     """
     from repro.experiments.worker import spawn_local_worker
 
@@ -190,10 +227,7 @@ def spawn_socket_worker():
         return process, address
 
     yield spawn
-    for proc in spawned:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait()
+    stop_workers(spawned)
 
 
 @pytest.fixture(scope="session")

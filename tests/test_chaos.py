@@ -128,14 +128,14 @@ def _export_artifacts(tmp_path, test_name):
 
 
 @pytest.fixture
-def chaos_worker(tmp_path, request):
+def chaos_worker(tmp_path, request, worker_stopper):
     """A 2-slot worker with persistent logs, artefact-exported at teardown."""
     process, address, exec_log, worker_log = _spawn_logged_worker(tmp_path)
     yield process, address, exec_log
-    if process.poll() is None:
-        process.kill()
-    process.wait()
-    _export_artifacts(tmp_path, request.node.name)
+    try:
+        worker_stopper([process])
+    finally:
+        _export_artifacts(tmp_path, request.node.name)
 
 
 def _execution_counts(exec_log):

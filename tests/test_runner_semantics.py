@@ -1,9 +1,10 @@
 """Round-semantics regression tests for the SLEEPING-CONGEST driver.
 
-The simulator has two round engines — the generator loop, which meters
-message sizes when a bit limit or a trace is set, and the numpy
-whole-round engine for protocols that opt in (``luby``, ``rank_greedy``;
-it meters bit limits itself).  These tests pin
+The simulator has two kinds of round engine — the generator loop, which
+meters message sizes when a bit limit or a trace is set, and the numpy
+engines of protocols that opt in (the whole-round engine of ``luby`` and
+``rank_greedy``, the schedule engine of ``awake_mis``; they meter bit
+limits themselves).  These tests pin
 the model semantics of paper Section 1.3 on every configuration: messages
 to sleeping nodes are lost, the bit budget fires exactly at the limit,
 protocol violations (non-increasing rounds, out-of-range ports) are
@@ -246,6 +247,7 @@ class TestPathEquivalence:
                    for name, config in self.RUNS.items()}
         assert all(result.verified for result in results.values())
         runs = {name: result.raw for name, result in results.items()}
+        assert {run.engine for run in runs.values()} == {"generator"}
         assert essence(runs["unmetered"]) == essence(runs["metered"])
         assert essence(runs["traced"]) == essence(runs["metered"])
         assert runs["unmetered"].metrics.max_message_bits is None
@@ -333,9 +335,10 @@ class TestCSRPathEquivalence:
 
 
 class TestVectorizedEngineEquivalence:
-    """The numpy whole-round engine is the second interchangeable engine.
+    """The numpy engines are interchangeable with the generator loop.
 
-    For a protocol that opts in (``luby``), it must produce the same
+    For a protocol that opts in (``luby`` here, ``awake_mis`` through its
+    schedule engine below), the engine must produce the same
     outputs as the unmetered, metered and traced generator-loop runs *in
     the same insertion order*, the same per-node
     awake/message/termination counters and the same aggregate metrics —
@@ -375,3 +378,45 @@ class TestVectorizedEngineEquivalence:
         assert essence(vectorized) == essence(metered)
         assert vectorized.metrics.bits_metered is False
         assert vectorized.metrics.max_message_bits is None
+
+    @pytest.mark.parametrize("variant", ["awake", "round"])
+    @pytest.mark.parametrize("representation", ["nx", "csr"])
+    @pytest.mark.parametrize("algorithm_seed", [3, 4])
+    def test_schedule_engine_agrees_with_the_generator_loop(
+            self, variant, representation, algorithm_seed):
+        """Awake-MIS's schedule engine against the unmetered and the
+        traced, metered generator loop: same outputs in the same order,
+        same per-node counters, same active rounds."""
+        from repro.algorithms.awake_mis import (
+            AwakeMISParameters,
+            awake_mis_protocol,
+        )
+
+        graph = generators.gnp_graph(48, expected_degree=6, seed=2)
+        inputs = {"awake_params": AwakeMISParameters.scaled(
+            48, variant=variant)}
+        if representation == "csr":
+            graph = generators.to_csr(graph).view()
+        fast = run_protocol(graph, awake_mis_protocol, inputs=inputs,
+                            seed=algorithm_seed, vectorized=False)
+        schedule = run_protocol(graph, awake_mis_protocol, inputs=inputs,
+                                seed=algorithm_seed, vectorized=True)
+        metered = run_protocol(graph, awake_mis_protocol, inputs=inputs,
+                               seed=algorithm_seed, trace=True,
+                               message_bit_limit=10_000)
+
+        def essence(result):
+            per_node = [
+                (node.awake_rounds, node.messages_sent,
+                 node.messages_received, node.terminated_round)
+                for node in result.metrics.per_node
+            ]
+            return (result.outputs, list(result.outputs), per_node,
+                    result.awake_by_label, result.metrics.active_rounds,
+                    result.metrics.last_active_round)
+
+        assert (fast.engine, schedule.engine, metered.engine) == (
+            "generator", "schedule", "generator")
+        assert essence(schedule) == essence(fast)
+        assert essence(schedule) == essence(metered)
+        assert schedule.metrics.max_message_bits is None

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -65,6 +67,46 @@ class TestNetwork:
 # --------------------------------------------------------------------------- #
 # Message size accounting
 # --------------------------------------------------------------------------- #
+class IntSubclass(int):
+    """An ``int`` subclass: counts like an int, but not on the fast path."""
+
+
+def _reference_bits(payload):
+    """The documented size formula, written once more without fast paths."""
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(1, abs(payload).bit_length()) + 1
+    if isinstance(payload, float):
+        return 64
+    if isinstance(payload, (str, bytes)):
+        return 8 * max(1, len(payload))
+    if isinstance(payload, (tuple, list, set, frozenset)):
+        return sum(_reference_bits(item) + 2 for item in payload)
+    if isinstance(payload, dict):
+        return sum(_reference_bits(key) + _reference_bits(value) + 2
+                   for key, value in payload.items())
+    raise TypeError(type(payload).__name__)
+
+
+#: Message payloads: scalars (bools, negative and huge ints, int
+#: subclasses, floats, strings, bytes) nested in tuples, lists, sets and
+#: dicts.
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(
+        min_value=-(2**200), max_value=2**200)
+    | st.integers().map(IntSubclass) | st.floats(allow_nan=False)
+    | st.text(max_size=12) | st.binary(max_size=12),
+    lambda children: (
+        st.tuples(children, children) | st.lists(children, max_size=4).map(tuple)
+        | st.lists(children, max_size=4)
+        | st.frozensets(st.integers() | st.text(max_size=4), max_size=4)
+        | st.dictionaries(st.integers() | st.text(max_size=4), children,
+                          max_size=3)),
+    max_leaves=12,
+)
+
+
 class TestEstimateBits:
     def test_small_values(self):
         assert estimate_bits(None) == 1
@@ -86,6 +128,19 @@ class TestEstimateBits:
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
             estimate_bits(object())
+        with pytest.raises(TypeError):
+            estimate_bits((1, object()))
+
+    def test_int_subclasses_take_the_general_path(self):
+        assert estimate_bits((True, False, 1)) == 3 + 3 + 4
+        assert estimate_bits(IntSubclass(5)) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(PAYLOADS)
+    def test_property_matches_the_reference_formula(self, payload):
+        assert estimate_bits(payload) == _reference_bits(payload)
+
+
 
 
 # --------------------------------------------------------------------------- #

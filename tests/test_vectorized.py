@@ -1,22 +1,30 @@
-"""Tests for the numpy whole-round engine (:mod:`repro.sim.vectorized`).
+"""Tests for the numpy engines behind :mod:`repro.sim.vectorized`.
 
-The engine's contract is "bytes never change, only wall-clock": these
-tests pin agreement between the generator loop and the vectorized engine,
-unmetered and CONGEST-metered, for both local-minimum protocols (``luby``
-and ``rank_greedy``) across graph families and seeds, the dispatch gating
-(``vectorized`` tri-state), equal RNG consumption per node stream, the
-whole-round array primitives, and identical safety-valve and
-``MessageTooLargeError`` messages raised in the same precedence.
+The engines' contract is "bytes never change, only wall-clock": these
+tests pin agreement between the generator loop and the vectorized
+engines, unmetered and CONGEST-metered — the whole-round engine of both
+local-minimum protocols (``luby`` and ``rank_greedy``) and the schedule
+engine of ``awake_mis`` (both variants, both presets) — across graph
+families and seeds, the dispatch gating (``vectorized`` tri-state), equal
+RNG consumption per node stream, the whole-round array primitives, and
+identical safety-valve and ``MessageTooLargeError`` messages raised in
+the same precedence (inside the schedule engine's LDT-MIS rounds too).
 """
 
 from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.awake_mis import (
+    AwakeMISParameters,
+    awake_mis_protocol,
+    run_awake_mis,
+)
 from repro.algorithms.luby import luby_protocol
 from repro.algorithms.rank_greedy import rank_greedy_protocol
 from repro.errors import (
@@ -24,7 +32,8 @@ from repro.errors import (
     MessageTooLargeError,
     SimulationError,
 )
-from repro.graphs.generators import by_name, to_csr
+from repro.experiments.harness import run_mis
+from repro.graphs.generators import FAMILIES, by_name, to_csr
 from repro.rng import derive_seed
 from repro.sim.actions import WakeCall
 from repro.sim.message import estimate_bits
@@ -37,7 +46,15 @@ np = pytest.importorskip("numpy")
 INPUTS = {"max_iterations": 4096}
 
 #: Every protocol that ships a vectorized twin.
-PROTOCOLS = {"luby": luby_protocol, "rank_greedy": rank_greedy_protocol}
+PROTOCOLS = {"luby": luby_protocol, "rank_greedy": rank_greedy_protocol,
+             "awake_mis": awake_mis_protocol}
+
+#: The two protocols on the shared local-minimum whole-round engine.
+LOCAL_MINIMUM = ("luby", "rank_greedy")
+
+#: ``RunResult.engine`` of each protocol's vectorized twin.
+ENGINE_NAMES = {"luby": "vectorized", "rank_greedy": "vectorized",
+                "awake_mis": "schedule"}
 
 #: A bit limit that turns metering on without ever tripping it.
 LOOSE_LIMIT = 100_000
@@ -46,6 +63,15 @@ LOOSE_LIMIT = 100_000
 #: needs n > attachments — excluded to keep the strategy total).
 PROPERTY_FAMILIES = ("gnp", "gnp_dense", "tree", "path", "cycle", "star",
                      "clique", "caveman")
+
+
+def _inputs(name, graph, preset="scaled", variant="awake"):
+    """The global inputs *name*'s protocol runs with on *graph*."""
+    if name != "awake_mis":
+        return INPUTS
+    build = (AwakeMISParameters.paper if preset == "paper"
+             else AwakeMISParameters.scaled)
+    return {"awake_params": build(graph.number_of_nodes(), variant=variant)}
 
 
 def _summarize(result, bits=True):
@@ -68,24 +94,26 @@ def _summarize(result, bits=True):
               else ()))
 
 
-def _run_both_engines(graph, protocol, seed, **kwargs):
+def _run_both_engines(graph, name, seed, inputs=None, **kwargs):
     """(generator loop, vectorized engine) results of one configuration."""
-    generator = run_protocol(graph, protocol, inputs=INPUTS, seed=seed,
-                             vectorized=False, **kwargs)
-    vectorized = run_protocol(graph, protocol, inputs=INPUTS, seed=seed,
-                              vectorized=True, **kwargs)
+    if inputs is None:
+        inputs = _inputs(name, graph)
+    generator = run_protocol(graph, PROTOCOLS[name], inputs=inputs,
+                             seed=seed, vectorized=False, **kwargs)
+    vectorized = run_protocol(graph, PROTOCOLS[name], inputs=inputs,
+                              seed=seed, vectorized=True, **kwargs)
     assert (generator.engine, vectorized.engine) == ("generator",
-                                                      "vectorized")
+                                                      ENGINE_NAMES[name])
     return generator, vectorized
 
 
-def _assert_engines_agree(graph, protocol, seed):
+def _assert_engines_agree(graph, name, seed, inputs=None):
     """Both engines agree byte for byte, unmetered and metered."""
-    generator, vectorized = _run_both_engines(graph, protocol, seed)
+    generator, vectorized = _run_both_engines(graph, name, seed, inputs)
     assert _summarize(vectorized) == _summarize(generator)
     assert vectorized.metrics.max_message_bits is None
     metered_generator, metered = _run_both_engines(
-        graph, protocol, seed, message_bit_limit=LOOSE_LIMIT)
+        graph, name, seed, inputs, message_bit_limit=LOOSE_LIMIT)
     assert _summarize(metered) == _summarize(metered_generator)
     assert metered.metrics.bits_metered is True
     assert _summarize(metered, bits=False) == _summarize(vectorized,
@@ -145,9 +173,34 @@ class TestEngineDispatch:
     def test_vectorized_true_runs_under_a_bit_limit(self, name):
         graph = by_name("path", 4)
         result = run_protocol(graph, PROTOCOLS[name], seed=1,
+                              inputs=_inputs(name, graph),
                               message_bit_limit=1024, vectorized=True)
-        assert result.engine == "vectorized"
+        assert result.engine == ENGINE_NAMES[name]
         assert result.metrics.bits_metered is True
+
+    @pytest.mark.parametrize("config, engine", [
+        ({}, "schedule"),
+        ({"enforce_congest": False}, "schedule"),
+        ({"vectorized": False}, "generator"),
+        ({"enforce_congest": False, "vectorized": False}, "generator"),
+        ({"trace": True}, "generator"),
+    ])
+    def test_awake_mis_engine_through_the_harness(self, config, engine):
+        """``run_mis`` forwards ``vectorized`` to Awake-MIS: the schedule
+        engine runs by default, metered or not, and the generator loop
+        runs when pinned or traced."""
+        graph = by_name("gnp", 24, seed=3)
+        result = run_mis(graph, "awake_mis", seed=1, keep_raw=True, **config)
+        assert result.verified
+        assert result.raw.engine == engine
+
+    def test_run_awake_mis_forwards_vectorized(self):
+        graph = by_name("gnp", 24, seed=3)
+        assert run_awake_mis(graph, seed=1).engine == "schedule"
+        assert run_awake_mis(graph, seed=1,
+                             vectorized=False).engine == "generator"
+        with pytest.raises(ConfigurationError, match="tracing is enabled"):
+            run_awake_mis(graph, seed=1, trace=True, vectorized=True)
 
     def test_vectorized_true_requires_a_hook(self):
         def plain_protocol(ctx):
@@ -174,26 +227,40 @@ class TestEngineDispatch:
 class TestThreeWayByteIdentity:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_engines_agree_on_gnp(self, name, seed):
-        metered = _assert_engines_agree(by_name("gnp", 48, seed=2),
-                                        PROTOCOLS[name], seed)
+        metered = _assert_engines_agree(by_name("gnp", 48, seed=2), name,
+                                        seed)
         assert metered.metrics.max_message_bits > estimate_bits("inMIS")
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_engines_agree_on_csr_representation(self, name, seed):
         graph = by_name("gnp", 48, seed=2)
-        metered = _assert_engines_agree(to_csr(graph).view(),
-                                        PROTOCOLS[name], seed)
+        metered = _assert_engines_agree(to_csr(graph).view(), name, seed)
         # and the CSR run matches the adjacency-list run byte for byte
         assert _summarize(metered) == _summarize(
-            run_protocol(graph, PROTOCOLS[name], inputs=INPUTS, seed=seed,
-                         message_bit_limit=LOOSE_LIMIT, vectorized=True))
+            run_protocol(graph, PROTOCOLS[name], inputs=_inputs(name, graph),
+                         seed=seed, message_bit_limit=LOOSE_LIMIT,
+                         vectorized=True))
 
     def test_edgeless_graph(self, name):
-        metered = _assert_engines_agree(by_name("path", 1), PROTOCOLS[name],
-                                        seed=7)
+        metered = _assert_engines_agree(by_name("path", 1), name, seed=7)
         # A degree-0 node sends nothing, so it measures no message.
         assert metered.metrics.max_message_bits == 0
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(PROPERTY_FAMILIES),
+        n=st.integers(min_value=2, max_value=40),
+        graph_seed=st.integers(min_value=0, max_value=10),
+        run_seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_property_engines_agree(self, name, family, n, graph_seed,
+                                    run_seed):
+        _assert_engines_agree(by_name(family, n, seed=graph_seed), name,
+                              run_seed)
+
+
+@pytest.mark.parametrize("name", LOCAL_MINIMUM)
+class TestIterationCap:
     @pytest.mark.parametrize("limit", [None, LOOSE_LIMIT])
     @pytest.mark.parametrize("max_iterations", [0, 1, 2, 3])
     def test_iteration_cap_matches_the_generators(self, name,
@@ -215,24 +282,87 @@ class TestThreeWayByteIdentity:
                 outcomes.append(_summarize(result))
         assert outcomes[1] == outcomes[0]
 
-    @settings(max_examples=30, deadline=None)
+
+def _family_sizes(family):
+    """Sizes *family* builds at (``regular`` needs an even n above its
+    degree 6, ``powerlaw`` more nodes than its 3 attachments)."""
+    if family == "regular":
+        return st.integers(min_value=4, max_value=20).map(lambda k: 2 * k)
+    return st.integers(min_value=4 if family == "powerlaw" else 1,
+                       max_value=48)
+
+
+class TestScheduleEngine:
+    """Awake-MIS's schedule engine against the generator loop, in every
+    configuration the paper's variants and presets give it."""
+
+    @pytest.mark.parametrize("representation", ["nx", "csr"])
+    @pytest.mark.parametrize("preset", ["scaled", "paper"])
+    @pytest.mark.parametrize("variant", ["awake", "round"])
+    @pytest.mark.parametrize("family", ["gnp", "rgg"])
+    def test_variants_and_presets_agree(self, family, variant, preset,
+                                        representation):
+        graph = by_name(family, 64, seed=4)
+        inputs = _inputs("awake_mis", graph, preset, variant)
+        if representation == "csr":
+            graph = to_csr(graph).view()
+        for seed in (1, 2):
+            _assert_engines_agree(graph, "awake_mis", seed, inputs)
+
+    @settings(max_examples=40, deadline=None)
     @given(
-        family=st.sampled_from(PROPERTY_FAMILIES),
-        n=st.integers(min_value=2, max_value=40),
+        data=st.data(),
+        family=st.sampled_from(sorted(FAMILIES)),
+        preset=st.sampled_from(["scaled", "paper"]),
+        variant=st.sampled_from(["awake", "round"]),
         graph_seed=st.integers(min_value=0, max_value=10),
         run_seed=st.integers(min_value=0, max_value=1000),
     )
-    def test_property_engines_agree(self, name, family, n, graph_seed,
-                                    run_seed):
-        _assert_engines_agree(by_name(family, n, seed=graph_seed),
-                              PROTOCOLS[name], run_seed)
+    def test_property_every_family(self, data, family, preset, variant,
+                                   graph_seed, run_seed):
+        graph = by_name(family, data.draw(_family_sizes(family)),
+                        seed=graph_seed)
+        _assert_engines_agree(graph, "awake_mis", run_seed,
+                              _inputs("awake_mis", graph, preset, variant))
+
+    def test_empty_graph(self):
+        generator, schedule = _run_both_engines(nx.Graph(), "awake_mis", 1)
+        assert _summarize(schedule) == _summarize(generator)
+        assert schedule.outputs == {}
+
+    def test_unknown_variant_raises_inside_ldt_like_the_loop(self):
+        graph = by_name("gnp", 32, seed=1)
+        inputs = _inputs("awake_mis", graph, variant="bogus")
+        errors = []
+        for pinned in (False, True):
+            with pytest.raises(ValueError) as excinfo:
+                run_protocol(graph, awake_mis_protocol, inputs=inputs,
+                             seed=1, vectorized=pinned)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1] == "unknown LDT-MIS variant 'bogus'"
+
+    def test_missing_parameters_raise_like_the_loop(self):
+        graph = by_name("path", 3)
+        errors = []
+        for pinned in (False, True):
+            with pytest.raises(KeyError) as excinfo:
+                run_protocol(graph, awake_mis_protocol, seed=1,
+                             vectorized=pinned)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+        assert "awake_params" in errors[0]
 
 
 # --------------------------------------------------------------------------- #
 # RNG stream discipline
 # --------------------------------------------------------------------------- #
 class CountingRandom(random.Random):
-    """A Random that tallies ``randrange`` draws into a shared counter."""
+    """A Random that tallies its draws into a shared counter.
+
+    ``randrange`` (``randint`` included) and ``random`` each count one
+    draw; ``shuffle`` draws through ``getrandbits`` and shows up in the
+    final state the tests compare as well.
+    """
 
     def __init__(self, seed, counts, index):
         super().__init__(seed)
@@ -243,40 +373,59 @@ class CountingRandom(random.Random):
         self._counts[self._index] += 1
         return super().randrange(*args, **kwargs)
 
+    def random(self):
+        self._counts[self._index] += 1
+        return super().random()
+
 
 class TestRngConsumption:
     @pytest.mark.parametrize("limit", [None, LOOSE_LIMIT])
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     def test_engines_consume_identical_draws_per_node(self, monkeypatch,
                                                       name, limit):
-        """Both engines must draw the same number of priorities from the
-        same per-node streams — the property that makes them bit-identical
-        and keeps future protocol changes honest about RNG discipline."""
+        """Both engines must draw the same values from the same per-node
+        streams — the property that makes them bit-identical and keeps
+        future protocol changes honest about RNG discipline: equal draw
+        counts, and every stream left in the same state."""
         import repro.sim.runner as runner_module
         import repro.sim.vectorized as vectorized_module
 
         graph = by_name("gnp", 32, seed=9)
+        inputs = _inputs(name, graph)
         master = 17
 
         generator_counts = [0] * 32
-        monkeypatch.setattr(
-            runner_module, "spawn_rng",
-            lambda seed, index: CountingRandom(
-                derive_seed(seed, index), generator_counts, index))
-        run_protocol(graph, PROTOCOLS[name], inputs=INPUTS, seed=master,
+        generator_streams = {}
+
+        def spawn_counting(seed, index):
+            stream = CountingRandom(derive_seed(seed, index),
+                                    generator_counts, index)
+            generator_streams[index] = stream
+            return stream
+
+        monkeypatch.setattr(runner_module, "spawn_rng", spawn_counting)
+        run_protocol(graph, PROTOCOLS[name], inputs=inputs, seed=master,
                      message_bit_limit=limit, vectorized=False)
 
         vectorized_counts = [0] * 32
-        monkeypatch.setattr(
-            vectorized_module, "spawn_rngs",
-            lambda seed, count: [
+        vectorized_streams = []
+        def spawn_all_counting(seed, count):
+            vectorized_streams.extend(
                 CountingRandom(derive_seed(seed, i), vectorized_counts, i)
-                for i in range(count)])
-        run_protocol(graph, PROTOCOLS[name], inputs=INPUTS, seed=master,
-                     message_bit_limit=limit, vectorized=True)
+                for i in range(count))
+            return vectorized_streams
 
+        monkeypatch.setattr(vectorized_module, "spawn_rngs",
+                            spawn_all_counting)
+        result = run_protocol(graph, PROTOCOLS[name], inputs=inputs,
+                              seed=master, message_bit_limit=limit,
+                              vectorized=True)
+
+        assert result.engine == ENGINE_NAMES[name]
         assert sum(generator_counts) > 0
         assert vectorized_counts == generator_counts
+        assert [stream.getstate() for stream in vectorized_streams] == [
+            generator_streams[index].getstate() for index in range(32)]
 
 
 # --------------------------------------------------------------------------- #
@@ -375,37 +524,41 @@ _staggered_protocol.vectorized_engine = _staggered_engine
 
 class TestSafetyValves:
     def _messages(self, graph, protocol=luby_protocol, local_inputs=None,
-                  **simulator_kwargs):
+                  inputs=INPUTS, seed=1, **simulator_kwargs):
         errors = {}
         for name, pinned in (("generator", False), ("vectorized", True)):
-            simulator = Simulator(build_network(graph), seed=1,
+            simulator = Simulator(build_network(graph), seed=seed,
                                   vectorized=pinned, **simulator_kwargs)
             with pytest.raises(SimulationError) as excinfo:
-                simulator.run(protocol, inputs=INPUTS,
+                simulator.run(protocol, inputs=inputs,
                               local_inputs=local_inputs)
             errors[name] = f"{type(excinfo.value).__name__}: {excinfo.value}"
         assert errors["vectorized"] == errors["generator"]
         return errors["vectorized"]
 
+    def _valve(self, name, graph, **simulator_kwargs):
+        return self._messages(graph, PROTOCOLS[name],
+                              inputs=_inputs(name, graph), **simulator_kwargs)
+
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     def test_livelock_valve_messages_match(self, name):
-        error = self._messages(by_name("gnp", 24, seed=3), PROTOCOLS[name],
-                               max_active_rounds=1)
+        error = self._valve(name, by_name("gnp", 24, seed=3),
+                            max_active_rounds=1)
         assert "livelocked" in error
 
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     def test_awake_budget_valve_messages_match(self, name):
-        error = self._messages(by_name("gnp", 24, seed=3), PROTOCOLS[name],
-                               max_awake_per_node=1)
+        error = self._valve(name, by_name("gnp", 24, seed=3),
+                            max_awake_per_node=1)
         assert "exceeded 1 awake rounds" in error
 
     @pytest.mark.parametrize("limit", [1, 39, 40, 60])
-    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("name", LOCAL_MINIMUM)
     def test_message_too_large_messages_match(self, name, limit):
         """Round-1 ``(tag, value)`` messages trip small limits; a limit of
         exactly 40 bits admits the IN_MIS announcement but not them."""
-        error = self._messages(by_name("gnp", 24, seed=3), PROTOCOLS[name],
-                               message_bit_limit=limit)
+        error = self._valve(name, by_name("gnp", 24, seed=3),
+                            message_bit_limit=limit)
         assert error.startswith("MessageTooLargeError: node ")
         assert f"(limit {limit}) in round 0" in error
 
@@ -413,10 +566,66 @@ class TestSafetyValves:
     def test_awake_valve_precedes_the_bit_limit(self, name):
         """Both valves trip in round 0 for every node; node 0's awake
         budget is checked before its sends."""
-        error = self._messages(by_name("gnp", 24, seed=3), PROTOCOLS[name],
-                               max_awake_per_node=0, message_bit_limit=1)
+        error = self._valve(name, by_name("gnp", 24, seed=3),
+                            max_awake_per_node=0, message_bit_limit=1)
         assert error.startswith("SimulationError: node ")
         assert "exceeded 0 awake rounds" in error
+
+    @pytest.mark.parametrize("share", [0.0, 0.2, 0.5, 0.8, 0.99])
+    def test_awake_mis_livelock_valve_anywhere_in_the_run(self, share):
+        """The active-round count runs on across communication rounds and
+        the LDT-MIS rounds in between, so the valve trips at the same
+        round wherever that falls."""
+        graph = by_name("gnp", 48, seed=3)
+        total = run_protocol(graph, awake_mis_protocol, seed=1,
+                             inputs=_inputs("awake_mis", graph),
+                             ).metrics.active_rounds
+        error = self._valve("awake_mis", graph,
+                            max_active_rounds=int(share * total))
+        assert "livelocked" in error
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13])
+    def test_awake_mis_small_awake_budgets(self, budget):
+        """Small budgets trip in communication rounds, larger ones inside
+        LDT-MIS rounds; both engines name the same node either way."""
+        error = self._valve("awake_mis", by_name("gnp", 48, seed=3),
+                            max_awake_per_node=budget)
+        assert f"exceeded {budget} awake rounds" in error
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_awake_mis_valve_fires_in_a_round_without_senders(self, seed):
+        """Nobody is decided in the first communication rounds, so nobody
+        sends there; the awake valve must still fire in the first of them,
+        naming its lowest attendee, not wait for a round with senders."""
+        error = self._valve("awake_mis", by_name("gnp", 24, seed=3),
+                            seed=seed, max_awake_per_node=0)
+        assert "exceeded 0 awake rounds" in error
+
+    @pytest.mark.parametrize("limit", [1, 39, 40, 63, 64, 70])
+    def test_awake_mis_bit_limits(self, limit):
+        """No one sends in round 0 (everyone is undecided); limits below
+        the 40- and 64-bit state broadcasts can trip in communication
+        rounds, and a limit that admits both trips inside LDT-MIS, whose
+        tuples are larger."""
+        graph = by_name("gnp", 48, seed=3)
+        error = self._valve("awake_mis", graph, message_bit_limit=limit)
+        assert error.startswith("MessageTooLargeError: node ")
+        sent_in = int(error.split(" in round ")[1].split(":")[0])
+        if limit >= estimate_bits("notinMIS"):
+            phase_length = _inputs("awake_mis", graph)[
+                "awake_params"].phase_length
+            assert sent_in % phase_length != 0
+
+    @pytest.mark.parametrize("budget, limit", [(3, 64), (5, 64), (8, 64),
+                                               (13, 64), (2, 40)])
+    def test_awake_mis_valve_precedence_inside_ldt(self, budget, limit):
+        """Awake budget and bit limit race in the same run; whichever the
+        generator loop trips first, the schedule engine trips too."""
+        error = self._valve("awake_mis", by_name("gnp", 48, seed=3),
+                            max_awake_per_node=budget,
+                            message_bit_limit=limit)
+        assert error.startswith(("SimulationError: node ",
+                                 "MessageTooLargeError: node "))
 
     @pytest.mark.parametrize("early, payloads, expected", [
         # node i's awake valve fires before its own oversize sends

@@ -128,6 +128,53 @@ class TestCommunicationSets:
         bound = (math.ceil(math.log2(i)) if i > 1 else 0) + 1
         assert len(vt.communication_set(k, i)) <= bound
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=2**40), st.data())
+    def test_closed_form_membership(self, i, data):
+        """``in_communication_set`` is the closed form of membership."""
+        k = data.draw(st.integers(min_value=1, max_value=i))
+        rounds = vt.communication_set(k, i)
+        for r in {1, k, i, *rounds, *data.draw(st.lists(
+                st.integers(min_value=1, max_value=i), max_size=8))}:
+            assert bool(vt.in_communication_set(r, k)) == (r in rounds)
+
+    def test_closed_form_membership_exhaustive_and_elementwise(self):
+        np = pytest.importorskip("numpy")
+        for i in range(1, 70):
+            r, k = np.meshgrid(np.arange(1, i + 1), np.arange(1, i + 1))
+            expected = [[x in vt.communication_set(row, i)
+                         for x in range(1, i + 1)] for row in range(1, i + 1)]
+            assert vt.in_communication_set(r, k).tolist() == expected
+
+
+class TestCommunicationSetMemo:
+    """``communication_set`` is memoised in a bounded cache: it must hand
+    back what a fresh computation does, and never grow past its bound."""
+
+    @staticmethod
+    def _fresh(k, i):
+        return vt.communication_set.__wrapped__(k, i)
+
+    def test_cached_sets_equal_fresh_computations(self):
+        vt.communication_set.cache_clear()
+        for i in range(1, 40):
+            for k in range(1, i + 1):
+                first = vt.communication_set(k, i)
+                assert vt.communication_set(k, i) is first
+                assert first == self._fresh(k, i)
+        assert vt.communication_set.cache_info().hits >= 780
+
+    def test_cache_is_bounded(self):
+        bound = vt.communication_set.cache_info().maxsize
+        assert bound == vt.COMMUNICATION_SET_CACHE
+        # Spread-out IDs from an (n + 2)^3 space, as VT-MIS draws them:
+        # twice as many distinct keys as the cache holds.
+        space = (1000 + 2) ** 3
+        for k in range(2 * bound):
+            key = k * 2_654_435_761 % space + 1
+            assert vt.communication_set(key, space) == self._fresh(key, space)
+        assert vt.communication_set.cache_info().currsize == bound
+
 
 class TestVirtualTreeClass:
     def test_build_and_lookup(self):
