@@ -23,6 +23,7 @@ experiments E1/E2 compare against.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
 from repro.sim.actions import WakeCall
@@ -122,14 +123,14 @@ def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
     max_iterations = run.inputs.get("max_iterations", 4096)
     undecided = np.ones(run.n, dtype=bool)
     labels = run.labels
-    draw = [rng.randrange for rng in run.rngs]
+    rngs = run.rngs
     # Decided nodes read as +inf in the value array so a strict local
     # minimum among *undecided* neighbours is just a strict minimum over
     # all neighbours (any real value is < INF, and empty rows win).
     INF = np.int64(1) << 62
     values = np.full(run.n, INF, dtype=np.int64)
     if not redraw:
-        values[:] = [d(value_space) for d in draw]
+        values[:] = [rng.randrange(value_space) for rng in rngs]
     in_mis_bits = estimate_bits(IN_MIS)
 
     def value_payload(index):
@@ -141,7 +142,8 @@ def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
             return
         base = ROUNDS_PER_ITERATION * iteration
         if redraw:
-            values[idx] = [draw[i](value_space) for i in idx.tolist()]
+            values[idx] = [rngs[i].randrange(value_space)
+                           for i in idx.tolist()]
         bits = ([estimate_bits((tag, value)) for value in values[idx].tolist()]
                 if run.metered else None)
 
@@ -167,15 +169,19 @@ def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
         decided_idx = np.flatnonzero(winners | losers)
         if decided_idx.size:
             run.terminated_round[decided_idx] = base + 1
-            outputs = run.outputs
-            for i, won, value in zip(decided_idx.tolist(),
-                                     winners[decided_idx].tolist(),
-                                     values[decided_idx].tolist()):
-                detail = {"iterations": iteration + 1}
-                if value_key is not None:
-                    detail[value_key] = value
-                outputs[labels[i]] = MISDecision(
-                    in_mis=won, decided_round=base + 1, detail=detail)
+            decided = decided_idx.tolist()
+            iterations = iteration + 1
+            if value_key is None:
+                details = [{"iterations": iterations} for _ in decided]
+            else:
+                details = [{"iterations": iterations, value_key: value}
+                           for value in values[decided_idx].tolist()]
+            # Bulk insertion in ascending index order, positional
+            # constructors: thousands of nodes decide per round.
+            run.outputs.update(zip(
+                map(labels.__getitem__, decided),
+                map(MISDecision, winners[decided_idx].tolist(),
+                    itertools.repeat(base + 1), details)))
             undecided[decided_idx] = False
             values[decided_idx] = INF
 

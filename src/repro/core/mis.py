@@ -5,36 +5,36 @@ against these verifiers, both in tests and — optionally — after every
 simulated run (:class:`repro.experiments.harness` turns verification on by
 default).
 
-The verifiers accept networkx graphs and CSR-backed graphs
-(:class:`repro.graphs.csr.CSRGraphView`, what the sweep executor's graph
-caches serve) alike.  CSR inputs take an array-at-a-time path: the set
-becomes a boolean row mask, and one ``logical_or.reduceat`` over that mask
-gathered along the neighbour array marks every row with a neighbour in the
-set.  Independence is then "no member has such a neighbour", maximality
-"every row is a member or has one".  Both paths give the same answers and
-the same error messages (pinned by ``tests/test_mis_verification.py``).
+The verifiers run on CSR arrays: a networkx graph is converted once by
+:func:`repro.graphs.csr.csr_view`, and CSR views (what the sweep
+executor's graph caches serve) are used as they are.  The set becomes a
+boolean row mask, and one ``logical_or.reduceat`` over that mask gathered
+along the neighbour array marks every row with a neighbour in the set.
+Independence is then "no member has such a neighbour", maximality "every
+row is a member or has one".  Like the simulator, the verifiers reject
+directed graphs, multigraphs and self-loops with a ``ConfigurationError``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, List, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import VerificationError
-from repro.graphs.csr import CSRGraphView
+from repro.graphs.csr import CSRGraphView, csr_view
 
 
-def _csr_cover(graph: CSRGraphView, nodes: Set) -> Tuple[Any, Any, bool]:
-    """``(member, covered, complete)`` row masks of *nodes* on *graph*.
+def _cover(graph: Any, nodes: Set) -> Tuple[CSRGraphView, Any, Any, bool]:
+    """``(view, member, covered, complete)`` for *nodes* on *graph*.
 
-    *member* selects the rows of *nodes*, *covered* the rows with at least
-    one neighbour in *nodes*, and *complete* says whether every element
-    of *nodes* is a node of *graph*.
+    *view* is *graph* as CSR, *member* the row mask of *nodes*, *covered*
+    the mask of rows with at least one neighbour in *nodes*, and
+    *complete* says whether every element of *nodes* is a node of *graph*.
     """
-    member, complete = graph.member_mask(nodes)
-    offsets, neighbors, _, _ = graph.csr.as_arrays()
+    view = csr_view(graph)
+    member, complete = view.member_mask(nodes)
+    offsets, neighbors, _, _ = view.csr.as_arrays()
     covered = np.zeros(len(member), dtype=bool)
     nonempty = offsets[1:] > offsets[:-1]
     if neighbors.size:
@@ -42,89 +42,56 @@ def _csr_cover(graph: CSRGraphView, nodes: Set) -> Tuple[Any, Any, bool]:
         # an empty segment's offset instead of the identity.
         covered[nonempty] = np.logical_or.reduceat(
             member[neighbors], offsets[:-1][nonempty])
-    return member, covered, complete
+    return view, member, covered, complete
 
 
-def is_independent_set(graph: nx.Graph, candidate: Iterable) -> bool:
+def is_independent_set(graph: Any, candidate: Iterable) -> bool:
     """Return True iff no two nodes of *candidate* are adjacent in *graph*."""
-    nodes = set(candidate)
-    if isinstance(graph, CSRGraphView):
-        member, covered, complete = _csr_cover(graph, nodes)
-        return complete and not np.any(member & covered)
-    missing = nodes - set(graph.nodes)
-    if missing:
-        return False
-    for u in nodes:
-        for v in graph.neighbors(u):
-            if v in nodes and v != u:
-                return False
-    return True
+    _, member, covered, complete = _cover(graph, set(candidate))
+    return complete and not np.any(member & covered)
 
 
-def is_maximal_independent_set(graph: nx.Graph, candidate: Iterable) -> bool:
+def is_maximal_independent_set(graph: Any, candidate: Iterable) -> bool:
     """Return True iff *candidate* is an independent set that is maximal.
 
     Maximality: every node of the graph is either in the set or adjacent to a
     node in the set (the domination condition (i) of the paper's definition).
     """
-    nodes = set(candidate)
-    if isinstance(graph, CSRGraphView):
-        member, covered, complete = _csr_cover(graph, nodes)
-        return (complete and not np.any(member & covered)
-                and bool(np.all(member | covered)))
-    if not is_independent_set(graph, nodes):
-        return False
-    for v in graph.nodes:
-        if v in nodes:
-            continue
-        if not any(u in nodes for u in graph.neighbors(v)):
-            return False
-    return True
+    _, member, covered, complete = _cover(graph, set(candidate))
+    return (complete and not np.any(member & covered)
+            and bool(np.all(member | covered)))
 
 
-def uncovered_nodes(graph: nx.Graph, candidate: Iterable) -> List:
+def uncovered_nodes(graph: Any, candidate: Iterable) -> List:
     """Return nodes that are neither in *candidate* nor adjacent to it,
     in node order."""
-    nodes = set(candidate)
-    if isinstance(graph, CSRGraphView):
-        member, covered, _ = _csr_cover(graph, nodes)
-        labels = graph.csr.as_arrays()[3]
-        return labels[~(member | covered)].tolist()
-    return [
-        v
-        for v in graph.nodes
-        if v not in nodes and not any(u in nodes for u in graph.neighbors(v))
-    ]
+    view, member, covered, _ = _cover(graph, set(candidate))
+    labels = view.csr.as_arrays()[3]
+    return labels[~(member | covered)].tolist()
 
 
-def conflicting_edges(graph: nx.Graph, candidate: Iterable) -> List:
+def conflicting_edges(graph: Any, candidate: Iterable) -> List:
     """Return edges of *graph* whose both endpoints are in *candidate*.
 
     Each edge appears once as ``(u, v)`` with ``u`` before ``v`` in node
     order, and the edges are sorted by the node-order positions of
     ``(u, v)``, whatever order the graph stores its adjacency in.
     """
-    nodes = set(candidate)
-    if isinstance(graph, CSRGraphView):
-        member, _ = graph.member_mask(nodes)
-        offsets, neighbors, _, labels = graph.csr.as_arrays()
-        sources = np.repeat(np.arange(len(member)), np.diff(offsets))
-        both = member[sources] & member[neighbors] & (sources < neighbors)
-        return list(zip(labels[sources[both]].tolist(),
-                        labels[neighbors[both]].tolist()))
-    conflicts = [(u, v) for u, v in graph.edges if u in nodes and v in nodes]
-    if conflicts:
-        position = {node: index for index, node in enumerate(graph.nodes)}
-        conflicts.sort(key=lambda edge: (position[edge[0]],
-                                         position[edge[1]]))
-    return conflicts
+    view = csr_view(graph)
+    member, _ = view.member_mask(set(candidate))
+    offsets, neighbors, _, labels = view.csr.as_arrays()
+    sources = np.repeat(np.arange(len(member)), np.diff(offsets))
+    both = member[sources] & member[neighbors] & (sources < neighbors)
+    return list(zip(labels[sources[both]].tolist(),
+                    labels[neighbors[both]].tolist()))
 
 
-def verify_mis(graph: nx.Graph, candidate: Iterable, label: str = "output") -> Set:
+def verify_mis(graph: Any, candidate: Iterable, label: str = "output") -> Set:
     """Verify *candidate* is an MIS of *graph*, raising a detailed error if not.
 
     Returns the candidate as a set on success so callers can chain the call.
     """
+    graph = csr_view(graph)
     nodes = set(candidate)
     conflicts = conflicting_edges(graph, nodes)
     if conflicts:
@@ -141,7 +108,7 @@ def verify_mis(graph: nx.Graph, candidate: Iterable, label: str = "output") -> S
     return nodes
 
 
-def greedy_mis_from_order(graph: nx.Graph, order: Iterable) -> Set:
+def greedy_mis_from_order(graph: Any, order: Iterable) -> Set:
     """Return the lexicographically-first MIS (LFMIS) for a node *order*.
 
     This is the sequential greedy scan the paper's Section 4.3 describes:

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-import networkx as nx
+import numpy as np
 
+from repro.graphs.csr import csr_view
+from repro.graphs.properties import component_labels, degree_histogram
 from repro.rng import SeedLike, make_rng
 
 
-def random_partition(graph: nx.Graph, classes: int, seed: SeedLike = None) -> Dict:
+def random_partition(graph: Any, classes: int, seed: SeedLike = None) -> Dict:
     """Assign each node of *graph* a uniform class in ``[1, classes]``.
 
     Returns a ``{node: class_index}`` mapping.  This is the "each node is in
@@ -35,25 +37,33 @@ def random_partition(graph: nx.Graph, classes: int, seed: SeedLike = None) -> Di
     return {v: rng.randint(1, classes) for v in graph.nodes}
 
 
-def class_subgraphs(graph: nx.Graph, assignment: Dict) -> Dict[int, nx.Graph]:
-    """Return the induced subgraph ``H[U_j]`` for every class ``j``."""
-    by_class: Dict[int, List] = {}
-    for node, cls in assignment.items():
-        by_class.setdefault(cls, []).append(node)
-    return {cls: graph.subgraph(nodes).copy() for cls, nodes in by_class.items()}
+def largest_component_per_class(graph: Any,
+                                assignment: Dict) -> Dict[int, int]:
+    """Return, for each class, the size of its largest induced component.
 
-
-def component_sizes(graph: nx.Graph) -> List[int]:
-    """Return the sizes of the connected components of *graph* (desc order)."""
-    return sorted((len(c) for c in nx.connected_components(graph)), reverse=True)
-
-
-def largest_component_per_class(graph: nx.Graph, assignment: Dict) -> Dict[int, int]:
-    """Return, for each class, the size of its largest induced component."""
-    result: Dict[int, int] = {}
-    for cls, subgraph in class_subgraphs(graph, assignment).items():
-        sizes = component_sizes(subgraph)
-        result[cls] = sizes[0] if sizes else 0
+    *assignment* maps every node of *graph* to an integer class, as
+    :func:`random_partition` does.  One pass over *graph*'s CSR arrays:
+    keep the edges whose ends share a class, label the components of what
+    is left once, and take the largest component of each class.  Classes
+    come out in the order *assignment* first names them.
+    """
+    view = csr_view(graph)
+    offsets, neighbors, _, _ = view.csr.as_arrays()
+    n = view.csr.n
+    row_class = np.fromiter((assignment[label] for label in view),
+                            dtype=np.int64, count=n)
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    # The kept edges stay in CSR order: rows ascending, neighbours sorted.
+    keep = row_class[sources] == row_class[neighbors]
+    induced_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources[keep], minlength=n),
+              out=induced_offsets[1:])
+    comp = component_labels(induced_offsets, neighbors[keep])
+    classes, class_of_row = np.unique(row_class, return_inverse=True)
+    largest = np.zeros(len(classes), dtype=np.int64)
+    np.maximum.at(largest, class_of_row, np.bincount(comp, minlength=n)[comp])
+    result = dict.fromkeys(assignment.values(), 0)
+    result.update(zip(classes.tolist(), largest.tolist()))
     return result
 
 
@@ -88,7 +98,7 @@ class ShatteringMeasurement:
 
 
 def measure_shattering(
-    graph: nx.Graph,
+    graph: Any,
     seed: SeedLike = None,
     epsilon: float = 1.0 / 16.0,
     classes: Optional[int] = None,
@@ -98,13 +108,14 @@ def measure_shattering(
     *classes* overrides the default ``2 * max_degree`` (used by tests that
     deliberately under-partition to watch the bound fail).
     """
-    n = graph.number_of_nodes()
+    view = csr_view(graph)
+    n = view.number_of_nodes()
     if n == 0:
         raise ValueError("cannot measure shattering of an empty graph")
-    max_degree = max(dict(graph.degree()).values(), default=0)
+    max_degree = max(degree_histogram(view))
     effective_classes = classes if classes is not None else max(1, 2 * max_degree)
-    assignment = random_partition(graph, effective_classes, seed)
-    per_class = largest_component_per_class(graph, assignment)
+    assignment = random_partition(view, effective_classes, seed)
+    per_class = largest_component_per_class(view, assignment)
     largest = max(per_class.values(), default=0)
     return ShatteringMeasurement(
         n=n,
@@ -116,15 +127,16 @@ def measure_shattering(
 
 
 def shattering_profile(
-    graph: nx.Graph,
+    graph: Any,
     trials: int,
     seed: SeedLike = None,
     epsilon: float = 1.0 / 16.0,
 ) -> List[ShatteringMeasurement]:
     """Repeat :func:`measure_shattering` over *trials* independent partitions."""
     rng = make_rng(seed)
+    view = csr_view(graph)
     return [
-        measure_shattering(graph, seed=rng.randrange(2**63), epsilon=epsilon)
+        measure_shattering(view, seed=rng.randrange(2**63), epsilon=epsilon)
         for _ in range(trials)
     ]
 

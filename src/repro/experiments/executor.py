@@ -20,7 +20,7 @@ Design invariants
   from the deterministic generator registry as flat CSR arrays
   (:func:`repro.graphs.generators.build_csr`), so nothing graph-sized ever
   crosses a process boundary in either direction, and serial, pool and
-  slot processes all simulate on the same zero-copy ``CSRNetwork``.
+  slot processes all simulate on the same zero-copy CSR arrays.
 * **Results ship compact.**  Workers run :func:`repro.experiments.harness
   .run_mis` with ``collect_raw=False`` so each result carries scalar
   :class:`~repro.sim.metrics.CompactRunMetrics` rather than per-node

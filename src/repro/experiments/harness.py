@@ -22,6 +22,7 @@ import networkx as nx
 
 from repro.core.mis import is_independent_set, is_maximal_independent_set
 from repro.errors import ConfigurationError
+from repro.graphs.csr import csr_view
 from repro.rng import SeedLike, make_rng
 from repro.sim.metrics import CompactRunMetrics, RunMetrics
 from repro.sim.runner import RunResult, run_protocol
@@ -276,7 +277,8 @@ def run_mis(
     Parameters
     ----------
     graph:
-        Any simple undirected graph.
+        Any simple undirected graph: a networkx graph, converted to CSR
+        arrays once here, or a CSR graph or view.
     algorithm:
         One of :func:`available_algorithms`.
     seed:
@@ -312,6 +314,8 @@ def run_mis(
         raise ConfigurationError(
             f"unknown algorithm '{algorithm}'; available: {available_algorithms()}"
         )
+    # One conversion: the adapter and both verifiers share these arrays.
+    graph = csr_view(graph)
     if graph.number_of_nodes() == 0:
         raise ConfigurationError("cannot run an MIS algorithm on an empty graph")
     if keep_raw and not collect_raw:

@@ -1,7 +1,9 @@
-"""Flat CSR adjacency arrays — the shareable graph representation.
+"""Flat CSR adjacency arrays — the one graph representation.
 
-A :class:`CSRGraph` stores a simple undirected graph as four flat int64
-arrays:
+The simulator, the MIS verifiers and the graph statistics all run on
+these arrays; a networkx graph is only an input format, converted once
+by :func:`csr_view`, the one place that asks which representation a
+graph is.  A :class:`CSRGraph` stores a simple undirected graph as:
 
 - ``offsets`` (``n + 1`` words): row ``i``'s neighbours live at
   ``neighbors[offsets[i]:offsets[i + 1]]``, sorted ascending.
@@ -9,12 +11,12 @@ arrays:
   not labels).
 - ``arrivals`` (``2m`` words): ``arrivals[offsets[i] + p]`` is the port on
   which node ``i``'s port-``p`` neighbour receives messages *from* ``i`` —
-  precomputed so a network view needs no per-node dictionaries at all.
-- ``labels`` (``n`` words): the original node labels, in ``graph.nodes``
-  order.  Rows are built in this same order and per-row neighbours are
-  sorted by index, exactly mirroring :class:`repro.sim.network.Network`'s
-  port numbering, so simulations over either representation are
-  byte-identical.
+  precomputed so a network needs no per-node dictionaries at all.
+- ``labels``: the original node labels, in ``graph.nodes`` order — ``n``
+  int64 words when every label is a plain ``int`` that fits one, a tuple
+  otherwise.  Rows follow this order and per-row neighbours are sorted
+  by index, which fixes the port numbering of
+  :class:`repro.sim.network.Network`.
 
 Every CSR graph is built by :meth:`CSRGraph.from_edges` from a flat edge
 list: the ``gnp`` and ``rgg`` families generate their edge arrays in numpy
@@ -22,22 +24,20 @@ and land here directly (:func:`repro.graphs.generators.build_csr`), while
 :meth:`CSRGraph.from_graph` reads a networkx graph's edges once and hands
 them over.
 
-The arrays serialise into one contiguous buffer (``pack_into`` /
-``from_buffer``) with a small header, which is what the worker's
-``multiprocessing.shared_memory`` graph cache maps read-only into every
-slot process: :meth:`CSRGraph.from_buffer` is zero-copy (memoryview
-slices over the segment), so attaching a cached graph costs O(1)
-regardless of size.
+Graphs with integer labels serialise into one contiguous buffer
+(``pack_into`` / ``from_buffer``) with a small header, which is what the
+worker's ``multiprocessing.shared_memory`` graph cache maps read-only
+into every slot process: :meth:`CSRGraph.from_buffer` is zero-copy
+(memoryview slices over the segment), so attaching a cached graph costs
+O(1) regardless of size.
 
 :class:`CSRGraphView` wraps the arrays in the small read-only subset of
-the :mod:`networkx` API the harness and verifiers use (``nodes``,
-``edges``, ``neighbors``, ``number_of_nodes`` …), so a CSR-backed graph
-can flow through ``run_mis`` unchanged.
+the :mod:`networkx` API that algorithm adapters use (``nodes``,
+``edges``, ``neighbors``, ``number_of_nodes`` …).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 from typing import Any, Collection, Dict, Iterator, Optional, Tuple
 
@@ -81,6 +81,11 @@ def _np_int64_view(words: memoryview, writable: bool = False) -> Any:
     return array_view
 
 
+def _is_word(label: Any) -> bool:
+    """True when *label* is a plain ``int`` that fits one int64 word."""
+    return type(label) is int and -(1 << 63) <= label < (1 << 63)
+
+
 def _np_as_word_view(np_array: Any) -> memoryview:
     """Expose an int64 numpy array as a ``"q"``-format memoryview.
 
@@ -99,7 +104,8 @@ class CSRGraph:
 
     def __init__(self, n: int, m: int, offsets: memoryview,
                  neighbors: memoryview, arrivals: memoryview,
-                 labels: memoryview, owner: Any = None) -> None:
+                 labels: "memoryview | Tuple[Any, ...]",
+                 owner: Any = None) -> None:
         self.n = int(n)
         self.m = int(m)
         self.offsets = offsets
@@ -119,22 +125,24 @@ class CSRGraph:
 
         *u* and *v* are equal-length integer sequences of row indices
         listing every undirected edge exactly once, in either orientation;
-        *labels* names the rows (default ``0 .. n-1``).  Both orientations
-        are sorted by ``(source, destination)`` so every row's neighbours
-        come out ascending; offsets are one ``bincount`` + ``cumsum``.  The
-        arrival-port table — the port on which each directed edge
-        ``u -> v`` is received, i.e. the rank of ``u`` within ``v``'s row —
-        comes from one lexsort: sorting edge ids by ``(destination,
-        source)`` lists the reversed edges in CSR order, so an edge's
-        arrival port is its sorted position minus its destination's row
-        start.  The result matches ``Network``'s own counting pass exactly
-        (pinned by ``tests/test_csr.py``).
+        *labels* names the rows (default ``0 .. n-1``; a tuple is kept
+        as is).  Both orientations are sorted by ``(source, destination)``
+        so every row's neighbours come out ascending; offsets are one
+        ``bincount`` + ``cumsum``.  The arrival-port table — the port on
+        which each directed edge ``u -> v`` is received, i.e. the rank of
+        ``u`` within ``v``'s row — comes from one lexsort: sorting edge ids
+        by ``(destination, source)`` lists the reversed edges in CSR order,
+        so an edge's arrival port is its sorted position minus its
+        destination's row start (pinned against a plain-Python counting
+        pass by ``tests/test_csr.py``).
         """
         half_src = np.asarray(u, dtype=np.int64)
         half_dst = np.asarray(v, dtype=np.int64)
-        label_array = (np.arange(n, dtype=np.int64) if labels is None
-                       else np.ascontiguousarray(labels, dtype=np.int64))
-        if half_src.shape != half_dst.shape or len(label_array) != n:
+        if not isinstance(labels, tuple):
+            labels = _np_as_word_view(
+                np.arange(n, dtype=np.int64) if labels is None
+                else np.ascontiguousarray(labels, dtype=np.int64))
+        if half_src.shape != half_dst.shape or len(labels) != n:
             raise ConfigurationError(
                 "CSR edge endpoints and labels disagree in length")
         if half_src.size and (min(half_src.min(), half_dst.min()) < 0
@@ -143,7 +151,7 @@ class CSRGraph:
                 f"CSR edge endpoints must be row indices below {n}")
         loops = np.flatnonzero(half_src == half_dst)
         if loops.size:
-            label = int(label_array[half_src[loops[0]]])
+            label = labels[int(half_src[loops[0]])]
             raise ConfigurationError(
                 f"CSR graphs reject self-loops (node {label!r})")
         src = np.concatenate((half_src, half_dst))
@@ -162,37 +170,33 @@ class CSRGraph:
         arrivals = position - offsets[neighbors]
         return cls(n, directed_m // 2, _np_as_word_view(offsets),
                    _np_as_word_view(neighbors), _np_as_word_view(arrivals),
-                   _np_as_word_view(label_array),
-                   owner=(offsets, neighbors, arrivals, label_array))
+                   labels, owner=(offsets, neighbors, arrivals))
 
     @classmethod
     def from_graph(cls, graph: Any) -> "CSRGraph":
         """Build CSR arrays from a networkx-style graph.
 
-        Rows follow ``graph.nodes`` order and each row's neighbours are
-        sorted by row index, which is exactly ``Network(graph)``'s port
-        numbering, so every simulated byte is identical between the two
-        representations.  The edges are read once, mapped from labels to
-        rows, and handed to :meth:`from_edges`.
+        Rows follow ``graph.nodes`` order; the edges are read once, mapped
+        from labels to rows, and handed to :meth:`from_edges`.  Labels may
+        be any hashables: they stay int64 words when every one is a plain
+        ``int`` that fits a word, and are held as a tuple otherwise.
         """
         if graph.is_directed() or graph.is_multigraph():
             raise ConfigurationError(
-                "CSR graphs require a simple undirected graph")
+                "the SLEEPING-CONGEST model requires a simple undirected "
+                "graph")
         label_list = list(graph.nodes)
-        for label in label_list:
-            if not isinstance(label, int) or isinstance(label, bool):
-                raise ConfigurationError(
-                    "CSR graphs require integer node labels; got "
-                    f"{label!r}")
         n = len(label_list)
-        labels = np.fromiter(label_list, dtype=np.int64, count=n)
-        ends = np.fromiter(chain.from_iterable(graph.edges()),
-                           dtype=np.int64,
+        words = all(map(_is_word, label_list))
+        labels = (np.fromiter(label_list, dtype=np.int64, count=n) if words
+                  else tuple(label_list))
+        ends = chain.from_iterable(graph.edges())
+        if not (words and np.array_equal(labels, np.arange(n))):
+            row_of = {label: row for row, label in enumerate(label_list)}
+            ends = map(row_of.__getitem__, ends)
+        rows = np.fromiter(ends, dtype=np.int64,
                            count=2 * graph.number_of_edges())
-        if not np.array_equal(labels, np.arange(n, dtype=np.int64)):
-            sorter = np.argsort(labels)
-            ends = sorter[np.searchsorted(labels, ends, sorter=sorter)]
-        return cls.from_edges(n, ends[0::2], ends[1::2], labels=labels)
+        return cls.from_edges(n, rows[0::2], rows[1::2], labels=labels)
 
     @classmethod
     def from_buffer(cls, buffer: Any, owner: Any = None) -> "CSRGraph":
@@ -232,7 +236,16 @@ class CSRGraph:
         return WORD_BYTES * self.word_count
 
     def pack_into(self, buffer: Any) -> None:
-        """Serialise into a writable *buffer* of at least ``nbytes``."""
+        """Serialise into a writable *buffer* of at least ``nbytes``.
+
+        Only graphs whose labels are int64 words serialise; a graph with
+        any other label is rejected, naming it.
+        """
+        if isinstance(self.labels, tuple):
+            offender = next((label for label in self.labels
+                             if not _is_word(label)), None)
+            raise ConfigurationError("only CSR graphs with integer node "
+                                     f"labels serialise; got {offender!r}")
         words = _as_words(buffer)
         if len(words) < self.word_count:
             raise ConfigurationError(
@@ -259,27 +272,21 @@ class CSRGraph:
     # -- accessors ------------------------------------------------------
 
     def as_arrays(self) -> Tuple[Any, Any, Any, Any]:
-        """Zero-copy read-only numpy views ``(offsets, neighbors, arrivals,
+        """Read-only numpy arrays ``(offsets, neighbors, arrivals,
         labels)`` over the CSR buffers.
 
         Works for any backing storage — ``array`` module storage, numpy
         owners, and ``SharedMemory`` mappings alike — because the views are
         built with ``np.frombuffer`` over the existing memoryviews; nothing
-        is copied.
+        is copied except tuple-held labels (a fresh object array).
         """
+        if isinstance(self.labels, tuple):
+            labels = np.fromiter(self.labels, dtype=object, count=self.n)
+            labels.flags.writeable = False
+        else:
+            labels = _np_int64_view(self.labels)
         return (_np_int64_view(self.offsets), _np_int64_view(self.neighbors),
-                _np_int64_view(self.arrivals), _np_int64_view(self.labels))
-
-    def degree(self, index: int) -> int:
-        return self.offsets[index + 1] - self.offsets[index]
-
-    def neighbor_row(self, index: int) -> memoryview:
-        """Sorted neighbour indices of row *index* (zero-copy slice)."""
-        return self.neighbors[self.offsets[index]:self.offsets[index + 1]]
-
-    def arrival_row(self, index: int) -> memoryview:
-        """Arrival ports aligned with :meth:`neighbor_row` (zero-copy)."""
-        return self.arrivals[self.offsets[index]:self.offsets[index + 1]]
+                _np_int64_view(self.arrivals), labels)
 
     def view(self) -> "CSRGraphView":
         return CSRGraphView(self)
@@ -288,25 +295,22 @@ class CSRGraph:
 class _NodeView:
     """Read-only stand-in for ``networkx.Graph.nodes``."""
 
-    __slots__ = ("_labels", "_members")
+    __slots__ = ("_view",)
 
-    def __init__(self, labels: memoryview) -> None:
-        self._labels = labels
-        self._members: Optional[frozenset] = None  # built lazily on first `in`
+    def __init__(self, view: "CSRGraphView") -> None:
+        self._view = view
 
     def __call__(self) -> "_NodeView":
         return self
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._view)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._labels)
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._view)
 
     def __contains__(self, label: Any) -> bool:
-        if self._members is None:
-            self._members = frozenset(self._labels)
-        return label in self._members
+        return label in self._view
 
 
 class _EdgeView:
@@ -323,7 +327,7 @@ class _EdgeView:
     def __len__(self) -> int:
         return self._csr.m
 
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
+    def __iter__(self) -> Iterator[Tuple[Any, Any]]:
         csr = self._csr
         offsets, neighbors, labels = csr.offsets, csr.neighbors, csr.labels
         for u in range(csr.n):
@@ -336,27 +340,27 @@ class _EdgeView:
 class CSRGraphView:
     """The read-only networkx API subset, backed by flat CSR arrays.
 
-    Exposes exactly what ``run_mis`` and the MIS verifiers touch:
+    Exposes exactly what ``run_mis`` and the algorithm adapters touch:
     ``nodes`` / ``edges`` views, ``neighbors``, node/edge counts, and the
-    directed/multigraph predicates.  ``run_protocol`` recognises this
-    type and builds a zero-copy :class:`repro.sim.network.CSRNetwork`
-    instead of re-deriving adjacency dictionaries.
+    directed/multigraph predicates.  Node lookups share one lazily built
+    label-to-row dictionary (:meth:`index_of`).
     """
 
     __slots__ = ("_csr", "_index_of")
 
     def __init__(self, csr: CSRGraph) -> None:
         self._csr = csr
-        self._index_of: Optional[Dict[int, int]] = None
+        self._index_of: Optional[Dict[Any, int]] = None
 
     @property
     def csr(self) -> CSRGraph:
         return self._csr
 
-    def _index(self, label: Any) -> int:
+    def index_of(self, label: Any) -> int:
+        """Row of node *label*; ``KeyError`` when it is not a node."""
         return self._index_map()[label]
 
-    def _index_map(self) -> Dict[int, int]:
+    def _index_map(self) -> Dict[Any, int]:
         if self._index_of is None:
             self._index_of = {node: index for index, node
                               in enumerate(self._csr.labels)}
@@ -379,7 +383,7 @@ class CSRGraphView:
 
     @property
     def nodes(self) -> _NodeView:
-        return _NodeView(self._csr.labels)
+        return _NodeView(self)
 
     @property
     def edges(self) -> _EdgeView:
@@ -397,30 +401,32 @@ class CSRGraphView:
     def number_of_edges(self) -> int:
         return self._csr.m
 
-    def order(self) -> int:
-        return self._csr.n
-
-    def neighbors(self, label: Any) -> Iterator[int]:
+    def neighbors(self, label: Any) -> Iterator[Any]:
         csr = self._csr
-        index = self._index(label)
+        index = self.index_of(label)
         labels = csr.labels
         for cursor in range(csr.offsets[index], csr.offsets[index + 1]):
             yield labels[csr.neighbors[cursor]]
 
-    def has_edge(self, u: Any, v: Any) -> bool:
-        try:
-            row = self._csr.neighbor_row(self._index(u))
-            target = self._index(v)
-        except KeyError:
-            return False
-        cursor = bisect_left(row, target)
-        return cursor < len(row) and row[cursor] == target
-
     def __len__(self) -> int:
         return self._csr.n
 
-    def __iter__(self) -> Iterator[int]:
+    def __iter__(self) -> Iterator[Any]:
         return iter(self._csr.labels)
 
     def __contains__(self, label: Any) -> bool:
-        return label in self.nodes
+        return label in self._index_map()
+
+
+def csr_view(graph: Any) -> CSRGraphView:
+    """Return *graph* as a :class:`CSRGraphView`: the one conversion point.
+
+    CSR views pass through and :class:`CSRGraph` arrays are wrapped, both
+    without copying; any other (networkx-style) graph is converted once by
+    :meth:`CSRGraph.from_graph`.
+    """
+    if isinstance(graph, CSRGraphView):
+        return graph
+    if isinstance(graph, CSRGraph):
+        return graph.view()
+    return CSRGraph.from_graph(graph).view()

@@ -321,8 +321,8 @@ FAMILIES = {
 def to_csr(graph: nx.Graph) -> CSRGraph:
     """Convert *graph* to flat CSR arrays (:class:`repro.graphs.csr.CSRGraph`).
 
-    Port numbering matches ``Network(graph)`` exactly, so simulating over
-    the CSR representation is byte-identical to the adjacency-list one.
+    Rows follow ``graph.nodes`` order with neighbours sorted by row, the
+    port numbering every simulation uses.
     """
     return CSRGraph.from_graph(graph)
 

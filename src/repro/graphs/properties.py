@@ -4,23 +4,21 @@ Used by the experiment harness to annotate result tables (the paper's bounds
 are parameterised by ``n`` and the maximum degree Δ) and by tests that need
 to reason about component structure.
 
-Works on networkx graphs and on CSR-backed graphs
-(:class:`repro.graphs.csr.CSRGraphView`) alike: CSR inputs take an
-array-at-a-time path — degrees are one subtraction over the offsets array,
-the histogram is one ``bincount``, and connected components come from
-min-label propagation with pointer compression — so annotating a large
-sweep graph costs no per-node Python at all.
+Every statistic runs on CSR arrays (a networkx graph is converted once by
+:func:`repro.graphs.csr.csr_view`): degrees are one subtraction over the
+offsets array, the histogram is one ``bincount``, and connected components
+come from min-label propagation with pointer compression — so annotating a
+large sweep graph costs no per-node Python at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List
 
-import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import CSRGraph, CSRGraphView
+from repro.graphs.csr import csr_view
 
 
 @dataclass(frozen=True)
@@ -46,27 +44,17 @@ class GraphStats:
         }
 
 
-def _as_csr(graph) -> Optional[CSRGraph]:
-    """Return the backing :class:`CSRGraph` when *graph* is CSR-based."""
-    if isinstance(graph, CSRGraphView):
-        return graph.csr
-    if isinstance(graph, CSRGraph):
-        return graph
-    return None
+def component_labels(offsets: Any, neighbors: Any) -> Any:
+    """Per-row component labels (lowest member row) of a CSR adjacency.
 
-
-def _csr_component_labels(csr: CSRGraph):
-    """Per-node component labels (lowest member index) for *csr*.
-
-    Min-label propagation: every node repeatedly adopts the smallest label
-    in its closed neighbourhood, with full pointer compression
-    (``comp = comp[comp]`` to a fixed point) between sweeps, so even a
-    path graph converges in O(log n) compression steps per sweep rather
-    than one sweep per hop.
+    *offsets* and *neighbors* are the CSR arrays of a symmetric adjacency
+    (every edge listed from both ends).  Min-label propagation: every row
+    repeatedly adopts the smallest label in its closed neighbourhood, with
+    full pointer compression (``comp = comp[comp]`` to a fixed point)
+    between sweeps, so even a path graph converges in O(log n) compression
+    steps per sweep rather than one sweep per hop.
     """
-    offsets, neighbors, _, _ = csr.as_arrays()
-    n = csr.n
-    comp = np.arange(n, dtype=np.int64)
+    comp = np.arange(len(offsets) - 1, dtype=np.int64)
     if neighbors.size == 0:
         return comp
     nonempty = (offsets[1:] - offsets[:-1]) > 0
@@ -86,61 +74,36 @@ def _csr_component_labels(csr: CSRGraph):
         comp = candidate
 
 
-def _csr_component_counts(csr: CSRGraph) -> List[int]:
-    """Connected-component sizes of *csr* (unordered)."""
-    if csr.n == 0:
-        return []
-    _, counts = np.unique(_csr_component_labels(csr), return_counts=True)
+def _component_counts(graph: Any) -> List[int]:
+    """Connected-component sizes of *graph* (unordered)."""
+    offsets, neighbors, _, _ = csr_view(graph).csr.as_arrays()
+    _, counts = np.unique(component_labels(offsets, neighbors),
+                          return_counts=True)
     return [int(count) for count in counts]
 
 
-def graph_stats(graph) -> GraphStats:
-    """Compute :class:`GraphStats` for *graph* (networkx or CSR-backed)."""
-    csr = _as_csr(graph)
-    if csr is not None:
-        offsets = csr.as_arrays()[0]
-        degrees = offsets[1:] - offsets[:-1]
-        counts = _csr_component_counts(csr)
-        return GraphStats(
-            nodes=csr.n,
-            edges=csr.m,
-            max_degree=int(degrees.max()) if csr.n else 0,
-            average_degree=(2.0 * csr.m / csr.n) if csr.n else 0.0,
-            components=len(counts),
-            largest_component=max(counts, default=0),
-        )
-    n = graph.number_of_nodes()
-    m = graph.number_of_edges()
-    degrees = [d for _, d in graph.degree()]
-    components = list(nx.connected_components(graph)) if n else []
+def graph_stats(graph: Any) -> GraphStats:
+    """Compute :class:`GraphStats` for *graph*."""
+    csr = csr_view(graph).csr
+    degrees = np.diff(csr.as_arrays()[0])
+    counts = _component_counts(csr)
     return GraphStats(
-        nodes=n,
-        edges=m,
-        max_degree=max(degrees) if degrees else 0,
-        average_degree=(2.0 * m / n) if n else 0.0,
-        components=len(components),
-        largest_component=max((len(c) for c in components), default=0),
+        nodes=csr.n,
+        edges=csr.m,
+        max_degree=int(degrees.max()) if csr.n else 0,
+        average_degree=(2.0 * csr.m / csr.n) if csr.n else 0.0,
+        components=len(counts),
+        largest_component=max(counts, default=0),
     )
 
 
-def component_sizes(graph) -> List[int]:
+def component_sizes(graph: Any) -> List[int]:
     """Return connected-component sizes in decreasing order."""
-    csr = _as_csr(graph)
-    if csr is not None:
-        return sorted(_csr_component_counts(csr), reverse=True)
-    return sorted((len(c) for c in nx.connected_components(graph)), reverse=True)
+    return sorted(_component_counts(graph), reverse=True)
 
 
-def degree_histogram(graph) -> Dict[int, int]:
-    """Return ``{degree: count}`` for *graph*."""
-    csr = _as_csr(graph)
-    if csr is not None:
-        offsets = csr.as_arrays()[0]
-        degrees = offsets[1:] - offsets[:-1]
-        counts = np.bincount(degrees) if csr.n else np.empty(0, int)
-        return {int(degree): int(count)
-                for degree, count in enumerate(counts) if count}
-    histogram: Dict[int, int] = {}
-    for _, degree in graph.degree():
-        histogram[degree] = histogram.get(degree, 0) + 1
-    return dict(sorted(histogram.items()))
+def degree_histogram(graph: Any) -> Dict[int, int]:
+    """Return ``{degree: count}`` for *graph*, in ascending degree order."""
+    degrees = np.diff(csr_view(graph).csr.as_arrays()[0])
+    return {int(degree): int(count)
+            for degree, count in enumerate(np.bincount(degrees)) if count}

@@ -483,9 +483,9 @@ def run_protocol(
 ) -> RunResult:
     """Convenience wrapper: build the network and run *protocol* on *graph*.
 
-    CSR-backed graphs (``repro.graphs.csr.CSRGraphView``) get the
-    zero-copy ``CSRNetwork``; networkx graphs get the classic
-    ``Network`` — the simulated bytes are identical either way.
+    *graph* is a networkx graph (converted to CSR arrays once) or a CSR
+    graph or view (adopted without copying); see
+    :class:`repro.sim.network.Network`.
     *vectorized* selects the protocol's numpy engine for protocols that
     opt in (see :class:`Simulator`); it can only change speed, never bytes.
     """

@@ -300,21 +300,15 @@ class VectorizedRun:
         """Package the filled-in state as a :class:`RunResult`."""
         labels = self.labels
         awake = self.awake_rounds.tolist()
-        per_node: List[NodeMetrics] = [
-            NodeMetrics(
-                awake_rounds=a,
-                messages_sent=s,
-                messages_received=r,
-                bits_sent=b,
-                max_message_bits=m,
-                terminated_round=(None if t == _NEVER else t),
-            )
-            for a, s, r, b, m, t in zip(
-                awake, self.messages_sent.tolist(),
-                self.messages_received.tolist(), self.bits_sent.tolist(),
-                self.max_message_bits.tolist(),
-                self.terminated_round.tolist())
-        ]
+        terminated = self.terminated_round.tolist()
+        if (self.terminated_round == _NEVER).any():
+            terminated = [None if t == _NEVER else t for t in terminated]
+        # Positional, in NodeMetrics field order (the order of _COUNTERS,
+        # then terminated_round).
+        per_node: List[NodeMetrics] = list(map(
+            NodeMetrics, awake, self.messages_sent.tolist(),
+            self.messages_received.tolist(), self.bits_sent.tolist(),
+            self.max_message_bits.tolist(), terminated))
         metrics = RunMetrics(
             per_node=per_node,
             last_active_round=self.last_active_round,

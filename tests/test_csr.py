@@ -1,12 +1,12 @@
 """CSR graph representation tests (repro.graphs.csr, repro.sim.network).
 
-The shared-memory graph cache ships graphs between worker processes as
-flat CSR arrays, so everything downstream must be *byte-identical*
-between the adjacency-list representation (``Network`` over a networkx
-graph) and the CSR one (``CSRNetwork`` over ``CSRGraph`` arrays).  These
-tests pin that equivalence property for every registered graph family,
-the serialisation round-trip, and the shared-memory segment lifecycle
-(owned by the serving process, unlinked exactly once, orphans reaped).
+Every simulation, verification and graph statistic runs on CSR arrays,
+and the shared-memory graph cache ships graphs between worker processes
+in the same form.  These tests pin the arrays against a plain-Python
+reference construction for every registered graph family, the one
+conversion point (``csr_view``), the serialisation round-trip, and the
+shared-memory segment lifecycle (owned by the serving process, unlinked
+exactly once, orphans reaped).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from repro.experiments.shm_cache import (SEGMENT_PREFIX, SharedGraphCache,
                                          active_segments, attach_segment,
                                          reap_stale_segments)
 from repro.graphs import generators
-from repro.graphs.csr import MAGIC, CSRGraph, CSRGraphView
-from repro.sim.network import CSRNetwork, Network, build_network
+from repro.graphs.csr import MAGIC, CSRGraph, CSRGraphView, csr_view
+from repro.sim.network import Network
 
 
 @pytest.fixture(params=sorted(generators.FAMILIES))
@@ -39,52 +39,74 @@ def _records_sans_wall_time(result):
     return record
 
 
+def _reference_tables(graph):
+    """``(labels, offsets, neighbors, arrivals)`` of a networkx *graph*,
+    derived in plain Python without numpy.
+
+    Rows follow ``graph.nodes`` and each row lists its neighbours' rows
+    ascending.  Rows are laid out in ascending order, so when the scan
+    reaches an entry ``u -> v``, the entries ``w -> v`` already seen are
+    exactly ``v``'s neighbours below ``u``: their count is ``u``'s port at
+    ``v``.  This counting pass is the oracle for ``from_edges``' lexsort.
+    """
+    labels = list(graph.nodes)
+    row_of = {label: row for row, label in enumerate(labels)}
+    offsets, neighbors = [0], []
+    for label in labels:
+        neighbors.extend(sorted(row_of[v] for v in graph.neighbors(label)))
+        offsets.append(len(neighbors))
+    seen = [0] * len(labels)
+    arrivals = []
+    for v in neighbors:
+        arrivals.append(seen[v])
+        seen[v] += 1
+    return labels, offsets, neighbors, arrivals
+
+
 # --------------------------------------------------------------------------- #
-# Network-view equivalence (the property the whole fast path rests on)
+# Network tables against the plain-Python reference
 # --------------------------------------------------------------------------- #
 class TestNetworkEquivalence:
-    def test_csr_network_matches_network_on_every_family(self, family_graph):
-        """Same labels, same ports, same tables — on every family.
+    def test_network_matches_reference_on_every_family(self, family_graph):
+        """Same labels, same ports, same tables — on every family."""
+        labels, offsets, neighbors, arrivals = _reference_tables(family_graph)
+        network = Network(generators.to_csr(family_graph))
 
-        ``Network`` derives its arrival ports with its own counting pass,
-        so it is the oracle for ``CSRGraph.from_graph``'s lexsort."""
-        reference = Network(family_graph)
-        csr_net = CSRNetwork(generators.to_csr(family_graph))
-
-        assert csr_net.size == reference.size
-        assert csr_net.edge_count == reference.edge_count
-        assert csr_net.labels() == reference.labels()
-        assert csr_net.max_degree() == reference.max_degree()
-        for index in range(reference.size):
-            assert csr_net.degree(index) == reference.degree(index)
-            assert csr_net.label_of(index) == reference.label_of(index)
-            assert csr_net.index_of(reference.label_of(index)) == index
-        assert [list(table) for table in csr_net.csr_tables()] == \
-               [list(table) for table in reference.csr_tables()]
+        assert network.size == len(labels)
+        assert network.edge_count == len(neighbors) // 2
+        assert network.labels() == labels
+        assert network.max_degree() == max(
+            (b - a for a, b in zip(offsets, offsets[1:])), default=0)
+        for index, label in enumerate(labels):
+            assert network.degree(index) == offsets[index + 1] - offsets[index]
+            assert network.label_of(index) == label
+            assert network.index_of(label) == index
+        assert [list(table) for table in network.csr_tables()] == \
+               [offsets, neighbors, arrivals]
 
     def test_port_routing_agrees_everywhere(self, family_graph):
-        reference = Network(family_graph)
-        csr_net = CSRNetwork(generators.to_csr(family_graph))
-        for index in range(reference.size):
-            for port in range(reference.degree(index)):
-                neighbor = reference.neighbor_via_port(index, port)
-                assert csr_net.neighbor_via_port(index, port) == neighbor
-                assert csr_net.port_towards(index, neighbor) == \
-                       reference.port_towards(index, neighbor)
+        _, offsets, neighbors, _ = _reference_tables(family_graph)
+        network = Network(family_graph)
+        for index in range(network.size):
+            for port in range(offsets[index + 1] - offsets[index]):
+                neighbor = neighbors[offsets[index] + port]
+                assert network.neighbor_via_port(index, port) == neighbor
+                assert network.port_towards(index, neighbor) == port
 
     def test_out_of_range_port_rejected(self):
-        csr_net = CSRNetwork(generators.to_csr(generators.path_graph(4)))
+        network = Network(generators.to_csr(generators.path_graph(4)))
         with pytest.raises(ConfigurationError, match="ports"):
-            csr_net.neighbor_via_port(0, 5)
+            network.neighbor_via_port(0, 5)
 
     def test_non_adjacent_port_towards_rejected(self):
-        csr_net = CSRNetwork(generators.to_csr(generators.path_graph(4)))
+        network = Network(generators.to_csr(generators.path_graph(4)))
         with pytest.raises(ConfigurationError, match="not adjacent"):
-            csr_net.port_towards(0, 3)
+            network.port_towards(0, 3)
 
-    def test_csr_tables_on_both_networks(self):
+    def test_csr_tables_on_every_input_form(self):
         graph = generators.gnp_graph(24, p=0.2, seed=5)
-        for network in (Network(graph), CSRNetwork(generators.to_csr(graph))):
+        csr = generators.to_csr(graph)
+        for network in (Network(graph), Network(csr), Network(csr.view())):
             offsets, neighbors, arrivals = network.csr_tables()
             assert len(offsets) == graph.number_of_nodes() + 1
             assert len(neighbors) == len(arrivals) == \
@@ -95,12 +117,22 @@ class TestNetworkEquivalence:
                     assert arrivals[offsets[index] + port] == \
                            network.port_towards(neighbor, index)
 
-    def test_build_network_dispatches_on_type(self):
+    def test_csr_view_is_the_one_conversion_point(self):
         graph = generators.cycle_graph(8)
-        assert isinstance(build_network(graph), Network)
         csr = generators.to_csr(graph)
-        assert isinstance(build_network(csr), CSRNetwork)
-        assert isinstance(build_network(csr.view()), CSRNetwork)
+        view = csr.view()
+        assert csr_view(view) is view
+        assert csr_view(csr).csr is csr
+        converted = csr_view(graph)
+        assert isinstance(converted, CSRGraphView)
+        assert converted.csr.to_bytes() == csr.to_bytes()
+
+    def test_network_adopts_csr_arrays_without_copying(self):
+        csr = generators.to_csr(generators.cycle_graph(8))
+        offsets, neighbors, arrivals = Network(csr.view()).csr_tables()
+        assert offsets is csr.offsets
+        assert neighbors is csr.neighbors
+        assert arrivals is csr.arrivals
 
 
 # --------------------------------------------------------------------------- #
@@ -120,11 +152,75 @@ class TestCSRGraphView:
             assert sorted(view.neighbors(node)) == \
                    sorted(family_graph.neighbors(node))
 
-    def test_has_edge_both_orientations(self):
+    def test_neighbors_both_orientations(self):
         graph = generators.path_graph(5)
         view = generators.to_csr(graph).view()
-        assert view.has_edge(1, 2) and view.has_edge(2, 1)
-        assert not view.has_edge(0, 4)
+        assert 2 in view.neighbors(1) and 1 in view.neighbors(2)
+        assert 4 not in view.neighbors(0)
+
+    def test_arbitrary_labels_survive_unchanged(self):
+        import networkx as nx
+
+        class Tag(int):
+            pass
+
+        graph = nx.Graph()
+        graph.add_nodes_from(["s", (1, 2), Tag(7), True, 2**70, -3])
+        graph.add_edges_from([("s", (1, 2)), ((1, 2), Tag(7)),
+                              (True, 2**70), (-3, "s")])
+        csr = CSRGraph.from_graph(graph)
+        assert isinstance(csr.labels, tuple)
+        view = csr.view()
+        assert [(type(label), label) for label in view] == \
+               [(type(label), label) for label in graph.nodes]
+        assert csr.as_arrays()[3].tolist() == list(graph.nodes)
+        for node in graph.nodes:
+            assert node in view and node in view.nodes
+            assert list(view.neighbors(node)) == [
+                label for label in graph.nodes
+                if graph.has_edge(node, label)]
+        assert "t" not in view and 2 not in view.nodes
+        assert _reference_tables(graph)[1:] == tuple(
+            list(table) for table in Network(view).csr_tables())
+
+    def test_integer_labels_stay_words(self):
+        import networkx as nx
+
+        graph = nx.relabel_nodes(generators.path_graph(4),
+                                 {0: -5, 1: 2**62, 2: 0, 3: 9})
+        csr = CSRGraph.from_graph(graph)
+        assert not isinstance(csr.labels, tuple)
+        assert list(csr.labels) == [-5, 2**62, 0, 9]
+        restored = CSRGraph.from_buffer(csr.to_bytes()).view()
+        assert list(restored.neighbors(2**62)) == [-5, 0]
+
+    def test_membership_builds_the_label_index_once(self):
+        """``label in view`` and ``label in view.nodes`` share the view's
+        cached label-to-row index instead of rescanning the labels."""
+
+        class CountingLabels:
+            def __init__(self, labels):
+                self.labels = list(labels)
+                self.scans = 0
+
+            def __len__(self):
+                return len(self.labels)
+
+            def __getitem__(self, index):
+                return self.labels[index]
+
+            def __iter__(self):
+                self.scans += 1
+                return iter(self.labels)
+
+        csr = generators.to_csr(generators.path_graph(50))
+        labels = CountingLabels(csr.labels)
+        view = CSRGraph(csr.n, csr.m, csr.offsets, csr.neighbors,
+                        csr.arrivals, labels).view()
+        for label in (0, 17, 49, 50, -1):
+            assert (label in view) == (0 <= label < 50)
+            assert (label in view.nodes) == (0 <= label < 50)
+        assert labels.scans == 1
 
     def test_run_mis_byte_identical_between_representations(self):
         """The headline property: the exact same result record (modulo
@@ -166,13 +262,17 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError, match="words"):
             csr.pack_into(bytearray(csr.nbytes - 8))
 
-    def test_from_graph_rejects_non_integer_labels(self):
+    def test_pack_into_rejects_non_integer_labels(self):
         import networkx as nx
 
         graph = nx.Graph()
-        graph.add_edge("a", "b")
-        with pytest.raises(ConfigurationError, match="integer node labels"):
-            CSRGraph.from_graph(graph)
+        graph.add_edges_from([(0, 1), (1, "b")])
+        csr = CSRGraph.from_graph(graph)
+        with pytest.raises(ConfigurationError, match="integer node labels"
+                                                     ".*'b'"):
+            csr.pack_into(bytearray(csr.nbytes))
+        with pytest.raises(ConfigurationError, match="'b'"):
+            csr.to_bytes()
 
     def test_from_graph_rejects_directed_graphs(self):
         import networkx as nx
@@ -203,11 +303,10 @@ class TestNumpyPaths:
 
     @staticmethod
     def _reference_words(graph):
-        """The serialised layout, derived from ``Network``'s own tables."""
-        network = Network(graph)
-        offsets, neighbors, arrivals = network.csr_tables()
-        words = [MAGIC, network.size, network.edge_count, *offsets,
-                 *neighbors, *arrivals, *network.labels()]
+        """The serialised layout, derived from the reference tables."""
+        labels, offsets, neighbors, arrivals = _reference_tables(graph)
+        words = [MAGIC, len(labels), len(neighbors) // 2, *offsets,
+                 *neighbors, *arrivals, *labels]
         return struct.pack(f"<{len(words)}q", *words)
 
     def test_construction_matches_the_reference_layout(self, family_graph):

@@ -141,3 +141,19 @@ class TestProperties:
         graph = generators.star_graph(5)
         histogram = properties.degree_histogram(graph)
         assert histogram == {1: 4, 4: 1}
+
+    @pytest.mark.parametrize("family", sorted(generators.FAMILIES))
+    def test_statistics_match_networkx(self, family):
+        """networkx's own routines are the reference for the CSR pass."""
+        graph = generators.by_name(family, 60, seed=2)
+        n = graph.number_of_nodes()
+        graph.add_nodes_from(range(n, n + 3))  # isolated rows
+        sizes = sorted(map(len, nx.connected_components(graph)), reverse=True)
+        degrees = [degree for _, degree in graph.degree()]
+        assert properties.component_sizes(graph) == sizes
+        assert properties.degree_histogram(graph) == {
+            degree: degrees.count(degree) for degree in sorted(set(degrees))}
+        stats = properties.graph_stats(graph)
+        assert (stats.max_degree, stats.components,
+                stats.largest_component) == (max(degrees), len(sizes),
+                                             sizes[0])

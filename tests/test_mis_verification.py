@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import mis
-from repro.errors import VerificationError
+from repro.errors import ConfigurationError, VerificationError
 from repro.graphs import generators
 
 
@@ -118,8 +118,61 @@ class TestGreedyFromOrder:
 
 
 # --------------------------------------------------------------------------- #
-# The CSR path must agree with the networkx path, messages included
+# The CSR verifiers must agree with a plain-Python reference, messages included
 # --------------------------------------------------------------------------- #
+def _reference_is_independent_set(graph, candidate):
+    nodes = set(candidate)
+    if nodes - set(graph.nodes):
+        return False
+    return not any(v in nodes and v != u
+                   for u in nodes for v in graph.neighbors(u))
+
+
+def _reference_uncovered_nodes(graph, candidate):
+    nodes = set(candidate)
+    return [v for v in graph.nodes
+            if v not in nodes and not any(u in nodes
+                                          for u in graph.neighbors(v))]
+
+
+def _reference_is_maximal_independent_set(graph, candidate):
+    return (_reference_is_independent_set(graph, candidate)
+            and not _reference_uncovered_nodes(graph, candidate))
+
+
+def _reference_conflicting_edges(graph, candidate):
+    nodes = set(candidate)
+    position = {node: index for index, node in enumerate(graph.nodes)}
+    conflicts = [tuple(sorted((u, v), key=position.__getitem__))
+                 for u, v in graph.edges if u in nodes and v in nodes]
+    return sorted(conflicts, key=lambda edge: (position[edge[0]],
+                                               position[edge[1]]))
+
+
+def _reference_verify_mis(graph, candidate, label="output"):
+    conflicts = _reference_conflicting_edges(graph, candidate)
+    if conflicts:
+        raise VerificationError(
+            f"{label} is not independent: {len(conflicts)} conflicting "
+            f"edge(s), e.g. {conflicts[:3]}")
+    uncovered = _reference_uncovered_nodes(graph, candidate)
+    if uncovered:
+        raise VerificationError(
+            f"{label} is not maximal: {len(uncovered)} uncovered node(s), "
+            f"e.g. {uncovered[:5]}")
+    return set(candidate)
+
+
+#: Each verifier next to its plain-Python reference.
+VERIFIERS = [
+    (mis.is_independent_set, _reference_is_independent_set),
+    (mis.is_maximal_independent_set, _reference_is_maximal_independent_set),
+    (mis.uncovered_nodes, _reference_uncovered_nodes),
+    (mis.conflicting_edges, _reference_conflicting_edges),
+    (mis.verify_mis, _reference_verify_mis),
+]
+
+
 def _outcome(check, *args):
     """``("ok", value)`` or ``("error", type name, message)``."""
     try:
@@ -128,12 +181,21 @@ def _outcome(check, *args):
         return ("error", type(error).__name__, str(error))
 
 
+#: Label makers: row ``i`` of a drawn graph is called ``make(i)``.
+LABEL_KINDS = {
+    "int": lambda i: 3 * i,
+    "str": lambda i: f"v{i}",
+    "mixed": lambda i: (3 * i, f"v{i}", (i, "t"))[i % 3],
+}
+
+
 @st.composite
 def labelled_graphs_with_candidates(draw):
-    """A graph with shuffled integer labels and unsorted adjacency, plus a
-    candidate set that may include a non-node."""
+    """A graph with shuffled integer, string or mixed labels and unsorted
+    adjacency, plus a candidate set that may include a non-node."""
     n = draw(st.integers(min_value=0, max_value=24))
-    labels = draw(st.permutations(range(0, 3 * n + 1, 3)))[:n]
+    make = LABEL_KINDS[draw(st.sampled_from(sorted(LABEL_KINDS)))]
+    labels = draw(st.permutations([make(i) for i in range(n + 1)]))[:n]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)
                   if pairs else st.just([]))
@@ -150,17 +212,18 @@ def labelled_graphs_with_candidates(draw):
     return graph, candidate
 
 
-class TestCSRPathAgreesWithNetworkx:
+class TestCSRPathAgreesWithReference:
     @settings(max_examples=300, deadline=None)
     @given(labelled_graphs_with_candidates())
     def test_every_verifier_agrees(self, case):
         graph, candidate = case
         view = generators.to_csr(graph).view()
-        for check in (mis.is_independent_set, mis.is_maximal_independent_set,
-                      mis.uncovered_nodes, mis.conflicting_edges,
-                      mis.verify_mis):
-            assert _outcome(check, view, candidate) == \
-                   _outcome(check, graph, candidate), check.__name__
+        for check, reference in VERIFIERS:
+            expected = _outcome(reference, graph, candidate)
+            assert _outcome(check, view, candidate) == expected, \
+                check.__name__
+            assert _outcome(check, graph, candidate) == expected, \
+                check.__name__
 
     @pytest.mark.parametrize("family", sorted(generators.FAMILIES))
     def test_greedy_mis_verifies_on_both(self, family):
@@ -172,7 +235,7 @@ class TestCSRPathAgreesWithNetworkx:
         broken = set(chosen)
         broken.discard(min(broken))
         assert _outcome(mis.verify_mis, view, broken) == \
-               _outcome(mis.verify_mis, graph, broken)
+               _outcome(_reference_verify_mis, graph, broken)
 
     def test_conflicts_come_out_in_node_order(self):
         graph = nx.Graph()
@@ -184,3 +247,23 @@ class TestCSRPathAgreesWithNetworkx:
                            match=r"3 conflicting edge\(s\), e\.g\. "
                                  r"\[\(0, 1\), \(0, 3\), \(1, 2\)\]"):
             mis.verify_mis(generators.to_csr(graph).view(), {0, 1, 2, 3})
+
+
+class TestRejectsNonSimpleGraphs:
+    """The verifiers accept what the simulator accepts: simple undirected
+    graphs.  Anything else is a ``ConfigurationError``, as in ``Network``."""
+
+    @pytest.mark.parametrize("check", [check for check, _ in VERIFIERS])
+    def test_directed_graph_rejected(self, check):
+        with pytest.raises(ConfigurationError, match="undirected"):
+            check(nx.DiGraph([(0, 1)]), {0})
+
+    @pytest.mark.parametrize("check", [check for check, _ in VERIFIERS])
+    def test_multigraph_rejected(self, check):
+        with pytest.raises(ConfigurationError, match="undirected"):
+            check(nx.MultiGraph([(0, 1)]), {0})
+
+    @pytest.mark.parametrize("check", [check for check, _ in VERIFIERS])
+    def test_self_loop_rejected(self, check):
+        with pytest.raises(ConfigurationError, match="self-loops"):
+            check(nx.Graph([(0, 1), (1, 1)]), {0})

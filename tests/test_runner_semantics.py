@@ -289,9 +289,9 @@ class TestCSRPathEquivalence:
 
     ``run_protocol`` over a CSR-backed graph routes sends straight out
     of the CSR graph's own ``(offsets, neighbors, arrivals)`` arrays; the
-    metered runs and the networkx representation, whose arrays
-    ``Network`` derives independently, are the oracles it must agree
-    with, count for count.
+    metered runs and a networkx input, converted on entry, must agree
+    with it count for count.  ``tests/test_csr.py`` pins the arrays
+    themselves against a plain-Python reference construction.
     """
 
     @pytest.mark.parametrize("algorithm_seed", [3, 4])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.core import shattering
@@ -22,16 +23,43 @@ class TestPartition:
         with pytest.raises(ValueError):
             shattering.random_partition(small_gnp, classes=0)
 
-    def test_class_subgraphs_partition_nodes(self, small_gnp):
-        assignment = shattering.random_partition(small_gnp, classes=4, seed=2)
-        subgraphs = shattering.class_subgraphs(small_gnp, assignment)
-        all_nodes = [v for g in subgraphs.values() for v in g.nodes]
-        assert sorted(all_nodes) == sorted(small_gnp.nodes)
 
-    def test_component_sizes_sorted(self, disconnected_graph):
-        sizes = shattering.component_sizes(disconnected_graph)
-        assert sizes == sorted(sizes, reverse=True)
-        assert sum(sizes) == disconnected_graph.number_of_nodes()
+def _reference_largest_per_class(graph, assignment):
+    """One induced networkx subgraph per class, measured on its own."""
+    by_class = {}
+    for node, cls in assignment.items():
+        by_class.setdefault(cls, []).append(node)
+    return {cls: max(map(len, nx.connected_components(graph.subgraph(nodes))),
+                     default=0)
+            for cls, nodes in by_class.items()}
+
+
+class TestLargestComponentPerClass:
+    @pytest.mark.parametrize("family", ["gnp", "tree", "caveman", "rgg",
+                                        "star", "clique", "path"])
+    @pytest.mark.parametrize("classes", [1, 2, 5, 16])
+    def test_matches_per_class_subgraphs(self, family, classes):
+        graph = generators.by_name(family, 80, seed=classes)
+        assignment = shattering.random_partition(graph, classes, seed=3)
+        measured = shattering.largest_component_per_class(graph, assignment)
+        expected = _reference_largest_per_class(graph, assignment)
+        assert list(measured.items()) == list(expected.items())
+
+    def test_string_labels_and_csr_views_agree(self, small_gnp):
+        graph = nx.relabel_nodes(small_gnp, {v: f"v{v}" for v in small_gnp})
+        assignment = shattering.random_partition(graph, 4, seed=2)
+        assert shattering.largest_component_per_class(graph, assignment) == \
+               _reference_largest_per_class(graph, assignment)
+        view = generators.to_csr(small_gnp).view()
+        assignment = shattering.random_partition(view, 4, seed=2)
+        assert shattering.largest_component_per_class(view, assignment) == \
+               _reference_largest_per_class(small_gnp, assignment)
+
+    def test_single_class_is_the_largest_component(self, disconnected_graph):
+        assignment = dict.fromkeys(disconnected_graph.nodes, 1)
+        assert shattering.largest_component_per_class(
+            disconnected_graph, assignment) == \
+            {1: max(map(len, nx.connected_components(disconnected_graph)))}
 
 
 class TestLemma3:
