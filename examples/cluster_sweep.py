@@ -45,10 +45,10 @@ connection drops or acks stall — so long round trips stop serialising
 tiny tasks.  ``--max-batch`` additionally coalesces queued tiny tasks
 into one ``tasks`` frame (batch size self-clocks to the ack rate; big
 tasks still go one per frame).  A connection lost mid-window requeues
-*every* in-flight frame exactly like the historical single-frame loss,
-and a pre-windowing worker that does not advertise the capability is
-driven at window 1 — so none of this can change a result byte, only
-wall-clock time.
+*every* in-flight frame, and ``--window 1`` pins strict request/reply
+alternation — none of this can change a result byte, only wall-clock
+time.  A worker whose hello does not advertise the windowed, batched
+protocol predates it and is refused at dial time.
 
 This example demonstrates the identical flow on one machine: it spawns
 ONE local worker process serving two process-backed slots, runs the

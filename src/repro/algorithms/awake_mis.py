@@ -200,7 +200,6 @@ def awake_mis_protocol(ctx: NodeContext):
 
     state = UNDECIDED
     comm_rounds = sorted(communication_set(my_batch, batch_count))
-    ldt_awake_before = 0
 
     for phase in comm_rounds:
         communication_round = (phase - 1) * phase_length
@@ -231,7 +230,6 @@ def awake_mis_protocol(ctx: NodeContext):
             "batch_index": my_batch,
             "id": my_id,
             "communication_rounds": len(comm_rounds),
-            "ldt_awake_before": ldt_awake_before,
         },
     )
 
@@ -371,7 +369,6 @@ def awake_mis_schedule(run) -> None:
                 "batch_index": batches[index],
                 "id": ids[index],
                 "communication_rounds": lengths[index],
-                "ldt_awake_before": 0,
             },
         )
 

@@ -115,16 +115,15 @@ _STORE_EPILOG = (
     "carries a Jacobson/Karels RTT estimator (EWMA srtt + rttvar per "
     "acked frame) and halves its window when an ack exceeds the "
     "estimator's srtt + 4*rttvar timeout; the same estimate paces how "
-    "long a partial batch waits for more window.  Passing an explicit "
-    "ack_timeout (library API) pins the legacy fixed threshold "
-    "instead.  --progress prints stderr progress lines plus a "
+    "long a partial batch waits for more window; --window 1 pins the "
+    "window.  --progress prints stderr progress lines plus a "
     "per-worker telemetry table afterwards (srtt, peak window, frames, "
     "acks, batches, requeues, reconnects, bytes) — stdout stays "
     "byte-identical with and without it.  A "
     "connection lost mid-window requeues every in-flight frame, and "
-    "workers that predate the windowed protocol are driven one frame "
-    "at a time — results are byte-identical at every window, batch "
-    "and RTT-calibration setting.  Add --output/--resume so a coordinator "
+    "workers that predate the windowed protocol are refused at the "
+    "handshake — results are byte-identical at every window and batch "
+    "setting.  Add --output/--resume so a coordinator "
     "crash resumes instead of re-running.  Inspect a store later with "
     "'repro-mis report FILE'."
 )
@@ -150,8 +149,7 @@ _WINDOW_HELP = ("task frames kept in flight per worker connection "
                 "never depend on the window")
 _MAX_BATCH_HELP = ("group up to N tiny tasks into one 'tasks' frame to "
                    "amortize per-frame overhead (socket backend only; "
-                   "default 1 = no batching; workers without batch "
-                   "support fall back to single-task frames)")
+                   "default 1 = one task per frame)")
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser,
@@ -298,11 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
                "whose CODE_SCHEMA_VERSION differs from its own, and "
                "--max-connections only counts connections that actually "
                "served a task — a garbage peer cannot burn a bounded "
-               "worker's budget.  The worker advertises the windowed "
+               "worker's budget.  The worker speaks the windowed "
                "protocol (its hello lists the 'window' and 'batch' "
-               "features): coordinators may keep several frames in "
-               "flight per connection and group tiny tasks into one "
-               "'tasks' frame (--window/--max-batch on the sweep side); "
+               "features, and coordinators refuse a hello without "
+               "them): coordinators may keep several frames in "
+               "flight per connection and send tasks as lists in "
+               "'tasks' frames (--window/--max-batch on the sweep side); "
                "each connection is still served sequentially, replying "
                "in order, so no worker-side tuning is needed.",
     )

@@ -3,7 +3,8 @@
 ``ConnectionStats``/``RttEstimator`` counters follow a single-writer design:
 exactly one slot thread mutates each instance, and every mutation lives in
 ``telemetry.py`` (the note_* methods), so no lock is needed.  ``Transport``
-aggregates (``_restarts``, ``_peak_window``) are written from multiple slot
+derives its totals from those blocks; a transport-wide aggregate
+(``_restarts``, ``_peak_window``) would be written from multiple slot
 threads and therefore must only ever be touched under the stats lock — the
 unlocked ``restarts`` increment was a real shipped race (PR 6).
 

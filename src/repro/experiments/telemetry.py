@@ -1,10 +1,10 @@
 """Transport telemetry: RTT estimation and per-connection counters.
 
-The socket transport (:mod:`repro.experiments.transports`) used to tune
-its pipelining off a single hand-set constant (``ack_timeout``) and
-reported almost nothing about what the pipeline actually did — at odds
-with a reproduction whose whole point is *measuring* a cost dimension
-other accountings ignore.  This module closes both gaps:
+The socket transport (:mod:`repro.experiments.transports`) tunes its
+pipelining off measured round trips rather than a hand-set constant, and
+reports what the pipeline actually did — fitting for a reproduction
+whose whole point is *measuring* a cost dimension other accountings
+ignore.  This module holds both halves:
 
 :class:`RttEstimator`
     The Jacobson/Karels smoothed round-trip estimator (the TCP-Reno
@@ -18,7 +18,9 @@ other accountings ignore.  This module closes both gaps:
     Per-connection counters (frames/tasks/batches sent, acks, requeues,
     reconnects, slow acks, bytes both ways, current/peak window) plus the
     connection's estimator.  Written by exactly one slot thread, read by
-    anyone via :meth:`ConnectionStats.snapshot`.
+    anyone via :meth:`ConnectionStats.snapshot`.  They are the only copy:
+    the transport's ``restarts`` and ``peak_window`` are derived from
+    them.
 :func:`aggregate_by_worker`
     Folds connection snapshots into one row per worker address — the
     per-worker stats table surfaced by ``--progress``, the sweep result
@@ -260,7 +262,7 @@ class ConnectionStats:
 def aggregate_by_worker(
     connections: Sequence[Dict[str, Any]],
 ) -> List[Dict[str, Any]]:
-    """Fold connection snapshots into one row per worker address.
+    """Fold :meth:`ConnectionStats.snapshot` dicts into one row per worker.
 
     Counters sum; windows take the max; the smoothed RTT becomes a
     sample-weighted mean over the worker's *primed* connections (a plain
@@ -300,18 +302,11 @@ def aggregate_by_worker(
             row["worker_pids"].append(pid)
         samples = int(snap.get("samples", 0))
         row["rtt_samples"] += samples
-        # Weight only primed estimators (snapshots predating the field
-        # fall back to the priming threshold on their sample count), and
-        # never treat a measured 0.0 as missing.
-        primed = snap.get("primed")
-        if primed is None:
-            primed = samples >= RTT_PRIME_SAMPLES
-        srtt = snap.get("srtt_ms")
-        if primed and srtt is not None and samples > 0:
-            rttvar = snap.get("rttvar_ms")
-            weighted[label][0] += float(srtt) * samples
-            weighted[label][1] += (float(rttvar) * samples
-                                   if rttvar is not None else 0.0)
+        # Weight only primed estimators; a measured 0.0 weighs in like
+        # any other srtt.
+        if snap["primed"]:
+            weighted[label][0] += snap["srtt_ms"] * samples
+            weighted[label][1] += snap["rttvar_ms"] * samples
             weighted[label][2] += samples
     for label, row in workers.items():
         row["worker_pids"].sort()

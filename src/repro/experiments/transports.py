@@ -72,18 +72,19 @@ acked result up to the configured cap (``window=N``, or
 halved on a reconnect or a slow ack, so it self-tunes to worker
 capacity.  ``max_batch=N`` additionally groups up to N tiny tasks into
 one ``tasks`` frame to amortise framing and JSON overhead on small-task
-grids.  The worker's hello advertises these capabilities in its
-``features`` list; a peer that advertises neither is driven exactly like
-before — window 1, single-task frames.
+grids.  Every task frame is a ``tasks`` frame, a one-item list
+included, and every reply echoes its task's ``seq``.  The worker's hello
+must advertise both capabilities (``window`` and ``batch``) in its
+``features`` list; a worker that lacks either predates this protocol and
+is refused at dial time, like a schema mismatch.
 
 What counts as a "slow" ack is **self-calibrating**: every connection
 carries a Jacobson/Karels RTT estimator (:mod:`repro.experiments
 .telemetry`) fed one send→ack sample per frame, and by default an ack is
 slow when the blocked read exceeded the estimator's ``srtt + 4·rttvar``
 timeout analogue (only once the estimate is primed — before that nothing
-is ever "slow").  Passing an explicit ``ack_timeout`` overrides the
-calibration with the fixed legacy threshold — including ``0.0``, which
-still pins the window at 1.  The same estimator paces the batch flush: a
+is ever "slow"); ``window=1`` is the way to pin the window.  The same
+estimator paces the batch flush: a
 partial batch held behind in-flight frames waits at most one
 deviation-padded RTT for acks to free more window, then flushes.
 
@@ -142,6 +143,11 @@ ADAPTIVE_WINDOW = "adaptive"
 #: the cap exists so a pathological worker can never make the
 #: coordinator queue an entire grid behind one connection.
 ADAPTIVE_WINDOW_CAP = 64
+
+#: Protocol features a worker's hello must advertise: ``window`` (several
+#: frames may be in flight on one connection) and ``batch`` (task frames
+#: carry a list of tasks).
+PROTOCOL_FEATURES = ("batch", "window")
 
 
 def resolve_window(window) -> int:
@@ -265,12 +271,14 @@ def parse_worker_addresses(
 
 
 def _check_hello(frame: Optional[Dict], origin: str) -> None:
-    """Validate a worker's hello frame (schema handshake).
+    """Validate a worker's hello frame (schema and feature handshake).
 
     The schema version is the same one that keys the results store: a
     worker built from different code could return metrics that *parse*
     but mean something else, so a mismatch is refused outright rather
-    than detected later as subtly wrong numbers.
+    than detected later as subtly wrong numbers.  A worker missing any of
+    :data:`PROTOCOL_FEATURES` cannot parse the frames this coordinator
+    sends, so it is refused the same way.
     """
     if frame is None or frame.get("kind") != "hello":
         raise ConfigurationError(
@@ -283,6 +291,14 @@ def _check_hello(frame: Optional[Dict], origin: str) -> None:
             f"but this coordinator speaks {CODE_SCHEMA_VERSION}; refusing "
             "the worker — mixed schemas would silently mix incomparable "
             "metrics"
+        )
+    features = frame.get("features") or ()
+    missing = [name for name in PROTOCOL_FEATURES if name not in features]
+    if missing:
+        raise ConfigurationError(
+            f"{origin}: worker lacks protocol feature(s) "
+            f"{', '.join(missing)}; refusing the worker — it predates "
+            "windowed, batched task frames, so upgrade it"
         )
 
 
@@ -335,42 +351,29 @@ class Transport:
     name = "inline"
 
     def __init__(self) -> None:
-        # Slot threads report restarts and window growth concurrently; a
-        # bare `restarts += 1` is a read-modify-write that loses
-        # increments under contention, so both counters live behind one
-        # lock and are only written through the methods below.
         self._stats_lock = threading.Lock()
-        # No slot thread exists yet, so these two pre-thread writes are the
-        # one place the lock is provably unnecessary.
-        self._restarts = 0  # repro-lint: disable=RPL004
-        self._peak_window = 1  # repro-lint: disable=RPL004
         #: Per-connection counter blocks, registered by framed sessions.
         #: The list itself is guarded by the lock; each entry is written
-        #: by exactly one slot thread (see ConnectionStats).
+        #: by exactly one slot thread (see ConnectionStats), so every
+        #: transport-wide counter is derived from them, never kept twice.
         self._connections: List[ConnectionStats] = []
+
+    def _tracked(self) -> List[ConnectionStats]:
+        with self._stats_lock:
+            return list(self._connections)
 
     @property
     def restarts(self) -> int:
         """Cumulative count of slot peers replaced after dying mid-task
         (what the crash-recovery tests assert on)."""
-        with self._stats_lock:
-            return self._restarts
-
-    def count_restart(self) -> None:
-        with self._stats_lock:
-            self._restarts += 1
+        return sum(stats.reconnects for stats in self._tracked())
 
     @property
     def peak_window(self) -> int:
         """Largest per-connection window any session of this transport
         reached — observability for the AIMD self-tuning."""
-        with self._stats_lock:
-            return self._peak_window
-
-    def note_window(self, window: int) -> None:
-        with self._stats_lock:
-            if window > self._peak_window:
-                self._peak_window = window
+        return max((stats.peak_window for stats in self._tracked()),
+                   default=1)
 
     def register_connection(self, stats: ConnectionStats) -> None:
         """Track one connection's counters for :meth:`telemetry`."""
@@ -386,9 +389,7 @@ class Transport:
         for the others this reports the transport-level basics with an
         empty connection list.
         """
-        with self._stats_lock:
-            tracked = list(self._connections)
-        connections = [stats.snapshot() for stats in tracked]
+        connections = [stats.snapshot() for stats in self._tracked()]
         return {
             "transport": self.name,
             "restarts": self.restarts,
@@ -520,8 +521,6 @@ class _SocketPeer:
     def __init__(self, address: Tuple[str, int],
                  connect_timeout: float) -> None:
         self.address = address
-        #: Capabilities from the worker's hello frame (set post-handshake).
-        self.features: Tuple[str, ...] = ()
         #: Pid of the task-executing process, from the hello frame (set
         #: post-handshake; a slot subprocess for process-backed workers).
         self.pid: Optional[int] = None
@@ -571,10 +570,7 @@ class _FramedSession(TransportSession):
     iteration — feeds the session exactly as much work as the windows can
     absorb without any scheduler-side changes.  Workers reply in send
     order per connection, so each slot matches replies against the head
-    of its in-flight deque; a peer that advertises no ``window``
-    capability in its hello is pinned to window 1 (and no ``batch``
-    capability means single-task frames), which is byte-for-byte the
-    pre-windowing protocol.
+    of its in-flight deque.
     """
 
     def __init__(self, transport: "SocketTransport",
@@ -585,7 +581,6 @@ class _FramedSession(TransportSession):
         self._addresses = addresses
         self._window_cap = transport.window
         self._max_batch = transport.max_batch
-        self._ack_timeout = transport.ack_timeout
         self._frame_latency = transport.frame_latency
         #: How long close() waits for a thread that cannot be interrupted:
         #: at worst it is one dial deep, so cover connect_timeout + slack.
@@ -597,12 +592,9 @@ class _FramedSession(TransportSession):
         self._lock = threading.Lock()
         self._live = slots
         self._retired = [False] * slots
-        #: Per-slot congestion window / cap / batch capability (AIMD
-        #: state, guarded by ``_lock``; the in-flight deque itself is
-        #: private to each slot thread).
+        #: Per-slot congestion window (AIMD state, guarded by ``_lock``;
+        #: the in-flight deque itself is private to each slot thread).
         self._cwnd = [1] * slots
-        self._caps = [self._window_cap] * slots
-        self._batch_ok = [False] * slots
         #: Per-slot telemetry: counters + the RTT estimator that
         #: self-calibrates the slow-ack threshold and batch-flush hold.
         #: Each block is written only by its own slot thread.  Labelled by
@@ -613,8 +605,8 @@ class _FramedSession(TransportSession):
         for stats in self._stats:
             transport.register_connection(stats)
         self._peers: List[Optional[_SocketPeer]] = list(peers)
-        for slot, peer in enumerate(peers):
-            self._apply_peer_capabilities(slot, peer)
+        for stats, peer in zip(self._stats, peers):
+            stats.note_peer(peer.pid)
         self._threads = [
             threading.Thread(target=self._slot_main, args=(slot,),
                              name=f"repro-transport-slot-{slot}", daemon=True)
@@ -765,39 +757,6 @@ class _FramedSession(TransportSession):
         if peer is not None:
             peer.dispose()
 
-    def _apply_peer_capabilities(self, slot: int, peer) -> None:
-        """Clamp the slot's AIMD state to what the peer's hello offered.
-
-        A peer that never advertised ``window`` gets the historical
-        strict request/reply alternation (cap 1); one that never
-        advertised ``batch`` gets single-task frames only.
-        """
-        features = peer.features
-        with self._lock:
-            self._caps[slot] = (self._window_cap if "window" in features
-                                else 1)
-            self._cwnd[slot] = min(self._cwnd[slot], self._caps[slot])
-            self._batch_ok[slot] = (self._max_batch > 1
-                                    and "batch" in features)
-            self._stats[slot].note_window(self._cwnd[slot])
-            # The hello's pid is whatever process executes this slot's
-            # tasks (a slot subprocess for process-backed workers), so
-            # telemetry rows name the actual worker process.
-            self._stats[slot].note_peer(peer.pid)
-
-    def _slow_threshold(self, slot: int) -> Optional[float]:
-        """The blocked-read duration that reads as congestion for *slot*.
-
-        An explicit ``ack_timeout`` (including ``0.0``, the legacy pin
-        to window 1) always wins; otherwise the slot's RTT estimator
-        supplies a self-calibrated threshold once primed — and until
-        then nothing is slow, so a connection's cold start can never
-        halve its own window.
-        """
-        if self._ack_timeout is not None:
-            return self._ack_timeout
-        return self._stats[slot].rtt.slow_threshold()
-
     def _on_ack(self, slot: int, slow: bool = False,
                 rtt_sample: Optional[float] = None) -> None:
         """AIMD update for one acked frame: additive increase per ack,
@@ -811,9 +770,8 @@ class _FramedSession(TransportSession):
         with self._lock:
             if slow:
                 self._cwnd[slot] = max(1, self._cwnd[slot] // 2)
-            elif self._cwnd[slot] < self._caps[slot]:
+            elif self._cwnd[slot] < self._window_cap:
                 self._cwnd[slot] += 1
-                self._transport.note_window(self._cwnd[slot])
             stats.note_window(self._cwnd[slot])
 
     def _replace_peer_many(self, slot: int, indices: List[int]) -> bool:
@@ -839,7 +797,10 @@ class _FramedSession(TransportSession):
                 self._events.put(("lost", index))
             return False
         self._set_peer(slot, peer)
-        self._apply_peer_capabilities(slot, peer)
+        # The hello's pid is whatever process executes this slot's tasks
+        # (a slot subprocess for process-backed workers), so telemetry
+        # rows name the actual worker process.
+        self._stats[slot].note_peer(peer.pid)
         return True
 
     def _handle_peer_death(self, slot: int, in_flight) -> bool:
@@ -856,7 +817,6 @@ class _FramedSession(TransportSession):
         self._drop_peer(slot)
         if self._closing.is_set():
             return False
-        self._transport.count_restart()
         with self._lock:
             self._cwnd[slot] = max(1, self._cwnd[slot] // 2)
             self._stats[slot].note_window(self._cwnd[slot])
@@ -878,30 +838,23 @@ class _FramedSession(TransportSession):
         pending.clear()
 
     def _write_entries(self, slot: int, entries, write_frame) -> None:
-        """Send ``(seq, index, task, sent_at)`` entries, batching where
-        allowed, and account frames/tasks/bytes to the slot's telemetry."""
+        """Send ``(seq, index, task, sent_at)`` entries, batching
+        up to ``max_batch`` per ``tasks`` frame, and account
+        frames/tasks/bytes to the slot's telemetry."""
         peer = self._peers[slot]
         stats = self._stats[slot]
-        batch = self._max_batch if self._batch_ok[slot] else 1
-        for start in range(0, len(entries), batch):
-            group = entries[start:start + batch]
+        for start in range(0, len(entries), self._max_batch):
+            group = entries[start:start + self._max_batch]
             if self._frame_latency > 0.0:
                 # Benchmark-only simulated link latency, paid per frame
                 # written — which is exactly what windowing amortises.
                 time.sleep(self._frame_latency)
-            if len(group) == 1:
-                seq, index, task, _sent_at = group[0]
-                nbytes = write_frame(peer.writer,
-                                     {"kind": "task", "seq": seq,
-                                      "index": index,
-                                      "task": task.to_json()})
-            else:
-                nbytes = write_frame(peer.writer, {
-                    "kind": "tasks",
-                    "items": [{"seq": seq, "index": index,
-                               "task": task.to_json()}
-                              for seq, index, task, _sent_at in group],
-                })
+            nbytes = write_frame(peer.writer, {
+                "kind": "tasks",
+                "items": [{"seq": seq, "index": index,
+                           "task": task.to_json()}
+                          for seq, index, task, _sent_at in group],
+            })
             stats.note_send(len(group), nbytes or 0)
 
     def _check_reply(self, frame: Dict, seq: int, index: int) -> None:
@@ -911,10 +864,10 @@ class _FramedSession(TransportSession):
             raise ValueError(
                 f"unexpected {kind!r} frame from worker while awaiting a "
                 "reply")
-        if "seq" in frame and int(frame["seq"]) != seq:
+        if frame.get("seq") != seq:
             raise ValueError(
                 f"out-of-order reply from worker: expected seq {seq}, got "
-                f"{frame['seq']} — per-connection in-flight tracking "
+                f"{frame.get('seq')!r} — per-connection in-flight tracking "
                 "desynchronised")
         if int(frame.get("index", index)) != index:
             raise ValueError(
@@ -945,7 +898,7 @@ class _FramedSession(TransportSession):
                     # -------------------------------------------- fill
                     # Top the window up from the shared inbox.  Only
                     # block indefinitely when nothing at all is
-                    # outstanding.  With batching available, an empty
+                    # outstanding.  With batching enabled, an empty
                     # inbox is usually just the scheduler mid-top-up —
                     # the slot thread wins that race every time
                     # otherwise — so cork for ~1ms to let replacement
@@ -960,7 +913,7 @@ class _FramedSession(TransportSession):
                         try:
                             if not in_flight and not pending:
                                 item = self._inbox.get()
-                            elif (self._batch_ok[slot]
+                            elif (self._max_batch > 1
                                     and len(pending) < self._max_batch):
                                 item = self._inbox.get(timeout=0.001)
                             else:
@@ -982,13 +935,10 @@ class _FramedSession(TransportSession):
                     # nothing: the peer is busy, and every ack that
                     # arrives meanwhile frees window for more tasks to
                     # ride this frame, so the batch size self-clocks to
-                    # the ack rate.  (Without batching, batch_cap is 1
-                    # and every pulled task is sent at once — the pure
-                    # windowed pipeline.)
-                    batch_cap = (self._max_batch if self._batch_ok[slot]
-                                 else 1)
+                    # the ack rate.  (With max_batch 1 every pulled task
+                    # is sent at once — the pure windowed pipeline.)
                     if pending and (not in_flight
-                                    or len(pending) >= batch_cap
+                                    or len(pending) >= self._max_batch
                                     or force_flush):
                         force_flush = False
                         if self._peers[slot] is None and \
@@ -1058,7 +1008,7 @@ class _FramedSession(TransportSession):
                             in_flight.clear()
                             break
                         now = time.monotonic()
-                        threshold = self._slow_threshold(slot)
+                        threshold = stats.rtt.slow_threshold()
                         slow = (threshold is not None
                                 and now - waited > threshold)
                         seq, index, _task, sent_at = in_flight.popleft()
@@ -1098,7 +1048,6 @@ def _dial_worker(address: Tuple[str, int],
     except (ConfigurationError, OSError):
         peer.dispose()
         raise
-    peer.features = tuple(hello.get("features", ()))
     peer.pid = hello.get("pid")
     peer.sock.settimeout(None)
     return peer
@@ -1121,8 +1070,7 @@ class SocketTransport(Transport):
     *window* / *max_batch* configure the sliding-window pipelining (see
     the module docstring): the default adaptive window starts at 1 per
     connection and self-tunes, so remote workers stop paying one RTT per
-    task.  *ack_timeout*, when set, treats an ack slower than that many
-    seconds as a congestion signal and halves the window.
+    task; ``window=1`` pins strict request/reply alternation.
     *frame_latency* injects a coordinator-side sleep before every frame
     written — benchmark/test plumbing that simulates a slow link without
     needing one.
@@ -1135,7 +1083,6 @@ class SocketTransport(Transport):
                  reconnect_attempts: int = 2,
                  reconnect_delay: float = 0.2,
                  window=ADAPTIVE_WINDOW, max_batch=1,
-                 ack_timeout: Optional[float] = None,
                  frame_latency: float = 0.0) -> None:
         super().__init__()
         self.workers = workers
@@ -1144,7 +1091,6 @@ class SocketTransport(Transport):
         self.reconnect_delay = reconnect_delay
         self.window = resolve_window(window)
         self.max_batch = resolve_max_batch(max_batch)
-        self.ack_timeout = ack_timeout
         self.frame_latency = frame_latency
 
     def addresses(self) -> List[Tuple[str, int]]:

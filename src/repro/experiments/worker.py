@@ -15,8 +15,8 @@ Worker → coordinator, once per connection (the handshake)::
 
 Coordinator → worker::
 
-    {"kind": "task", "seq": 0, "index": 7, "task": {...SweepTask.to_json()...}}
-    {"kind": "tasks", "items": [{"seq": 1, "index": 8, "task": {...}}, ...]}
+    {"kind": "tasks", "items": [{"seq": 0, "index": 7,
+                                 "task": {...SweepTask.to_json()...}}, ...]}
 
 Worker → coordinator, one reply per task, in the order received::
 
@@ -27,15 +27,13 @@ Worker → coordinator, one reply per task, in the order received::
 The hello's schema version is :data:`~repro.experiments.store
 .CODE_SCHEMA_VERSION` — the same version that keys the results store —
 so a coordinator refuses workers whose metrics would not be comparable.
-Its ``features`` list advertises protocol capabilities: ``"window"``
-(the coordinator may keep several frames in flight on this connection —
-safe because the worker serves each connection sequentially and replies
-strictly in send order) and ``"batch"`` (the ``tasks`` frame above,
-carrying several tiny tasks in one frame).  A coordinator talking to a
-hello without these features degrades to the historical one-frame-
-at-a-time protocol; ``seq`` is optional on task frames and echoed on
-replies when present, which is how the coordinator cross-checks its
-per-connection in-flight tracking.
+Its ``features`` list names the protocol, and a coordinator refuses a
+hello that lacks either entry: ``"window"`` (the coordinator may keep
+several frames in flight on this connection — safe because the worker
+serves each connection sequentially and replies strictly in send order)
+and ``"batch"`` (every task frame is the ``tasks`` frame above, a list
+of one or more tasks).  Every reply echoes its task's ``seq``, which is
+how the coordinator cross-checks its per-connection in-flight tracking.
 
 EOF on a connection ends it and the worker loops back to ``accept``, so
 a long-lived worker serves many sweeps.  A task exception is reported as
@@ -78,7 +76,8 @@ from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.store import CODE_SCHEMA_VERSION
-from repro.experiments.transports import (WORKER_FAULT_DIR_ENV,
+from repro.experiments.transports import (PROTOCOL_FEATURES,
+                                          WORKER_FAULT_DIR_ENV,
                                           format_address, split_host_port)
 from repro.experiments.executor import SweepTask, run_task
 
@@ -140,12 +139,11 @@ def write_frame(stream: BinaryIO, record: Dict[str, Any]) -> int:
 def hello_frame() -> Dict[str, Any]:
     """The handshake frame a worker sends once per connection.
 
-    ``features`` advertises the windowed/batched protocol extensions (see
-    the module docstring) so coordinators degrade gracefully against
-    workers that predate them — and vice versa.
+    ``features`` names the windowed, batched protocol (see the module
+    docstring); coordinators refuse workers whose hello lacks it.
     """
     return {"kind": "hello", "schema": CODE_SCHEMA_VERSION,
-            "pid": os.getpid(), "features": ["batch", "window"]}
+            "pid": os.getpid(), "features": list(PROTOCOL_FEATURES)}
 
 
 #: Environment variable naming a file the worker appends one line to per
@@ -209,23 +207,19 @@ def serve_stream(reader: BinaryIO, writer: BinaryIO,
         frame = read_frame(reader)
         if frame is None:
             return handled
-        # A windowed coordinator may batch several tiny tasks into one
-        # `tasks` frame; each item gets its own reply, in order, so the
-        # coordinator's head-of-window matching never changes.
-        items = frame["items"] if frame.get("kind") == "tasks" else [frame]
-        for item in items:
+        if frame.get("kind") != "tasks":
+            raise ValueError(f"unexpected {frame.get('kind')!r} frame; "
+                             "task frames are 'tasks' lists")
+        # Each item gets its own reply, in order, echoing its `seq`, so
+        # the coordinator matches replies against the head of its window.
+        for item in frame["items"]:
             task = SweepTask.from_json(item["task"])
             handled += 1
             if stats is not None:
                 stats["tasks"] = handled
             maybe_crash(task)
             _log_execution(task)
-            # `seq` is echoed when present so the coordinator can
-            # cross-check its in-flight tracking; old coordinators never
-            # send it and get the historical reply shape back.
-            reply = {"index": item["index"]}
-            if "seq" in item:
-                reply["seq"] = item["seq"]
+            reply = {"index": item["index"], "seq": item["seq"]}
             try:
                 result = run_task(task)
             except Exception as error:

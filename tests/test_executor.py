@@ -317,28 +317,31 @@ class TestSerialParallelEquivalence:
         assert repr(sweep.rows()) == repr(serial_baseline.rows())
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
 
-    @pytest.mark.parametrize("ack_timeout", [None, 0.0, 0.005],
+    @pytest.mark.parametrize("slow_threshold", [None, 0.0, 0.005],
                              ids=["rtt-calibrated", "pinned", "fixed-5ms"])
     @pytest.mark.parametrize("max_batch", [1, 8])
     @pytest.mark.parametrize("window", [1, 4, "adaptive"])
     def test_windowed_socket_byte_identical_to_serial(
-            self, window, max_batch, ack_timeout, serial_baseline,
-            multislot_socket_worker):
-        """The window × batch × RTT-calibration extension of the matrix:
-        pipelining frames into a connection (any fixed window, or
-        AIMD-grown), batching tiny tasks into ``tasks`` frames, and the
-        slow-ack threshold policy (Jacobson/Karels self-calibrated,
-        pinned to window 1 via ``ack_timeout=0.0``, or a fixed explicit
-        timeout) are pure wall-clock mechanics — rows and fits must stay
+            self, window, max_batch, slow_threshold, serial_baseline,
+            multislot_socket_worker, monkeypatch):
+        """The window × batch × slow-ack extension of the matrix:
+        pipelining frames into a connection (pinned to 1, any fixed
+        window, or AIMD-grown), batching tiny tasks into ``tasks`` frames,
+        and the slow-ack threshold that drives the window (Jacobson/Karels
+        self-calibrated, or forced to 0 so every ack is slow, or a fixed
+        5 ms) are pure wall-clock mechanics — rows and fits must stay
         byte-identical to the serial reference at every (window,
-        max_batch, ack_timeout) point."""
+        max_batch, threshold) point."""
         from repro.experiments.backends import ComposedBackend
+        from repro.experiments.telemetry import RttEstimator
         from repro.experiments.transports import SocketTransport
 
+        if slow_threshold is not None:
+            monkeypatch.setattr(RttEstimator, "slow_threshold",
+                                lambda self: slow_threshold)
         backend = ComposedBackend(
             transport=SocketTransport(multislot_socket_worker,
-                                      window=window, max_batch=max_batch,
-                                      ack_timeout=ack_timeout),
+                                      window=window, max_batch=max_batch),
             jobs=2)
         sweep = run_sweep(**GRID, jobs=2, backend=backend)
         assert repr(sweep.rows()) == repr(serial_baseline.rows())

@@ -309,14 +309,6 @@ class TestPrimedWeighting:
         (row,) = aggregate_by_worker([stats.snapshot()])
         assert row["srtt_ms"] is None and row["rttvar_ms"] is None
 
-    def test_legacy_snapshots_fall_back_to_the_sample_count(self):
-        """Snapshots from an older worker lack ``primed``; priming is
-        then inferred from the sample count so mixed fleets aggregate."""
-        snap = self._primed_zero().snapshot()
-        del snap["primed"]
-        (row,) = aggregate_by_worker([snap])
-        assert row["srtt_ms"] == 0.0
-
 
 class TestWorkerPids:
     def test_note_peer_collects_distinct_pids_sorted(self):

@@ -18,7 +18,8 @@ import pytest
 
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.experiments.backends import ComposedBackend, resolve_backend
-from repro.experiments.executor import iter_task_results, plan_sweep_tasks
+from repro.experiments.executor import (SweepTask, iter_task_results,
+                                        plan_sweep_tasks, run_task)
 from repro.experiments.store import CODE_SCHEMA_VERSION
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.transports import (
@@ -31,7 +32,8 @@ from repro.experiments.transports import (
     resolve_window,
     split_host_port,
 )
-from repro.experiments.worker import write_frame
+from repro.experiments.telemetry import ConnectionStats, RttEstimator
+from repro.experiments.worker import hello_frame, read_frame, write_frame
 
 GRID = dict(algorithms=["luby", "vt_mis"], sizes=[16, 32],
             families=("gnp",), repetitions=2, seed=99)
@@ -399,15 +401,12 @@ class TestSocketFailureModes:
             connection, _ = server.accept()
             with connection:
                 writer = connection.makefile("wb")
-                write_frame(writer, {"kind": "hello",
-                                     "schema": CODE_SCHEMA_VERSION,
-                                     "pid": 0})
+                write_frame(writer, hello_frame())
                 reader = connection.makefile("rb")
-                from repro.experiments.worker import read_frame
-
                 read_frame(reader)  # accept the task...
                 # ...then answer with a result frame missing its body.
-                write_frame(writer, {"kind": "result", "index": 0})
+                write_frame(writer, {"kind": "result", "seq": 0,
+                                     "index": 0})
                 connection.recv(1)  # linger until the coordinator reacts
 
         thread = threading.Thread(target=liar, daemon=True)
@@ -551,22 +550,26 @@ class TestSocketTransportHygiene:
     def test_concurrent_restart_counts_lose_no_increment(self):
         """Regression for the unsynchronised ``restarts += 1``: many slot
         threads reporting peer deaths at once used to lose increments (a
-        classic read-modify-write race).  16 threads counting 500
-        restarts each must land on exactly 8000."""
+        classic read-modify-write race).  Each thread now writes only its
+        own connection's counters and the transport sums them, so 16
+        threads noting 500 deaths each must land on exactly 8000."""
         import sys
 
         transport = SocketTransport("127.0.0.1:1")  # never dialled
         barrier = threading.Barrier(16)
 
-        def hammer():
+        def hammer(slot):
+            stats = ConnectionStats("127.0.0.1:1", slot)
+            transport.register_connection(stats)
             barrier.wait()
             for _ in range(500):
-                transport.count_restart()
+                stats.note_death(1)
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # provoke interleaving aggressively
         try:
-            threads = [threading.Thread(target=hammer) for _ in range(16)]
+            threads = [threading.Thread(target=hammer, args=(slot,))
+                       for slot in range(16)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -704,14 +707,16 @@ class TestWindowedProtocol:
             repr(serial.rows())
         assert adaptive.transport.peak_window > 1
 
-    def test_slow_acks_keep_the_window_at_1(self, spawn_socket_worker):
-        """ack_timeout=0 marks every ack slow, so the multiplicative-
-        decrease path runs on each one: the window must never leave 1 —
-        and, like every window schedule, the rows stay byte-identical."""
+    def test_slow_acks_keep_the_window_at_1(self, spawn_socket_worker,
+                                            monkeypatch):
+        """A zero slow-ack threshold marks every ack slow, so the
+        multiplicative-decrease path runs on each one: the window must
+        never leave 1 — and, like every window schedule, the rows stay
+        byte-identical."""
         proc, address = spawn_socket_worker()
         serial = run_sweep(**self.WGRID)
-        backend = ComposedBackend(transport=SocketTransport(
-            address, ack_timeout=0.0))
+        monkeypatch.setattr(RttEstimator, "slow_threshold", lambda self: 0.0)
+        backend = ComposedBackend(transport=SocketTransport(address))
         assert repr(run_sweep(**self.WGRID, backend=backend).rows()) == \
             repr(serial.rows())
         assert backend.transport.peak_window == 1
@@ -757,66 +762,107 @@ class TestWindowedProtocol:
                                       max_batch=2)))
         assert repr(sweep.rows()) == repr(serial.rows())
 
-    def test_peer_without_window_capability_degrades_to_single_frame(self):
-        """Old-worker downgrade: a hello without the window/batch
-        features pins the coordinator to one frame in flight and no
-        ``tasks`` frames — verified by the worker itself, which fails the
-        sweep on any pipelined or batched frame it observes."""
-        from repro.experiments.executor import SweepTask, run_task
-        from repro.experiments.worker import read_frame
-
-        grid = dict(algorithms=["luby"], sizes=[16], families=("gnp",),
-                    repetitions=3, seed=5)
-        serial = run_sweep(**grid)
+    @pytest.mark.parametrize("features,missing", [
+        (None, "batch, window"),
+        (["batch"], "window"),
+        (["window"], "batch"),
+    ], ids=["no-features", "batch-only", "window-only"])
+    def test_peer_without_window_capability_is_refused(self, features,
+                                                       missing):
+        """A worker whose hello lacks the window or batch feature predates
+        the windowed, batched protocol and cannot parse ``tasks`` frames:
+        it is refused at dial time with an error naming what is missing,
+        like a schema mismatch — never driven in a downgraded dialect."""
         server = socket.create_server(("127.0.0.1", 0))
         port = server.getsockname()[1]
-        violations = []
+        received = []
 
         def legacy_worker():
             connection, _ = server.accept()
             with connection:
-                reader = connection.makefile("rb")
-                writer = connection.makefile("wb")
-                # A pre-windowing worker: hello with no features list.
-                write_frame(writer, {"kind": "hello",
-                                     "schema": CODE_SCHEMA_VERSION,
-                                     "pid": 0})
-                while True:
-                    frame = read_frame(reader)
-                    if frame is None:
-                        return
-                    if frame.get("kind") != "task":
-                        violations.append(
-                            f"unsupported frame kind {frame.get('kind')!r}")
-                        return
-                    # A window-1 coordinator never has a second frame
-                    # outstanding before our reply.
-                    connection.setblocking(False)
-                    try:
-                        pending = connection.recv(1, socket.MSG_PEEK)
-                    except BlockingIOError:
-                        pending = b""
-                    finally:
-                        connection.setblocking(True)
-                    if pending:
-                        violations.append(
-                            "a second frame was outstanding before the "
-                            "previous reply")
-                        return
-                    result = run_task(SweepTask.from_json(frame["task"]))
-                    # Legacy reply shape: index only, no seq echo.
-                    write_frame(writer, {"kind": "result",
-                                         "index": frame["index"],
-                                         "result": result.to_record()})
+                hello = {"kind": "hello", "schema": CODE_SCHEMA_VERSION,
+                         "pid": 0}
+                if features is not None:
+                    hello["features"] = features
+                write_frame(connection.makefile("wb"), hello)
+                received.append(read_frame(connection.makefile("rb")))
 
         thread = threading.Thread(target=legacy_worker, daemon=True)
         thread.start()
         try:
-            sweep = run_sweep(**grid, backend=ComposedBackend(
-                transport=SocketTransport(f"127.0.0.1:{port}",
-                                          window="adaptive", max_batch=8)))
-            assert violations == []
-            assert repr(sweep.rows()) == repr(serial.rows())
+            backend = socket_backend(f"127.0.0.1:{port}")
+            tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
+                                     repetitions=1, seed=1)
+            with pytest.raises(ConfigurationError,
+                               match=f"lacks protocol feature\\(s\\) "
+                                     f"{missing}; refusing the worker"):
+                list(backend.submit_tasks(tasks))
         finally:
             server.close()
             thread.join(timeout=5)
+        assert received == [None]  # hung up without sending a task
+
+
+class TestServeStream:
+    def test_replies_in_order_echo_seq_and_flag_configuration_errors(self):
+        """The worker side of the protocol over a socketpair: a one-item
+        and a three-item ``tasks`` frame get one reply per task, in send
+        order, each echoing its ``seq``; a task raising
+        ConfigurationError comes back as an error frame flagged
+        ``configuration`` while the stream keeps serving."""
+        from repro.experiments.worker import serve_stream
+
+        good = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
+                                repetitions=3, seed=4)
+        bad = SweepTask("no-such-algorithm", "gnp", 16, 1, 1)
+        items = [{"seq": seq, "index": 10 + seq, "task": task.to_json()}
+                 for seq, task in enumerate([good[0], good[1], bad,
+                                             good[2]])]
+        coordinator, worker = socket.socketpair()
+        served = {}
+        thread = threading.Thread(
+            target=lambda: served.setdefault("tasks", serve_stream(
+                worker.makefile("rb"), worker.makefile("wb"))),
+            daemon=True)
+        thread.start()
+        try:
+            reader = coordinator.makefile("rb")
+            writer = coordinator.makefile("wb")
+            assert read_frame(reader) == hello_frame()
+            write_frame(writer, {"kind": "tasks", "items": items[:1]})
+            write_frame(writer, {"kind": "tasks", "items": items[1:]})
+            replies = [read_frame(reader) for _ in items]
+            coordinator.shutdown(socket.SHUT_WR)
+            thread.join(timeout=30)
+        finally:
+            coordinator.close()
+            worker.close()
+        assert served == {"tasks": 4}
+        assert [(r["seq"], r["index"]) for r in replies] == \
+            [(0, 10), (1, 11), (2, 12), (3, 13)]
+        assert [r["kind"] for r in replies] == \
+            ["result", "result", "error", "result"]
+        assert replies[2]["configuration"] is True
+        assert "no-such-algorithm" in replies[2]["message"]
+        for reply, task in zip([replies[0], replies[1], replies[3]], good):
+            expected = run_task(task).to_record()
+            for record in (reply["result"], expected):
+                del record["wall_time_seconds"]  # the only timing field
+            assert reply["result"] == expected
+
+    def test_single_task_frame_kind_is_rejected(self):
+        """``tasks`` is the only task frame; the retired single-task
+        ``task`` kind drops the connection with a named error instead of
+        a bare KeyError."""
+        import io
+
+        from repro.experiments.worker import serve_stream
+
+        (task,) = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
+                                   repetitions=1, seed=4)
+        inbound = io.BytesIO()
+        write_frame(inbound, {"kind": "task", "seq": 0, "index": 0,
+                              "task": task.to_json()})
+        inbound.seek(0)
+        with pytest.raises(ValueError, match="unexpected 'task' frame"):
+            serve_stream(inbound, io.BytesIO())
