@@ -12,19 +12,19 @@ Sub-commands
     they run (serial/process/socket); because the sweep executor
     derives every task seed up front, the printed rows and fits are
     identical for every ``--jobs``/``--backend`` combination.  ``--output
-    FILE`` persists every result to a JSONL store as it completes
-    (``--shards N`` splits it into N shard files); ``--resume`` continues
-    an interrupted sweep from that store without re-running recorded tasks.
+    FILE`` persists every result to a JSONL store as it completes;
+    ``--resume`` continues an interrupted sweep from that store without
+    re-running recorded tasks.
 ``experiment``
     Regenerate one of the paper experiments E1–E9 (see DESIGN.md §3).
     ``--jobs``/``--backend`` parallelise the sweep-backed experiments
-    E1–E5 and E9 the same way; ``--output``/``--shards``/``--resume`` give
-    them the resumable store; E6–E8 ignore all of them.
+    E1–E5 and E9 the same way; ``--output``/``--resume`` give them the
+    resumable store; E6–E8 ignore all of them.
 ``report``
     Rebuild the sweep table and growth-law fits from a JSONL store written
     by ``sweep``/``experiment --output``, without re-running anything.
-    Accepts single-file and sharded stores; ``--csv FILE`` additionally
-    exports the rows for notebook-side analysis.
+    ``--csv FILE`` additionally exports the rows for notebook-side
+    analysis.
 ``figure``
     Print the paper's Figure 1/2 worked example.
 ``worker serve``
@@ -32,8 +32,8 @@ Sub-commands
     backend: run one per host with ``--slots N`` (one slot per core),
     point a sweep at them with ``--workers host:port*N,...``.
 ``store merge``
-    Compact one or more stores of the same sweep (sharded or not) into a
-    single fresh store file.
+    Compact one or more stores of the same sweep (partial resume files,
+    overlapping copies) into a single fresh store file.
 ``list``
     List available algorithms, graph families, backends, schedulers and
     experiments.
@@ -51,14 +51,13 @@ from repro.experiments.backends import (available_backends,
                                         available_schedulers, make_backend)
 from repro.experiments.harness import available_algorithms, run_mis
 from repro.experiments.registry import available_experiments, run_experiment
-from repro.experiments.store import (load_sweep_result, merge_stores,
-                                     open_store)
+from repro.experiments.store import (ResultStore, load_sweep_result,
+                                     merge_stores)
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.tables import (format_table, format_telemetry,
                                       render_sweep)
 from repro.graphs.generators import FAMILIES, by_name
 
-#: Shared --help epilog for the store-aware subcommands.
 #: How ``run`` and ``sweep`` pick a round engine (both epilogs say it).
 _ENGINES_EPILOG = (
     "Engines: runs enforce CONGEST metering by default (every message's "
@@ -71,6 +70,7 @@ _ENGINES_EPILOG = (
     "choice never changes outputs, recorded rows or awake/round/message/"
     "bit counts, only wall-clock time.")
 
+#: Shared --help epilog for the store-aware subcommands.
 _STORE_EPILOG = (
     "Results store: --output FILE appends one JSON record per completed "
     "task (atomic line writes keyed by the task's spec hash), so a killed "
@@ -78,12 +78,8 @@ _STORE_EPILOG = (
     "replays recorded tasks from the store instead of executing them; the "
     "final table and fits are byte-identical to an uninterrupted run.  "
     "--resume requires --output, and a store holds exactly one sweep "
-    "configuration.  --shards N splits the store into N JSONL shard files "
-    "(FILE.shard-0 ... FILE.shard-N-1, or shard-K.jsonl inside FILE when "
-    "it is a directory) with the same per-shard durability; reads merge "
-    "every shard, so --resume and 'repro-mis report' accept the base path "
-    "under any shard count; compact shards later with 'repro-mis store "
-    "merge'.  "
+    "configuration; 'repro-mis store merge' compacts partial stores of "
+    "one sweep into one file.  "
     "Execution: --backend serial|process|socket picks where tasks run "
     "(in-process, a local process pool, or TCP workers); --scheduler "
     "fifo|large-first|cost-model picks the dispatch order "
@@ -213,11 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--output", metavar="FILE", default=None,
                               help="JSONL results store: persist every task "
                                    "result as it completes")
-    sweep_parser.add_argument("--shards", type=int, default=None,
-                              metavar="N",
-                              help="split --output into N JSONL shard files "
-                                   "(one append stream per shard; reads "
-                                   "merge all shards)")
     sweep_parser.add_argument("--resume", action="store_true",
                               help="skip tasks already recorded in --output "
                                    "and replay their stored metrics")
@@ -237,10 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("--output", metavar="FILE", default=None,
                                    help="JSONL results store for the "
                                         "sweep-backed experiments")
-    experiment_parser.add_argument("--shards", type=int, default=None,
-                                   metavar="N",
-                                   help="split --output into N JSONL shard "
-                                        "files")
     experiment_parser.add_argument("--resume", action="store_true",
                                    help="skip tasks already recorded in "
                                         "--output")
@@ -251,16 +238,12 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="The store must have been written by 'repro-mis sweep "
                "--output' or 'repro-mis experiment --output'; a complete "
                "store reproduces the original run's table byte-for-byte.  "
-               "FILE may be a single-file store, the base path of a "
-               "sharded store (FILE.shard-K siblings), or a shard "
-               "directory — shards are merged automatically.  --csv OUT "
+               "--csv OUT "
                "additionally writes the table rows as CSV ('-' = stdout) "
                "for notebook-side analysis.",
     )
     report_parser.add_argument("store", metavar="FILE",
-                               help="JSONL results store to read (single "
-                                    "file, sharded base path, or shard "
-                                    "directory)")
+                               help="JSONL results store to read")
     report_parser.add_argument("--metric", default="awake_max",
                                help="metric for the growth-law fits "
                                     "(default: awake_max)")
@@ -333,19 +316,17 @@ def _build_parser() -> argparse.ArgumentParser:
     merge_parser = store_sub.add_parser(
         "merge",
         help="compact stores of one sweep into a single fresh store file",
-        epilog="Sources may be any mix of single-file stores, sharded "
-               "base paths and shard directories; they must all belong "
-               "to the same sweep configuration (mixed grids are "
-               "refused).  Records are rewritten in planned-grid order "
+        epilog="Sources are stores of one sweep (partial resume files, "
+               "overlapping copies); they must all belong to the same "
+               "sweep configuration (mixed grids are refused).  Records "
+               "are rewritten in planned-grid order "
                "with duplicates collapsed, so reporting or resuming from "
                "the merged store is byte-identical to using the sources. "
                "The sources are left untouched; delete them yourself "
                "once satisfied.",
     )
     merge_parser.add_argument("sources", metavar="SRC", nargs="+",
-                              help="stores to merge (single files, "
-                                   "sharded base paths or shard "
-                                   "directories)")
+                              help="stores to merge")
     merge_parser.add_argument("--output", metavar="OUT", required=True,
                               help="fresh single-file store to write "
                                    "(must not already hold data)")
@@ -356,22 +337,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _open_store(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    """Build the results store for --output/--shards/--resume (or None).
-
-    ``--shards N`` selects a sharded store explicitly; without it the path
-    is sniffed, so resuming a store that was written sharded keeps working
-    without repeating the flag.
-    """
-    if getattr(args, "resume", False) and not getattr(args, "output", None):
+    """Build the results store for --output/--resume (or None)."""
+    if args.resume and not args.output:
         parser.error("--resume requires --output (the store to resume from)")
-    shards = getattr(args, "shards", None)
-    if shards is not None and shards < 1:
-        parser.error("--shards must be >= 1 (the number of shard files)")
-    if shards is not None and not getattr(args, "output", None):
-        parser.error("--shards requires --output (the store to shard)")
-    if getattr(args, "output", None):
-        return open_store(args.output, shards=shards)
-    return None
+    return ResultStore(args.output) if args.output else None
 
 
 def _compose_backend(args: argparse.Namespace):
@@ -508,14 +477,31 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("usage: repro-mis worker serve --listen HOST:PORT",
                   file=sys.stderr)
             return 2
+        import signal
+
         from repro.experiments.worker import serve
 
+        # SIGTERM (plain `kill`, fixture teardown) takes the same orderly
+        # shutdown path as Ctrl-C: join/terminate slots, unlink every
+        # shared graph segment exactly once.  SIGKILL is unmaskable; the
+        # next worker to start reaps any segments it orphaned.  The old
+        # handler comes back afterwards, for in-process callers.
+        def _terminate(signum, frame):
+            raise KeyboardInterrupt
+
+        try:
+            previous = signal.signal(signal.SIGTERM, _terminate)
+        except (ValueError, OSError):
+            previous = None  # not the main thread: SIGTERM stays default
         try:
             return serve(args.listen, max_connections=args.max_connections,
                          slots=args.slots, start_method=args.start_method)
         except ConfigurationError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
+        finally:
+            if previous is not None:
+                signal.signal(signal.SIGTERM, previous)
 
     if args.command == "store":
         if args.store_command != "merge":

@@ -19,12 +19,19 @@ usable until the last mapping closes, so eviction never breaks a slot
 mid-task).  A slot that dies mid-task therefore leaks nothing: the
 segment it mapped is still owned — and later unlinked — by the server.
 
-Attaching from a slot needs one CPython workaround: before 3.13,
+Attaching from a slot meets one CPython quirk: before 3.13,
 ``SharedMemory(name=...)`` registers the mapping with the
-``resource_tracker`` even for non-owners, and the tracker *unlinks* the
-segment when the attaching process exits (bpo-39959) — which would let a
-finishing slot yank a cached graph out from under its siblings.  We pass
-``track=False`` where available and unregister manually otherwise.
+``resource_tracker`` even for non-owners, and a tracker *unlinks* what
+is still registered once every process using it has exited (bpo-39959).
+We pass ``track=False`` where available.  Otherwise no unregister is
+needed, because slots share the serving process's tracker: fork children
+inherit it (:class:`SharedGraphCache` starts it before any slot exists),
+and spawn and forkserver children are handed it.  That tracker keeps one
+set of names per resource type, so a slot's registration repeats the
+owner's and changes nothing; the owner's ``unlink()`` is the one
+unregister.  A slot that unregistered would remove the *owner's* entry,
+and the owner's later unlink would make the tracker print a
+``KeyError`` traceback.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import itertools
 import os
 import threading
 from collections import OrderedDict
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
 
 from repro.graphs.csr import CSRGraph, CSRGraphView
@@ -58,24 +65,6 @@ class _AttachedSegment(shared_memory.SharedMemory):
             super().close()
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Stop the resource tracker from unlinking a segment we don't own.
-
-    Only needed when the attaching process is *not* the serving process:
-    segment names embed the owner's pid, and in the owner the creation-time
-    registration must survive (its ``unlink`` pairs with it).  Elsewhere,
-    pre-3.13 ``SharedMemory`` attach registers the segment too, and the
-    tracker would unlink it when this process exits (bpo-39959).
-    """
-    if f"-{os.getpid()}-" in shm.name:
-        return
-    from multiprocessing import resource_tracker
-
-    with contextlib.suppress(Exception):
-        resource_tracker.unregister(getattr(shm, "_name", shm.name),
-                                    "shared_memory")
-
-
 def attach_segment(name: str) -> CSRGraphView:
     """Map segment *name* read-only and return the CSR graph view.
 
@@ -86,9 +75,8 @@ def attach_segment(name: str) -> CSRGraphView:
     """
     try:
         shm = _AttachedSegment(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track kwarg
+    except TypeError:  # Python < 3.13: no track kwarg; see module docstring
         shm = _AttachedSegment(name=name)
-        _untrack(shm)
     try:
         return CSRGraph.from_buffer(shm.buf, owner=shm).view()
     except Exception:
@@ -155,6 +143,10 @@ class SharedGraphCache:
             from repro.experiments.executor import _resolve_graph_cache_size
             max_entries = _resolve_graph_cache_size()
         self._max_entries = max(1, max_entries)
+        # Fork slots must inherit this process's resource tracker; one
+        # started later, in a slot, would unlink the segments the slot
+        # attached when it exits (see the module docstring).
+        resource_tracker.ensure_running()
         self._lock = threading.Lock()
         self._segments: "OrderedDict[Tuple[str, int, int], shared_memory.SharedMemory]" = OrderedDict()
         self._counter = itertools.count()

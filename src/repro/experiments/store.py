@@ -38,17 +38,9 @@ Record shapes::
 :func:`load_sweep_result` rebuild tables and fits in the exact order the
 live sweep aggregated them.
 
-When one append stream becomes the bottleneck, :class:`ShardedResultStore`
-splits the store into one JSONL shard per write lane (``out.jsonl.shard-K``
-or ``dir/shard-K.jsonl``) with identical per-shard semantics; reads merge
-every shard deterministically by grid index, so resume and ``repro-mis
-report`` work across *any* shard count.  :func:`open_store` sniffs which
-form a path is.
-
-:func:`merge_stores` (CLI: ``repro-mis store merge SRC... --output OUT``)
-compacts any mix of single-file and sharded stores of **one** sweep into
-a fresh single-file store — the compaction path for long-lived stores
-that accumulated shards or partial resume files.
+One sweep is one file.  :func:`merge_stores` (CLI: ``repro-mis store merge
+SRC... --output OUT``) compacts several stores of **one** sweep — partial
+resume files, or copies that overlap — into a fresh single-file store.
 """
 
 from __future__ import annotations
@@ -223,12 +215,6 @@ class ResultStore:
                 for record in self.records()
                 if record.get("kind") == "result"}
 
-    def indexed_result_offsets(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(grid_index, byte_offset)`` for every intact result."""
-        for start, record in self._scan():
-            if record.get("kind") == "result":
-                yield int(record["index"]), start
-
     def iter_grid_ordered_results(
         self,
     ) -> Iterator[Tuple[int, SweepTask, MISRunResult]]:
@@ -238,7 +224,10 @@ class ResultStore:
         is parsed lazily when its turn comes, so rebuilding a report from a
         full-scale store stays cheap.
         """
-        for index, offset in sorted(self.indexed_result_offsets()):
+        directory = sorted((int(record["index"]), start)
+                           for start, record in self._scan()
+                           if record.get("kind") == "result")
+        for index, offset in directory:
             record = self._record_at(offset)
             yield (index, _task_from_json(record["task"]),
                    MISRunResult.from_record(record["result"]))
@@ -411,277 +400,19 @@ class ResultStore:
         self.close()
 
 
-# --------------------------------------------------------------------------- #
-# Sharded stores
-# --------------------------------------------------------------------------- #
-def _shard_number(path: Path) -> int:
-    """Parse the shard index out of a shard file name."""
-    stem = path.name
-    digits = stem.rsplit("shard-", 1)[1]
-    if digits.endswith(".jsonl"):
-        digits = digits[: -len(".jsonl")]
-    return int(digits)
-
-
-def discover_shards(base: StorePath) -> List[Path]:
-    """Find the shard files of a sharded store, in shard order.
-
-    Two layouts are recognised: *suffix* (``out.jsonl`` →
-    ``out.jsonl.shard-0``, ``out.jsonl.shard-1``, ...) and *directory*
-    (``out_dir/`` → ``out_dir/shard-0.jsonl``, ...).  Returns ``[]`` when
-    neither matches, which is how :func:`open_store` decides a path is a
-    plain single-file store.
-    """
-    base = Path(base)
-    if base.is_dir():
-        found = [p for p in base.glob("shard-*.jsonl")
-                 if p.name[len("shard-"):-len(".jsonl")].isdigit()]
-    else:
-        prefix = base.name + ".shard-"
-        found = [p for p in base.parent.glob(base.name + ".shard-*")
-                 if p.name[len(prefix):].isdigit()]
-    return sorted(found, key=_shard_number)
-
-
-class ShardedResultStore:
-    """A results store split across several JSONL shard files.
-
-    One append stream per shard removes the single-file bottleneck once
-    many workers complete tasks faster than one ``write()+flush`` lane
-    keeps up.  Every shard is a full :class:`ResultStore` — same header,
-    same spec-hash keys, same atomic-line and torn-tail semantics — so
-    each shard repairs (or rejects) itself exactly like a single-file
-    store would.
-
-    Layouts (see :func:`discover_shards`): pass a base *file* path to get
-    sibling ``<base>.shard-K`` files, or an existing *directory* to get
-    ``shard-K.jsonl`` files inside it.
-
-    Records are routed by planned-grid index (``index % shards``) — a pure
-    function of the task, never of arrival order.  Reads **merge every
-    shard found on disk**, sorted by grid index, so the merged view is
-    deterministic and, crucially, independent of the shard count: a sweep
-    written under 4 shards can be resumed under 2 (new appends route to
-    the 2 write shards; the other 2 are still read) and reported under
-    any, byte-identically.
-    """
-
-    def __init__(self, base: StorePath,
-                 shards: Optional[int] = None) -> None:
-        self.base = Path(base)
-        if shards is not None and (not isinstance(shards, int)
-                                   or isinstance(shards, bool) or shards < 1):
-            raise ConfigurationError(
-                f"invalid shard count {shards!r}: need a positive int "
-                "(or None to reuse the shard files already on disk)"
-            )
-        self._requested = shards
-        self._read_stores: Optional[List[ResultStore]] = None
-        self._write_stores: Optional[List[ResultStore]] = None
-
-    # ------------------------------------------------------------------ #
-    # Shard layout
-    # ------------------------------------------------------------------ #
-    @property
-    def path(self) -> Path:
-        """Base path (mirrors :attr:`ResultStore.path` for messages)."""
-        return self.base
-
-    def _shard_path(self, index: int) -> Path:
-        if self.base.is_dir():
-            return self.base / f"shard-{index}.jsonl"
-        return self.base.parent / f"{self.base.name}.shard-{index}"
-
-    def _stores(self) -> Tuple[List[ResultStore], List[ResultStore]]:
-        """Resolve (read_stores, write_stores), caching the layout.
-
-        Write shards are ``0 .. shards-1`` for the requested count
-        (default: the count found on disk); read shards are the union of
-        the write shards and everything discovered, so records written
-        under a larger historical shard count stay visible.
-        """
-        if self._read_stores is not None and self._write_stores is not None:
-            return self._read_stores, self._write_stores
-        existing = discover_shards(self.base)
-        if (not existing and self.base.is_file()
-                and self.base.stat().st_size > 0):
-            # The base path holds a plain single-file store (or some other
-            # file).  Sharding "next to" it would silently ignore every
-            # record in it — e.g. `--resume --shards N` on a store that
-            # was written unsharded would re-run the whole grid.
-            raise ConfigurationError(
-                f"{self.base}: path holds a single (unsharded) file; "
-                "resume it without --shards, or point the sharded store "
-                "at a fresh path"
-            )
-        count = self._requested if self._requested is not None else len(existing)
-        if count < 1:
-            raise ConfigurationError(
-                f"{self.base}: no shard files found and no shard count "
-                "requested; pass shards=N (CLI: --shards N) to create a "
-                "sharded store"
-            )
-        write_paths = [self._shard_path(i) for i in range(count)]
-        read_paths = list(write_paths)
-        for path in existing:
-            if path not in read_paths:
-                read_paths.append(path)
-        by_path: Dict[Path, ResultStore] = {p: ResultStore(p)
-                                            for p in read_paths}
-        read_stores = [by_path[p] for p in read_paths]
-        write_stores = [by_path[p] for p in write_paths]
-        self._read_stores = read_stores
-        self._write_stores = write_stores
-        return read_stores, write_stores
-
-    @property
-    def shard_paths(self) -> List[Path]:
-        """Paths of every shard this store reads (write shards first)."""
-        read, _ = self._stores()
-        return [store.path for store in read]
-
-    # ------------------------------------------------------------------ #
-    # ResultStore-compatible surface (what run_sweep / report consume)
-    # ------------------------------------------------------------------ #
-    def ensure_header(self, sweep_config: Dict[str, Any],
-                      resume: bool) -> None:
-        """Stamp/verify the configuration on every shard.
-
-        Each shard enforces the single-file rules independently: an empty
-        shard is stamped, a populated one must match the configuration
-        (and requires *resume*), and each repairs its own torn tail only
-        after proving it belongs to this sweep.
-        """
-        read, _ = self._stores()
-        for store in read:
-            store.ensure_header(sweep_config, resume)
-
-    def header(self) -> Optional[Dict[str, Any]]:
-        """The common header of all shards (None when none has one).
-
-        Shards that disagree are an error: the merged view would silently
-        mix grids, which is exactly what headers exist to prevent.
-        """
-        read, _ = self._stores()
-        first: Optional[Dict[str, Any]] = None
-        first_path: Optional[Path] = None
-        for store in read:
-            header = store.header()
-            if header is None:
-                continue
-            if first is None:
-                first, first_path = header, store.path
-            elif header != first:
-                raise ConfigurationError(
-                    f"{store.path}: shard header disagrees with "
-                    f"{first_path}; these shards do not belong to one "
-                    "sweep — refusing to merge them"
-                )
-        return first
-
-    def records(self) -> Iterator[Dict[str, Any]]:
-        """Every intact record across all shards (shard-major order)."""
-        read, _ = self._stores()
-        for store in read:
-            yield from store.records()
-
-    def completed_keys(self) -> Set[str]:
-        """Spec hashes recorded on any shard."""
-        return {record["key"] for record in self.records()
-                if record.get("kind") == "result"}
-
-    def result_offsets(self) -> Dict[str, Tuple[int, int]]:
-        """Map spec hash -> opaque ``(shard, byte offset)`` token."""
-        read, _ = self._stores()
-        offsets: Dict[str, Tuple[int, int]] = {}
-        for shard, store in enumerate(read):
-            for key, offset in store.result_offsets().items():
-                offsets[key] = (shard, offset)
-        return offsets
-
-    def result_at(self, token: Tuple[int, int]) -> MISRunResult:
-        """Restore the result a :meth:`result_offsets` token points at."""
-        shard, offset = token
-        read, _ = self._stores()
-        return read[shard].result_at(offset)
-
-    def iter_grid_ordered_results(
-        self,
-    ) -> Iterator[Tuple[int, SweepTask, MISRunResult]]:
-        """Merged ``(index, task, result)`` stream in planned-grid order.
-
-        The merge is deterministic for any shard count: only the (index,
-        shard, offset) directory is sorted in memory, records are parsed
-        lazily in index order.
-        """
-        read, _ = self._stores()
-        entries: List[Tuple[int, int, int]] = []
-        for shard, store in enumerate(read):
-            entries.extend((index, shard, offset)
-                           for index, offset in store.indexed_result_offsets())
-        entries.sort()
-        for index, shard, offset in entries:
-            record = read[shard]._record_at(offset)
-            yield (index, _task_from_json(record["task"]),
-                   MISRunResult.from_record(record["result"]))
-
-    def append(self, index: int, task: SweepTask,
-               result: MISRunResult) -> None:
-        """Persist one result on the shard its grid index routes to."""
-        _, write = self._stores()
-        write[index % len(write)].append(index, task, result)
-
-    def __len__(self) -> int:
-        read, _ = self._stores()
-        return sum(len(store) for store in read)
-
-    def close(self) -> None:
-        """Close every shard's handles (all reopen on demand)."""
-        if self._read_stores is not None:
-            for store in self._read_stores:
-                store.close()
-
-    def __enter__(self) -> "ShardedResultStore":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
-
-
-def open_store(
-    path: StorePath, shards: Optional[int] = None
-) -> Union[ResultStore, ShardedResultStore]:
-    """Open the right store type for *path*.
-
-    An explicit *shards* count always selects a :class:`ShardedResultStore`;
-    otherwise the path is sniffed — an existing directory or a base with
-    ``.shard-K`` siblings opens the sharded store transparently (this is
-    what lets ``--resume`` and ``repro-mis report`` take either form), and
-    anything else is a plain single-file :class:`ResultStore`.
-    """
-    base = Path(path)
-    if shards is not None:
-        return ShardedResultStore(base, shards=shards)
-    if base.is_dir() or discover_shards(base):
-        return ShardedResultStore(base)
-    return ResultStore(base)
-
-
 def merge_stores(sources: Sequence[StorePath], output: StorePath) -> int:
     """Compact one or more stores into a single-file store at *output*.
 
-    The ROADMAP-named compaction tooling for long-lived stores: a sweep
-    written across many shards (or resumed into several partial stores)
-    is rewritten as one fresh single-file :class:`ResultStore` — fresh
-    header, records in planned-grid order, duplicates (the same spec
-    hash recorded in more than one source) collapsed to a single copy.
-    Reading the merged store is byte-identical to reading the merged
-    sources, so ``repro-mis report`` and ``--resume`` keep working with
-    one file where there used to be many.
+    The compaction tooling for long-lived stores: a sweep resumed into
+    several partial stores (or copied more than once) is rewritten as one
+    fresh :class:`ResultStore` — fresh header, records in planned-grid
+    order, duplicates (the same spec hash recorded in more than one
+    source) collapsed to a single copy.  Reading the merged store is
+    byte-identical to reading the merged sources, so ``repro-mis report``
+    and ``--resume`` keep working with one file where there used to be
+    many.
 
-    Sources may be any mix of single-file stores, sharded base paths and
-    shard directories (:func:`open_store` sniffs each).  All sources
-    must carry the **same** header — mixing sweep configurations (or
+    All sources must carry the **same** header — mixing sweep configurations (or
     code schema versions) is refused, exactly as resuming across them
     would be.  *output* must not already hold data (compaction never
     destroys anything; delete the sources yourself once satisfied).
@@ -697,15 +428,7 @@ def merge_stores(sources: Sequence[StorePath], output: StorePath) -> int:
             f"{output_path}: refusing to overwrite an existing non-empty "
             "path; point --output at a fresh file"
         )
-    if discover_shards(output_path):
-        # Writing a single-file store at the base path of an existing
-        # sharded layout would produce a hybrid open_store refuses to
-        # read — the merged store would be unreachable via its own path.
-        raise ConfigurationError(
-            f"{output_path}: path is the base of an existing sharded "
-            "store; point --output at a fresh file"
-        )
-    stores = [open_store(source) for source in sources]
+    stores = [ResultStore(source) for source in sources]
     resolved = [Path(source) for source in sources]
     try:
         header: Optional[Dict[str, Any]] = None
@@ -772,23 +495,19 @@ def merge_stores(sources: Sequence[StorePath], output: StorePath) -> int:
 
 
 def load_sweep_result(
-    path: Union[StorePath, ResultStore, ShardedResultStore],
+    path: Union[StorePath, ResultStore],
 ) -> Tuple[Dict[str, Any], "SweepResult"]:
     """Rebuild a :class:`~repro.experiments.sweeps.SweepResult` from a store.
 
     Records are folded in planned-grid order (their ``index``), which is the
     same order the live sweep aggregated in — so for a completed store the
     rebuilt rows and fits are byte-identical to the ones the sweep printed,
-    without re-running anything.  *path* may be a single-file store, a
-    sharded store's base path/directory, or an already constructed store
-    object.  Returns ``(header, sweep_result)``.
+    without re-running anything.  *path* is a store file or an already
+    constructed :class:`ResultStore`.  Returns ``(header, sweep_result)``.
     """
     from repro.experiments.sweeps import SweepResult
 
-    if isinstance(path, (ResultStore, ShardedResultStore)):
-        store = path
-    else:
-        store = open_store(path)
+    store = path if isinstance(path, ResultStore) else ResultStore(path)
     header = store.header()
     if header is None:
         raise ConfigurationError(

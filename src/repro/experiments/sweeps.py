@@ -273,9 +273,8 @@ def run_sweep(
     :class:`MISRunResult` objects besides their running aggregates; pass
     ``False`` for large grids so memory stays flat.
 
-    *store* (a :class:`~repro.experiments.store.ResultStore` or
-    :class:`~repro.experiments.store.ShardedResultStore`) persists every
-    result as it completes; with *resume* also true, tasks whose spec hash
+    *store* (a :class:`~repro.experiments.store.ResultStore`) persists
+    every result as it completes; with *resume* also true, tasks whose spec hash
     is already recorded are **not** re-executed — their stored compact
     metrics are replayed into the aggregation instead.  *progress* is
     forwarded to the executor and fires only for tasks that actually run.
@@ -284,8 +283,8 @@ def run_sweep(
     :func:`~repro.experiments.executor.plan_sweep_tasks`, and arrivals are
     folded back into planned-grid order before aggregation, so the returned
     cells, rows and fits are byte-identical for every value of *jobs*, for
-    every backend, for every shard count — and for any interleaving of
-    stored and freshly executed tasks.
+    every backend — and for any interleaving of stored and freshly
+    executed tasks.
     """
     tasks = plan_sweep_tasks(
         algorithms=algorithms,
@@ -296,13 +295,11 @@ def run_sweep(
         algorithm_params=algorithm_params,
     )
 
-    # index -> offset token of the stored record, for tasks satisfied from
-    # the store (a byte offset for a single-file store, a (shard, offset)
-    # pair for a sharded one — opaque here).  Offsets, not restored
-    # results: each replayed record is re-read only when the fold reaches
-    # its grid position, so a resumed sweep's memory stays as flat as a
-    # live one.
-    replay_offsets: Dict[int, Any] = {}
+    # index -> byte offset of the stored record, for tasks satisfied from
+    # the store.  Offsets, not restored results: each replayed record is
+    # re-read only when the fold reaches its grid position, so a resumed
+    # sweep's memory stays as flat as a live one.
+    replay_offsets: Dict[int, int] = {}
     pending_indices = list(range(len(tasks)))
     if store is not None:
         from repro.experiments.store import task_key

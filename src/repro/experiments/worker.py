@@ -292,8 +292,11 @@ def _slot_process_main(connection: socket.socket, control: Any) -> None:
     with contextlib.suppress(Exception):
         # The operator's Ctrl-C belongs to the serving process, which
         # terminates slots in an orderly way; a process-group SIGINT must
-        # not splatter one traceback per slot.
+        # not splatter one traceback per slot.  Nor may the serving
+        # process's SIGTERM handler, which a fork slot inherits: a slot
+        # simply dies on SIGTERM, as a spawn slot does.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     with contextlib.suppress(Exception):
         _close_inherited_sockets((connection.fileno(), control.fileno()))
 
@@ -692,49 +695,13 @@ def spawn_local_worker(extra_env: Optional[Dict[str, str]] = None,
     return process, f"{host}:{match.group(1)}"
 
 
-def main(argv: Optional[list] = None) -> int:
-    """Entry point: serve the TCP worker on ``--listen``."""
-    import argparse
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.experiments.worker ARGS`` is ``repro-mis worker
+    serve ARGS``: one parser, one SIGTERM handler, one serve call."""
+    from repro.cli import main as cli_main
 
-    parser = argparse.ArgumentParser(
-        prog="repro-mis-worker",
-        description="framed-JSON sweep-task worker over TCP",
-    )
-    parser.add_argument("--listen", metavar="HOST:PORT", required=True,
-                        help="address to serve on (port 0 = ephemeral, "
-                             "[IPV6]:PORT accepted)")
-    parser.add_argument("--slots", type=int, default=1, metavar="N",
-                        help="serve up to N coordinator connections "
-                             "concurrently, sharing the host's graph "
-                             "work (default: 1)")
-    parser.add_argument("--max-connections", type=int, default=None,
-                        metavar="N",
-                        help="exit after N connections that served at "
-                             "least one task (default: serve forever)")
-    parser.add_argument("--start-method",
-                        choices=["fork", "spawn", "forkserver"],
-                        default=None,
-                        help="multiprocessing start method for the slot "
-                             "subprocesses of --slots > 1 (default: "
-                             "platform default)")
-    args = parser.parse_args(argv)
-    # SIGTERM (plain `kill`, fixture teardown) takes the same orderly
-    # shutdown path as Ctrl-C: join/terminate slots, unlink every shared
-    # graph segment exactly once.  SIGKILL is unmaskable; the next worker
-    # to start reaps any segments it orphaned.
-    import signal
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    with contextlib.suppress(ValueError, OSError):
-        signal.signal(signal.SIGTERM, _terminate)
-    try:
-        return serve(args.listen, max_connections=args.max_connections,
-                     slots=args.slots, start_method=args.start_method)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    return cli_main(["worker", "serve",
+                     *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

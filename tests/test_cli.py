@@ -277,7 +277,7 @@ class TestCLI:
             "--algorithms", "--sizes", "--families",
             "--repetitions", "--seed", "--jobs", "--backend", "--scheduler",
             "--workers", "--window", "--max-batch", "--progress",
-            "--output", "--shards", "--resume"}
+            "--output", "--resume"}
         assert self._help_options(["worker", "serve"], capsys) == {
             "--listen", "--slots", "--start-method",
             "--max-connections"}
@@ -456,39 +456,6 @@ class TestCLIStore:
         for column in ("n", "runs"):
             assert main(["report", path, "--metric", column]) == 2
             assert f"unknown metric '{column}'" in capsys.readouterr().err
-
-    def test_sharded_output_resume_report_round_trip(self, tmp_path, capsys):
-        path = str(tmp_path / "out.jsonl")
-        assert main(self.SWEEP) == 0
-        plain_out = capsys.readouterr().out
-
-        assert main([*self.SWEEP, "--output", path, "--shards", "2"]) == 0
-        assert capsys.readouterr().out == plain_out
-        assert (tmp_path / "out.jsonl.shard-0").exists()
-        assert (tmp_path / "out.jsonl.shard-1").exists()
-        assert not (tmp_path / "out.jsonl").exists()
-
-        # --resume sniffs the sharded layout without repeating --shards.
-        assert main([*self.SWEEP, "--output", path, "--resume"]) == 0
-        assert capsys.readouterr().out == plain_out
-
-        # report merges the shards from the base path.
-        assert main(["report", path]) == 0
-        report_out = capsys.readouterr().out
-        for line in plain_out.splitlines():
-            if "luby" in line:
-                assert line in report_out
-
-    def test_shards_require_output(self, capsys):
-        with pytest.raises(SystemExit):
-            main([*self.SWEEP, "--shards", "2"])
-        assert "--shards requires --output" in capsys.readouterr().err
-
-    def test_invalid_shard_count_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main([*self.SWEEP, "--output", str(tmp_path / "o.jsonl"),
-                               "--shards", "0"])
-        assert "--shards must be >= 1" in capsys.readouterr().err
 
     def test_report_csv_stdout_and_file(self, tmp_path, capsys):
         path = str(tmp_path / "out.jsonl")

@@ -16,6 +16,10 @@ cache read-only.  These tests pin the contracts the tentpole makes:
 from __future__ import annotations
 
 import os
+import re
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -113,6 +117,42 @@ class TestSegmentLifecycle:
         process.terminate()
         process.wait(timeout=10)
         assert _worker_segments(process.pid) == []
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+    def test_cli_worker_sigterm_unlinks_every_segment_without_traceback(
+            self, worker_stopper, start_method):
+        """``python -m repro worker serve`` takes the orderly SIGTERM path
+        too: its shutdown line is logged, every segment is unlinked, and
+        the resource tracker prints no ``KeyError`` traceback (one slot
+        unregistering a segment would remove the owner's registration)."""
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "serve",
+             "--listen", "127.0.0.1:0", "--slots", "2",
+             "--start-method", start_method],
+            stderr=subprocess.PIPE, text=True)
+        try:
+            log = [process.stderr.readline()]
+            match = re.search(r"listening on (\S+)", log[0])
+            assert match, log
+            # The resource tracker inherits the worker's stderr, so the
+            # pipe reaches EOF only once the tracker, too, has exited.
+            drain = threading.Thread(
+                target=lambda: log.append(process.stderr.read()),
+                daemon=True)
+            drain.start()
+            run_sweep(algorithms=["luby"], sizes=[16, 24], repetitions=1,
+                      seed=5, backend=_backend(f"{match.group(1)}*2"))
+            assert _worker_segments(process.pid)  # cache is warm
+            process.terminate()
+            assert process.wait(timeout=10) == 0
+            drain.join(timeout=30)
+            assert not drain.is_alive()
+            assert _worker_segments(process.pid) == []
+        finally:
+            worker_stopper([process])
+        text = "".join(log)
+        assert "shared graph cache hits=" in text
+        assert "Traceback" not in text and "leaked" not in text, text
 
     def test_bounded_worker_exit_unlinks_every_segment(
             self, spawn_socket_worker):

@@ -19,9 +19,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.executor import plan_sweep_tasks
 from repro.experiments.harness import MISRunResult, run_mis
 from repro.experiments.store import (CODE_SCHEMA_VERSION, ResultStore,
-                                     ShardedResultStore, discover_shards,
                                      load_sweep_result, merge_stores,
-                                     open_store, task_key)
+                                     task_key)
 from repro.experiments.sweeps import MetricAccumulator, run_sweep
 from repro.graphs.generators import by_name
 
@@ -263,156 +262,6 @@ class TestReport:
             load_sweep_result(tmp_path / "nope.jsonl")
 
 
-class TestShardedStore:
-    def _full_sharded(self, tmp_path, shards=3, jobs=1):
-        base = tmp_path / "out.jsonl"
-        store = ShardedResultStore(base, shards=shards)
-        sweep = run_sweep(**GRID, jobs=jobs, keep_runs=False, store=store)
-        store.close()
-        return base, sweep
-
-    def test_writes_one_shard_file_per_lane(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path, shards=3)
-        paths = discover_shards(base)
-        assert [p.name for p in paths] == ["out.jsonl.shard-0",
-                                           "out.jsonl.shard-1",
-                                           "out.jsonl.shard-2"]
-        # Routing is by grid index, so every shard holds its share and the
-        # merged store holds exactly the grid.
-        assert all(len(ResultStore(p)) > 0 for p in paths)
-        assert len(ShardedResultStore(base)) == GRID_TASKS
-
-    def test_each_shard_is_a_full_store_with_header(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path)
-        headers = [ResultStore(p).header() for p in discover_shards(base)]
-        assert all(h is not None for h in headers)
-        assert all(h == headers[0] for h in headers)
-        assert headers[0]["schema"] == CODE_SCHEMA_VERSION
-
-    def test_rows_match_single_file_store_byte_for_byte(self, tmp_path):
-        plain = run_sweep(**GRID, keep_runs=False,
-                          store=ResultStore(tmp_path / "plain.jsonl"))
-        _, sharded = self._full_sharded(tmp_path, shards=3)
-        assert repr(sharded.rows()) == repr(plain.rows())
-        assert sharded.fits("awake_max") == plain.fits("awake_max")
-
-    def test_directory_layout(self, tmp_path):
-        directory = tmp_path / "results"
-        directory.mkdir()
-        store = ShardedResultStore(directory, shards=2)
-        sweep = run_sweep(**GRID, keep_runs=False, store=store)
-        store.close()
-        assert sorted(p.name for p in directory.iterdir()) == [
-            "shard-0.jsonl", "shard-1.jsonl"]
-        header, rebuilt = load_sweep_result(directory)
-        assert repr(rebuilt.rows()) == repr(sweep.rows())
-
-    def test_load_sweep_result_merges_shards(self, tmp_path):
-        base, sweep = self._full_sharded(tmp_path, shards=3, jobs=4)
-        header, rebuilt = load_sweep_result(base)
-        assert header["sweep"]["sizes"] == [16, 32]
-        assert repr(rebuilt.rows()) == repr(sweep.rows())
-
-    def test_open_store_sniffs_the_layout(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path)
-        assert isinstance(open_store(base), ShardedResultStore)
-        assert isinstance(open_store(tmp_path / "fresh.jsonl"), ResultStore)
-        assert isinstance(open_store(tmp_path / "fresh.jsonl", shards=2),
-                          ShardedResultStore)
-        directory = tmp_path / "somedir"
-        directory.mkdir()
-        assert isinstance(open_store(directory), ShardedResultStore)
-
-    def test_fresh_run_refuses_existing_sharded_store(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path)
-        with pytest.raises(ConfigurationError, match="resume"):
-            run_sweep(**GRID, keep_runs=False,
-                      store=ShardedResultStore(base, shards=3))
-
-    def test_resume_refuses_a_different_grid(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path)
-        other = dict(GRID, seed=100)
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            run_sweep(**other, keep_runs=False,
-                      store=ShardedResultStore(base, shards=3), resume=True)
-
-    def test_disagreeing_shard_headers_refuse_to_merge(self, tmp_path):
-        base, _ = self._full_sharded(tmp_path, shards=2)
-        rogue = tmp_path / "out.jsonl.shard-2"
-        rogue.write_text(json.dumps({"kind": "header",
-                                     "schema": CODE_SCHEMA_VERSION,
-                                     "sweep": {"algorithms": ["other"]}})
-                         + "\n", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="disagrees"):
-            load_sweep_result(base)
-
-    def test_invalid_shard_counts_rejected(self, tmp_path):
-        for bad in (0, -1, True, 2.0):
-            with pytest.raises(ConfigurationError, match="shard count"):
-                ShardedResultStore(tmp_path / "x.jsonl", shards=bad)
-
-    def test_missing_shards_without_count_is_an_error(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "none.jsonl")
-        with pytest.raises(ConfigurationError, match="no shard files"):
-            store.ensure_header({}, resume=False)
-
-    def test_sharding_refuses_an_existing_single_file_store(self, tmp_path):
-        # `--resume --shards N` on a store written unsharded must not
-        # silently ignore its records and re-run the grid.
-        path = tmp_path / "out.jsonl"
-        run_sweep(**GRID, keep_runs=False, store=ResultStore(path))
-        with pytest.raises(ConfigurationError, match="unsharded"):
-            run_sweep(**GRID, keep_runs=False,
-                      store=ShardedResultStore(path, shards=2), resume=True)
-        # The single-file store is untouched and still resumable.
-        executed = []
-        run_sweep(**GRID, keep_runs=False, store=ResultStore(path),
-                  resume=True,
-                  progress=lambda task, *rest: executed.append(task))
-        assert executed == []
-
-    @pytest.mark.parametrize("resume_shards", [1, 2, 5])
-    def test_resume_across_a_different_shard_count(self, tmp_path,
-                                                   resume_shards):
-        """The acceptance-criteria invariant: interrupt a sharded sweep,
-        resume it under a *different* shard count (and backend), and the
-        rows/fits must come out byte-identical to the uninterrupted run —
-        with the recorded tasks verifiably never re-executed."""
-        baseline = run_sweep(**GRID)
-        base, _ = self._full_sharded(tmp_path, shards=3)
-
-        # Simulate a kill: tear the tail record of shard 0 and drop the
-        # final record of shard 1 entirely.
-        shard0, shard1, _shard2 = discover_shards(base)
-        lines = _store_lines(shard0)
-        shard0.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2],
-                          encoding="utf-8")
-        lines = _store_lines(shard1)
-        shard1.write_text("".join(lines[:-1]), encoding="utf-8")
-        surviving = {json.loads(line)["key"]
-                     for path in discover_shards(base)
-                     for line in _store_lines(path)
-                     if line.endswith("\n")
-                     and json.loads(line)["kind"] == "result"}
-
-        executed = []
-        with pytest.warns(UserWarning):
-            resumed = run_sweep(
-                **GRID, jobs=2, backend="process", keep_runs=False,
-                store=ShardedResultStore(base, shards=resume_shards),
-                resume=True,
-                progress=lambda task, *rest: executed.append(task))
-        assert len(executed) == GRID_TASKS - len(surviving)
-        assert all(task_key(t) not in surviving for t in executed)
-        assert repr(resumed.rows()) == repr(baseline.rows())
-        assert resumed.fits("awake_max") == baseline.fits("awake_max")
-
-        # The store is complete again and reports byte-identically, under
-        # whichever shard count reads it next.
-        _, rebuilt = load_sweep_result(base)
-        assert repr(rebuilt.rows()) == repr(baseline.rows())
-
-
 # ------------------------------------------------------------------------- #
 # Kill-point fuzzing: every byte offset a crash could truncate the store at
 # must land in {clean resume, torn-line repair, hard corruption error} —
@@ -429,14 +278,9 @@ def fuzz_reference(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz-ref")
     path = tmp / "ref.jsonl"
     sweep = run_sweep(**FUZZ_GRID, keep_runs=False, store=ResultStore(path))
-    sharded_base = tmp / "sharded.jsonl"
-    store = ShardedResultStore(sharded_base, shards=2)
-    run_sweep(**FUZZ_GRID, keep_runs=False, store=store)
-    store.close()
     return {
         "rows": repr(sweep.rows()),
         "bytes": path.read_bytes(),
-        "shard_bytes": [p.read_bytes() for p in discover_shards(sharded_base)],
         "all_keys": {task_key(t) for t in plan_sweep_tasks(**FUZZ_GRID)},
     }
 
@@ -485,28 +329,6 @@ class TestKillPointFuzz:
         _resume_and_check(ResultStore(path), fuzz_reference,
                           _intact_result_keys(blob[:cut]))
 
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_truncating_any_shard_at_any_offset_resumes_byte_identically(
-            self, data, fuzz_reference, tmp_path):
-        """The same kill-point property holds per shard of a sharded
-        store: the damaged shard self-repairs, the healthy shards keep
-        their records, and the merged resume is byte-identical."""
-        shard_blobs = list(fuzz_reference["shard_bytes"])
-        shard = data.draw(st.integers(0, len(shard_blobs) - 1))
-        cut = data.draw(st.integers(0, len(shard_blobs[shard])))
-        damaged = shard_blobs[shard][:cut]
-        base = tmp_path / f"s{shard}-c{cut}.jsonl"
-        for index, blob in enumerate(shard_blobs):
-            (tmp_path / f"{base.name}.shard-{index}").write_bytes(
-                damaged if index == shard else blob)
-        intact = set()
-        for index, blob in enumerate(shard_blobs):
-            intact |= _intact_result_keys(damaged if index == shard else blob)
-        _resume_and_check(ShardedResultStore(base, shards=len(shard_blobs)),
-                          fuzz_reference, intact)
-
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -533,42 +355,28 @@ class TestKillPointFuzz:
 class TestMergeStores:
     """`repro-mis store merge`: compaction for long-lived stores."""
 
-    def _sweep_to(self, path, shards=None, **overrides):
+    def _sweep_to(self, path, **overrides):
         grid = dict(GRID, **overrides)
-        store = open_store(path, shards=shards)
-        result = run_sweep(**grid, store=store, keep_runs=False)
-        store.close()
-        return result
+        with ResultStore(path) as store:
+            return run_sweep(**grid, store=store, keep_runs=False)
 
-    def test_sharded_store_compacts_to_identical_single_file(self, tmp_path):
-        base = tmp_path / "sharded.jsonl"
-        live = self._sweep_to(base, shards=3)
-        merged = tmp_path / "merged.jsonl"
-        written = merge_stores([base], merged)
-        assert written == GRID_TASKS
-        header, rebuilt = load_sweep_result(merged)
-        assert header == open_store(base).header()
-        assert repr(rebuilt.rows()) == repr(live.rows())
-        assert rebuilt.fits("awake_max") == live.fits("awake_max")
-        # The merged store is a plain single-file store.
-        assert not discover_shards(merged)
-        assert len(ResultStore(merged)) == GRID_TASKS
-
-    @pytest.mark.parametrize("shards", [1, 2, 5])
-    def test_any_shard_count_merges(self, tmp_path, shards):
-        base = tmp_path / "out.jsonl"
-        live = self._sweep_to(base, shards=shards)
-        merged = tmp_path / "merged.jsonl"
-        assert merge_stores([base], merged) == GRID_TASKS
-        _, rebuilt = load_sweep_result(merged)
-        assert repr(rebuilt.rows()) == repr(live.rows())
+    @staticmethod
+    def _split_by_parity(full, directory):
+        """Two partial stores of *full*'s sweep: even and odd records."""
+        header_line, *records = full.read_text(encoding="utf-8").splitlines()
+        parts = [directory / "even.jsonl", directory / "odd.jsonl"]
+        for offset, part in enumerate(parts):
+            part.write_text("\n".join([header_line, *records[offset::2]])
+                            + "\n", encoding="utf-8")
+        return parts
 
     def test_merged_store_is_resumable(self, tmp_path):
-        """Resuming from the merged store re-executes nothing."""
-        base = tmp_path / "out.jsonl"
-        self._sweep_to(base, shards=2)
+        """Resuming from the merge of two partial stores re-executes
+        nothing."""
+        full = tmp_path / "full.jsonl"
+        self._sweep_to(full)
         merged = tmp_path / "merged.jsonl"
-        merge_stores([base], merged)
+        merge_stores(self._split_by_parity(full, tmp_path), merged)
         executed = []
         resumed = run_sweep(**GRID, store=ResultStore(merged), resume=True,
                             keep_runs=False,
@@ -588,19 +396,11 @@ class TestMergeStores:
         assert len(ResultStore(merged)) == GRID_TASKS
 
     def test_partial_sources_merge_to_their_union(self, tmp_path):
-        """Single-file + sharded partial stores of one sweep combine."""
-        import itertools
-
+        """Partial stores of one sweep combine into the whole sweep."""
         full = tmp_path / "full.jsonl"
         live = self._sweep_to(full)
-        # Split the full store's records across two new stores by parity.
-        header_line, *records = full.read_text(encoding="utf-8").splitlines()
-        parts = [tmp_path / "even.jsonl", tmp_path / "odd.jsonl"]
-        for part, keep in zip(parts, (itertools.cycle([True, False]),
-                                      itertools.cycle([False, True]))):
-            kept = [line for line, use in zip(records, keep) if use]
-            part.write_text("\n".join([header_line] + kept) + "\n",
-                            encoding="utf-8")
+        parts = self._split_by_parity(full, tmp_path)
+        assert all(0 < len(ResultStore(part)) < GRID_TASKS for part in parts)
         merged = tmp_path / "merged.jsonl"
         assert merge_stores(parts, merged) == GRID_TASKS
         _, rebuilt = load_sweep_result(merged)
@@ -636,18 +436,6 @@ class TestMergeStores:
         with pytest.raises(ConfigurationError, match="at least one source"):
             merge_stores([], tmp_path / "merged.jsonl")
 
-    def test_output_at_a_sharded_base_refused(self, tmp_path):
-        """Merging a sharded store onto its own base path would create a
-        single-file/sharded hybrid that open_store refuses to read —
-        the guard must catch it up front."""
-        base = tmp_path / "out.jsonl"
-        self._sweep_to(base, shards=2)
-        with pytest.raises(ConfigurationError, match="sharded store"):
-            merge_stores([base], base)
-        # The shards are untouched and still load.
-        _, rebuilt = load_sweep_result(base)
-        assert sum(cell.run_count for cell in rebuilt.cells) == GRID_TASKS
-
     def test_cli_merge_round_trip(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -655,16 +443,18 @@ class TestMergeStores:
         sweep_argv = ["sweep", "--algorithms", "luby", "--sizes", "16", "24",
                       "--families", "gnp", "--repetitions", "1",
                       "--seed", "3"]
-        assert main([*sweep_argv, "--output", base, "--shards", "2"]) == 0
+        assert main([*sweep_argv, "--output", base]) == 0
         capsys.readouterr()
+        parts = [str(part) for part in
+                 self._split_by_parity(tmp_path / "out.jsonl", tmp_path)]
         merged = str(tmp_path / "merged.jsonl")
-        assert main(["store", "merge", base, "--output", merged]) == 0
-        assert "merged 1 store(s)" in capsys.readouterr().out
+        assert main(["store", "merge", *parts, "--output", merged]) == 0
+        assert "merged 2 store(s)" in capsys.readouterr().out
         assert main(["report", merged]) == 0
         report_out = capsys.readouterr().out
         assert main(["report", base]) == 0
-        sharded_report = capsys.readouterr().out.replace(base, merged)
-        assert report_out == sharded_report
+        whole_report = capsys.readouterr().out.replace(base, merged)
+        assert report_out == whole_report
 
     def test_cli_merge_mixed_configs_renders_error(self, tmp_path, capsys):
         from repro.cli import main
