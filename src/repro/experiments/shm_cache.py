@@ -32,6 +32,13 @@ owner's and changes nothing; the owner's ``unlink()`` is the one
 unregister.  A slot that unregistered would remove the *owner's* entry,
 and the owner's later unlink would make the tracker print a
 ``KeyError`` traceback.
+
+Sharing the tracker has one more consequence for fork slots: the
+tracker's lock is taken by the serving process's relay threads on every
+segment create and unlink, and a slot forked while one of them held it
+would inherit a lock that no thread of the slot can release.  Its first
+attach would then block forever; every fork child therefore starts with
+a fresh lock.
 """
 
 from __future__ import annotations
@@ -49,6 +56,15 @@ from repro.graphs.csr import CSRGraph, CSRGraphView
 #: Segment names look like ``repro-csr-<server pid>-<counter>``; the
 #: prefix is what leak checks (and CI's ``ls /dev/shm`` artifacts) grep.
 SEGMENT_PREFIX = "repro-csr"
+
+
+def _unheld_tracker_lock_in_child() -> None:
+    """Replace the inherited resource-tracker lock (see module docstring)."""
+    resource_tracker._resource_tracker._lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_unheld_tracker_lock_in_child)
 
 
 class _AttachedSegment(shared_memory.SharedMemory):

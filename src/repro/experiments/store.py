@@ -130,6 +130,7 @@ class ResultStore:
         streaming pass, O(1) memory: a full-scale store never needs to fit
         in memory just to be scanned.
         """
+        self._refuse_directory()
         if not self.path.exists():
             return
         corrupt_line: Optional[int] = None
@@ -159,6 +160,13 @@ class ResultStore:
                 f"on line {corrupt_line} (interrupted append); the task "
                 "will be re-executed on resume",
                 stacklevel=2,
+            )
+
+    def _refuse_directory(self) -> None:
+        if self.path.is_dir():
+            raise ConfigurationError(
+                f"{self.path}: is a directory; a results store is one "
+                "JSONL file — point --output at a file path"
             )
 
     def records(self) -> Iterator[Dict[str, Any]]:
@@ -241,8 +249,15 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     def _append_line(self, record: Dict[str, Any]) -> None:
         if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
+            self._refuse_directory()
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._handle = self.path.open("a", encoding="utf-8")
+            except OSError as error:
+                raise ConfigurationError(
+                    f"{self.path}: cannot open the results store for "
+                    f"writing ({error.strerror or error})"
+                ) from error
         # One write() of a complete line, flushed immediately: a kill can
         # truncate this line but never damage the records before it.
         self._handle.write(

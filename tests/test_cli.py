@@ -422,6 +422,40 @@ class TestCLIStore:
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "results store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "experiment", "report",
+                                         "merge"])
+    def test_directory_store_path_errors_cleanly(self, tmp_path, capsys,
+                                                 command):
+        directory = tmp_path / "results"
+        directory.mkdir()
+        argv = {
+            "sweep": [*self.SWEEP, "--output", str(directory)],
+            "experiment": ["experiment", "E1", "--scale", "smoke",
+                           "--output", str(directory)],
+            "report": ["report", str(directory)],
+            "merge": ["store", "merge", str(directory),
+                      "--output", str(tmp_path / "merged.jsonl")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "is a directory" in err and "Traceback" not in err
+        assert list(directory.iterdir()) == []
+        assert not (tmp_path / "merged.jsonl").exists()
+
+    def test_resume_after_kill_reprints_the_same_table(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "out.jsonl"
+        assert main([*self.SWEEP, "--output", str(path)]) == 0
+        plain_out = capsys.readouterr().out
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        path.write_text("".join(lines[:-1]) + lines[-1][:20],
+                        encoding="utf-8")
+        with pytest.warns(UserWarning, match="truncated"):
+            assert main([*self.SWEEP, "--output", str(path),
+                         "--resume"]) == 0
+        assert capsys.readouterr().out == plain_out
+        assert path.read_text(encoding="utf-8").count("\n") == len(lines)
+
     def test_report_unknown_metric_errors_cleanly(self, tmp_path, capsys):
         path = str(tmp_path / "out.jsonl")
         assert main([*self.SWEEP, "--output", path]) == 0

@@ -424,6 +424,47 @@ class TestSharedGraphCache:
         with pytest.raises(RuntimeError, match="closed"):
             cache.get_or_create("cycle", 8, 3)
 
+    def test_fork_child_attaches_while_the_tracker_lock_is_held(self):
+        """A worker's relay threads take the resource tracker's lock on
+        every segment create and unlink.  A slot forked during one of
+        those calls must still attach (which registers the segment on
+        Python < 3.13) instead of blocking forever on the inherited,
+        held lock."""
+        import signal
+        import threading
+        from multiprocessing import resource_tracker
+
+        cache = SharedGraphCache(max_entries=2)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_tracker_lock():
+            with resource_tracker._resource_tracker._lock:
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold_tracker_lock)
+        try:
+            name = cache.get_or_create("path", 8, 4)
+            holder.start()
+            assert held.wait(10)
+            pid = os.fork()
+            if pid == 0:  # the child: exit 0 only if the attach returns
+                status = 1
+                try:
+                    signal.alarm(10)
+                    view = attach_segment(name)
+                    status = 0 if view.number_of_nodes() == 8 else 1
+                finally:
+                    os._exit(status)
+            _, wait_status = os.waitpid(pid, 0)
+        finally:
+            release.set()
+            if holder.is_alive():
+                holder.join()
+            cache.close()
+        assert os.WIFEXITED(wait_status)
+        assert os.WEXITSTATUS(wait_status) == 0
+
     def test_attach_missing_segment_raises_file_not_found(self):
         with pytest.raises(FileNotFoundError):
             attach_segment(f"{SEGMENT_PREFIX}-999999-gone")

@@ -262,6 +262,150 @@ class TestReport:
             load_sweep_result(tmp_path / "nope.jsonl")
 
 
+class TestSingleFileLayout:
+    """Every sweep, whatever its ``jobs`` count or backend, writes exactly
+    one JSONL file: one header line, then one record per grid task."""
+
+    def test_parallel_sweep_writes_one_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        run_sweep(**GRID, jobs=4, keep_runs=False, store=ResultStore(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+        assert len(ResultStore(path)) == GRID_TASKS
+
+    def test_header_is_the_only_header_and_the_first_line(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        run_sweep(**GRID, jobs=4, keep_runs=False, store=ResultStore(path))
+        records = [json.loads(line) for line in _store_lines(path)]
+        assert records[0]["kind"] == "header"
+        assert records[0]["schema"] == CODE_SCHEMA_VERSION
+        assert [r["kind"] for r in records[1:]] == ["result"] * GRID_TASKS
+        assert sorted(r["index"] for r in records[1:]) == list(
+            range(GRID_TASKS))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_any_jobs_count_reports_like_a_plain_run(self, tmp_path, jobs):
+        """Records may land in completion order; the report folds them in
+        grid order, so the rows are those of a plain serial run."""
+        path = tmp_path / "out.jsonl"
+        live = run_sweep(**GRID, jobs=jobs, keep_runs=False,
+                         store=ResultStore(path))
+        plain = run_sweep(**GRID)
+        header, rebuilt = load_sweep_result(path)
+        assert header["sweep"]["algorithms"] == ["luby", "vt_mis"]
+        assert repr(live.rows()) == repr(plain.rows())
+        assert repr(rebuilt.rows()) == repr(plain.rows())
+        assert rebuilt.fits("awake_max") == plain.fits("awake_max")
+
+    @pytest.mark.parametrize("use", ["sweep", "resume", "report"])
+    def test_directory_path_is_refused(self, tmp_path, use):
+        """A directory is not a store: every entry point refuses it with a
+        ConfigurationError instead of an OS traceback, and writes
+        nothing into it."""
+        directory = tmp_path / "results"
+        directory.mkdir()
+        with pytest.raises(ConfigurationError, match="is a directory"):
+            if use == "report":
+                load_sweep_result(directory)
+            else:
+                run_sweep(**GRID, keep_runs=False,
+                          store=ResultStore(directory),
+                          resume=use == "resume")
+        assert list(directory.iterdir()) == []
+
+    def test_path_under_a_file_is_refused(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="cannot open"):
+            run_sweep(**GRID, keep_runs=False,
+                      store=ResultStore(blocker / "out.jsonl"))
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_refused_fresh_run_leaves_the_store_untouched(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        run_sweep(**GRID, keep_runs=False, store=ResultStore(path))
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError, match="resume"):
+            run_sweep(**GRID, keep_runs=False, store=ResultStore(path))
+        assert path.read_bytes() == before
+        # The store is still resumable and needs nothing re-executed.
+        executed = []
+        run_sweep(**GRID, keep_runs=False, store=ResultStore(path),
+                  resume=True,
+                  progress=lambda task, *rest: executed.append(task))
+        assert executed == []
+
+    @pytest.mark.parametrize("field", [
+        "algorithms", "sizes", "families", "repetitions", "seed",
+        "algorithm_params"])
+    def test_resume_refuses_a_changed_grid_field(self, tmp_path, field):
+        """The header pins every grid field: resuming under any other
+        value is refused and leaves the store byte-identical."""
+        path = tmp_path / "out.jsonl"
+        run_sweep(**GRID, keep_runs=False, store=ResultStore(path))
+        before = path.read_bytes()
+        value = {"algorithms": ["luby"], "sizes": [16, 24],
+                 "families": ("gnp", "path"), "repetitions": 3, "seed": 100,
+                 "algorithm_params": {"luby": {"max_iterations": 512}},
+                 }[field]
+        with pytest.raises(ConfigurationError, match="different sweep"):
+            run_sweep(**dict(GRID, **{field: value}), keep_runs=False,
+                      store=ResultStore(path), resume=True)
+        assert path.read_bytes() == before
+
+    def test_resume_refuses_another_code_schema(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        run_sweep(**GRID, keep_runs=False, store=ResultStore(path))
+        header_line, *records = _store_lines(path)
+        header = json.loads(header_line)
+        header["schema"] = CODE_SCHEMA_VERSION - 1
+        path.write_text(json.dumps(header) + "\n" + "".join(records),
+                        encoding="utf-8")
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError, match="code schema"):
+            run_sweep(**GRID, keep_runs=False, store=ResultStore(path),
+                      resume=True)
+        assert path.read_bytes() == before
+
+    def test_resume_of_a_missing_store_runs_the_whole_grid(self, tmp_path):
+        path = tmp_path / "fresh.jsonl"
+        executed = []
+        resumed = run_sweep(**GRID, keep_runs=False, store=ResultStore(path),
+                            resume=True,
+                            progress=lambda task, *rest: executed.append(task))
+        assert len(executed) == GRID_TASKS
+        assert repr(resumed.rows()) == repr(run_sweep(**GRID).rows())
+        assert len(ResultStore(path)) == GRID_TASKS
+
+    @pytest.mark.parametrize("resume_jobs", [1, 2, 5])
+    def test_resume_across_a_different_jobs_count(self, tmp_path,
+                                                  resume_jobs):
+        """Interrupt a sweep (a torn tail *and* a whole record lost),
+        resume it under another ``jobs`` count: rows and fits come out
+        byte-identical to the uninterrupted run, and the surviving
+        records are never re-executed."""
+        baseline = run_sweep(**GRID)
+        path = tmp_path / "out.jsonl"
+        run_sweep(**GRID, jobs=3, keep_runs=False, store=ResultStore(path))
+        lines = _store_lines(path)
+        # Drop the last record, then tear the one before it in half.
+        path.write_text("".join(lines[:-2]) + lines[-2][:len(lines[-2]) // 2],
+                        encoding="utf-8")
+        surviving = {json.loads(line)["key"] for line in lines[1:-2]}
+
+        executed = []
+        with pytest.warns(UserWarning, match="truncated"):
+            resumed = run_sweep(
+                **GRID, jobs=resume_jobs, keep_runs=False,
+                store=ResultStore(path), resume=True,
+                progress=lambda task, *rest: executed.append(task))
+        assert len(executed) == GRID_TASKS - len(surviving) == 2
+        assert all(task_key(t) not in surviving for t in executed)
+        assert repr(resumed.rows()) == repr(baseline.rows())
+        assert resumed.fits("awake_max") == baseline.fits("awake_max")
+        _, rebuilt = load_sweep_result(path)
+        assert repr(rebuilt.rows()) == repr(baseline.rows())
+
+
 # ------------------------------------------------------------------------- #
 # Kill-point fuzzing: every byte offset a crash could truncate the store at
 # must land in {clean resume, torn-line repair, hard corruption error} —
@@ -435,6 +579,101 @@ class TestMergeStores:
     def test_empty_source_list_refused(self, tmp_path):
         with pytest.raises(ConfigurationError, match="at least one source"):
             merge_stores([], tmp_path / "merged.jsonl")
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_merge_of_one_store_is_its_grid_ordered_copy(self, tmp_path,
+                                                         jobs):
+        """Merging a single complete store rewrites its own lines in grid
+        order, byte for byte, whatever order a parallel sweep appended
+        its records in."""
+        source = tmp_path / "source.jsonl"
+        live = self._sweep_to(source, jobs=jobs)
+        merged = tmp_path / "merged.jsonl"
+        assert merge_stores([source], merged) == GRID_TASKS
+        header_line, *records = _store_lines(source)
+        records.sort(key=lambda line: json.loads(line)["index"])
+        assert _store_lines(merged) == [header_line, *records]
+        header, rebuilt = load_sweep_result(merged)
+        assert header == ResultStore(source).header()
+        assert repr(rebuilt.rows()) == repr(live.rows())
+        assert rebuilt.fits("awake_max") == live.fits("awake_max")
+
+    @pytest.mark.parametrize("parts", [1, 2, 5])
+    def test_any_split_count_merges(self, tmp_path, parts):
+        """A store dealt round-robin into *parts* partial stores merges
+        back to the bytes of the whole store."""
+        full = tmp_path / "full.jsonl"
+        live = self._sweep_to(full)
+        header_line, *records = _store_lines(full)
+        sources = []
+        for offset in range(parts):
+            part = tmp_path / f"part-{offset}.jsonl"
+            part.write_text("".join([header_line, *records[offset::parts]]),
+                            encoding="utf-8")
+            sources.append(part)
+        merged = tmp_path / "merged.jsonl"
+        assert merge_stores(sources, merged) == GRID_TASKS
+        assert merged.read_bytes() == full.read_bytes()
+        _, rebuilt = load_sweep_result(merged)
+        assert repr(rebuilt.rows()) == repr(live.rows())
+
+    def test_output_at_a_source_path_refused(self, tmp_path):
+        """Merging onto one of the sources would overwrite records it is
+        still reading: refused up front, and both sources stay intact."""
+        full = tmp_path / "full.jsonl"
+        self._sweep_to(full)
+        parts = self._split_by_parity(full, tmp_path)
+        before = [part.read_bytes() for part in parts]
+        with pytest.raises(ConfigurationError, match="refusing to overwrite"):
+            merge_stores(parts, parts[0])
+        assert [part.read_bytes() for part in parts] == before
+
+    def test_other_code_schema_source_refused(self, tmp_path):
+        """A source whose header differs only in its code schema is a
+        different sweep: the merge is refused and leaves no output."""
+        first = tmp_path / "a.jsonl"
+        self._sweep_to(first)
+        header_line, *records = _store_lines(first)
+        header = json.loads(header_line)
+        header["schema"] = CODE_SCHEMA_VERSION + 1
+        rogue = tmp_path / "rogue.jsonl"
+        rogue.write_text(json.dumps(header) + "\n" + "".join(records),
+                         encoding="utf-8")
+        merged = tmp_path / "merged.jsonl"
+        with pytest.raises(ConfigurationError, match="disagrees"):
+            merge_stores([first, rogue], merged)
+        assert not merged.exists()
+
+    def test_torn_source_merges_its_intact_records(self, tmp_path):
+        """A source torn by a kill contributes its intact records; the
+        torn task is simply missing from the merge and re-runs on
+        resume."""
+        full = tmp_path / "full.jsonl"
+        self._sweep_to(full)
+        torn = tmp_path / "torn.jsonl"
+        _truncated_copy(full, torn, keep_results=5)
+        merged = tmp_path / "merged.jsonl"
+        with pytest.warns(UserWarning, match="truncated"):
+            assert merge_stores([torn], merged) == 5
+        assert torn.read_bytes() == full.read_bytes()[:len(torn.read_bytes())]
+        executed = []
+        resumed = run_sweep(**GRID, keep_runs=False,
+                            store=ResultStore(merged), resume=True,
+                            progress=lambda task, *_: executed.append(task))
+        assert len(executed) == GRID_TASKS - 5
+        assert repr(resumed.rows()) == repr(run_sweep(**GRID).rows())
+
+    def test_mid_file_corrupt_source_refused(self, tmp_path):
+        full = tmp_path / "full.jsonl"
+        self._sweep_to(full)
+        lines = _store_lines(full)
+        lines[2] = "garbage\n"
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_text("".join(lines), encoding="utf-8")
+        merged = tmp_path / "merged.jsonl"
+        with pytest.raises(ConfigurationError, match="corrupt record"):
+            merge_stores([damaged], merged)
+        assert not merged.exists()
 
     def test_cli_merge_round_trip(self, tmp_path, capsys):
         from repro.cli import main
