@@ -36,7 +36,13 @@ from typing import Optional, Tuple
 import networkx as nx
 
 from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
-from repro.algorithms.ldt_mis import ldt_mis_core, ldt_mis_round_budget
+from repro.algorithms.ldt_mis import (
+    LDT_MIS_VARIANTS,
+    isolated_announcement,
+    isolated_wake_offsets,
+    ldt_mis_core,
+    ldt_mis_round_budget,
+)
 from repro.core.virtual_tree import communication_set, in_communication_set
 from repro.rng import SeedLike
 from repro.sim.actions import WakeCall
@@ -253,12 +259,22 @@ def awake_mis_schedule(run) -> None:
     exactly on the tabulated edges whose sender is decided, and an
     ``IN_MIS`` sender decides its receivers ``NOT_IN_MIS``.  Then the
     still-undecided members of the phase's batch — the only nodes awake
-    before the next communication round — run :func:`ldt_mis_core` on the
-    generator loop (:meth:`~repro.sim.vectorized.VectorizedRun.drive`),
-    on the same round clock and counters.  A node terminates in its last
-    communication round, or in its last LDT-MIS round when that comes
-    later; outputs are inserted in (round, index) order at the end, which
-    is the order the generator loop inserts them in.
+    before the next communication round — run LDT-MIS.  Those with an
+    undecided same-batch neighbour form the non-trivial LDT components
+    and run :func:`ldt_mis_core` on the generator loop
+    (:meth:`~repro.sim.vectorized.VectorizedRun.drive`), on the same
+    round clock and counters.  Every other one is isolated, a one-node
+    component, and its LDT-MIS is applied in arrays, in closed form
+    (:func:`~repro.algorithms.ldt_mis.isolated_wake_offsets`): two awake
+    rounds, one announcement on every port, ``IN_MIS``, no RNG draws.  A
+    phase in which that closed form could differ from the loop (an
+    isolated participant would trip a valve, an unknown variant, more
+    driven participants than ``n_bound``) is driven whole.
+
+    A node terminates in its last communication round, or in its last
+    LDT-MIS round when that comes later; outputs are inserted in (round,
+    index) order at the end, which is the order the generator loop
+    inserts them in.
 
     Byte-identical to driving :func:`awake_mis_protocol` on the generator
     loop (pinned by ``tests/test_vectorized.py``): outputs and their
@@ -298,6 +314,10 @@ def awake_mis_schedule(run) -> None:
     member_bounds = np.searchsorted(batch_of[members], phase_ends).tolist()
     edge_senders, edge_receivers, edge_bounds = _phase_edges(
         run, phase_of, attendees, batch_of, phase_ends)
+    link_senders, link_receivers, link_bounds = _batch_edges(
+        run, batch_of, phase_ends)
+    side_offset, vt_offset = isolated_wake_offsets(params.n_bound,
+                                                   params.id_space)
 
     decided = np.zeros(run.n, dtype=bool)
     in_mis = np.zeros(run.n, dtype=bool)
@@ -331,27 +351,62 @@ def awake_mis_schedule(run) -> None:
 
         low, high = member_bounds[phase - 1], member_bounds[phase]
         starting = members[low:high]
-        starting = starting[~decided[starting]].tolist()
-        if not starting:
+        starting = starting[~decided[starting]]
+        if not len(starting):
             continue
-        generators = {
-            index: ldt_mis_core(
-                my_id=ids[index],
-                id_space=params.id_space,
-                ports=range(int(run.degrees[index])),
-                n_bound=params.n_bound,
-                start_round=communication_round + 1,
-                rng=rngs[index],
-                variant=params.variant,
-            )
-            for index in starting
-        }
-        for index, state, stopped in run.drive(generators,
-                                               communication_round):
-            decided[index] = state != UNDECIDED
-            in_mis[index] = state == IN_MIS
-            if last_phase[index] == phase:
-                terminated[index] = stopped
+        # A participant with an undecided same-batch neighbour is in a
+        # non-trivial LDT component; every other one is isolated.
+        low, high = link_bounds[phase - 1], link_bounds[phase]
+        linked = link_senders[low:high]
+        linked = np.unique(linked[~(decided[linked]
+                                    | decided[link_receivers[low:high]])])
+        isolated = (np.setdiff1d(starting, linked, assume_unique=True)
+                    if len(linked) else starting)
+        start_round = communication_round + 1
+        bits = None
+        if len(isolated) and run.metered:
+            bits = np.array([estimate_bits(isolated_announcement(ids[index]))
+                             for index in isolated.tolist()], dtype=np.int64)
+        if not _closed_form_holds(run, params, isolated, linked, bits):
+            linked, isolated = starting, isolated[:0]
+        if len(linked):
+            generators = {
+                index: ldt_mis_core(
+                    my_id=ids[index],
+                    id_space=params.id_space,
+                    ports=range(int(run.degrees[index])),
+                    n_bound=params.n_bound,
+                    start_round=start_round,
+                    rng=rngs[index],
+                    variant=params.variant,
+                )
+                for index in linked.tolist()
+            }
+            for index, state, stopped in run.drive(generators,
+                                                   communication_round):
+                decided[index] = state != UNDECIDED
+                in_mis[index] = state == IN_MIS
+                if last_phase[index] == phase:
+                    terminated[index] = stopped
+        if len(isolated):
+            side_round = start_round + side_offset
+            vt_round = start_round + vt_offset
+            # A driven component wakes in both rounds too (all its nodes
+            # in the side round, its new ID 1 in VT-MIS's first), so only
+            # a phase without one counts them here.
+            if not len(linked):
+                run.begin_round(side_round)
+            run.record_awake(isolated)
+            run.record_sends(isolated, bits, side_round,
+                             lambda index: isolated_announcement(ids[index]))
+            if not len(linked):
+                run.begin_round(vt_round)
+            run.record_awake(isolated)
+            decided[isolated] = True
+            in_mis[isolated] = True
+            for index in isolated.tolist():
+                if last_phase[index] == phase:
+                    terminated[index] = vt_round
 
     # Communication-round receipts were only marked per edge.  They are
     # sums, so adding them last gives the loop's counts (``drive`` added
@@ -399,6 +454,46 @@ def _phase_edges(run, phase_of, attendees, batch_of, phase_ends):
         phases.append(phase[shared])
     bounds = np.searchsorted(np.concatenate(phases), phase_ends).tolist()
     return np.concatenate(senders), np.concatenate(receivers), bounds
+
+
+def _batch_edges(run, batch_of, phase_ends):
+    """The directed edges joining two members of one batch.
+
+    Returns ``(senders, receivers, bounds)`` grouped by batch (batch
+    *b*'s are ``[bounds[b - 1], bounds[b])``): the only edges on which two
+    LDT-MIS participants of one phase can meet.
+    """
+    np = run.np
+    senders = np.repeat(np.arange(run.n), run.degrees)
+    same = batch_of[senders] == batch_of[run.neighbors]
+    senders, receivers = senders[same], run.neighbors[same]
+    order = np.argsort(batch_of[senders], kind="stable")
+    senders, receivers = senders[order], receivers[order]
+    bounds = np.searchsorted(batch_of[senders], phase_ends).tolist()
+    return senders, receivers, bounds
+
+
+def _closed_form_holds(run, params, isolated, linked, bits) -> bool:
+    """Whether *isolated* may skip the generator loop this phase.
+
+    Not when the variant is unknown (:func:`ldt_mis_core` raises), when
+    an isolated participant would trip the awake valve or the bit limit
+    (the loop's precedence interleaves it with the driven nodes), or
+    when the driven participants outnumber ``n_bound`` (a component that
+    large may leave no node with new ID 1 to wake in VT-MIS's first
+    round).  The phase is then driven whole, exactly as the loop runs
+    it.
+    """
+    if not len(isolated):
+        return True
+    if params.variant not in LDT_MIS_VARIANTS or len(linked) > params.n_bound:
+        return False
+    if (run.awake_rounds[isolated] + 2 > run.max_awake_per_node).any():
+        return False
+    if bits is None:
+        return True
+    sending = run.degrees[isolated] > 0
+    return not (bits[sending] > run.message_bit_limit).any()
 
 
 awake_mis_protocol.vectorized_engine = awake_mis_schedule

@@ -30,11 +30,10 @@ import networkx as nx
 
 from repro.algorithms.common import IN_MIS, MISDecision
 from repro.algorithms.vt_mis import vt_mis_core
-from repro.core.virtual_tree import communication_set  # noqa: F401  (re-export convenience)
 from repro.graphs.properties import component_sizes
-from repro.ldt.construct import construction_rounds, ldt_construct
+from repro.ldt.construct import construction_rounds, frag_message, ldt_construct
 from repro.ldt.procedures import broadcast_chunks, ldt_ranking
-from repro.ldt.schedule import block_length
+from repro.ldt.schedule import block_length, schedule_for
 from repro.rng import SeedLike, make_rng, random_unique_ids
 from repro.sim.context import NodeContext
 from repro.sim.runner import RunResult, run_protocol
@@ -55,6 +54,20 @@ def permutation_chunk_count(n_bound: int) -> int:
     return math.ceil(n_bound / permutation_entries_per_chunk(n_bound))
 
 
+#: The variants :func:`ldt_mis_core` accepts.
+LDT_MIS_VARIANTS = ("awake", "round")
+
+
+def vt_mis_offset(n_bound: int, id_space: int) -> int:
+    """Rounds from an ``LDT-MIS`` start round to VT-MIS's logical round 1.
+
+    Construction, ranking (two blocks) and the permutation broadcast, all
+    of fixed length.
+    """
+    return (construction_rounds(n_bound, id_space)
+            + (2 + permutation_chunk_count(n_bound)) * block_length(n_bound))
+
+
 def ldt_mis_round_budget(n_bound: int, id_space: int) -> int:
     """Total rounds one ``LDT-MIS`` execution may use (globally known).
 
@@ -62,14 +75,37 @@ def ldt_mis_round_budget(n_bound: int, id_space: int) -> int:
     blocks) + permutation broadcast + ``VT-MIS`` over at most ``n_bound``
     logical rounds, plus slack.
     """
-    blk = block_length(n_bound)
-    return (
-        construction_rounds(n_bound, id_space)
-        + 2 * blk
-        + permutation_chunk_count(n_bound) * blk
-        + n_bound
-        + 4
-    )
+    return vt_mis_offset(n_bound, id_space) + n_bound + 4
+
+
+def isolated_wake_offsets(n_bound: int, id_space: int) -> Tuple[int, int]:
+    """The two rounds, after the start round, of an isolated participant.
+
+    A participant none of whose neighbours takes part is a one-node
+    component, and :func:`ldt_mis_core` reduces to a closed form for it:
+
+    * it is awake in the side round of construction block 0, where it
+      sends :func:`isolated_announcement` on every port and hears
+      nothing, so its fragment has no outgoing edge and construction
+      ends;
+    * ranking and the permutation broadcast need no round for a root
+      without children (shuffling the one-entry permutation draws
+      nothing from its RNG), so its new ID is 1;
+    * it is awake in VT-MIS's logical round 1, sends nothing (it has no
+      participant ports) and decides ``IN_MIS``.
+
+    Returns ``(side, vt)``; the rounds are ``start_round + side`` and
+    ``start_round + vt``.  Pinned against the generator by
+    ``tests/test_vectorized.py``.
+    """
+    side = schedule_for(0, n_bound, depth=0).side
+    return side, vt_mis_offset(n_bound, id_space)
+
+
+def isolated_announcement(my_id: int) -> Tuple[str, int, int]:
+    """What an isolated participant sends in its side round: the
+    construction's stage-1 announcement of its singleton fragment."""
+    return frag_message(my_id, my_id)
 
 
 def ldt_mis_core(
@@ -88,7 +124,7 @@ def ldt_mis_core(
     *start_round*; participants are discovered automatically (neighbours that
     are awake on the same schedule), so *ports* may simply be all ports.
     """
-    if variant not in ("awake", "round"):
+    if variant not in LDT_MIS_VARIANTS:
         raise ValueError(f"unknown LDT-MIS variant '{variant}'")
     blk = block_length(n_bound)
 
@@ -129,7 +165,7 @@ def ldt_mis_core(
         new_id = rank
 
     # Step 4: VT-MIS over the new IDs, whose bound is the component size.
-    vt_start = perm_start + chunk_count * blk
+    vt_start = start_round + vt_mis_offset(n_bound, id_space)
     state = yield from vt_mis_core(
         my_id=new_id,
         id_bound=max(1, total),

@@ -53,10 +53,10 @@ from repro.experiments.harness import available_algorithms, run_mis
 from repro.experiments.registry import available_experiments, run_experiment
 from repro.experiments.store import (ResultStore, load_sweep_result,
                                      merge_stores)
-from repro.experiments.sweeps import run_sweep
-from repro.experiments.tables import (format_table, format_telemetry,
-                                      render_sweep)
 from repro.graphs.generators import FAMILIES, by_name
+
+# The sweep and table layers are imported by the commands that print or
+# run sweeps, so a worker started with ``worker serve`` never loads them.
 
 #: How ``run`` and ``sweep`` pick a round engine (both epilogs say it).
 _ENGINES_EPILOG = (
@@ -379,6 +379,8 @@ def _progress_printer():
 
 def _print_telemetry(backend) -> None:
     """Print the backend's per-worker telemetry table to stderr."""
+    from repro.experiments.tables import format_telemetry
+
     print(format_telemetry(backend.telemetry()), file=sys.stderr, flush=True)
 
 
@@ -405,6 +407,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 0 (1 = in-process, 0 = one per CPU)")
 
     if args.command == "run":
+        from repro.experiments.tables import format_table
+
         try:
             graph = by_name(args.family, args.n, seed=args.seed)
             result = run_mis(graph, algorithm=args.algorithm, seed=args.seed)
@@ -416,6 +420,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if result.verified else 1
 
     if args.command == "sweep":
+        from repro.experiments.sweeps import run_sweep
+        from repro.experiments.tables import render_sweep
+
         try:
             backend = _compose_backend(args)
         except ConfigurationError as error:
@@ -518,6 +525,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "report":
+        from repro.experiments.tables import render_sweep
+
         try:
             header, sweep = load_sweep_result(args.store)
         except ConfigurationError as error:
@@ -558,6 +567,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "figure":
         from repro.core.virtual_tree import figure_example
+        from repro.experiments.tables import format_table
 
         example = figure_example()
         rows = [{"quantity": key, "value": value} for key, value in example.items()]

@@ -22,17 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.analysis.components import run_shattering_experiment
-from repro.analysis.residual import run_residual_experiment
 from repro.core.virtual_tree import communication_set, figure_example
 from repro.experiments.executor import BackendLike, ProgressCallback
-from repro.experiments.sweeps import SweepResult, run_sweep
-from repro.experiments.tables import format_table
 from repro.graphs.generators import gnp_graph
 from repro.rng import SeedLike
 
+# The sweep, table and analysis layers are imported where an experiment
+# runs: the CLI imports this module to build its parser, and a worker
+# started through the CLI never runs an experiment.
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.store import ResultStore
+    from repro.experiments.sweeps import SweepResult
 
 #: Sweep sizes per scale level.  "smoke" keeps CI fast; "full" is what the
 #: recorded EXPERIMENTS.md numbers were produced with.
@@ -67,6 +67,8 @@ class ExperimentReport:
 
     def render(self) -> str:
         """Render the report as printable text."""
+        from repro.experiments.tables import format_table
+
         parts = [
             f"== {self.experiment_id}: {self.title} ==",
             f"paper claim : {self.paper_claim}",
@@ -89,7 +91,7 @@ ExperimentRunner = Callable[..., ExperimentReport]
 
 
 def _scaling_report(experiment_id: str, title: str, claim: str,
-                    sweep: SweepResult, metric: str,
+                    sweep: "SweepResult", metric: str,
                     expect_flat: Optional[List[str]] = None) -> ExperimentReport:
     fits = sweep.fits(metric)
     passed = sweep.all_verified
@@ -119,6 +121,8 @@ def experiment_e1(scale: str = "default", seed: SeedLike = 1,
                   progress: Optional["ProgressCallback"] = None,
                   ) -> ExperimentReport:
     """Theorem 13: awake complexity of Awake-MIS grows ~ log log n."""
+    from repro.experiments.sweeps import run_sweep
+
     sweep = run_sweep(
         algorithms=["awake_mis"],
         sizes=SCALE_SIZES[scale],
@@ -150,6 +154,8 @@ def experiment_e2(scale: str = "default", seed: SeedLike = 2,
                   progress: Optional["ProgressCallback"] = None,
                   ) -> ExperimentReport:
     """Theorem 13 comparison: Awake-MIS vs Luby / rank-greedy baselines."""
+    from repro.experiments.sweeps import run_sweep
+
     sweep = run_sweep(
         algorithms=["awake_mis", "luby", "rank_greedy"],
         sizes=SCALE_SIZES[scale],
@@ -187,6 +193,8 @@ def experiment_e3(scale: str = "default", seed: SeedLike = 3,
                   progress: Optional["ProgressCallback"] = None,
                   ) -> ExperimentReport:
     """Corollary 14: the round-efficient variant trades awake for rounds."""
+    from repro.experiments.sweeps import run_sweep
+
     sweep = run_sweep(
         algorithms=["awake_mis"],
         sizes=SCALE_SIZES[scale],
@@ -222,6 +230,8 @@ def experiment_e4(scale: str = "default", seed: SeedLike = 4,
                   progress: Optional["ProgressCallback"] = None,
                   ) -> ExperimentReport:
     """Lemma 10: VT-MIS has O(log I) awake vs the naive O(I)."""
+    from repro.experiments.sweeps import run_sweep
+
     sweep = run_sweep(
         algorithms=["vt_mis", "naive_greedy"],
         sizes=SCALE_SIZES[scale],
@@ -266,6 +276,8 @@ def experiment_e5(scale: str = "default", seed: SeedLike = 5,
                   ) -> ExperimentReport:
     """Lemma 11 / Corollary 12: LDT-MIS awake complexity on small components."""
     sizes = SCALE_SIZES[scale]
+    from repro.experiments.sweeps import run_sweep
+
     sweep = run_sweep(
         algorithms=["ldt_mis"],
         sizes=sizes,
@@ -302,6 +314,8 @@ def experiment_e6(scale: str = "default", seed: SeedLike = 6,
                   ) -> ExperimentReport:
     """Lemma 2: residual sparsity of randomized greedy."""
     n = {"smoke": 512, "default": 2048, "full": 4096}[scale]
+    from repro.analysis.residual import run_residual_experiment
+
     graph = gnp_graph(n, expected_degree=16.0, seed=seed)
     result = run_residual_experiment(graph, seed=seed,
                                      trials={"smoke": 1, "default": 3, "full": 5}[scale])
@@ -322,6 +336,8 @@ def experiment_e7(scale: str = "default", seed: SeedLike = 7,
                   progress: Optional["ProgressCallback"] = None,
                   ) -> ExperimentReport:
     """Lemma 3: shattering under a random 2-Delta partition."""
+    from repro.analysis.components import run_shattering_experiment
+
     n = {"smoke": 512, "default": 2048, "full": 4096}[scale]
     result = run_shattering_experiment(
         n=n,
@@ -394,6 +410,8 @@ def experiment_e9(scale: str = "default", seed: SeedLike = 9,
     :data:`E9_SIZES` grid that ``--jobs`` plus the resumable store make
     practical.
     """
+    from repro.experiments.sweeps import run_sweep
+
     sweep = run_sweep(
         algorithms=["awake_mis", "luby"],
         sizes=E9_SIZES[scale],

@@ -58,6 +58,16 @@ BLOCKS_ATTACH = 4
 BLOCKS_PER_WAVE = 3
 
 
+def frag_message(fragment_id: int, node_id: int) -> Tuple[str, int, int]:
+    """The stage-1 announcement ``("frag", fragment ID, node ID)``.
+
+    Sent on every participant port in block 0 of each merge phase; the
+    side round of the first one is where participants discover each
+    other.
+    """
+    return ("frag", fragment_id, node_id)
+
+
 def cv_iterations(id_space: int) -> int:
     """Number of Cole–Vishkin iterations used by the construction."""
     return iterations_to_six_colors(id_space)
@@ -143,9 +153,10 @@ def ldt_construct(
 
         # ---------------- Stage 1: minimum outgoing edge ------------------ #
         # Block 0: exchange (fragment id, node id) with neighbours.
+        announcement = frag_message(ldt.ldt_id, my_id)
         inbox = yield from transmit_adjacent(
             ldt.depth, n_bound, block_start(phase, 0),
-            [(port, ("frag", ldt.ldt_id, my_id)) for port in participant_ports],
+            [(port, announcement) for port in participant_ports],
         )
         neighbor_frag: Dict[int, int] = {}
         neighbor_node: Dict[int, int] = {}

@@ -13,8 +13,10 @@ the generator loop enforces.  Two engines use it:
 * the **schedule** engine of ``awake_mis``
   (``repro.algorithms.awake_mis``), for sparse phases whose wake
   schedule is known up front: it computes the communication rounds as
-  array operations and hands the LDT-MIS rounds in between back to the
-  generator loop through :meth:`VectorizedRun.drive`.
+  array operations, applies the LDT-MIS of isolated participants (one-node
+  components, almost all of them) in closed form, and hands only the
+  non-trivial LDT-MIS components back to the generator loop through
+  :meth:`VectorizedRun.drive`.
 
 The engines engage whenever tracing is off, CONGEST-metered runs
 included: they meter message sizes themselves
@@ -129,7 +131,9 @@ class VectorizedRun:
         self.active_rounds = 0
         self.last_active_round: Optional[int] = None
         self._max_active_rounds = max_active_rounds
-        self._max_awake_per_node = max_awake_per_node
+        #: The awake-budget valve: a node awake more rounds than this
+        #: trips it.
+        self.max_awake_per_node = max_awake_per_node
         #: Lowest index that tripped the awake valve this round, raised by
         #: :meth:`record_sends` once it knows whether a lower-index sender
         #: tripped the bit limit first.
@@ -162,7 +166,7 @@ class VectorizedRun:
         """
         updated = self.awake_rounds[indices] + 1
         self.awake_rounds[indices] = updated
-        over = updated > self._max_awake_per_node
+        over = updated > self.max_awake_per_node
         if over.any():
             self._awake_offender = int(indices[int(np.argmax(over))])
 
@@ -206,7 +210,7 @@ class VectorizedRun:
                 oversize = int(senders[first])
         if offender is not None and (oversize is None or offender <= oversize):
             raise awake_budget_error(self.labels[offender],
-                                     self._max_awake_per_node)
+                                     self.max_awake_per_node)
         if oversize is not None:
             raise message_too_large_error(
                 self.labels[oversize], int(sizes[first]),
@@ -234,7 +238,7 @@ class VectorizedRun:
                 self.network,
                 message_bit_limit=self.message_bit_limit,
                 max_active_rounds=self._max_active_rounds,
-                max_awake_per_node=self._max_awake_per_node,
+                max_awake_per_node=self.max_awake_per_node,
             )
             self._inboxes = [[] for _ in range(self.n)]
         simulator = self._simulator

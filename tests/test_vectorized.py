@@ -8,11 +8,14 @@ engine of ``awake_mis`` (both variants, both presets) — across graph
 families and seeds, the dispatch gating (``vectorized`` tri-state), equal
 RNG consumption per node stream, the whole-round array primitives, and
 identical safety-valve and ``MessageTooLargeError`` messages raised in
-the same precedence (inside the schedule engine's LDT-MIS rounds too).
+the same precedence (inside the schedule engine's LDT-MIS rounds too),
+and the closed form the schedule engine applies to LDT-MIS participants
+with no participating neighbour.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import networkx as nx
@@ -24,6 +27,13 @@ from repro.algorithms.awake_mis import (
     AwakeMISParameters,
     awake_mis_protocol,
     run_awake_mis,
+)
+from repro.algorithms.common import IN_MIS
+from repro.algorithms.ldt_mis import (
+    isolated_announcement,
+    isolated_wake_offsets,
+    ldt_mis_core,
+    ldt_mis_round_budget,
 )
 from repro.algorithms.luby import luby_protocol
 from repro.algorithms.rank_greedy import rank_greedy_protocol
@@ -351,6 +361,234 @@ class TestScheduleEngine:
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
         assert "awake_params" in errors[0]
+
+
+# --------------------------------------------------------------------------- #
+# Isolated LDT-MIS participants in closed form
+# --------------------------------------------------------------------------- #
+def _crowded(graph, preset="scaled", variant="awake"):
+    """Awake-MIS inputs with two slots per group, so each batch holds many
+    nodes and most phases mix isolated and non-trivial participants."""
+    params = _inputs("awake_mis", graph, preset, variant)["awake_params"]
+    return {"awake_params": dataclasses.replace(params, delta_prime=2)}
+
+
+def _run_alone(generator):
+    """Drive *generator* with empty inboxes: ``([(round, sends)], value)``."""
+    calls = []
+    try:
+        call = next(generator)
+        while True:
+            calls.append((call.round, list(call.sends)))
+            call = generator.send([])
+    except StopIteration as stop:
+        return calls, stop.value
+
+
+def _ldt_participants(graph, result):
+    """Phase -> the indices that ran LDT-MIS in it, read off a result: a
+    node awake beyond its communication rounds ran LDT-MIS in its batch's
+    phase."""
+    index_of = {label: index for index, label in enumerate(graph.nodes)}
+    per_node = result.metrics.per_node
+    phases = {}
+    for label, decision in result.outputs.items():
+        index = index_of[label]
+        if per_node[index].awake_rounds > decision.detail[
+                "communication_rounds"]:
+            phases.setdefault(decision.detail["batch_index"],
+                              set()).add(index)
+    return phases
+
+
+def _record_drives(monkeypatch):
+    """Patch :meth:`VectorizedRun.drive` to record ``(phase start round,
+    driven indices)`` of every call."""
+    calls = []
+    original = VectorizedRun.drive
+
+    def drive(self, generators, previous_round):
+        calls.append((previous_round, set(generators)))
+        return original(self, generators, previous_round)
+
+    monkeypatch.setattr(VectorizedRun, "drive", drive)
+    return calls
+
+
+def _outcome(graph, inputs, seed, pinned, **simulator_kwargs):
+    """A run's summary, or its error as ``"Type: message"``."""
+    simulator = Simulator(build_network(graph), seed=seed, vectorized=pinned,
+                          **simulator_kwargs)
+    try:
+        result = simulator.run(awake_mis_protocol, inputs=inputs)
+    except SimulationError as error:
+        return f"{type(error).__name__}: {error}"
+    return _summarize(result)
+
+
+#: Graphs whose crowded batches give mixed phases (checked by
+#: ``test_crowded_batches_mix_isolated_and_non_trivial_participants``).
+MIXED_GRAPHS = {"gnp": ("gnp", 48, 3), "path": ("path", 48, 0),
+                "tree": ("tree", 48, 3)}
+
+
+class TestIsolatedParticipants:
+    """A participant with no undecided same-batch neighbour is applied in
+    closed form (:func:`isolated_wake_offsets`); only non-trivial LDT
+    components run on the generator loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        preset=st.sampled_from(["scaled", "paper"]),
+        variant=st.sampled_from(["awake", "round"]),
+        n=st.integers(min_value=1, max_value=1 << 16),
+        degree=st.one_of(st.just(0), st.integers(min_value=1, max_value=12)),
+        start_round=st.integers(min_value=0, max_value=1 << 30),
+        rng_seed=st.integers(min_value=0, max_value=1 << 32),
+    )
+    def test_generator_matches_the_closed_form(self, data, preset, variant,
+                                               n, degree, start_round,
+                                               rng_seed):
+        build = (AwakeMISParameters.paper if preset == "paper"
+                 else AwakeMISParameters.scaled)
+        params = build(n, variant=variant)
+        my_id = data.draw(st.integers(min_value=1,
+                                      max_value=params.id_space))
+        rng = random.Random(rng_seed)
+        before = rng.getstate()
+        calls, state = _run_alone(ldt_mis_core(
+            my_id=my_id, id_space=params.id_space, ports=range(degree),
+            n_bound=params.n_bound, start_round=start_round, rng=rng,
+            variant=variant))
+        side, vt = isolated_wake_offsets(params.n_bound, params.id_space)
+        announcement = isolated_announcement(my_id)
+        assert calls == [
+            (start_round + side, [(port, announcement)
+                                  for port in range(degree)]),
+            (start_round + vt, []),
+        ]
+        assert state == IN_MIS
+        assert rng.getstate() == before
+
+    @pytest.mark.parametrize("crowded", [False, True])
+    @pytest.mark.parametrize("family", ["gnp", "rgg", "tree"])
+    def test_drive_never_sees_an_isolated_participant(self, monkeypatch,
+                                                      family, crowded):
+        graph = by_name(family, 128 if not crowded else 48, seed=3)
+        inputs = (_crowded(graph) if crowded
+                  else _inputs("awake_mis", graph))
+        phase_length = inputs["awake_params"].phase_length
+        labels = list(graph.nodes)
+        adjacency = [set(graph[label]) for label in labels]
+        calls = _record_drives(monkeypatch)
+        for seed in (1, 2, 3):
+            calls.clear()
+            result = run_protocol(graph, awake_mis_protocol, inputs=inputs,
+                                  seed=seed, message_bit_limit=LOOSE_LIMIT)
+            assert result.engine == "schedule"
+            participants = _ldt_participants(graph, result)
+            for previous_round, driven in calls:
+                phase = previous_round // phase_length + 1
+                members = {labels[index]
+                           for index in participants.get(phase, ())}
+                assert driven <= participants.get(phase, set())
+                for index in driven:
+                    assert adjacency[index] & members, (
+                        f"drive got isolated participant {index} "
+                        f"in phase {phase}")
+
+    @pytest.mark.parametrize("graph_name", sorted(MIXED_GRAPHS))
+    def test_crowded_batches_mix_isolated_and_non_trivial_participants(
+            self, monkeypatch, graph_name):
+        family, n, graph_seed = MIXED_GRAPHS[graph_name]
+        graph = by_name(family, n, seed=graph_seed)
+        inputs = _crowded(graph)
+        phase_length = inputs["awake_params"].phase_length
+        calls = _record_drives(monkeypatch)
+        result = run_protocol(graph, awake_mis_protocol, inputs=inputs,
+                              seed=1)
+        participants = _ldt_participants(graph, result)
+        mixed = [len(participants[previous_round // phase_length + 1])
+                 > len(driven) for previous_round, driven in calls]
+        assert any(mixed)
+
+    @pytest.mark.parametrize("preset", ["scaled", "paper"])
+    @pytest.mark.parametrize("variant", ["awake", "round"])
+    @pytest.mark.parametrize("graph_name", sorted(MIXED_GRAPHS))
+    def test_mixed_phases_agree(self, graph_name, variant, preset):
+        family, n, graph_seed = MIXED_GRAPHS[graph_name]
+        graph = by_name(family, n, seed=graph_seed)
+        for seed in (1, 2, 3):
+            _assert_engines_agree(graph, "awake_mis", seed,
+                                  _crowded(graph, preset, variant))
+
+    def test_components_beyond_n_bound_keep_the_round_count(self):
+        """A star of 21 nodes in one batch, with ``n_bound`` 3: its
+        permutation is cut short, so in some runs no node takes new ID 1
+        and wakes in VT-MIS's first round.  The isolated participants of
+        that phase must still count the round, as the loop does."""
+        graph = nx.star_graph(20)
+        graph.add_nodes_from(range(21, 31))
+        params = AwakeMISParameters.scaled(graph.number_of_nodes())
+        params = dataclasses.replace(
+            params, delta_prime=1, n_bound=3,
+            phase_length=1 + ldt_mis_round_budget(3, params.id_space) + 40)
+        for seed in range(1, 30):
+            _assert_engines_agree(graph, "awake_mis", seed,
+                                  {"awake_params": params})
+
+    def _agree(self, graph, inputs, seed, **simulator_kwargs):
+        outcomes = [_outcome(graph, inputs, seed, pinned, **simulator_kwargs)
+                    for pinned in (False, True)]
+        assert outcomes[1] == outcomes[0]
+        return outcomes[0]
+
+    @pytest.mark.parametrize("graph_name", sorted(MIXED_GRAPHS))
+    def test_tight_awake_budgets_in_mixed_phases(self, graph_name):
+        family, n, graph_seed = MIXED_GRAPHS[graph_name]
+        graph = by_name(family, n, seed=graph_seed)
+        inputs = _crowded(graph)
+        for seed in (1, 2):
+            reference = run_protocol(graph, awake_mis_protocol,
+                                     inputs=inputs, seed=seed,
+                                     vectorized=False)
+            most = max(node.awake_rounds
+                       for node in reference.metrics.per_node)
+            outcomes = [self._agree(graph, inputs, seed,
+                                    max_awake_per_node=budget)
+                        for budget in range(1, most + 1)]
+            assert all("awake rounds" in outcome for outcome in outcomes[:-1])
+            assert outcomes[-1] == _summarize(reference)
+
+    @pytest.mark.parametrize("graph_name", sorted(MIXED_GRAPHS))
+    def test_bit_limits_around_the_announcement(self, graph_name):
+        """Limits one bit below, at and above each isolated participant's
+        ``frag`` announcement: some trip on it, some inside a non-trivial
+        component, some never."""
+        family, n, graph_seed = MIXED_GRAPHS[graph_name]
+        graph = by_name(family, n, seed=graph_seed)
+        inputs = _crowded(graph)
+        reference = run_protocol(graph, awake_mis_protocol, inputs=inputs,
+                                 seed=1, vectorized=False)
+        sizes = sorted({estimate_bits(isolated_announcement(
+            decision.detail["id"])) for decision in reference.outputs.values()})
+        outcomes = [self._agree(graph, inputs, 1, message_bit_limit=limit)
+                    for size in sizes for limit in (size - 1, size, size + 1)]
+        assert any("frag" in outcome for outcome in outcomes
+                   if isinstance(outcome, str))
+
+    @pytest.mark.parametrize("share", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
+    @pytest.mark.parametrize("graph_name", sorted(MIXED_GRAPHS))
+    def test_livelock_valve_in_mixed_phases(self, graph_name, share):
+        family, n, graph_seed = MIXED_GRAPHS[graph_name]
+        graph = by_name(family, n, seed=graph_seed)
+        inputs = _crowded(graph)
+        total = run_protocol(graph, awake_mis_protocol, inputs=inputs,
+                             seed=1).metrics.active_rounds
+        outcome = self._agree(graph, inputs, 1,
+                              max_active_rounds=int(share * total))
+        assert ("livelocked" in outcome) == (share < 1.0)
 
 
 # --------------------------------------------------------------------------- #
