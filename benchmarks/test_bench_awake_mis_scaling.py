@@ -39,7 +39,7 @@ SCHEDULE_RUNS_BY_SCALE = {"smoke": 6, "default": 8, "full": 12}
 
 
 def test_bench_e1_scaling_report(benchmark, repro_scale):
-    """Produce the full E1 report (the table EXPERIMENTS.md records)."""
+    """Produce the full E1 report (table, growth-law fits, verdict)."""
     report = benchmark.pedantic(
         experiment_e1, args=(repro_scale,), kwargs={"seed": 1},
         rounds=1, iterations=1,

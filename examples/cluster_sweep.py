@@ -2,13 +2,14 @@
 
 The sweep executor's cluster path is the framed worker protocol served
 over TCP.  One worker *process* can serve many execution slots
-(``--slots N``): each slot is one coordinator connection handled by its
-own **subprocess**, so an N-slot worker donates N cores instead of
-sharing one GIL (with ``--slots 1`` the serving process handles its one
-connection itself).  Slots do not rebuild graphs: the serving process
-builds each ``(family, n, graph_seed)`` graph once, publishes its flat
-CSR arrays in a ``multiprocessing.shared_memory`` segment, and every
-slot maps the segment read-only — zero copies, one build per host.
+(``--slots N``, ``--slots 1`` included): each slot is one coordinator
+connection handled by its own **subprocess**, so an N-slot worker
+donates N cores instead of sharing one GIL, and a slot that dies costs
+that connection, never the worker.  Slots do not rebuild graphs: the
+serving process builds each ``(family, n, graph_seed)`` graph once,
+publishes its flat CSR arrays in a ``multiprocessing.shared_memory``
+segment, and every slot maps the segment read-only — zero copies, one
+build per host.
 Segments are owned by the serving process and unlinked exactly once (on
 LRU eviction or shutdown), so a terminated worker leaves /dev/shm
 clean.  Because every task seed is derived up front, the resulting

@@ -51,7 +51,8 @@ def main() -> int:
     print(
         "Awake-MIS's curve is essentially flat across the sweep (the\n"
         "log log n regime), while the baselines track log n.  Absolute\n"
-        "constants are discussed in EXPERIMENTS.md."
+        "constants are dominated by the LDT construction; the claim is\n"
+        "the growth shape."
     )
     return 0
 

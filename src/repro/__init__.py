@@ -12,8 +12,8 @@ The package implements, from scratch in Python:
   residual sparsity and shattering analyses (:mod:`repro.core`,
   :mod:`repro.ldt`, :mod:`repro.analysis`),
 * workload generators (:mod:`repro.graphs`) and an experiment harness
-  (:mod:`repro.experiments`) that regenerates every claim catalogued in
-  ``EXPERIMENTS.md``.
+  (:mod:`repro.experiments`) that regenerates every claim the experiments
+  E1–E9 of :mod:`repro.experiments.registry` check.
 
 Quickstart
 ----------

@@ -17,7 +17,8 @@ uniformly random node ordering in ``O(log log n)`` awake rounds:
     still-undecided nodes of its batch, whose connected components are
     ``O(log n)``-sized w.h.p., so this also costs ``O(log log n)``-ish awake
     rounds (``O(log log n · log* n)`` with the Appendix-A construction, i.e.
-    Corollary 14 — see DESIGN.md §2.4).
+    Corollary 14: LDT-MIS's construction step pays the ``log* I`` factor
+    of Corollary 12, see :mod:`repro.algorithms.ldt_mis`).
 
 The constants of the paper's analysis (``Delta' = 9 ln(n^4)``, phase length
 ``O(log^5 n log log n)``) are exposed as :class:`AwakeMISParameters`; the
@@ -44,6 +45,7 @@ from repro.algorithms.ldt_mis import (
     ldt_mis_round_budget,
 )
 from repro.core.virtual_tree import communication_set, in_communication_set
+from repro.errors import ConfigurationError
 from repro.rng import SeedLike
 from repro.sim.actions import WakeCall
 from repro.sim.context import NodeContext, require_input
@@ -516,8 +518,12 @@ def run_awake_mis(graph: nx.Graph, seed: SeedLike = None,
     if params is None:
         if preset == "paper":
             params = AwakeMISParameters.paper(n, variant=variant)
-        else:
+        elif preset == "scaled":
             params = AwakeMISParameters.scaled(n, variant=variant)
+        else:
+            raise ConfigurationError(
+                f"unknown Awake-MIS preset {preset!r}; choose 'scaled' or "
+                "'paper'")
     return run_protocol(
         graph,
         awake_mis_protocol,

@@ -13,7 +13,7 @@ the component size ``n'`` rather than on the (possibly enormous) ID space:
     its rank as its new ID;
 4.  run ``VT-MIS`` with the new IDs (whose bound is ``n''``, not ``I``).
 
-*Reproduction note* (see DESIGN.md §2.4): both variants use the fully
+*Reproduction note*: both variants use the fully
 specified ``LDT-Construct-Round`` of Appendix A, so the awake complexity of
 the construction step carries the extra ``log* I`` factor of Corollary 12;
 the ``variant`` parameter is kept so the two names in the paper both resolve

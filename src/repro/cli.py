@@ -16,7 +16,8 @@ Sub-commands
     ``--resume`` continues an interrupted sweep from that store without
     re-running recorded tasks.
 ``experiment``
-    Regenerate one of the paper experiments E1–E9 (see DESIGN.md §3).
+    Regenerate one of the paper experiments E1–E9; each report states
+    the paper claim it checks next to the measured verdict.
     ``--jobs``/``--backend`` parallelise the sweep-backed experiments
     E1–E5 and E9 the same way; ``--output``/``--resume`` give them the
     resumable store; E6–E8 ignore all of them.
@@ -91,7 +92,7 @@ _STORE_EPILOG = (
     "requeues their tasks.  "
     "Running a multi-host sweep: on each worker host run "
     "'repro-mis worker serve --listen 0.0.0.0:8750 --slots N' (one "
-    "serving process per host; with N > 1 each slot runs in its own "
+    "serving process per host; each slot runs in its own "
     "subprocess, so N slots donate N cores, and the slots map one "
     "shared-memory CSR graph cache read-only — each graph is built "
     "once per host instead of once per slot), then on "
@@ -259,12 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve sweep tasks over TCP for --backend socket",
         epilog="--slots N serves up to N coordinator connections "
                "concurrently from one serving process (dial them all "
-               "with --workers host:port*N on the coordinator).  With "
-               "N > 1 each connection is handed to its own slot "
-               "subprocess, so N slots donate N cores instead of "
-               "time-slicing one GIL; --slots 1 serves its one "
-               "connection in the serving process itself.  "
-               "Process slots never rebuild graphs the server already "
+               "with --workers host:port*N on the coordinator).  Each "
+               "connection is handed to its own slot subprocess, so N "
+               "slots donate N cores instead of time-slicing one GIL, "
+               "and a task that kills its slot (exit 17 under fault "
+               "injection) costs that connection, never the worker.  "
+               "Slots never rebuild graphs the server already "
                "has: the serving process builds each (family, n, seed) "
                "graph once as flat CSR arrays in a shared-memory "
                "segment (named repro-csr-<pid>-<k>), and every slot "
@@ -295,15 +296,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "stderr; [IPV6]:PORT accepted)")
     serve_parser.add_argument("--slots", type=int, default=1, metavar="N",
                               help="serve up to N coordinator connections "
-                                   "concurrently; N > 1 runs each slot in "
-                                   "its own subprocess mapping a shared "
-                                   "read-only CSR graph cache (default: 1)")
+                                   "concurrently, each in its own slot "
+                                   "subprocess mapping a shared read-only "
+                                   "CSR graph cache (default: 1)")
     serve_parser.add_argument("--start-method",
                               choices=("fork", "spawn", "forkserver"),
                               default=None,
                               help="multiprocessing start method for "
-                                   "the slot subprocesses of --slots > 1 "
-                                   "(default: the platform default)")
+                                   "the slot subprocesses (default: the "
+                                   "platform default)")
     serve_parser.add_argument("--max-connections", type=int, default=None,
                               metavar="N",
                               help="exit after N >= 1 connections that "

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Set, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import networkx as nx
 
@@ -130,22 +130,34 @@ class MISRunResult:
 AlgorithmAdapter = Callable[..., RunResult]
 
 
-def _id_local_inputs(graph: nx.Graph, seed: SeedLike, id_bound: int) -> Dict:
-    """Assign each node a unique random ID (a random permutation of [1, n])."""
-    rng = make_rng(seed)
-    labels = list(graph.nodes)
-    rng.shuffle(labels)
-    return {label: {"id": position} for position, label in enumerate(labels, 1)}
+def _id_inputs(graph: nx.Graph, seed: SeedLike,
+               params: Dict[str, Any]) -> Tuple[int, Dict]:
+    """The ``(id_bound, local_inputs)`` an ID-based algorithm runs with.
+
+    Unless the caller passes ``local_inputs``, each node gets a unique
+    random ID (a random permutation of [1, n]), which needs ``id_bound``
+    to be at least n.
+    """
+    n = graph.number_of_nodes()
+    id_bound = params.get("id_bound", max(1, n))
+    local_inputs = params.get("local_inputs")
+    if local_inputs is None:
+        if id_bound < n:
+            raise ConfigurationError(
+                f"id_bound={id_bound} is below the node count {n}: the "
+                "harness numbers nodes 1..n, so id_bound must be >= n")
+        rng = make_rng(seed)
+        labels = list(graph.nodes)
+        rng.shuffle(labels)
+        local_inputs = {label: {"id": position}
+                        for position, label in enumerate(labels, 1)}
+    return id_bound, local_inputs
 
 
 def _run_vt_mis(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
     from repro.algorithms.vt_mis import vt_mis_protocol
 
-    n = graph.number_of_nodes()
-    id_bound = params.get("id_bound", max(1, n))
-    local_inputs = params.get("local_inputs")
-    if local_inputs is None:
-        local_inputs = _id_local_inputs(graph, seed, id_bound)
+    id_bound, local_inputs = _id_inputs(graph, seed, params)
     return run_protocol(
         graph,
         vt_mis_protocol,
@@ -160,11 +172,7 @@ def _run_vt_mis(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
 def _run_naive_greedy(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
     from repro.algorithms.naive_greedy import naive_greedy_protocol
 
-    n = graph.number_of_nodes()
-    id_bound = params.get("id_bound", max(1, n))
-    local_inputs = params.get("local_inputs")
-    if local_inputs is None:
-        local_inputs = _id_local_inputs(graph, seed, id_bound)
+    id_bound, local_inputs = _id_inputs(graph, seed, params)
     return run_protocol(
         graph,
         naive_greedy_protocol,

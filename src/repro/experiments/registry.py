@@ -1,9 +1,9 @@
-"""Registry of the reproduction experiments E1–E9 (see DESIGN.md §3).
+"""Registry of the reproduction experiments E1–E9, one per checked claim.
 
 Each experiment is a callable that takes a *scale* ("smoke", "default",
 "full") and a seed, runs the corresponding measurement, and returns an
 :class:`ExperimentReport` containing printable rows, an optional growth-law
-fit, and the claim-vs-measured verdict that EXPERIMENTS.md records.  The
+fit, the paper claim it checks, and the claim-vs-measured verdict.  The
 benchmarks under ``benchmarks/`` and the CLI (``repro-mis experiment E1``)
 both dispatch through this registry, so the paper-facing artefacts are
 regenerated from exactly one code path.
@@ -34,8 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.store import ResultStore
     from repro.experiments.sweeps import SweepResult
 
-#: Sweep sizes per scale level.  "smoke" keeps CI fast; "full" is what the
-#: recorded EXPERIMENTS.md numbers were produced with.
+#: Sweep sizes per scale level.  "smoke" keeps CI fast; "full" reaches the
+#: largest sizes, where growth-law fits separate log log n from log n best.
 SCALE_SIZES: Dict[str, List[int]] = {
     "smoke": [32, 64],
     "default": [64, 128, 256],
@@ -180,7 +180,7 @@ def experiment_e2(scale: str = "default", seed: SeedLike = 2,
     report.notes = (
         "Absolute awake constants of Awake-MIS are dominated by the LDT "
         "construction; the claim under test is the growth shape, not the "
-        "crossover point (see EXPERIMENTS.md)."
+        "crossover point."
     )
     return report
 

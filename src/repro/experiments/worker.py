@@ -43,11 +43,11 @@ actual worker death — which the coordinator detects as EOF/reset on
 
 ``--slots N`` makes one worker serve up to N coordinator connections
 concurrently (the handshake is unchanged — it happens once per
-connection, and its ``pid`` is the pid of whatever actually executes the
-tasks).  With one slot the connection is served in the serving process
-itself.  With more than one slot, each accepted connection is served by
-a **slot subprocess**, so an N-slot worker donates N cores.  What the
-slots share is the graph work: the *serving* process owns a
+connection, and its ``pid`` is the pid of the process that executes the
+tasks).  Every accepted connection, at every slot count, is served by a
+**slot subprocess**, so an N-slot worker donates N cores and a task
+that kills its process kills only its slot.  What the slots share is
+the graph work: the *serving* process owns a
 :class:`~repro.experiments.shm_cache.SharedGraphCache` of flat CSR
 adjacency arrays (:mod:`repro.graphs.csr`) in
 ``multiprocessing.shared_memory`` — one segment per ``(family, n,
@@ -80,6 +80,7 @@ from repro.experiments.transports import (PROTOCOL_FEATURES,
                                           WORKER_FAULT_DIR_ENV,
                                           format_address, split_host_port)
 from repro.experiments.executor import SweepTask, run_task
+from repro.experiments.shm_cache import SharedGraphCache, reap_stale_segments
 
 
 def _read_exactly(stream: BinaryIO, count: int) -> Optional[bytes]:
@@ -178,9 +179,9 @@ def maybe_crash(task: SweepTask) -> None:
     Removing the marker first makes the fault one-shot: the retry of the
     requeued task succeeds, which is what the recovery tests need.
 
-    The fault exits hard with code 17.  In a single-slot worker that is
-    the whole worker; in a multi-slot worker it is just the slot
-    subprocess serving the task — the serving process survives.
+    The fault exits hard with code 17, which ends the slot subprocess
+    serving the task; the serving process survives and accepts the
+    coordinator's reconnect.
     """
     fault_dir = os.environ.get(WORKER_FAULT_DIR_ENV)
     if not fault_dir:
@@ -192,14 +193,14 @@ def maybe_crash(task: SweepTask) -> None:
 
 
 def serve_stream(reader: BinaryIO, writer: BinaryIO,
-                 stats: Optional[Dict[str, int]] = None) -> int:
+                 on_first_task: Optional[Callable[[], None]] = None) -> int:
     """Serve one framed task stream until EOF.
 
-    Returns the number of task frames handled.  *stats*, when given, has
-    its ``"tasks"`` entry updated incrementally — so a caller watching a
-    stream that dies mid-connection (garbage frames, a vanished peer)
-    can still tell whether the peer ever proved itself with a valid task
-    frame; :func:`serve` uses that for its ``max_connections`` budget.
+    Returns the number of tasks handled.  *on_first_task*, when given, is
+    called once, as soon as the first valid task arrives — before it
+    runs, so even a stream that dies mid-task (a crash, garbage frames, a
+    vanished peer) has reported that the peer proved itself;
+    :func:`serve` counts that toward its ``max_connections`` budget.
     """
     handled = 0
     write_frame(writer, hello_frame())
@@ -215,8 +216,8 @@ def serve_stream(reader: BinaryIO, writer: BinaryIO,
         for item in frame["items"]:
             task = SweepTask.from_json(item["task"])
             handled += 1
-            if stats is not None:
-                stats["tasks"] = handled
+            if handled == 1 and on_first_task is not None:
+                on_first_task()
             maybe_crash(task)
             _log_execution(task)
             reply = {"index": item["index"], "seq": item["seq"]}
@@ -317,25 +318,16 @@ def _slot_process_main(connection: socket.socket, control: Any) -> None:
             # hiccup): regenerate locally rather than failing the task.
             return None
 
+    def _served() -> None:
+        with contextlib.suppress(OSError):
+            control.send(("served",))
+
     executor._reset_worker_graph_cache()
     executor.set_shared_graph_source(_fetch)
-    notified = {"sent": False}
-
-    class _ServedSignal(dict):
-        """Stats dict that tells the server about the first valid task."""
-
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
-            if key == "tasks" and value > 0 and not notified["sent"]:
-                notified["sent"] = True
-                with contextlib.suppress(OSError):
-                    control.send(("served",))
-
-    stats = _ServedSignal(tasks=0)
     reader = connection.makefile("rb")
     writer = connection.makefile("wb")
     try:
-        serve_stream(reader, writer, stats=stats)
+        serve_stream(reader, writer, on_first_task=_served)
     except OSError:
         pass  # the coordinator vanished mid-frame
     except Exception as error:
@@ -379,9 +371,8 @@ def serve(listen: str, max_connections: Optional[int] = None,
 
     *slots* is how many coordinator connections are served concurrently,
     and the accept loop stops handing out connections while all slots
-    are busy.  One slot is served in this process.  With ``slots > 1``
-    each accepted connection is served by a subprocess, so N slots
-    donate N cores.  Graphs are then shared through this process's
+    are busy.  Each accepted connection is served by a slot subprocess,
+    so N slots donate N cores.  Graphs are shared through this process's
     :class:`~repro.experiments.shm_cache.SharedGraphCache` — flat CSR
     arrays in ``multiprocessing.shared_memory``, generated once per
     ``(family, n, graph_seed)`` and mapped read-only by every slot.  The
@@ -411,29 +402,19 @@ def serve(listen: str, max_connections: Optional[int] = None,
         _require_positive_int("max_connections", max_connections,
                               "connections served before exiting; omit "
                               "it to serve forever")
-    mp_context = None
-    shared_cache = None
-    if slots > 1:
-        try:
-            mp_context = multiprocessing.get_context(start_method)
-        except ValueError:
-            raise ConfigurationError(
-                f"invalid start method {start_method!r}: this platform "
-                f"supports {multiprocessing.get_all_start_methods()}"
-            ) from None
-        from repro.experiments.shm_cache import (SharedGraphCache,
-                                                 reap_stale_segments)
-
-        reaped = reap_stale_segments()
-        if reaped:
-            print(f"repro-mis worker: reaped {len(reaped)} orphaned shared "
-                  "graph segment(s) from dead workers",
-                  file=sys.stderr, flush=True)
-        shared_cache = SharedGraphCache()
-    elif start_method is not None:
+    try:
+        mp_context = multiprocessing.get_context(start_method)
+    except ValueError:
         raise ConfigurationError(
-            "--start-method only applies to --slots > 1 (slot "
-            "subprocesses)")
+            f"invalid start method {start_method!r}: this platform "
+            f"supports {multiprocessing.get_all_start_methods()}"
+        ) from None
+    reaped = reap_stale_segments()
+    if reaped:
+        print(f"repro-mis worker: reaped {len(reaped)} orphaned shared "
+              "graph segment(s) from dead workers",
+              file=sys.stderr, flush=True)
+    shared_cache = SharedGraphCache()
     family = socket.AF_INET6 if ":" in host else socket.AF_INET
     server = socket.create_server((host, port), family=family)
     lock = threading.Lock()
@@ -455,33 +436,6 @@ def serve(listen: str, max_connections: Optional[int] = None,
                 # The accept loop polls `closing` (closing the listener
                 # from here would not wake a blocked accept).
                 state["closing"] = True
-
-    def _serve_connection(connection: socket.socket, peer: str) -> None:
-        stats = {"tasks": 0}
-        try:
-            with connection:
-                reader = connection.makefile("rb")
-                writer = connection.makefile("wb")
-                try:
-                    serve_stream(reader, writer, stats=stats)
-                except OSError:
-                    pass  # the coordinator vanished mid-frame
-                except Exception as error:
-                    # A malformed frame (garbage bytes, JSON without a
-                    # task) must cost one connection, not the worker: a
-                    # donated long-lived worker never dies because one
-                    # peer misbehaved.
-                    print("repro-mis worker: dropping connection from "
-                          f"{peer}: {error!r}", file=sys.stderr, flush=True)
-                finally:
-                    for stream in (reader, writer):
-                        with contextlib.suppress(OSError):
-                            stream.close()
-            print(f"repro-mis worker: coordinator {peer} disconnected",
-                  file=sys.stderr, flush=True)
-        finally:
-            _count_connection(stats["tasks"] > 0)
-            capacity.release()
 
     def _relay_connection(connection: socket.socket, peer: str) -> None:
         """Serve one connection through a slot subprocess.
@@ -549,17 +503,14 @@ def serve(listen: str, max_connections: Optional[int] = None,
             _count_connection(proved)
             capacity.release()
 
-    handler = _relay_connection if slots > 1 else _serve_connection
-
     try:
         bound_host, bound_port = server.getsockname()[:2]
         print("repro-mis worker: listening on "
               f"{format_address(bound_host, bound_port)}",
               file=sys.stderr, flush=True)
-        if slots > 1:
-            print(f"repro-mis worker: serving up to {slots} concurrent "
-                  "connections (process slots, shared-memory CSR graph "
-                  "cache)", file=sys.stderr, flush=True)
+        print(f"repro-mis worker: serving up to {slots} concurrent "
+              "connections (process slots, shared-memory CSR graph "
+              "cache)", file=sys.stderr, flush=True)
         if on_listening is not None:
             on_listening(bound_host, bound_port)
         # Accept with a short timeout rather than blocking forever: a slot
@@ -600,7 +551,7 @@ def serve(listen: str, max_connections: Optional[int] = None,
             # object per connection it ever served.
             threads[:] = [t for t in threads if t.is_alive()]
             thread = threading.Thread(
-                target=handler,
+                target=_relay_connection,
                 args=(connection,
                       format_address(peer_address[0], peer_address[1])),
                 name=f"repro-worker-slot-{accepted}", daemon=True)
@@ -630,16 +581,15 @@ def serve(listen: str, max_connections: Optional[int] = None,
                     process.terminate()
         for thread in threads:
             thread.join(timeout=5.0 if interrupted else None)
-        if shared_cache is not None:
-            # Every slot has been joined (or abandoned as terminated), so
-            # this is the single place the segments are unlinked.
-            stats = shared_cache.stats()
-            shared_cache.close()
-            print("repro-mis worker: shared graph cache "
-                  f"hits={stats['hits']} misses={stats['misses']} "
-                  f"evictions={stats['evictions']} "
-                  f"unlinked={stats['currsize']}",
-                  file=sys.stderr, flush=True)
+        # Every slot has been joined (or abandoned as terminated), so
+        # this is the single place the segments are unlinked.
+        stats = shared_cache.stats()
+        shared_cache.close()
+        print("repro-mis worker: shared graph cache "
+              f"hits={stats['hits']} misses={stats['misses']} "
+              f"evictions={stats['evictions']} "
+              f"unlinked={stats['currsize']}",
+              file=sys.stderr, flush=True)
     return 0
 
 

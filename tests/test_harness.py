@@ -28,6 +28,24 @@ class TestAvailability:
         with pytest.raises(ConfigurationError):
             run_mis(generators.empty_graph(0), algorithm="luby")
 
+    @pytest.mark.parametrize("algorithm", ["vt_mis", "naive_greedy"])
+    def test_id_bound_below_node_count_rejected(self, algorithm):
+        """The harness numbers nodes 1..n, so a smaller ID bound is a
+        configuration error up front, not a simulator ValueError."""
+        graph = generators.path_graph(10)
+        with pytest.raises(ConfigurationError,
+                           match="id_bound=3 is below the node count 10"):
+            run_mis(graph, algorithm=algorithm, id_bound=3)
+        assert run_mis(graph, algorithm=algorithm, id_bound=10,
+                       seed=1).verified
+
+    @pytest.mark.parametrize("preset", ["papr", "Scaled", ""])
+    def test_unknown_awake_mis_preset_rejected(self, preset):
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown Awake-MIS preset {preset!r}"):
+            run_mis(generators.path_graph(10), algorithm="awake_mis",
+                    preset=preset)
+
 
 class TestRunMIS:
     @pytest.mark.parametrize("algorithm", ["vt_mis", "luby", "rank_greedy",

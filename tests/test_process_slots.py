@@ -1,14 +1,13 @@
 """Process-backed worker slots (repro.experiments.worker --slots N).
 
-With ``--slots N > 1`` each coordinator connection is served by its own
-slot *subprocess* mapping the serving process's shared-memory CSR graph
-cache read-only.  These tests pin the contracts the tentpole makes:
+At every slot count, ``--slots 1`` included, each coordinator connection
+is served by its own slot *subprocess* mapping the serving process's
+shared-memory CSR graph cache read-only.  These tests pin its contracts:
 
 * byte identity with serial under both ``fork`` and ``spawn`` start
   methods;
 * telemetry names the *executing* process — the hello pid is the slot
-  subprocess, not the serving process (a single-slot worker executes
-  in the serving process itself);
+  subprocess, not the serving process;
 * no shared-memory segment outlives the worker (graceful shutdown
   unlinks everything; the leak check reads /dev/shm, not bookkeeping).
 """
@@ -50,12 +49,14 @@ def serial_rows():
 
 
 class TestProcessSlotEquivalence:
+    @pytest.mark.parametrize("slots", [1, 2])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_byte_identical_to_serial_under_both_start_methods(
-            self, spawn_socket_worker, serial_rows, start_method):
+            self, spawn_socket_worker, serial_rows, start_method, slots):
         process, address = spawn_socket_worker(
-            slots=2, start_method=start_method)
-        sweep = run_sweep(**GRID, backend=_backend(f"{address}*2"))
+            slots=slots, start_method=start_method)
+        sweep = run_sweep(**GRID, backend=ComposedBackend(
+            transport=SocketTransport(f"{address}*{slots}"), jobs=slots))
         assert (repr(sweep.rows()),
                 repr(sweep.fits("awake_max"))) == serial_rows
         assert process.poll() is None
@@ -63,8 +64,7 @@ class TestProcessSlotEquivalence:
     @pytest.mark.parametrize("slots", [1, 3])
     def test_byte_identical_to_serial_at_every_slot_count(
             self, spawn_socket_worker, serial_rows, slots):
-        """One slot is served in the serving process, more by slot
-        subprocesses; dialling every slot must match serial either way."""
+        """Dialling every slot must match serial at any slot count."""
         process, address = spawn_socket_worker(slots=slots)
         backend = ComposedBackend(
             transport=SocketTransport(f"{address}*{slots}"), jobs=slots)
@@ -90,15 +90,23 @@ class TestSlotProcessTelemetry:
         assert process.pid not in pids
         assert all(isinstance(pid, int) for pid in pids)
 
-    def test_single_slot_reports_the_serving_process(
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="no /dev/shm on this platform")
+    def test_single_slot_reports_its_slot_subprocess(
             self, spawn_socket_worker):
-        """One slot is served in-process: no slot subprocess, no shared
-        segment, and telemetry names the serving pid."""
+        """One slot is a slot subprocess too: telemetry names the slot's
+        pid, not the serving pid, and the serving process owns the
+        shared segments and unlinks them all on SIGTERM."""
         process, address = spawn_socket_worker(slots=1)
         backend = _backend(address)
         run_sweep(**GRID, backend=backend)
         (row,) = backend.telemetry()["workers"]
-        assert row["worker_pids"] == [process.pid]
+        (pid,) = row["worker_pids"]
+        assert isinstance(pid, int) and pid != process.pid
+        assert _worker_segments(process.pid)  # cache is warm
+
+        process.terminate()
+        process.wait(timeout=10)
         assert _worker_segments(process.pid) == []
 
 
@@ -167,8 +175,8 @@ class TestSegmentLifecycle:
 class TestSingleSlotWorker:
     def test_bounded_single_slot_worker_exits_after_its_budget(
             self, spawn_socket_worker, serial_rows):
-        """The in-process handler honours --max-connections too: one
-        budgeted sweep, then a clean exit."""
+        """A 1-slot worker honours --max-connections: one budgeted
+        sweep, then a clean exit."""
         process, address = spawn_socket_worker(slots=1, max_connections=1)
         sweep = run_sweep(**GRID, backend=_backend(address))
         assert (repr(sweep.rows()),
@@ -177,10 +185,6 @@ class TestSingleSlotWorker:
 
 
 class TestServeValidation:
-    def test_start_method_requires_slot_subprocesses(self):
-        with pytest.raises(ConfigurationError, match="--start-method"):
-            serve("127.0.0.1:0", slots=1, start_method="spawn")
-
     @pytest.mark.parametrize("bad", [0, -3, True, 1.5])
     def test_invalid_max_connections_rejected(self, bad):
         with pytest.raises(ConfigurationError,

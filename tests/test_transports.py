@@ -284,10 +284,13 @@ class TestSocketFailureModes:
 
     def test_worker_killed_mid_task_over_tcp_requeues_byte_identical(
             self, tmp_path, spawn_socket_worker):
-        """A worker process dying mid-task over TCP costs nothing: the
-        dropped connection retires that slot (reconnect fails — the
-        process is gone), the task is requeued onto the surviving
-        worker, and the rows match serial byte-for-byte."""
+        """A worker dying mid-task over TCP costs nothing: the dropped
+        connection retires that slot (reconnect fails — the worker is
+        gone), the task is requeued onto the surviving worker, and the
+        rows match serial byte-for-byte.  The fault kills only the slot
+        subprocess; a one-connection budget is what takes the whole
+        worker down with it (the crashed connection had already served
+        a task, so the worker exits and refuses the reconnect)."""
         serial = run_sweep(**GRID)
         victim = plan_sweep_tasks(**GRID)[3]
         marker = self._arm_crash(tmp_path, victim)
@@ -295,18 +298,41 @@ class TestSocketFailureModes:
         # task up dies.  The marker is one-shot, so the requeued task
         # succeeds on the survivor.
         fault_env = {WORKER_FAULT_DIR_ENV: str(tmp_path)}
-        workers = [spawn_socket_worker(extra_env=fault_env)
+        workers = [spawn_socket_worker(extra_env=fault_env,
+                                       max_connections=1)
                    for _ in range(2)]
 
         backend = socket_backend(",".join(address for _, address in workers))
         recovered = run_sweep(**GRID, backend=backend)
 
         assert not marker.exists()  # the fault actually fired
-        # Exactly one worker process actually died (exit code 17), and
-        # its death was observed as a slot replacement attempt.
-        exit_codes = [proc.poll() for proc, _ in workers]
-        assert exit_codes.count(17) == 1
+        # Exactly one connection died, and its death was observed as a
+        # slot replacement attempt.
+        rows = backend.telemetry()["workers"]
+        assert [row["reconnects"] > 0 for row in rows].count(True) == 1
         assert backend.worker_restarts >= 1
+        assert repr(recovered.rows()) == repr(serial.rows())
+        assert recovered.fits("awake_max") == serial.fits("awake_max")
+        # Both workers spent their budget and exited cleanly.
+        assert [proc.wait(timeout=10) for proc, _ in workers] == [0, 0]
+
+    def test_single_slot_worker_survives_its_slot_crash(
+            self, tmp_path, spawn_socket_worker):
+        """Exit 17 kills the slot subprocess, never the worker: with no
+        connection budget the coordinator reconnects to the same 1-slot
+        worker, re-runs the requeued task there, and the rows match
+        serial byte-for-byte."""
+        serial = run_sweep(**GRID)
+        marker = self._arm_crash(tmp_path, plan_sweep_tasks(**GRID)[3])
+        proc, address = spawn_socket_worker(
+            extra_env={WORKER_FAULT_DIR_ENV: str(tmp_path)})
+
+        backend = socket_backend(address)
+        recovered = run_sweep(**GRID, backend=backend)
+
+        assert not marker.exists()  # the fault actually fired
+        assert backend.worker_restarts >= 1
+        assert proc.poll() is None
         assert repr(recovered.rows()) == repr(serial.rows())
         assert recovered.fits("awake_max") == serial.fits("awake_max")
 
@@ -328,7 +354,10 @@ class TestSocketFailureModes:
         for task in tasks[:2]:
             self._arm_crash(tmp_path, task)
         fault_env = {WORKER_FAULT_DIR_ENV: str(tmp_path)}
-        _, only_address = spawn_socket_worker(extra_env=fault_env)
+        # The fault kills only the slot; the one-connection budget makes
+        # the worker exit with it, so no slot is left to reconnect to.
+        _, only_address = spawn_socket_worker(extra_env=fault_env,
+                                              max_connections=1)
         backend = socket_backend(only_address, max_attempts=5)
         with pytest.raises(WorkerCrashError,
                            match="every execution slot was lost"):
