@@ -30,6 +30,7 @@ import networkx as nx
 
 from repro.algorithms.common import IN_MIS, MISDecision
 from repro.algorithms.vt_mis import vt_mis_core
+from repro.errors import ConfigurationError
 from repro.graphs.properties import component_sizes
 from repro.ldt.construct import construction_rounds, frag_message, ldt_construct
 from repro.ldt.procedures import broadcast_chunks, ldt_ranking
@@ -56,6 +57,19 @@ def permutation_chunk_count(n_bound: int) -> int:
 
 #: The variants :func:`ldt_mis_core` accepts.
 LDT_MIS_VARIANTS = ("awake", "round")
+
+
+def require_variant(variant: str) -> None:
+    """Refuse an unknown LDT-MIS *variant* up front, before any run.
+
+    The entry points call this; :func:`ldt_mis_core` itself still raises
+    a ``ValueError`` when started with one, as the protocol does on every
+    engine.
+    """
+    if variant not in LDT_MIS_VARIANTS:
+        raise ConfigurationError(
+            f"unknown LDT-MIS variant {variant!r}; choose "
+            + " or ".join(repr(name) for name in LDT_MIS_VARIANTS))
 
 
 def vt_mis_offset(n_bound: int, id_space: int) -> int:
@@ -225,6 +239,7 @@ def run_ldt_mis(graph: nx.Graph, seed: SeedLike = None,
                 variant: str = "awake",
                 max_active_rounds: int = 10_000_000) -> RunResult:
     """Run standalone LDT-MIS on *graph* (used by the harness and tests)."""
+    require_variant(variant)
     n = graph.number_of_nodes()
     if n_bound is None:
         n_bound = max(component_sizes(graph), default=1)

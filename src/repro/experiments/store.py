@@ -449,11 +449,7 @@ def merge_stores(sources: Sequence[StorePath], output: StorePath) -> int:
         header: Optional[Dict[str, Any]] = None
         header_origin: Optional[Path] = None
         for source, store in zip(resolved, stores):
-            found = store.header()
-            if found is None:
-                raise ConfigurationError(
-                    f"{source}: not a results store (missing or empty file)"
-                )
+            found = _leading_header(store)
             if header is None:
                 header, header_origin = found, source
             elif found != header:
@@ -507,6 +503,31 @@ def merge_stores(sources: Sequence[StorePath], output: StorePath) -> int:
     finally:
         for store in stores:
             store.close()
+
+
+def _leading_header(store: ResultStore) -> Dict[str, Any]:
+    """The header record on the first line of *store*'s file.
+
+    Reads that line alone, so a file that is not a results store is
+    refused before any record is parsed, never warned about as a store
+    with a torn trailing record.
+    """
+    store._refuse_directory()
+    path = store.path
+    reason = "no such file"
+    if path.exists():
+        with path.open("rb") as handle:
+            first = handle.readline().strip()
+        reason = "empty file"
+        if first:
+            try:
+                record = json.loads(first.decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                record = None
+            if isinstance(record, dict) and record.get("kind") == "header":
+                return record
+            reason = "its first line is not a store header"
+    raise ConfigurationError(f"{path}: not a results store ({reason})")
 
 
 def load_sweep_result(

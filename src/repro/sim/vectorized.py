@@ -12,15 +12,17 @@ the generator loop enforces.  Two engines use it:
   node is awake every iteration;
 * the **schedule** engine of ``awake_mis``
   (``repro.algorithms.awake_mis``), for sparse phases whose wake
-  schedule is known up front: it computes the communication rounds as
-  array operations, applies the LDT-MIS of isolated participants (one-node
-  components, almost all of them) in closed form, and hands only the
+  schedule is known up front: it decides every node's state batch by
+  batch, applying the LDT-MIS of isolated participants (one-node
+  components, almost all of them) in closed form and handing only the
   non-trivial LDT-MIS components back to the generator loop through
-  :meth:`VectorizedRun.drive`.
+  :meth:`VectorizedRun.drive`; then it accounts every communication
+  round in one array pass over the whole schedule and sets the metric
+  arrays, the active-round count and the last active round directly.
 
 The engines engage whenever tracing is off, CONGEST-metered runs
-included: they meter message sizes themselves
-(:meth:`VectorizedRun.record_sends`), with the generator loop's
+included: they meter message sizes themselves (the whole-round engine
+through :meth:`VectorizedRun.record_sends`), with the generator loop's
 ``estimate_bits`` on each sender's real payload and the same
 per-message limit check.  Under tracing, or with ``vectorized=False``,
 the generator loop runs instead.
@@ -71,11 +73,14 @@ class VectorizedRun:
     network's routing arrays — shared-memory segments included), one
     private RNG per node (spawned in index order, exactly like the
     generator path), and the per-node metric arrays the engine fills in.
-    Engines record every array-computed round through :meth:`begin_round`,
-    :meth:`record_awake` and :meth:`record_sends` (in that order), and
-    run generator rounds through :meth:`drive`, so the livelock,
-    awake-budget and CONGEST checks fire with the same messages, in the
-    same precedence, as the generator loop.
+    The whole-round engine records each array-computed round through
+    :meth:`begin_round`, :meth:`record_awake` and :meth:`record_sends`
+    (in that order), which trip the livelock, awake-budget and CONGEST
+    checks with the generator loop's messages, in its precedence.  The
+    schedule engine records no round one at a time: it sets the arrays,
+    :attr:`active_rounds` and :attr:`last_active_round` itself, raises
+    the same valve errors from its own accounting, and runs generator
+    rounds through :meth:`drive`.
     """
 
     def __init__(
@@ -130,7 +135,8 @@ class VectorizedRun:
         self.outputs: Dict[Any, Any] = {}
         self.active_rounds = 0
         self.last_active_round: Optional[int] = None
-        self._max_active_rounds = max_active_rounds
+        #: The livelock valve: more active rounds than this trip it.
+        self.max_active_rounds = max_active_rounds
         #: The awake-budget valve: a node awake more rounds than this
         #: trips it.
         self.max_awake_per_node = max_awake_per_node
@@ -151,8 +157,8 @@ class VectorizedRun:
     def begin_round(self, round_index: int) -> None:
         """Count one active round; trip the livelock valve like the loops."""
         self.active_rounds += 1
-        if self.active_rounds > self._max_active_rounds:
-            raise livelocked_error(self._max_active_rounds)
+        if self.active_rounds > self.max_active_rounds:
+            raise livelocked_error(self.max_active_rounds)
         self.last_active_round = round_index
 
     def record_awake(self, indices) -> None:
@@ -228,7 +234,9 @@ class VectorizedRun:
         — the one generator round loop — on this run's round clock: the
         livelock valve counts on from :attr:`active_rounds`, and the
         driven nodes' counters are bridged in and out of the metric
-        arrays (the caller must keep every other node asleep meanwhile).
+        arrays (the caller must keep every other node asleep meanwhile,
+        and set both to what the generator loop would read when the
+        generators start, so the valves trip where the loop trips them).
         Returns ``[(index, return value, round)]`` in termination order;
         the caller decides what a return means, so termination rounds are
         not written back.
@@ -237,7 +245,7 @@ class VectorizedRun:
             self._simulator = Simulator(
                 self.network,
                 message_bit_limit=self.message_bit_limit,
-                max_active_rounds=self._max_active_rounds,
+                max_active_rounds=self.max_active_rounds,
                 max_awake_per_node=self.max_awake_per_node,
             )
             self._inboxes = [[] for _ in range(self.n)]

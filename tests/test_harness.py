@@ -46,6 +46,18 @@ class TestAvailability:
             run_mis(generators.path_graph(10), algorithm="awake_mis",
                     preset=preset)
 
+    @pytest.mark.parametrize("algorithm", ["awake_mis", "ldt_mis"])
+    @pytest.mark.parametrize("variant", ["rond", "Awake", ""])
+    def test_unknown_ldt_mis_variant_rejected(self, algorithm, variant):
+        """Refused up front like an unknown preset, not as a bare
+        ``ValueError`` from inside the first LDT-MIS phase."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_mis(generators.path_graph(10), algorithm=algorithm,
+                    variant=variant)
+        assert str(excinfo.value) == (
+            f"unknown LDT-MIS variant {variant!r}; choose 'awake' or "
+            "'round'")
+
 
 class TestRunMIS:
     @pytest.mark.parametrize("algorithm", ["vt_mis", "luby", "rank_greedy",

@@ -14,6 +14,7 @@ from repro.algorithms.ldt_mis import (
     run_ldt_mis,
 )
 from repro.core.mis import is_independent_set, is_maximal_independent_set
+from repro.errors import ConfigurationError
 from repro.graphs import generators
 
 
@@ -59,7 +60,8 @@ class TestCorrectness:
         assert is_maximal_independent_set(small_gnp, mis_from_result(result))
 
     def test_invalid_variant_rejected(self, small_gnp):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError,
+                           match="unknown LDT-MIS variant 'bogus'"):
             run_ldt_mis(small_gnp, seed=1, variant="bogus")
 
     def test_large_id_space(self):

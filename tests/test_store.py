@@ -561,11 +561,33 @@ class TestMergeStores:
             merge_stores([first, second], merged)
         assert not merged.exists()  # no half-written output left behind
 
-    def test_non_store_source_refused(self, tmp_path):
+    def test_non_store_source_refused(self, tmp_path, recwarn):
+        """Refused before any record is parsed: no torn-tail warning about
+        a resume that will not happen."""
         bogus = tmp_path / "notes.txt"
         bogus.write_text("hello\n", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="not a results store"):
             merge_stores([bogus], tmp_path / "merged.jsonl")
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "no such file"),
+        ("", "empty file"),
+        ("hello\n", "its first line is not a store header"),
+        ('{"kind": "result", "key": "k"}\n',
+         "its first line is not a store header"),
+    ])
+    def test_non_store_source_names_why(self, tmp_path, recwarn, content,
+                                        reason):
+        source = tmp_path / "source.jsonl"
+        if content is not None:
+            source.write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigurationError) as excinfo:
+            merge_stores([source], tmp_path / "merged.jsonl")
+        assert str(excinfo.value) == (
+            f"{source}: not a results store ({reason})")
+        assert not recwarn.list
+        assert not (tmp_path / "merged.jsonl").exists()
 
     def test_existing_output_refused(self, tmp_path):
         source = tmp_path / "a.jsonl"

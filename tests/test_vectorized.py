@@ -8,21 +8,25 @@ engine of ``awake_mis`` (both variants, both presets) — across graph
 families and seeds, the dispatch gating (``vectorized`` tri-state), equal
 RNG consumption per node stream, the whole-round array primitives, and
 identical safety-valve and ``MessageTooLargeError`` messages raised in
-the same precedence (inside the schedule engine's LDT-MIS rounds too),
-and the closed form the schedule engine applies to LDT-MIS participants
-with no participating neighbour.
+the same precedence (inside the schedule engine's LDT-MIS rounds too,
+and in communication rounds it accounts only after later phases were
+driven), the closed form the schedule engine applies to LDT-MIS
+participants with no participating neighbour, and that it records no
+round one at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import awake_mis
 from repro.algorithms.awake_mis import (
     AwakeMISParameters,
     awake_mis_protocol,
@@ -589,6 +593,139 @@ class TestIsolatedParticipants:
         outcome = self._agree(graph, inputs, 1,
                               max_active_rounds=int(share * total))
         assert ("livelocked" in outcome) == (share < 1.0)
+
+
+# --------------------------------------------------------------------------- #
+# Deferred accounting: decisions first, communication rounds after
+# --------------------------------------------------------------------------- #
+def _record_drive_outcomes(monkeypatch):
+    """Patch :meth:`VectorizedRun.drive` to record ``{phase start round:
+    its error as "Type: message", or None}`` of every call."""
+    outcomes = {}
+    original = VectorizedRun.drive
+
+    def drive(self, generators, previous_round):
+        try:
+            finished = original(self, generators, previous_round)
+        except SimulationError as error:
+            outcomes[previous_round] = f"{type(error).__name__}: {error}"
+            raise
+        outcomes[previous_round] = None
+        return finished
+
+    monkeypatch.setattr(VectorizedRun, "drive", drive)
+    return outcomes
+
+
+def _trip_round(graph, inputs, seed, valve, value):
+    """The round in which the loop trips *valve* set to *value*, read off
+    an unvalved traced run of the generator loop (None: it never trips)."""
+    trace = run_protocol(graph, awake_mis_protocol, inputs=inputs,
+                         seed=seed, trace=True).trace
+    rounds = trace.active_rounds()
+    if valve == "max_active_rounds":
+        return rounds[value] if value < len(rounds) else None
+    if valve == "max_awake_per_node":
+        counts = Counter()
+        for round_index in rounds:
+            for label in trace.awake_by_round[round_index]:
+                counts[label] += 1
+                if counts[label] > value:
+                    return round_index
+        return None
+    return next((event.round for event in trace.messages
+                 if estimate_bits(event.payload) > value), None)
+
+
+#: ``(valve, value, graph, crowded batches, id_space, run seed, case)``:
+#: every valve kind trips once in a communication round before a later
+#: driven LDT-MIS phase and once inside ``drive``.  On the communication
+#: cases the later drive runs clean (awake), or trips the same valve
+#: (livelock) or its own (bit limit: VT-MIS's ``undecided`` state is 72
+#: bits); a small ID space keeps the LDT-MIS announcements of the bit
+#: case below the 64-bit ``notinMIS`` broadcast.
+VALVE_CASES = [
+    ("max_active_rounds", 51, "gnp", True, None, 2, "communication"),
+    ("max_active_rounds", 120, "path", True, None, 1, "drive"),
+    ("max_awake_per_node", 33, "tree", True, None, 2, "communication"),
+    ("max_awake_per_node", 12, "gnp", True, None, 1, "drive"),
+    ("message_bit_limit", 60, "gnp", False, 512, 4, "communication"),
+    ("message_bit_limit", 100, "gnp", True, None, 2, "drive"),
+]
+
+
+class TestDeferredAccounting:
+    """The schedule engine decides every batch before it accounts any
+    communication round, so a valve that trips in a communication round
+    is located after later phases were already driven; it must still
+    win over them, with the loop's message."""
+
+    @pytest.mark.parametrize("valve, value, graph_name, crowded, id_space, "
+                             "seed, case", VALVE_CASES)
+    def test_valve_precedence(self, monkeypatch, valve, value, graph_name,
+                              crowded, id_space, seed, case):
+        family, n, graph_seed = MIXED_GRAPHS[graph_name]
+        graph = by_name(family, n, seed=graph_seed)
+        params = (_crowded(graph) if crowded
+                  else _inputs("awake_mis", graph))["awake_params"]
+        if id_space is not None:
+            params = dataclasses.replace(params, id_space=id_space)
+        inputs = {"awake_params": params}
+        drives = _record_drive_outcomes(monkeypatch)
+        loop, engine = (_outcome(graph, inputs, seed, pinned, **{valve: value})
+                        for pinned in (False, True))
+        assert isinstance(loop, str) and engine == loop
+        tripped = _trip_round(graph, inputs, seed, valve, value)
+        phase_length = params.phase_length
+        phase = tripped // phase_length + 1
+        driven = {start // phase_length + 1: error
+                  for start, error in drives.items()}
+        if case == "communication":
+            assert tripped % phase_length == 0
+            assert max(driven) >= phase
+        else:
+            assert tripped % phase_length != 0
+            assert driven[phase] == loop
+
+    def test_no_per_round_bookkeeping(self, monkeypatch):
+        """Awake-MIS never records a round one at a time; the spy is
+        live (Luby's whole-round engine still calls it)."""
+        calls = []
+        for name in ("begin_round", "record_awake", "record_sends"):
+            original = getattr(VectorizedRun, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(VectorizedRun, name, spy)
+        graph = by_name("gnp", 48, seed=3)
+        outcomes = [_outcome(graph, inputs, 1, True, **kwargs)
+                    for inputs, kwargs in (
+                        (_inputs("awake_mis", graph), {}),
+                        (_crowded(graph), {"message_bit_limit": LOOSE_LIMIT}),
+                        (_crowded(graph), {"max_awake_per_node": 12}),
+                        (_crowded(graph, "paper", "round"), {}))]
+        assert [isinstance(outcome, str) for outcome in outcomes] == [
+            False, False, True, False]
+        assert calls == []
+        run_protocol(graph, luby_protocol, inputs=INPUTS, seed=1,
+                     vectorized=True)
+        assert set(calls) == {"begin_round", "record_awake", "record_sends"}
+
+    def test_a_broken_shortcut_is_a_named_failure(self, monkeypatch):
+        """A schedule without Observation 5's shared rounds (each node
+        attends its own batch's round only) leaves dominated nodes
+        unreached; the engine names that instead of diverging."""
+        monkeypatch.setattr(awake_mis, "communication_set",
+                            lambda k, i: frozenset({k}))
+        monkeypatch.setattr(awake_mis, "in_communication_set",
+                            lambda r, k: r == k)
+        graph = by_name("path", 48)
+        with pytest.raises(AssertionError,
+                           match=r"Observation 5 violated: node \d+ of batch"):
+            run_protocol(graph, awake_mis_protocol, seed=1, vectorized=True,
+                         inputs=_inputs("awake_mis", graph))
 
 
 # --------------------------------------------------------------------------- #
