@@ -1,4 +1,4 @@
-"""Experiment E1 (Theorem 13): awake complexity of Awake-MIS vs n.
+"""Experiment E1 (Corollary 14): awake complexity of Awake-MIS vs n.
 
 Regenerates the scaling series of Awake-MIS over G(n, p) and random
 geometric graphs, prints the table and the growth-law fit, and times one

@@ -3,10 +3,10 @@
 The paper's algorithms:
 
 * :func:`repro.algorithms.vt_mis.vt_mis_protocol` — ``VT-MIS`` (Lemma 10)
-* :mod:`repro.algorithms.ldt_mis` — ``LDT-MIS`` / ``LDT-MIS-ROUND``
-  (Lemma 11 / Corollary 12)
-* :mod:`repro.algorithms.awake_mis` — ``Awake-MIS`` (Theorem 13 /
-  Corollary 14)
+* :mod:`repro.algorithms.ldt_mis` — ``LDT-MIS`` (Lemma 11 /
+  Corollary 12)
+* :mod:`repro.algorithms.awake_mis` — ``Awake-MIS`` (Section 6; runs
+  as Corollary 14)
 
 Baselines used by the comparison experiments:
 

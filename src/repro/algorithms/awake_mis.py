@@ -16,9 +16,14 @@ uniformly random node ordering in ``O(log log n)`` awake rounds:
 3.  the remaining rounds of a node's own phase run ``LDT-MIS`` over the
     still-undecided nodes of its batch, whose connected components are
     ``O(log n)``-sized w.h.p., so this also costs ``O(log log n)``-ish awake
-    rounds (``O(log log n · log* n)`` with the Appendix-A construction, i.e.
-    Corollary 14: LDT-MIS's construction step pays the ``log* I`` factor
-    of Corollary 12, see :mod:`repro.algorithms.ldt_mis`).
+    rounds.
+
+LDT-MIS builds its trees with the Appendix-A ``LDT-Construct-Round``, whose
+awake cost carries the ``log* I`` factor of Corollary 12 (see
+:mod:`repro.algorithms.ldt_mis`).  So what runs is Corollary 14's
+trade-off: ``O(log log n · log* n)`` awake rounds, and at most
+:attr:`AwakeMISParameters.total_rounds` rounds in all.  Theorem 13's
+awake-optimal construction is not implemented.
 
 The constants of the paper's analysis (``Delta' = 9 ln(n^4)``, phase length
 ``O(log^5 n log log n)``) are exposed as :class:`AwakeMISParameters`; the
@@ -38,12 +43,10 @@ import networkx as nx
 
 from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
 from repro.algorithms.ldt_mis import (
-    LDT_MIS_VARIANTS,
     isolated_announcement,
     isolated_wake_offsets,
     ldt_mis_core,
     ldt_mis_round_budget,
-    require_variant,
 )
 from repro.core.virtual_tree import communication_set, in_communication_set
 from repro.errors import ConfigurationError
@@ -62,7 +65,7 @@ from repro.sim.runner import (
 
 @dataclass(frozen=True)
 class AwakeMISParameters:
-    """All knobs of ``Awake-MIS`` (paper Section 6).
+    """The constants of ``Awake-MIS`` (paper Section 6) for one preset.
 
     Attributes
     ----------
@@ -84,9 +87,9 @@ class AwakeMISParameters:
         Node IDs are drawn uniformly from ``[1, id_space]``.
     phase_length:
         Rounds per phase: one communication round plus the LDT-MIS budget.
-    variant:
-        ``"awake"`` (Theorem 13 flavour) or ``"round"`` (Corollary 14
-        flavour); both currently share the Appendix-A LDT construction.
+    preset:
+        The constructor that built these constants: ``"scaled"`` or
+        ``"paper"``.
     """
 
     n: int
@@ -96,7 +99,6 @@ class AwakeMISParameters:
     n_bound: int
     id_space: int
     phase_length: int
-    variant: str = "awake"
     preset: str = "scaled"
 
     @property
@@ -110,7 +112,7 @@ class AwakeMISParameters:
         return self.batch_count * self.phase_length
 
     @classmethod
-    def scaled(cls, n: int, variant: str = "awake") -> "AwakeMISParameters":
+    def scaled(cls, n: int) -> "AwakeMISParameters":
         """Constants sized for simulation while keeping the w.h.p. structure.
 
         * group probabilities proportional to ``4 * 2^i * log2(n) / n``;
@@ -129,22 +131,11 @@ class AwakeMISParameters:
             head = sum(weights)
         probabilities = (*weights, max(0.0, 1.0 - head))
         n_bound = max(8, math.ceil(6.0 * math.log(16.0 * n)))
-        id_space = max(64, (n + 2) ** 3)
-        phase_length = 1 + ldt_mis_round_budget(n_bound, id_space) + 4
-        return cls(
-            n=n,
-            ell=ell,
-            delta_prime=delta_prime,
-            group_probabilities=probabilities,
-            n_bound=n_bound,
-            id_space=id_space,
-            phase_length=phase_length,
-            variant=variant,
-            preset="scaled",
-        )
+        return cls._build("scaled", n, ell, delta_prime, probabilities,
+                          n_bound)
 
     @classmethod
-    def paper(cls, n: int, variant: str = "awake") -> "AwakeMISParameters":
+    def paper(cls, n: int) -> "AwakeMISParameters":
         """The analysis constants of Section 6 (huge; reference only).
 
         ``Delta' = ceil(9 ln(n^4))``, ``ell = ceil(log2 n - log2 log2 n)``,
@@ -163,8 +154,16 @@ class AwakeMISParameters:
             cumulative += w
         probabilities = (*weights, max(0.0, 1.0 - cumulative))
         n_bound = max(8, math.ceil(6.0 * math.log(float(n) ** 4)))
+        return cls._build("paper", n, ell, delta_prime, probabilities,
+                          n_bound)
+
+    @classmethod
+    def _build(cls, preset: str, n: int, ell: int, delta_prime: int,
+               probabilities: Tuple[float, ...],
+               n_bound: int) -> "AwakeMISParameters":
+        """The tail both presets share: IDs from ``[1, (n + 2)^3]`` and a
+        phase of one communication round plus the LDT-MIS budget."""
         id_space = max(64, (n + 2) ** 3)
-        phase_length = 1 + ldt_mis_round_budget(n_bound, id_space) + 4
         return cls(
             n=n,
             ell=ell,
@@ -172,9 +171,8 @@ class AwakeMISParameters:
             group_probabilities=probabilities,
             n_bound=n_bound,
             id_space=id_space,
-            phase_length=phase_length,
-            variant=variant,
-            preset="paper",
+            phase_length=1 + ldt_mis_round_budget(n_bound, id_space) + 4,
+            preset=preset,
         )
 
 
@@ -235,7 +233,6 @@ def awake_mis_protocol(ctx: NodeContext):
                 n_bound=params.n_bound,
                 start_round=communication_round + 1,
                 rng=rng,
-                variant=params.variant,
             )
 
     return MISDecision(
@@ -278,11 +275,11 @@ def awake_mis_schedule(run) -> None:
         form (:func:`~repro.algorithms.ldt_mis.isolated_wake_offsets`):
         two awake rounds, one announcement on every port, ``IN_MIS``, no
         RNG draws.  A phase in which that closed form could differ from
-        the loop (an isolated participant would trip a valve, an unknown
-        variant, more driven participants than ``n_bound``) is driven
-        whole.  Before a component is driven, its nodes' counters and the
-        active-round count read what the loop shows at that moment, so
-        ``drive`` trips its valves exactly where the loop does.
+        the loop (an isolated participant would trip a valve, more driven
+        participants than ``n_bound``) is driven whole.  Before a
+        component is driven, its nodes' counters and the active-round
+        count read what the loop shows at that moment, so ``drive`` trips
+        its valves exactly where the loop does.
     2.  **Account, in one pass.**  A node decides in its own LDT-MIS, or
         in the first communication round in which an ``IN_MIS`` sender
         decided before it reaches it; it broadcasts its state in every
@@ -478,8 +475,7 @@ class _Schedule:
     def _closed_form_holds(self, isolated, linked, bits) -> bool:
         """Whether *isolated* may skip the generator loop this phase.
 
-        Not when the variant is unknown (:func:`ldt_mis_core` raises),
-        when an isolated participant would trip the awake valve or the
+        Not when an isolated participant would trip the awake valve or the
         bit limit (the loop's precedence interleaves it with the driven
         nodes), or when the driven participants outnumber ``n_bound`` (a
         component that large may leave no node with new ID 1 to wake in
@@ -489,8 +485,7 @@ class _Schedule:
         run, params = self.run, self.params
         if not isolated:
             return True
-        if (params.variant not in LDT_MIS_VARIANTS
-                or len(linked) > params.n_bound):
+        if len(linked) > params.n_bound:
             return False
         budget = run.max_awake_per_node - 2
         if any(self.own_rank[index] > budget for index in isolated):
@@ -523,7 +518,6 @@ class _Schedule:
                 n_bound=params.n_bound,
                 start_round=communication_round + 1,
                 rng=run.rngs[index],
-                variant=params.variant,
             )
             for index in linked
         }
@@ -704,10 +698,13 @@ def _phase_edges(run, phase_of, attendees, batch_of):
 
 awake_mis_protocol.vectorized_engine = awake_mis_schedule
 
+#: The presets :func:`run_awake_mis` accepts, by name.
+PRESETS = {"scaled": AwakeMISParameters.scaled,
+           "paper": AwakeMISParameters.paper}
+
 
 def run_awake_mis(graph: nx.Graph, seed: SeedLike = None,
                   preset: str = "scaled",
-                  variant: str = "awake",
                   params: Optional[AwakeMISParameters] = None,
                   message_bit_limit: Optional[int] = None,
                   trace: bool = False,
@@ -718,17 +715,12 @@ def run_awake_mis(graph: nx.Graph, seed: SeedLike = None,
     *vectorized* selects the schedule engine as in
     :func:`~repro.sim.runner.run_protocol`; it never changes bytes.
     """
-    n = graph.number_of_nodes()
     if params is None:
-        if preset == "paper":
-            params = AwakeMISParameters.paper(n, variant=variant)
-        elif preset == "scaled":
-            params = AwakeMISParameters.scaled(n, variant=variant)
-        else:
+        if preset not in PRESETS:
             raise ConfigurationError(
-                f"unknown Awake-MIS preset {preset!r}; choose 'scaled' or "
-                "'paper'")
-    require_variant(params.variant)
+                f"unknown Awake-MIS preset {preset!r}; choose "
+                + " or ".join(repr(name) for name in PRESETS))
+        params = PRESETS[preset](graph.number_of_nodes())
     return run_protocol(
         graph,
         awake_mis_protocol,

@@ -1,4 +1,4 @@
-"""Algorithms ``LDT-MIS`` and ``LDT-MIS-ROUND`` (paper Subsection 5.3).
+"""Algorithm ``LDT-MIS`` (paper Subsection 5.3).
 
 ``LDT-MIS`` computes, over each connected component of the participating
 nodes, the lexicographically-first MIS with respect to a *uniformly random*
@@ -13,11 +13,9 @@ the component size ``n'`` rather than on the (possibly enormous) ID space:
     its rank as its new ID;
 4.  run ``VT-MIS`` with the new IDs (whose bound is ``n''``, not ``I``).
 
-*Reproduction note*: both variants use the fully
-specified ``LDT-Construct-Round`` of Appendix A, so the awake complexity of
-the construction step carries the extra ``log* I`` factor of Corollary 12;
-the ``variant`` parameter is kept so the two names in the paper both resolve
-to runnable code and the harness can report them separately.
+Step 1 is the fully specified ``LDT-Construct-Round`` of Appendix A, so the
+construction's awake complexity carries the extra ``log* I`` factor of
+Corollary 12; inside ``Awake-MIS`` this gives Corollary 14's bounds.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import networkx as nx
 
 from repro.algorithms.common import IN_MIS, MISDecision
 from repro.algorithms.vt_mis import vt_mis_core
-from repro.errors import ConfigurationError
 from repro.graphs.properties import component_sizes
 from repro.ldt.construct import construction_rounds, frag_message, ldt_construct
 from repro.ldt.procedures import broadcast_chunks, ldt_ranking
@@ -53,23 +50,6 @@ def permutation_entries_per_chunk(n_bound: int) -> int:
 def permutation_chunk_count(n_bound: int) -> int:
     """Number of broadcast blocks needed to ship a permutation of [1, n_bound]."""
     return math.ceil(n_bound / permutation_entries_per_chunk(n_bound))
-
-
-#: The variants :func:`ldt_mis_core` accepts.
-LDT_MIS_VARIANTS = ("awake", "round")
-
-
-def require_variant(variant: str) -> None:
-    """Refuse an unknown LDT-MIS *variant* up front, before any run.
-
-    The entry points call this; :func:`ldt_mis_core` itself still raises
-    a ``ValueError`` when started with one, as the protocol does on every
-    engine.
-    """
-    if variant not in LDT_MIS_VARIANTS:
-        raise ConfigurationError(
-            f"unknown LDT-MIS variant {variant!r}; choose "
-            + " or ".join(repr(name) for name in LDT_MIS_VARIANTS))
 
 
 def vt_mis_offset(n_bound: int, id_space: int) -> int:
@@ -129,7 +109,6 @@ def ldt_mis_core(
     n_bound: int,
     start_round: int,
     rng: random.Random,
-    variant: str = "awake",
 ):
     """Run ``LDT-MIS`` as a composable sub-protocol.
 
@@ -138,8 +117,6 @@ def ldt_mis_core(
     *start_round*; participants are discovered automatically (neighbours that
     are awake on the same schedule), so *ports* may simply be all ports.
     """
-    if variant not in LDT_MIS_VARIANTS:
-        raise ValueError(f"unknown LDT-MIS variant '{variant}'")
     blk = block_length(n_bound)
 
     # Step 1: construct the LDT over this component.
@@ -213,7 +190,6 @@ def ldt_mis_harness_protocol(ctx: NodeContext):
     """
     n_bound = ctx.require_input("n_bound")
     id_space = ctx.require_input("id_space")
-    variant = ctx.input("variant", "awake")
     if not isinstance(ctx.local_input, dict) or "id" not in ctx.local_input:
         raise ValueError(
             "ldt_mis_harness_protocol requires local_inputs {node: {'id': int}}"
@@ -226,7 +202,6 @@ def ldt_mis_harness_protocol(ctx: NodeContext):
         n_bound=n_bound,
         start_round=0,
         rng=ctx.rng,
-        variant=variant,
     )
     return MISDecision(in_mis=(state == IN_MIS), detail={"id": my_id})
 
@@ -236,10 +211,14 @@ def run_ldt_mis(graph: nx.Graph, seed: SeedLike = None,
                 trace: bool = False,
                 n_bound: Optional[int] = None,
                 id_space: Optional[int] = None,
-                variant: str = "awake",
-                max_active_rounds: int = 10_000_000) -> RunResult:
-    """Run standalone LDT-MIS on *graph* (used by the harness and tests)."""
-    require_variant(variant)
+                max_active_rounds: int = 10_000_000,
+                vectorized: Optional[bool] = None) -> RunResult:
+    """Run standalone LDT-MIS on *graph* (used by the harness and tests).
+
+    *vectorized* is forwarded to :func:`~repro.sim.runner.run_protocol`;
+    LDT-MIS has no numpy engine, so only ``True`` (refused) changes
+    anything.
+    """
     n = graph.number_of_nodes()
     if n_bound is None:
         n_bound = max(component_sizes(graph), default=1)
@@ -253,10 +232,11 @@ def run_ldt_mis(graph: nx.Graph, seed: SeedLike = None,
     return run_protocol(
         graph,
         ldt_mis_harness_protocol,
-        inputs={"n_bound": n_bound, "id_space": id_space, "variant": variant},
+        inputs={"n_bound": n_bound, "id_space": id_space},
         local_inputs=local_inputs,
         seed=seed,
         message_bit_limit=message_bit_limit,
         trace=trace,
         max_active_rounds=max_active_rounds,
+        vectorized=vectorized,
     )

@@ -6,7 +6,7 @@ measured by sweeping it.  This module decomposes a sweep into independent,
 picklable :class:`SweepTask` specs and fans them out over a
 ``concurrent.futures.ProcessPoolExecutor``.
 
-Design invariants
+Design guarantees
 -----------------
 
 * **Seeds are derived up front.**  :func:`plan_sweep_tasks` consumes the
@@ -135,11 +135,11 @@ def plan_sweep_tasks(
     Nothing downstream touches the master RNG, which is what makes parallel
     execution bit-identical to serial execution.
 
-    Families and algorithms are validated eagerly: a typo must fail here,
-    before a sweep touches its results store — a header stamped for an
-    unrunnable grid would poison the store file.
+    Families, algorithms and their params are validated eagerly: a typo
+    must fail here, before a sweep touches its results store — a header
+    stamped for an unrunnable grid would poison the store file.
     """
-    from repro.experiments.harness import available_algorithms
+    from repro.experiments.harness import available_algorithms, check_params
     from repro.graphs.generators import FAMILIES
 
     for family in families:
@@ -147,14 +147,16 @@ def plan_sweep_tasks(
             raise UnknownFamilyError(
                 f"unknown graph family '{family}'; known: {sorted(FAMILIES)}"
             )
+    algorithm_params = algorithm_params or {}
     for algorithm in algorithms:
         if algorithm not in available_algorithms():
             raise ConfigurationError(
                 f"unknown algorithm '{algorithm}'; available: "
                 f"{available_algorithms()}"
             )
+        check_params(algorithm, algorithm_params.get(algorithm, ()),
+                     also=TASK_RUN_OPTIONS)
     rng = make_rng(seed)
-    algorithm_params = algorithm_params or {}
     tasks: List[SweepTask] = []
     for family in families:
         for n in sizes:
@@ -332,6 +334,11 @@ def graph_cache_stats() -> Dict[str, int]:
 def _reset_worker_graph_cache() -> None:
     """Pool-worker initializer: drop any fork-inherited graph cache entries."""
     _build_graph.cache_clear()
+
+
+#: The :func:`~repro.experiments.harness.run_mis` options a task's params
+#: may set besides its algorithm's keys (:func:`run_task` fixes the rest).
+TASK_RUN_OPTIONS = frozenset({"verify", "enforce_congest"})
 
 
 def run_task(task: SweepTask) -> MISRunResult:

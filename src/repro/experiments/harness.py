@@ -13,10 +13,13 @@ set of available algorithms is discoverable programmatically
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Set, Tuple, Union)
 
 import networkx as nx
 
@@ -130,8 +133,8 @@ class MISRunResult:
 AlgorithmAdapter = Callable[..., RunResult]
 
 
-def _id_inputs(graph: nx.Graph, seed: SeedLike,
-               params: Dict[str, Any]) -> Tuple[int, Dict]:
+def _id_inputs(graph: nx.Graph, seed: SeedLike, id_bound: Optional[int],
+               local_inputs: Optional[Dict]) -> Tuple[int, Dict]:
     """The ``(id_bound, local_inputs)`` an ID-based algorithm runs with.
 
     Unless the caller passes ``local_inputs``, each node gets a unique
@@ -139,8 +142,8 @@ def _id_inputs(graph: nx.Graph, seed: SeedLike,
     to be at least n.
     """
     n = graph.number_of_nodes()
-    id_bound = params.get("id_bound", max(1, n))
-    local_inputs = params.get("local_inputs")
+    if id_bound is None:
+        id_bound = max(1, n)
     if local_inputs is None:
         if id_bound < n:
             raise ConfigurationError(
@@ -154,104 +157,97 @@ def _id_inputs(graph: nx.Graph, seed: SeedLike,
     return id_bound, local_inputs
 
 
-def _run_vt_mis(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
-    from repro.algorithms.vt_mis import vt_mis_protocol
-
-    id_bound, local_inputs = _id_inputs(graph, seed, params)
-    return run_protocol(
-        graph,
-        vt_mis_protocol,
-        inputs={"id_bound": id_bound},
-        local_inputs=local_inputs,
-        seed=seed,
-        message_bit_limit=params.get("message_bit_limit"),
-        trace=params.get("trace", False),
-    )
+def _protocol(path: str):
+    """The protocol factory at *path* (``module:name``), imported on first
+    use so that importing the harness stays cheap."""
+    module, name = path.split(":")
+    return getattr(importlib.import_module(module), name)
 
 
-def _run_naive_greedy(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
-    from repro.algorithms.naive_greedy import naive_greedy_protocol
-
-    id_bound, local_inputs = _id_inputs(graph, seed, params)
-    return run_protocol(
-        graph,
-        naive_greedy_protocol,
-        inputs={"id_bound": id_bound},
-        local_inputs=local_inputs,
-        seed=seed,
-        message_bit_limit=params.get("message_bit_limit"),
-        trace=params.get("trace", False),
-    )
-
-
-def _run_luby(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
-    from repro.algorithms.luby import luby_protocol
-
-    return run_protocol(
-        graph,
-        luby_protocol,
-        inputs={"max_iterations": params.get("max_iterations", 4096)},
-        seed=seed,
-        message_bit_limit=params.get("message_bit_limit"),
-        trace=params.get("trace", False),
-        vectorized=params.get("vectorized"),
-    )
+def _id_adapter(path: str) -> AlgorithmAdapter:
+    """The adapter of an ID-based protocol (``vt_mis``, ``naive_greedy``)."""
+    def adapter(graph: nx.Graph, seed: SeedLike, *,
+                id_bound: Optional[int] = None,
+                local_inputs: Optional[Dict] = None,
+                **run: Any) -> RunResult:
+        id_bound, local_inputs = _id_inputs(graph, seed, id_bound,
+                                            local_inputs)
+        return run_protocol(graph, _protocol(path),
+                            inputs={"id_bound": id_bound},
+                            local_inputs=local_inputs, seed=seed, **run)
+    return adapter
 
 
-def _run_rank_greedy(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
-    from repro.algorithms.rank_greedy import rank_greedy_protocol
-
-    return run_protocol(
-        graph,
-        rank_greedy_protocol,
-        inputs={"max_iterations": params.get("max_iterations", 4096)},
-        seed=seed,
-        message_bit_limit=params.get("message_bit_limit"),
-        trace=params.get("trace", False),
-        vectorized=params.get("vectorized"),
-    )
+def _iterations_adapter(path: str) -> AlgorithmAdapter:
+    """The adapter of a local-minimum protocol (``luby``, ``rank_greedy``)."""
+    def adapter(graph: nx.Graph, seed: SeedLike, *,
+                max_iterations: int = 4096, **run: Any) -> RunResult:
+        return run_protocol(graph, _protocol(path),
+                            inputs={"max_iterations": max_iterations},
+                            seed=seed, **run)
+    return adapter
 
 
-def _run_ldt_mis(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
+def _run_ldt_mis(graph: nx.Graph, seed: SeedLike, *,
+                 n_bound: Optional[int] = None,
+                 id_space: Optional[int] = None,
+                 max_active_rounds: int = 10_000_000,
+                 **run: Any) -> RunResult:
     from repro.algorithms.ldt_mis import run_ldt_mis
 
-    return run_ldt_mis(
-        graph,
-        seed=seed,
-        message_bit_limit=params.get("message_bit_limit"),
-        trace=params.get("trace", False),
-        n_bound=params.get("n_bound"),
-        id_space=params.get("id_space"),
-        variant=params.get("variant", "awake"),
-        max_active_rounds=params.get("max_active_rounds", 10_000_000),
-    )
+    return run_ldt_mis(graph, seed=seed, n_bound=n_bound, id_space=id_space,
+                       max_active_rounds=max_active_rounds, **run)
 
 
-def _run_awake_mis(graph: nx.Graph, seed: SeedLike, **params) -> RunResult:
+def _run_awake_mis(graph: nx.Graph, seed: SeedLike, *,
+                   preset: str = "scaled",
+                   params: Any = None,
+                   max_active_rounds: int = 20_000_000,
+                   **run: Any) -> RunResult:
     from repro.algorithms.awake_mis import run_awake_mis
 
-    return run_awake_mis(
-        graph,
-        seed=seed,
-        preset=params.get("preset", "scaled"),
-        variant=params.get("variant", "awake"),
-        params=params.get("params"),
-        message_bit_limit=params.get("message_bit_limit"),
-        trace=params.get("trace", False),
-        max_active_rounds=params.get("max_active_rounds", 20_000_000),
-        vectorized=params.get("vectorized"),
-    )
+    return run_awake_mis(graph, seed=seed, preset=preset, params=params,
+                         max_active_rounds=max_active_rounds, **run)
 
 
 #: Registry of available algorithms: name -> adapter.
 ALGORITHMS: Dict[str, AlgorithmAdapter] = {
-    "vt_mis": _run_vt_mis,
-    "naive_greedy": _run_naive_greedy,
-    "luby": _run_luby,
-    "rank_greedy": _run_rank_greedy,
+    "vt_mis": _id_adapter("repro.algorithms.vt_mis:vt_mis_protocol"),
+    "naive_greedy": _id_adapter(
+        "repro.algorithms.naive_greedy:naive_greedy_protocol"),
+    "luby": _iterations_adapter("repro.algorithms.luby:luby_protocol"),
+    "rank_greedy": _iterations_adapter(
+        "repro.algorithms.rank_greedy:rank_greedy_protocol"),
     "ldt_mis": _run_ldt_mis,
     "awake_mis": _run_awake_mis,
 }
+
+#: The run-level keys every adapter takes in ``**run`` and forwards to the
+#: simulator.
+RUN_KEYS = frozenset({"message_bit_limit", "trace", "vectorized"})
+
+#: The keyword parameters each algorithm accepts: its adapter's own, read
+#: once from its signature, and :data:`RUN_KEYS`.
+ALGORITHM_PARAMS: Dict[str, FrozenSet[str]] = {
+    name: RUN_KEYS | {
+        parameter.name
+        for parameter in inspect.signature(adapter).parameters.values()
+        if parameter.kind is parameter.KEYWORD_ONLY}
+    for name, adapter in ALGORITHMS.items()
+}
+
+
+def check_params(algorithm: str, keys: Iterable[str],
+                 also: FrozenSet[str] = frozenset()) -> None:
+    """Refuse any of *keys* that *algorithm*'s adapter (or *also*) does
+    not accept, naming it and the accepted keys."""
+    accepted = ALGORITHM_PARAMS[algorithm] | also
+    unknown = sorted(set(keys) - accepted)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown parameter{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(map(repr, unknown))} for algorithm {algorithm!r}; "
+            f"accepted: {', '.join(sorted(accepted))}")
 
 
 def available_algorithms() -> List[str]:
@@ -316,12 +312,16 @@ def run_mis(
         raw payload is kept, so the result stays small enough to ship across
         process boundaries.  The parallel sweep executor runs in this mode.
     params:
-        Algorithm-specific parameters forwarded to the adapter.
+        Keyword parameters forwarded to the adapter: the algorithm's own
+        (``ALGORITHM_PARAMS[algorithm]``) and the run-level
+        ``message_bit_limit``, ``trace`` and ``vectorized``.  Any other
+        key is a :class:`ConfigurationError`.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(
             f"unknown algorithm '{algorithm}'; available: {available_algorithms()}"
         )
+    check_params(algorithm, params)
     # One conversion: the adapter and both verifiers share these arrays.
     graph = csr_view(graph)
     if graph.number_of_nodes() == 0:

@@ -10,7 +10,7 @@ graph once, serialises it as flat CSR arrays
 Every slot then maps that segment read-only via :func:`attach_segment` —
 a zero-copy O(1) attach regardless of graph size.
 
-Ownership invariant (pinned in ROADMAP and the leak tests): **segments
+Ownership rule (pinned in ROADMAP and the leak tests): **segments
 are owned by the serving process and unlinked exactly once** — either
 when LRU eviction drops them or when :meth:`SharedGraphCache.close` runs
 at worker shutdown.  Slot processes only ever ``close()`` their mapping;

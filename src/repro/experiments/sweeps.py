@@ -94,7 +94,7 @@ class SweepCell:
     algorithm: str
     family: str
     n: int
-    runs: List[MISRunResult] = field(default_factory=list)
+    runs: List[MISRunResult] = field(default_factory=list, init=False)
     keep_runs: bool = True
     run_count: int = field(default=0, repr=False)
     verified_all: bool = field(default=True, repr=False)
@@ -106,12 +106,6 @@ class SweepCell:
         default_factory=MetricAccumulator, repr=False)
     mis_size: MetricAccumulator = field(default_factory=MetricAccumulator,
                                         repr=False)
-
-    def __post_init__(self) -> None:
-        # Compatibility: fold runs supplied at construction time.
-        preloaded, self.runs = self.runs, []
-        for run in preloaded:
-            self.add(run)
 
     def add(self, run: MISRunResult) -> None:
         """Fold one run into the cell's accumulators."""

@@ -16,7 +16,6 @@ from repro.algorithms.awake_mis import (
 from repro.algorithms.common import mis_from_result
 from repro.algorithms.ldt_mis import ldt_mis_round_budget
 from repro.core.mis import is_independent_set, is_maximal_independent_set
-from repro.errors import ConfigurationError
 from repro.graphs import generators
 from repro.rng import make_rng
 
@@ -113,21 +112,6 @@ class TestCorrectness:
         graph = generators.random_geometric(100, seed=4)
         result = run_awake_mis(graph, seed=6)
         assert is_maximal_independent_set(graph, mis_from_result(result))
-
-    def test_round_variant(self):
-        graph = generators.gnp_graph(80, expected_degree=6, seed=8)
-        result = run_awake_mis(graph, seed=9, variant="round")
-        assert is_maximal_independent_set(graph, mis_from_result(result))
-
-    @pytest.mark.parametrize("explicit", [False, True])
-    def test_unknown_variant_refused_up_front(self, explicit):
-        """From the keyword or from explicit parameters alike."""
-        graph = generators.path_graph(10)
-        kwargs = ({"params": AwakeMISParameters.scaled(10, variant="rond")}
-                  if explicit else {"variant": "rond"})
-        with pytest.raises(ConfigurationError,
-                           match="unknown LDT-MIS variant 'rond'"):
-            run_awake_mis(graph, seed=1, **kwargs)
 
 
 class TestComplexity:

@@ -85,10 +85,28 @@ class TestPlanning:
     def test_algorithm_params_are_attached_sorted(self):
         tasks = plan_sweep_tasks(
             algorithms=["awake_mis"], sizes=[16], repetitions=1, seed=1,
-            algorithm_params={"awake_mis": {"variant": "round",
-                                            "preset": "scaled"}},
+            algorithm_params={"awake_mis": {"preset": "scaled",
+                                            "max_active_rounds": 10**6}},
         )
-        assert tasks[0].params == (("preset", "scaled"), ("variant", "round"))
+        assert tasks[0].params == (("max_active_rounds", 10**6),
+                                   ("preset", "scaled"))
+
+    @pytest.mark.parametrize("key", ["prest", "variant"])
+    def test_unknown_algorithm_param_rejected_at_planning_time(self, key):
+        """A typo fails here, like an unknown algorithm, not silently in
+        every task; run_mis's own run options are accepted."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            plan_sweep_tasks(algorithms=["awake_mis"], sizes=[16],
+                             repetitions=1, seed=1,
+                             algorithm_params={"awake_mis": {key: "paper"}})
+        assert str(excinfo.value) == (
+            f"unknown parameter {key!r} for algorithm 'awake_mis'; accepted:"
+            " enforce_congest, max_active_rounds, message_bit_limit, params,"
+            " preset, trace, vectorized, verify")
+        assert plan_sweep_tasks(
+            algorithms=["luby"], sizes=[16], repetitions=1, seed=1,
+            algorithm_params={"luby": {"enforce_congest": False,
+                                       "verify": False}})
 
 
 class TestRunTask:

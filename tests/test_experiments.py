@@ -191,6 +191,37 @@ class TestRegistry:
         assert report.passed
         assert any(row["algorithm"] == "awake_mis" for row in report.rows)
 
+    def test_e3_smoke(self):
+        report = registry.run_experiment("E3", scale="smoke", seed=3)
+        assert report.passed
+        assert report.rows
+        assert all(row["rounds_max"] <= row["round_bound"]
+                   for row in report.rows)
+
+    def test_round_bound_violation_is_a_named_check(self):
+        from types import SimpleNamespace
+
+        from repro.algorithms.awake_mis import AwakeMISParameters
+        from repro.experiments.sweeps import SweepResult
+
+        sweep = SweepResult()
+        for n, over in ((32, 0), (64, 1)):
+            bound = AwakeMISParameters.scaled(n).total_rounds
+            metrics = SimpleNamespace(awake_complexity=9,
+                                      round_complexity=bound + over,
+                                      node_averaged_awake=5.0)
+            sweep.cell_for("awake_mis", "gnp", n, keep_runs=False).add(
+                SimpleNamespace(verified=True, mis={1}, metrics=metrics))
+        report = registry.round_bound_report(sweep)
+        assert not report.passed
+        assert "status      : CHECK" in report.render()
+        bound = AwakeMISParameters.scaled(64).total_rounds
+        assert report.notes == (
+            f"round bound exceeded: n=64 family=gnp rounds_max={bound + 1}"
+            f" > round_bound={bound}")
+        assert [row["rounds_max"] - row["round_bound"]
+                for row in report.rows] == [0, 1]
+
     def test_e9_smoke(self):
         report = registry.run_experiment("E9", scale="smoke", seed=5)
         assert report.passed

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
+    ALGORITHM_PARAMS,
     available_algorithms,
     default_message_bit_limit,
     run_mis,
@@ -46,17 +47,26 @@ class TestAvailability:
             run_mis(generators.path_graph(10), algorithm="awake_mis",
                     preset=preset)
 
-    @pytest.mark.parametrize("algorithm", ["awake_mis", "ldt_mis"])
-    @pytest.mark.parametrize("variant", ["rond", "Awake", ""])
-    def test_unknown_ldt_mis_variant_rejected(self, algorithm, variant):
-        """Refused up front like an unknown preset, not as a bare
-        ``ValueError`` from inside the first LDT-MIS phase."""
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    @pytest.mark.parametrize("key", ["variant", "prest"])
+    def test_unknown_parameter_rejected(self, algorithm, key):
+        """Refused up front with the algorithm's accepted keys, never
+        silently ignored."""
         with pytest.raises(ConfigurationError) as excinfo:
-            run_mis(generators.path_graph(10), algorithm=algorithm,
-                    variant=variant)
+            run_mis(generators.path_graph(10), algorithm=algorithm, seed=1,
+                    **{key: "round"})
+        accepted = ", ".join(sorted(ALGORITHM_PARAMS[algorithm]))
         assert str(excinfo.value) == (
-            f"unknown LDT-MIS variant {variant!r}; choose 'awake' or "
-            "'round'")
+            f"unknown parameter {key!r} for algorithm {algorithm!r}; "
+            f"accepted: {accepted}")
+
+    def test_every_unknown_parameter_is_named(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_mis(generators.path_graph(10), algorithm="luby", seed=1,
+                    variant="rond", prest="paper")
+        assert str(excinfo.value) == (
+            "unknown parameters 'prest', 'variant' for algorithm 'luby'; "
+            "accepted: max_iterations, message_bit_limit, trace, vectorized")
 
 
 class TestRunMIS:

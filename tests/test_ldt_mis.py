@@ -14,7 +14,6 @@ from repro.algorithms.ldt_mis import (
     run_ldt_mis,
 )
 from repro.core.mis import is_independent_set, is_maximal_independent_set
-from repro.errors import ConfigurationError
 from repro.graphs import generators
 
 
@@ -54,15 +53,6 @@ class TestCorrectness:
         graph = generators.empty_graph(7)
         result = run_ldt_mis(graph, seed=1)
         assert mis_from_result(result) == set(graph.nodes)
-
-    def test_round_variant(self, small_gnp):
-        result = run_ldt_mis(small_gnp, seed=6, variant="round")
-        assert is_maximal_independent_set(small_gnp, mis_from_result(result))
-
-    def test_invalid_variant_rejected(self, small_gnp):
-        with pytest.raises(ConfigurationError,
-                           match="unknown LDT-MIS variant 'bogus'"):
-            run_ldt_mis(small_gnp, seed=1, variant="bogus")
 
     def test_large_id_space(self):
         # IDs may be drawn from a space exponentially larger than n'.

@@ -379,11 +379,10 @@ class TestVectorizedEngineEquivalence:
         assert vectorized.metrics.bits_metered is False
         assert vectorized.metrics.max_message_bits is None
 
-    @pytest.mark.parametrize("variant", ["awake", "round"])
     @pytest.mark.parametrize("representation", ["nx", "csr"])
     @pytest.mark.parametrize("algorithm_seed", [3, 4])
     def test_schedule_engine_agrees_with_the_generator_loop(
-            self, variant, representation, algorithm_seed):
+            self, representation, algorithm_seed):
         """Awake-MIS's schedule engine against the unmetered and the
         traced, metered generator loop: same outputs in the same order,
         same per-node counters, same active rounds."""
@@ -393,8 +392,7 @@ class TestVectorizedEngineEquivalence:
         )
 
         graph = generators.gnp_graph(48, expected_degree=6, seed=2)
-        inputs = {"awake_params": AwakeMISParameters.scaled(
-            48, variant=variant)}
+        inputs = {"awake_params": AwakeMISParameters.scaled(48)}
         if representation == "csr":
             graph = generators.to_csr(graph).view()
         fast = run_protocol(graph, awake_mis_protocol, inputs=inputs,

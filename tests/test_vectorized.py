@@ -4,7 +4,7 @@ The engines' contract is "bytes never change, only wall-clock": these
 tests pin agreement between the generator loop and the vectorized
 engines, unmetered and CONGEST-metered — the whole-round engine of both
 local-minimum protocols (``luby`` and ``rank_greedy``) and the schedule
-engine of ``awake_mis`` (both variants, both presets) — across graph
+engine of ``awake_mis`` (both presets) — across graph
 families and seeds, the dispatch gating (``vectorized`` tri-state), equal
 RNG consumption per node stream, the whole-round array primitives, and
 identical safety-valve and ``MessageTooLargeError`` messages raised in
@@ -79,13 +79,13 @@ PROPERTY_FAMILIES = ("gnp", "gnp_dense", "tree", "path", "cycle", "star",
                      "clique", "caveman")
 
 
-def _inputs(name, graph, preset="scaled", variant="awake"):
+def _inputs(name, graph, preset="scaled"):
     """The global inputs *name*'s protocol runs with on *graph*."""
     if name != "awake_mis":
         return INPUTS
     build = (AwakeMISParameters.paper if preset == "paper"
              else AwakeMISParameters.scaled)
-    return {"awake_params": build(graph.number_of_nodes(), variant=variant)}
+    return {"awake_params": build(graph.number_of_nodes())}
 
 
 def _summarize(result, bits=True):
@@ -308,16 +308,14 @@ def _family_sizes(family):
 
 class TestScheduleEngine:
     """Awake-MIS's schedule engine against the generator loop, in every
-    configuration the paper's variants and presets give it."""
+    configuration the paper's presets give it."""
 
     @pytest.mark.parametrize("representation", ["nx", "csr"])
     @pytest.mark.parametrize("preset", ["scaled", "paper"])
-    @pytest.mark.parametrize("variant", ["awake", "round"])
     @pytest.mark.parametrize("family", ["gnp", "rgg"])
-    def test_variants_and_presets_agree(self, family, variant, preset,
-                                        representation):
+    def test_presets_agree(self, family, preset, representation):
         graph = by_name(family, 64, seed=4)
-        inputs = _inputs("awake_mis", graph, preset, variant)
+        inputs = _inputs("awake_mis", graph, preset)
         if representation == "csr":
             graph = to_csr(graph).view()
         for seed in (1, 2):
@@ -328,32 +326,20 @@ class TestScheduleEngine:
         data=st.data(),
         family=st.sampled_from(sorted(FAMILIES)),
         preset=st.sampled_from(["scaled", "paper"]),
-        variant=st.sampled_from(["awake", "round"]),
         graph_seed=st.integers(min_value=0, max_value=10),
         run_seed=st.integers(min_value=0, max_value=1000),
     )
-    def test_property_every_family(self, data, family, preset, variant,
-                                   graph_seed, run_seed):
+    def test_property_every_family(self, data, family, preset, graph_seed,
+                                   run_seed):
         graph = by_name(family, data.draw(_family_sizes(family)),
                         seed=graph_seed)
         _assert_engines_agree(graph, "awake_mis", run_seed,
-                              _inputs("awake_mis", graph, preset, variant))
+                              _inputs("awake_mis", graph, preset))
 
     def test_empty_graph(self):
         generator, schedule = _run_both_engines(nx.Graph(), "awake_mis", 1)
         assert _summarize(schedule) == _summarize(generator)
         assert schedule.outputs == {}
-
-    def test_unknown_variant_raises_inside_ldt_like_the_loop(self):
-        graph = by_name("gnp", 32, seed=1)
-        inputs = _inputs("awake_mis", graph, variant="bogus")
-        errors = []
-        for pinned in (False, True):
-            with pytest.raises(ValueError) as excinfo:
-                run_protocol(graph, awake_mis_protocol, inputs=inputs,
-                             seed=1, vectorized=pinned)
-            errors.append(str(excinfo.value))
-        assert errors[0] == errors[1] == "unknown LDT-MIS variant 'bogus'"
 
     def test_missing_parameters_raise_like_the_loop(self):
         graph = by_name("path", 3)
@@ -370,10 +356,10 @@ class TestScheduleEngine:
 # --------------------------------------------------------------------------- #
 # Isolated LDT-MIS participants in closed form
 # --------------------------------------------------------------------------- #
-def _crowded(graph, preset="scaled", variant="awake"):
+def _crowded(graph, preset="scaled"):
     """Awake-MIS inputs with two slots per group, so each batch holds many
     nodes and most phases mix isolated and non-trivial participants."""
-    params = _inputs("awake_mis", graph, preset, variant)["awake_params"]
+    params = _inputs("awake_mis", graph, preset)["awake_params"]
     return {"awake_params": dataclasses.replace(params, delta_prime=2)}
 
 
@@ -445,26 +431,23 @@ class TestIsolatedParticipants:
     @given(
         data=st.data(),
         preset=st.sampled_from(["scaled", "paper"]),
-        variant=st.sampled_from(["awake", "round"]),
         n=st.integers(min_value=1, max_value=1 << 16),
         degree=st.one_of(st.just(0), st.integers(min_value=1, max_value=12)),
         start_round=st.integers(min_value=0, max_value=1 << 30),
         rng_seed=st.integers(min_value=0, max_value=1 << 32),
     )
-    def test_generator_matches_the_closed_form(self, data, preset, variant,
-                                               n, degree, start_round,
-                                               rng_seed):
+    def test_generator_matches_the_closed_form(self, data, preset, n, degree,
+                                               start_round, rng_seed):
         build = (AwakeMISParameters.paper if preset == "paper"
                  else AwakeMISParameters.scaled)
-        params = build(n, variant=variant)
+        params = build(n)
         my_id = data.draw(st.integers(min_value=1,
                                       max_value=params.id_space))
         rng = random.Random(rng_seed)
         before = rng.getstate()
         calls, state = _run_alone(ldt_mis_core(
             my_id=my_id, id_space=params.id_space, ports=range(degree),
-            n_bound=params.n_bound, start_round=start_round, rng=rng,
-            variant=variant))
+            n_bound=params.n_bound, start_round=start_round, rng=rng))
         side, vt = isolated_wake_offsets(params.n_bound, params.id_space)
         announcement = isolated_announcement(my_id)
         assert calls == [
@@ -518,14 +501,13 @@ class TestIsolatedParticipants:
         assert any(mixed)
 
     @pytest.mark.parametrize("preset", ["scaled", "paper"])
-    @pytest.mark.parametrize("variant", ["awake", "round"])
     @pytest.mark.parametrize("graph_name", sorted(MIXED_GRAPHS))
-    def test_mixed_phases_agree(self, graph_name, variant, preset):
+    def test_mixed_phases_agree(self, graph_name, preset):
         family, n, graph_seed = MIXED_GRAPHS[graph_name]
         graph = by_name(family, n, seed=graph_seed)
         for seed in (1, 2, 3):
             _assert_engines_agree(graph, "awake_mis", seed,
-                                  _crowded(graph, preset, variant))
+                                  _crowded(graph, preset))
 
     def test_components_beyond_n_bound_keep_the_round_count(self):
         """A star of 21 nodes in one batch, with ``n_bound`` 3: its
@@ -705,7 +687,7 @@ class TestDeferredAccounting:
                         (_inputs("awake_mis", graph), {}),
                         (_crowded(graph), {"message_bit_limit": LOOSE_LIMIT}),
                         (_crowded(graph), {"max_awake_per_node": 12}),
-                        (_crowded(graph, "paper", "round"), {}))]
+                        (_crowded(graph, "paper"), {}))]
         assert [isinstance(outcome, str) for outcome in outcomes] == [
             False, False, True, False]
         assert calls == []
