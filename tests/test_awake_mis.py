@@ -8,6 +8,7 @@ import math
 import pytest
 
 from repro.algorithms.awake_mis import (
+    PRESETS,
     AwakeMISParameters,
     batch_index,
     choose_batch,
@@ -36,6 +37,17 @@ class TestParameters:
         paper = AwakeMISParameters.paper(1024)
         assert paper.delta_prime > scaled.delta_prime
         assert abs(sum(paper.group_probabilities) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("n", [2, 64, 1024])
+    def test_presets_share_the_id_space_and_phase(self, preset, n):
+        """Both presets draw IDs from ``[1, (n + 2)^3]`` and give a phase
+        one communication round plus the LDT-MIS budget."""
+        params = PRESETS[preset](n)
+        assert params.preset == preset
+        assert params.id_space == max(64, (params.n + 2) ** 3)
+        assert params.phase_length == 1 + ldt_mis_round_budget(
+            params.n_bound, params.id_space) + 4
 
     def test_parameters_for_tiny_graphs(self):
         for n in (2, 3, 5, 10):

@@ -139,6 +139,17 @@ class TestSweeps:
         assert fits[0]["algorithm"] == "luby"
 
 
+    def test_cell_runs_are_not_a_constructor_argument(self):
+        """Runs enter a cell only through ``add``, which also folds them
+        into the counters."""
+        from repro.experiments.sweeps import SweepCell
+
+        with pytest.raises(TypeError, match="runs"):
+            SweepCell("luby", "gnp", 16, runs=[])
+        cell = SweepCell("luby", "gnp", 16)
+        assert cell.runs == [] and cell.run_count == 0
+
+
 class TestAnalysisExperiments:
     def test_residual_experiment(self):
         graph = generators.gnp_graph(256, expected_degree=10, seed=3)
@@ -221,6 +232,51 @@ class TestRegistry:
             f" > round_bound={bound}")
         assert [row["rounds_max"] - row["round_bound"]
                 for row in report.rows] == [0, 1]
+
+    @staticmethod
+    def _awake_sweep(cells):
+        """A sweep of ``awake_mis`` cells, one run each, from
+        ``(n, rounds_over_the_bound, verified)`` triples."""
+        from types import SimpleNamespace
+
+        from repro.algorithms.awake_mis import AwakeMISParameters
+        from repro.experiments.sweeps import SweepResult
+
+        sweep = SweepResult()
+        for n, over, verified in cells:
+            bound = AwakeMISParameters.scaled(n).total_rounds
+            metrics = SimpleNamespace(awake_complexity=9,
+                                      round_complexity=bound + over,
+                                      node_averaged_awake=5.0)
+            sweep.cell_for("awake_mis", "gnp", n, keep_runs=False).add(
+                SimpleNamespace(verified=verified, mis={1}, metrics=metrics))
+        return sweep
+
+    def test_round_bound_met_exactly_passes(self):
+        report = registry.round_bound_report(
+            self._awake_sweep([(32, 0, True), (64, 0, True)]))
+        assert report.passed
+        assert report.notes == ""
+        assert all(row["rounds_max"] == row["round_bound"]
+                   for row in report.rows)
+
+    def test_every_round_bound_violation_is_named(self):
+        from repro.algorithms.awake_mis import AwakeMISParameters
+
+        report = registry.round_bound_report(
+            self._awake_sweep([(32, 2, True), (64, 1, True)]))
+        assert not report.passed
+        assert report.notes == "; ".join(
+            f"round bound exceeded: n={n} family=gnp rounds_max={bound + over}"
+            f" > round_bound={bound}"
+            for n, over in ((32, 2), (64, 1))
+            for bound in [AwakeMISParameters.scaled(n).total_rounds])
+
+    def test_unverified_run_fails_within_the_round_bound(self):
+        report = registry.round_bound_report(
+            self._awake_sweep([(32, 0, False)]))
+        assert not report.passed
+        assert report.notes == ""
 
     def test_e9_smoke(self):
         report = registry.run_experiment("E9", scale="smoke", seed=5)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MessageTooLargeError
 from repro.experiments.harness import (
     ALGORITHM_PARAMS,
     available_algorithms,
@@ -67,6 +67,40 @@ class TestAvailability:
         assert str(excinfo.value) == (
             "unknown parameters 'prest', 'variant' for algorithm 'luby'; "
             "accepted: max_iterations, message_bit_limit, trace, vectorized")
+
+
+
+class TestRunLevelKeys:
+    """Every adapter forwards ``trace``, ``message_bit_limit`` and
+    ``vectorized`` to the simulator."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generators.gnp_graph(36, expected_degree=5, seed=4)
+
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_trace_is_forwarded(self, graph, algorithm):
+        result = run_mis(graph, algorithm=algorithm, seed=2, keep_raw=True,
+                         trace=True)
+        trace = result.raw.trace
+        assert result.raw.engine == "generator"
+        assert sum(map(len, trace.awake_by_round.values())) == (
+            result.metrics.total_awake_rounds)
+        assert len(trace.messages) == result.metrics.total_messages
+
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_message_bit_limit_is_forwarded(self, graph, algorithm):
+        with pytest.raises(MessageTooLargeError, match=r"\(limit 1\)"):
+            run_mis(graph, algorithm=algorithm, seed=2, message_bit_limit=1)
+
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_generator_loop_agrees_with_the_default(self, graph, algorithm):
+        default = run_mis(graph, algorithm=algorithm, seed=2)
+        loop = run_mis(graph, algorithm=algorithm, seed=2, keep_raw=True,
+                       vectorized=False)
+        assert loop.raw.engine == "generator"
+        assert loop.mis == default.mis
+        assert loop.metrics.summary() == default.metrics.summary()
 
 
 class TestRunMIS:
