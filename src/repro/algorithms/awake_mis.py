@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import networkx as nx
 
@@ -54,13 +54,8 @@ from repro.rng import SeedLike
 from repro.sim.actions import WakeCall
 from repro.sim.context import NodeContext, require_input
 from repro.sim.message import estimate_bits
-from repro.sim.runner import (
-    RunResult,
-    awake_budget_error,
-    livelocked_error,
-    message_too_large_error,
-    run_protocol,
-)
+from repro.sim.runner import RunResult, run_protocol
+from repro.sim.vectorized import ValveTrip
 
 
 @dataclass(frozen=True)
@@ -274,12 +269,10 @@ def awake_mis_schedule(run) -> None:
         one is a one-node component whose LDT-MIS is applied in closed
         form (:func:`~repro.algorithms.ldt_mis.isolated_wake_offsets`):
         two awake rounds, one announcement on every port, ``IN_MIS``, no
-        RNG draws.  A phase in which that closed form could differ from
-        the loop (an isolated participant would trip a valve, more driven
-        participants than ``n_bound``) is driven whole.  Before a
-        component is driven, its nodes' counters and the active-round
-        count read what the loop shows at that moment, so ``drive`` trips
-        its valves exactly where the loop does.
+        RNG draws.  A phase with more driven participants than ``n_bound``
+        is driven whole (a component that large may leave no node with
+        new ID 1 to wake in VT-MIS's first round, which the closed form
+        assumes).
     2.  **Account, in one pass.**  A node decides in its own LDT-MIS, or
         in the first communication round in which an ``IN_MIS`` sender
         decided before it reaches it; it broadcasts its state in every
@@ -290,21 +283,19 @@ def awake_mis_schedule(run) -> None:
         round, or in its last LDT-MIS round when that comes later; outputs
         are inserted in (round, index) order, the loop's order.
 
-    The valves outside ``drive`` (awake budget, bit limit and livelock in
-    the communication rounds and the closed-form rounds) are located from
-    the same arrays, in the loop's precedence: the earliest round first,
-    then node *i*'s awake valve, its sends, node *i + 1*.  A test on the
-    final counters skips that search when no valve can trip; when
-    ``drive`` raises, an earlier trip wins over its error.  The
-    participant shortcut is checked: a non-participant that no ``IN_MIS``
-    sender reaches by its own batch raises an ``AssertionError`` naming
+    Safety valves: a valve ``drive`` trips, or final counters outside a
+    valve (the largest awake count, the active rounds, the largest message
+    sent, closed-form ``frag`` announcements included), raise
+    :class:`~repro.sim.vectorized.ValveTrip`, and the run is replayed on
+    the generator loop, which raises the valve's error.  The participant
+    shortcut is checked: a non-participant that no ``IN_MIS`` sender
+    reaches by its own batch raises an ``AssertionError`` naming
     Observation 5.
 
     Byte-identical to driving :func:`awake_mis_protocol` on the generator
     loop (pinned by ``tests/test_vectorized.py``): outputs and their
-    insertion order, every per-node and bit counter, active rounds,
-    valve and ``MessageTooLargeError`` messages in the loop's precedence,
-    and draw-for-draw RNG use.
+    insertion order, every per-node and bit counter, active rounds, and
+    draw-for-draw RNG use.
     """
     run.engine = "schedule"
     if run.n == 0:
@@ -314,29 +305,12 @@ def awake_mis_schedule(run) -> None:
     schedule.account()
 
 
-class _Decisions(NamedTuple):
-    """The decisions so far, as arrays over the nodes."""
-
-    in_mis: Any
-    #: Whether a node's LDT-MIS ran in closed form.
-    closed: Any
-    #: LDT-MIS awake rounds.
-    ldt_awake: Any
-    #: The first communication round in which an ``IN_MIS`` sender decided
-    #: before it reaches the node (``batch_count + 1`` if none).
-    reached: Any
-    #: The phase after which the node broadcasts its state: its own batch
-    #: when its LDT-MIS decided it, else ``reached``.
-    decided: Any
-
-
 class _Schedule:
     """One Awake-MIS run on the schedule engine: its tables and decisions.
 
-    Phases and batches share the numbering ``1 .. batch_count``; arrays
-    indexed by phase leave entry 0 unused.  The decision loop keeps its
-    per-node state in lists (a batch holds a handful of nodes);
-    :meth:`_decisions` turns it into arrays.
+    Phases and batches share the numbering ``1 .. batch_count``.  The
+    decision loop keeps its per-node state in lists (a batch holds a
+    handful of nodes); :meth:`account` turns it into arrays.
     """
 
     def __init__(self, run, params: AwakeMISParameters) -> None:
@@ -354,34 +328,18 @@ class _Schedule:
         node_rounds = [schedules[batch] for batch in self.batches]
         self.lengths = np.array([len(rounds) for rounds in node_rounds],
                                 dtype=np.int64)
-        lengths = self.lengths
-        phase_ends = np.arange(1, batch_count + 2)
 
         # The (phase, node) attendance pairs sorted by phase (the stable
-        # sort keeps node order within a phase), each with its node's
-        # count of earlier attendances.
+        # sort keeps node order within a phase).
         phase_of = np.fromiter(chain.from_iterable(node_rounds),
-                               dtype=np.int64, count=int(lengths.sum()))
+                               dtype=np.int64, count=int(self.lengths.sum()))
         order = np.argsort(phase_of, kind="stable")
         self.phase_of = phase_of[order]
-        self.attendees = np.repeat(np.arange(n), lengths)[order]
-        self.earlier = (np.arange(len(phase_of))
-                        - np.repeat(np.cumsum(lengths) - lengths,
-                                    lengths))[order]
-        self.attendee_bounds = np.searchsorted(self.phase_of, phase_ends)
+        self.attendees = np.repeat(np.arange(n), self.lengths)[order]
         self.batch_of = np.array(self.batches, dtype=np.int64)
         self.edge_senders, self.edge_receivers, self.edge_phases = (
             _phase_edges(run, self.phase_of, self.attendees, self.batch_of))
-        #: Phase -> 1 if it has a communication round; their running sum.
-        self.attended = np.zeros(batch_count + 1, dtype=np.int64)
-        self.attended[self.phase_of] = 1
-        self.comm_upto = np.cumsum(self.attended)
         self.last_phase = [rounds[-1] for rounds in node_rounds]
-        #: A node's awake count when its LDT-MIS starts: its communication
-        #: rounds up to and including its own batch's.
-        own = {batch: rounds.index(batch) + 1
-               for batch, rounds in schedules.items()}
-        self.own_rank = [own[batch] for batch in self.batches]
         self.bits_of = np.array([estimate_bits(NOT_IN_MIS),
                                  estimate_bits(IN_MIS)], dtype=np.int64)
 
@@ -389,7 +347,8 @@ class _Schedule:
         # and the edges joining two members of one batch (the only edges
         # on which two LDT-MIS participants of one phase can meet).
         members = np.argsort(self.batch_of, kind="stable")
-        bounds = np.searchsorted(self.batch_of[members], phase_ends).tolist()
+        bounds = np.searchsorted(self.batch_of[members],
+                                 np.arange(1, batch_count + 2)).tolist()
         members = members.tolist()
         self.batch_members = [(batch, members[low:high]) for batch, low, high
                               in zip(range(1, batch_count + 1), bounds,
@@ -408,12 +367,6 @@ class _Schedule:
         self.in_mis = [False] * n
         self.closed = [False] * n
         self.announcement_bits = [0] * n
-        #: Driven nodes' LDT-MIS awake rounds.
-        self.driven_awake = np.zeros(n, dtype=np.int64)
-        #: Phase -> active rounds of its LDT-MIS; their running total.
-        self.ldt_rounds = np.zeros(batch_count + 1, dtype=np.int64)
-        self.ldt_total = 0
-        self.ldt_last_round: Optional[int] = None
         self.terminated = [(phase - 1) * params.phase_length
                            for phase in self.last_phase]
 
@@ -421,7 +374,8 @@ class _Schedule:
 
     def decide(self) -> None:
         """Every node's state, batch by batch; counts no communication
-        round (see :func:`awake_mis_schedule`)."""
+        round (see :func:`awake_mis_schedule`).  The driven and closed-form
+        LDT-MIS rounds are counted on the run as they are decided."""
         run, params = self.run, self.params
         neighbors, offsets = run.neighbors.tolist(), run.offsets.tolist()
         participant, in_mis = self.participant, self.in_mis
@@ -444,72 +398,35 @@ class _Schedule:
                 driven = set(linked)
                 isolated = [index for index in starting
                             if index not in driven]
-            bits = None
-            if isolated and run.metered:
-                bits = [estimate_bits(isolated_announcement(self.ids[index]))
-                        for index in isolated]
-            if not self._closed_form_holds(isolated, linked, bits):
+            if isolated and len(linked) > params.n_bound:
                 linked, isolated = starting, []
             if linked:
                 self._drive(batch, linked)
             vt_round = (batch - 1) * params.phase_length + 1 + vt_offset
-            for position, index in enumerate(isolated):
+            for index in isolated:
                 self.closed[index] = in_mis[index] = self.by_ldt[index] = True
-                if bits is not None:
-                    self.announcement_bits[index] = bits[position]
+                if run.metered:
+                    self.announcement_bits[index] = estimate_bits(
+                        isolated_announcement(self.ids[index]))
                 if self.last_phase[index] == batch:
                     self.terminated[index] = vt_round
             if isolated and not linked:
                 # A driven component wakes in both closed-form rounds too
                 # (all its nodes in the side round, its new ID 1 in
                 # VT-MIS's first), so only a phase without one counts them.
-                self.ldt_rounds[batch] = 2
-                self.ldt_total += 2
-                self.ldt_last_round = vt_round
+                run.active_rounds += 2
+                run.last_active_round = vt_round
             for index in starting:
                 if in_mis[index]:
                     for neighbor in neighbors[offsets[index]:
                                               offsets[index + 1]]:
                         dominated[neighbor] = True
 
-    def _closed_form_holds(self, isolated, linked, bits) -> bool:
-        """Whether *isolated* may skip the generator loop this phase.
-
-        Not when an isolated participant would trip the awake valve or the
-        bit limit (the loop's precedence interleaves it with the driven
-        nodes), or when the driven participants outnumber ``n_bound`` (a
-        component that large may leave no node with new ID 1 to wake in
-        VT-MIS's first round).  The phase is then driven whole, exactly
-        as the loop runs it.
-        """
-        run, params = self.run, self.params
-        if not isolated:
-            return True
-        if len(linked) > params.n_bound:
-            return False
-        budget = run.max_awake_per_node - 2
-        if any(self.own_rank[index] > budget for index in isolated):
-            return False
-        if bits is None:
-            return True
-        degrees, limit = run.degrees, run.message_bit_limit
-        return not any(size > limit and degrees[index] > 0
-                       for index, size in zip(isolated, bits))
-
     def _drive(self, batch: int, linked) -> None:
-        """Run *batch*'s non-trivial LDT components on the generator loop.
-
-        The driven nodes' awake counters and the run's active-round count
-        are first set to what the loop reads when the phase's LDT-MIS
-        starts (sends are 0: a participant was undecided until now); when
-        ``drive`` raises, a valve that trips earlier in time wins.
-        """
+        """Run *batch*'s non-trivial LDT components on the generator loop;
+        ``drive`` adds their counters and rounds to the run's."""
         run, params = self.run, self.params
         communication_round = (batch - 1) * params.phase_length
-        base = int(self.comm_upto[batch]) + self.ldt_total
-        own = [self.own_rank[index] for index in linked]
-        run.awake_rounds[linked] = own
-        run.active_rounds = base
         generators = {
             index: ldt_mis_core(
                 my_id=self.ids[index],
@@ -521,99 +438,33 @@ class _Schedule:
             )
             for index in linked
         }
-        try:
-            finished = run.drive(generators, communication_round)
-        except Exception:
-            trip = self._first_trip(batch, self._decisions())
-            if trip is not None:
-                raise trip from None
-            raise
-        for index, state, stopped in finished:
+        for index, state, stopped in run.drive(generators,
+                                               communication_round):
             self.by_ldt[index] = state != UNDECIDED
             self.in_mis[index] = state == IN_MIS
             if self.last_phase[index] == batch:
                 self.terminated[index] = stopped
-        self.driven_awake[linked] = run.awake_rounds[linked] - own
-        rounds = run.active_rounds - base
-        if rounds:
-            self.ldt_rounds[batch] = rounds
-            self.ldt_total += rounds
-            self.ldt_last_round = run.last_active_round
 
     # -- step two: accounting -----------------------------------------------
-
-    def _decisions(self) -> _Decisions:
-        """The decisions so far as arrays, with every node's decision
-        phases (see :class:`_Decisions`)."""
-        np = self.run.np
-        in_mis = np.array(self.in_mis, dtype=bool)
-        closed = np.array(self.closed, dtype=bool)
-        senders, phases = self.edge_senders, self.edge_phases
-        reaching = in_mis[senders] & (self.batch_of[senders] < phases)
-        reached = np.full(self.run.n, self.params.batch_count + 1,
-                          dtype=np.int64)
-        np.minimum.at(reached, self.edge_receivers[reaching],
-                      phases[reaching])
-        decided = np.where(np.array(self.by_ldt, dtype=bool),
-                           self.batch_of, reached)
-        return _Decisions(in_mis, closed,
-                          np.where(closed, 2, self.driven_awake),
-                          reached, decided)
-
-    def _first_trip(self, upto: int,
-                    decisions: _Decisions) -> Optional[Exception]:
-        """The valve error the loop raises first outside ``drive``, in the
-        communication rounds of phases ``1 .. upto`` and the closed-form
-        rounds of the LDT-MIS phases decided so far; ``None`` if none
-        trips there."""
-        run = self.run
-        np = run.np
-        # Livelock: the first active round beyond the valve, placed in its
-        # phase's communication round (0) or LDT-MIS rounds (2).
-        counts = np.cumsum(self.attended[1:upto + 1]
-                           + self.ldt_rounds[1:upto + 1])
-        past = int(np.searchsorted(counts, run.max_active_rounds,
-                                   side="right"))
-        livelock = None
-        if past < upto:
-            phase = past + 1
-            in_communication = (counts[past] - self.ldt_rounds[phase]
-                                > run.max_active_rounds)
-            livelock = (phase, 0 if in_communication else 2)
-        # Awake valve, then bit limit, node by node in each communication
-        # round (1): attendances are in (phase, node) order.
-        end = int(self.attendee_bounds[upto])
-        phases, nodes = self.phase_of[:end], self.attendees[:end]
-        awake = self.earlier[:end] + 1 + np.where(
-            phases > self.batch_of[nodes], decisions.ldt_awake[nodes], 0)
-        hits = awake > run.max_awake_per_node
-        if run.metered:
-            sizes = self.bits_of[decisions.in_mis[nodes].view(np.uint8)]
-            hits |= ((phases > decisions.decided[nodes])
-                     & (run.degrees[nodes] > 0)
-                     & (sizes > run.message_bit_limit))
-        first = int(np.argmax(hits)) if hits.any() else None
-        if livelock is not None and (
-                first is None or livelock < (int(phases[first]), 1)):
-            return livelocked_error(run.max_active_rounds)
-        if first is None:
-            return None
-        node = int(nodes[first])
-        if awake[first] > run.max_awake_per_node:
-            return awake_budget_error(run.labels[node],
-                                      run.max_awake_per_node)
-        payload = IN_MIS if self.in_mis[node] else NOT_IN_MIS
-        return message_too_large_error(
-            run.labels[node], int(sizes[first]), run.message_bit_limit,
-            (int(phases[first]) - 1) * self.params.phase_length, payload)
 
     def account(self) -> None:
         """Every counter and output, from the decisions, in one pass."""
         run, params = self.run, self.params
         np = run.np
-        decisions = self._decisions()
-        decided = decisions.decided
-        strays = ((decisions.reached > self.batch_of)
+        in_mis = np.array(self.in_mis, dtype=bool)
+        closed = np.array(self.closed, dtype=bool)
+        # The first communication round in which an IN_MIS sender decided
+        # before it reaches each node (batch_count + 1 if none), and the
+        # phase after which the node broadcasts its state: its own batch
+        # when its LDT-MIS decided it, else that round.
+        senders, phases = self.edge_senders, self.edge_phases
+        reaching = in_mis[senders] & (self.batch_of[senders] < phases)
+        reached = np.full(run.n, params.batch_count + 1, dtype=np.int64)
+        np.minimum.at(reached, self.edge_receivers[reaching],
+                      phases[reaching])
+        decided = np.where(np.array(self.by_ldt, dtype=bool),
+                           self.batch_of, reached)
+        strays = ((reached > self.batch_of)
                   & ~np.array(self.participant, dtype=bool))
         if strays.any():
             node = int(np.argmax(strays))
@@ -621,38 +472,35 @@ class _Schedule:
                 f"Observation 5 violated: node {run.labels[node]} of batch "
                 f"{self.batches[node]} has an IN_MIS neighbour in an "
                 "earlier batch but no shared communication round by its own")
-        awake = self.lengths + decisions.ldt_awake
-        active = int(self.comm_upto[-1]) + self.ldt_total
-        # Headroom: with the final counters inside every valve (and the
-        # state broadcasts within the bit limit), nothing tripped.
-        if not (awake.max() <= run.max_awake_per_node
-                and active <= run.max_active_rounds
-                and (not run.metered
-                     or self.bits_of.max() <= run.message_bit_limit)):
-            trip = self._first_trip(params.batch_count, decisions)
-            if trip is not None:
-                raise trip
+        # The run holds the LDT-MIS counters and rounds so far; add one
+        # active round per attended phase (``phase_of`` is sorted).
+        run.awake_rounds += self.lengths + np.where(closed, 2, 0)
+        run.active_rounds += 1 + int(np.count_nonzero(np.diff(self.phase_of)))
         sends = self.phase_of > decided[self.attendees]
         messages = (np.bincount(self.attendees[sends], minlength=run.n)
                     * run.degrees)
-        announcements = np.where(decisions.closed, run.degrees, 0)
-        run.awake_rounds[:] = awake
+        announcements = np.where(closed, run.degrees, 0)
         run.messages_sent += messages + announcements
         if run.metered:
-            sizes = self.bits_of[decisions.in_mis.view(np.uint8)]
+            sizes = self.bits_of[in_mis.view(np.uint8)]
             announced = np.where(announcements > 0,
                                  np.array(self.announcement_bits), 0)
             run.bits_sent += messages * sizes + announcements * announced
             run.max_message_bits[:] = np.maximum.reduce([
                 run.max_message_bits, np.where(messages > 0, sizes, 0),
                 announced])
+        # With every final counter inside its valve, no valve tripped.
+        if (run.awake_rounds.max() > run.max_awake_per_node
+                or run.active_rounds > run.max_active_rounds
+                or run.metered and (run.max_message_bits.max()
+                                    > run.message_bit_limit)):
+            raise ValveTrip
         delivered = self.edge_phases > decided[self.edge_senders]
         run.messages_received += np.bincount(
             self.edge_receivers[delivered], minlength=run.n)
-        run.active_rounds = active
         run.last_active_round = max(
             (int(self.phase_of[-1]) - 1) * params.phase_length,
-            -1 if self.ldt_last_round is None else self.ldt_last_round)
+            -1 if run.last_active_round is None else run.last_active_round)
         run.terminated_round[:] = self.terminated
         labels, outputs = run.labels, run.outputs
         lengths = self.lengths.tolist()

@@ -10,7 +10,7 @@ whether the node joined the MIS.  The experiment harness converts a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.sim.runner import RunResult
 
@@ -55,15 +55,3 @@ def mis_from_result(result: RunResult) -> Set:
             mis.add(label)
     return mis
 
-
-def neighbor_states_in_mis(inbox: List) -> bool:
-    """Return True if any received message reports the sender is in the MIS.
-
-    The protocols exchange their state as one of the three state strings (or
-    as tuples whose first element is the state string).
-    """
-    for _, payload in inbox:
-        state = payload[0] if isinstance(payload, tuple) else payload
-        if state == IN_MIS:
-            return True
-    return False

@@ -133,9 +133,6 @@ def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
         values[:] = [rng.randrange(value_space) for rng in rngs]
     in_mis_bits = estimate_bits(IN_MIS)
 
-    def value_payload(index):
-        return (tag, int(values[index]))
-
     for iteration in range(max_iterations):
         idx = np.flatnonzero(undecided)
         if idx.size == 0:
@@ -151,7 +148,7 @@ def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
         # every port, and receives one message per undecided neighbour.
         run.begin_round(base)
         run.record_awake(idx)
-        run.record_sends(idx, bits, base, value_payload)
+        run.record_sends(idx, bits)
         run.messages_received[idx] += run.row_count(undecided)[idx]
         winners = undecided & (values < run.row_min(values, empty=INF))
 
@@ -160,8 +157,7 @@ def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
         # themselves — no two adjacent strict local minima exist).
         run.begin_round(base + 1)
         run.record_awake(idx)
-        run.record_sends(np.flatnonzero(winners), in_mis_bits, base + 1,
-                         lambda index: IN_MIS)
+        run.record_sends(np.flatnonzero(winners), in_mis_bits)
         winning = run.row_count(winners)
         run.messages_received[idx] += winning[idx]
 

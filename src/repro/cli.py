@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from typing import List, Optional
 
@@ -401,7 +402,26 @@ def _write_rows_csv(rows: List[dict], destination: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes stdout early (``... | head``) ends the command
+    quietly with status 1: no traceback, and no error at exit.
+    """
+    try:
+        status = _run_command(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at the
+        # null device so that flush has nowhere to fail.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 1
+    return status
+
+
+def _run_command(argv: Optional[List[str]]) -> int:
+    """Parse *argv* and run its subcommand; returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "jobs", None) is not None and args.jobs < 0:

@@ -10,11 +10,15 @@ source of randomness (as the SLEEPING-CONGEST model requires).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set, Union
+from typing import List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 SeedLike = Union[int, random.Random, None]
+
+#: A master for per-node streams: a :data:`SeedLike`, or the tuple of
+#: per-node seeds :func:`fix_node_seeds` derived from one.
+NodeSeeds = Union[SeedLike, Tuple[int, ...]]
 
 #: Large prime used to decorrelate derived seeds.
 _DERIVE_PRIME = 2_147_483_647
@@ -32,12 +36,16 @@ def make_rng(seed: SeedLike = None) -> random.Random:
     return random.Random(seed)
 
 
-def derive_seed(master: SeedLike, index: int) -> int:
+def derive_seed(master: NodeSeeds, index: int) -> int:
     """Derive a deterministic child seed from *master* for entity *index*.
 
     Used to give each simulated node an independent private generator that is
-    nevertheless fully determined by the run's master seed.
+    nevertheless fully determined by the run's master seed.  A tuple master
+    holds seeds already derived (see :func:`fix_node_seeds`): entity *index*
+    takes its entry.
     """
+    if isinstance(master, tuple):
+        return master[index]
     if isinstance(master, random.Random):
         # Draw a base value once per call; deterministic given generator state.
         base = master.randrange(2**63)
@@ -48,12 +56,12 @@ def derive_seed(master: SeedLike, index: int) -> int:
     return (base * _DERIVE_PRIME + 0x9E3779B9 * (index + 1)) % (2**63)
 
 
-def spawn_rng(master: SeedLike, index: int) -> random.Random:
+def spawn_rng(master: NodeSeeds, index: int) -> random.Random:
     """Return an independent generator for entity *index* under *master*."""
     return random.Random(derive_seed(master, index))
 
 
-def spawn_rngs(master: SeedLike, count: int) -> List[random.Random]:
+def spawn_rngs(master: NodeSeeds, count: int) -> List[random.Random]:
     """Spawn *count* generators for indices ``0..count-1`` under *master*.
 
     Bit-for-bit identical to ``[spawn_rng(master, i) for i in range(count)]``
@@ -61,7 +69,8 @@ def spawn_rngs(master: SeedLike, count: int) -> List[random.Random]:
     faster for integer masters, because the derived seeds are computed as
     one numpy array operation and the generators are seeded through the C
     layer directly.  ``Random`` and ``None`` masters draw a fresh base per
-    index, so they keep the per-index loop.
+    index, and tuple masters hold their seeds, so they keep the per-index
+    loop.
     """
     if not isinstance(master, int):
         return [spawn_rng(master, index) for index in range(count)]
@@ -97,6 +106,21 @@ def spawn_rngs(master: SeedLike, count: int) -> List[random.Random]:
         rng.gauss_next = None
         append(rng)
     return rngs
+
+
+def fix_node_seeds(master: SeedLike, count: int) -> NodeSeeds:
+    """Fix the per-node seeds *master* derives for indices ``0..count-1``.
+
+    A ``Random`` or ``None`` master draws a fresh base for every derived
+    seed, so spawning twice from it gives two different sets of streams.
+    This draws those bases once, in index order (the draws one
+    :func:`spawn_rngs` call makes), and returns the derived seeds as a
+    tuple, from which :func:`spawn_rng` and :func:`spawn_rngs` spawn the
+    same streams as often as needed.  Any other master is returned as is.
+    """
+    if isinstance(master, random.Random) or master is None:
+        return tuple(derive_seed(master, index) for index in range(count))
+    return master
 
 
 def replay_stream(seed: int) -> np.random.Generator:

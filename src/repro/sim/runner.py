@@ -50,16 +50,21 @@ wall-clock time, never bytes:
    generator loop above (:meth:`VectorizedRun.drive
    <repro.sim.vectorized.VectorizedRun.drive>`).  They engage whenever
    tracing is off, CONGEST-metered runs included (they meter message
-   sizes themselves, with the same per-message limit check and per-node
-   bit counters), and fall back to the generator loop under tracing.
-   Random draws come from the same per-node ``spawn_rng`` streams in the
-   same per-node order, so the run is bit-for-bit identical to the
-   generator loop (pinned by ``tests/test_runner_semantics.py`` and
-   ``tests/test_vectorized.py``).  :attr:`RunResult.engine` names the
-   engine that ran (``"generator"``, ``"vectorized"`` or
-   ``"schedule"``).  Pass ``vectorized=False`` to pin the generator loop,
-   ``vectorized=True`` to require the protocol's engine (a configuration
-   that cannot use it then raises).
+   sizes themselves, with the same per-node bit counters), and fall back
+   to the generator loop under tracing.  Random draws come from the same
+   per-node ``spawn_rng`` streams in the same per-node order, so the run
+   is bit-for-bit identical to the generator loop (pinned by
+   ``tests/test_runner_semantics.py`` and ``tests/test_vectorized.py``).
+   :attr:`RunResult.engine` names the engine that ran (``"generator"``,
+   ``"vectorized"`` or ``"schedule"``).  Pass ``vectorized=False`` to pin
+   the generator loop, ``vectorized=True`` to require the protocol's
+   engine (a configuration that cannot use it then raises).
+
+Safety valves (the livelock count, the per-node awake budget and the
+CONGEST bit limit) have one rule: a numpy engine that finds a valve could
+trip hands the run back, and :meth:`Simulator.run` replays it on the
+generator loop from the same per-node seeds, so only the loop builds
+valve errors, in its own precedence.
 
 Buffer-reuse contract: the inbox list a generator is resumed with is only
 valid until the node's next ``yield``; protocols must consume (or copy) it
@@ -79,7 +84,7 @@ from repro.errors import (
     ProtocolViolationError,
     SimulationError,
 )
-from repro.rng import SeedLike, spawn_rng
+from repro.rng import NodeSeeds, SeedLike, fix_node_seeds, spawn_rng
 from repro.sim.actions import Receive, WakeCall
 from repro.sim.context import NodeContext
 from repro.sim.message import estimate_bits
@@ -95,38 +100,8 @@ ProtocolFactory = Callable[[NodeContext], Generator[WakeCall, List[Receive], Any
 _NO_PAYLOAD = object()
 
 
-# --------------------------------------------------------------------------- #
-# Safety-valve / coverage errors shared by both round engines.  A
-# divergent message would break golden-log diffs across engines, so every
-# engine raises through these helpers.
-# --------------------------------------------------------------------------- #
-def livelocked_error(max_active_rounds: int) -> SimulationError:
-    """The livelock valve: too many active rounds elapsed."""
-    return SimulationError(
-        f"exceeded {max_active_rounds} active rounds; "
-        "protocol appears to be livelocked"
-    )
-
-
-def awake_budget_error(label: Any, max_awake_per_node: int) -> SimulationError:
-    """The per-node awake valve: one node stayed awake too long."""
-    return SimulationError(
-        f"node {label} exceeded {max_awake_per_node} awake rounds"
-    )
-
-
-def message_too_large_error(label: Any, bits: int, bit_limit: int,
-                            round_index: int,
-                            payload: Any) -> MessageTooLargeError:
-    """The CONGEST check: one message exceeded the bit limit."""
-    return MessageTooLargeError(
-        f"node {label} sent a {bits}-bit message (limit {bit_limit}) in "
-        f"round {round_index}: {payload!r}"
-    )
-
-
 def missing_outputs_error(missing: List[Any]) -> SimulationError:
-    """Some nodes never terminated (generator exhausted the round loop)."""
+    """Some nodes never terminated; shared by every engine."""
     return SimulationError(
         f"{len(missing)} node(s) never terminated: {missing[:5]}"
     )
@@ -144,8 +119,8 @@ class RunResult:
     awake_by_label: Dict[Any, int] = field(default_factory=dict)
     #: Optional trace (present only when tracing was enabled).
     trace: Optional[Trace] = None
-    #: The round engine that ran: ``"generator"``, ``"vectorized"`` or
-    #: ``"schedule"``.
+    #: The round engine that ran: ``"generator"`` (also for a run a numpy
+    #: engine handed back to the loop), ``"vectorized"`` or ``"schedule"``.
     #: Diagnostic only; never compared, and never written to records.
     engine: str = field(default="generator", compare=False)
 
@@ -228,9 +203,15 @@ class Simulator:
         inputs = dict(inputs or {})
         local_inputs = dict(local_inputs or {})
 
+        seeds: NodeSeeds = self._seed
         engine = self._select_vectorized_engine(protocol)
         if engine is not None:
-            return self._run_vectorized(engine, inputs, local_inputs)
+            # A numpy engine hands back a run in which a valve could trip;
+            # the loop below then replays it from the same seeds.
+            seeds = fix_node_seeds(seeds, n)
+            result = self._run_vectorized(engine, seeds, inputs, local_inputs)
+            if result is not None:
+                return result
 
         generators: List[Optional[Generator[WakeCall, List[Receive], Any]]] = []
         outputs: Dict[Any, Any] = {}
@@ -249,7 +230,7 @@ class Simulator:
             ctx = NodeContext(
                 degree=network.degree(index),
                 ports=list(range(network.degree(index))),
-                rng=spawn_rng(self._seed, index),
+                rng=spawn_rng(seeds, index),
                 inputs=inputs,
                 local_input=local_inputs.get(label),
                 debug_label=label,
@@ -322,20 +303,25 @@ class Simulator:
             )
         return None
 
-    def _run_vectorized(self, engine, inputs, local_inputs) -> RunResult:
-        """Drive *engine* over a :class:`~repro.sim.vectorized.VectorizedRun`."""
-        from repro.sim.vectorized import VectorizedRun
+    def _run_vectorized(self, engine, seeds: NodeSeeds, inputs,
+                        local_inputs) -> Optional[RunResult]:
+        """Drive *engine* over a :class:`~repro.sim.vectorized.VectorizedRun`;
+        ``None`` when it finds that a safety valve could trip."""
+        from repro.sim.vectorized import ValveTrip, VectorizedRun
 
         state = VectorizedRun(
             self._network,
-            seed=self._seed,
+            seed=seeds,
             inputs=inputs,
             local_inputs=local_inputs,
             max_active_rounds=self._max_active_rounds,
             max_awake_per_node=self._max_awake_per_node,
             message_bit_limit=self._message_bit_limit,
         )
-        engine(state)
+        try:
+            engine(state)
+        except ValveTrip:
+            return None
         return state.to_result()
 
     # ------------------------------------------------------------------ #
@@ -381,7 +367,9 @@ class Simulator:
             current_round = pending[0][0]
             active_rounds += 1
             if active_rounds > self._max_active_rounds:
-                raise livelocked_error(self._max_active_rounds)
+                raise SimulationError(
+                    f"exceeded {self._max_active_rounds} active rounds; "
+                    "protocol appears to be livelocked")
 
             # Pop every node awake in this round; recycle its inbox buffer.
             awake.clear()
@@ -394,7 +382,8 @@ class Simulator:
                 node_metrics = per_node[index]
                 node_metrics.awake_rounds += 1
                 if node_metrics.awake_rounds > max_awake:
-                    raise awake_budget_error(label_of(index), max_awake)
+                    raise SimulationError(f"node {label_of(index)} exceeded "
+                                          f"{max_awake} awake rounds")
                 base = offsets[index]
                 last_payload = _NO_PAYLOAD
                 for port, payload in call.sends:
@@ -404,9 +393,10 @@ class Simulator:
                             bits = estimate_bits(payload)
                             last_payload = payload
                         if bit_limit is not None and bits > bit_limit:
-                            raise message_too_large_error(
-                                label_of(index), bits, bit_limit,
-                                current_round, payload)
+                            raise MessageTooLargeError(
+                                f"node {label_of(index)} sent a {bits}-bit "
+                                f"message (limit {bit_limit}) in round "
+                                f"{current_round}: {payload!r}")
                         node_metrics.bits_sent += bits
                         if bits > node_metrics.max_message_bits:
                             node_metrics.max_message_bits = bits

@@ -23,20 +23,23 @@ the generator loop enforces.  Two engines use it:
 The engines engage whenever tracing is off, CONGEST-metered runs
 included: they meter message sizes themselves (the whole-round engine
 through :meth:`VectorizedRun.record_sends`), with the generator loop's
-``estimate_bits`` on each sender's real payload and the same
-per-message limit check.  Under tracing, or with ``vectorized=False``,
-the generator loop runs instead.
+``estimate_bits`` on each sender's real payload.  Under tracing, or with
+``vectorized=False``, the generator loop runs instead.
+
+Safety valves have one rule: an engine that finds the livelock valve,
+the awake budget or the bit limit could trip raises :class:`ValveTrip`,
+and :meth:`Simulator.run <repro.sim.runner.Simulator.run>` replays the
+run on the generator loop from the same per-node seeds, so only the loop
+builds valve errors.
 
 Byte-identity contract (pinned by ``tests/test_runner_semantics.py`` and
 ``tests/test_vectorized.py``): outputs, awake/round/message counts,
-per-node bit counters, ``awake_by_label``, termination rounds and error
-messages (safety valves and ``MessageTooLargeError`` alike, in the same
-precedence) are identical to the generator loop.  In particular engines
-must draw from the *same* per-node ``spawn_rng`` streams the generator
-path would — the streams are
-spawned here in index order, exactly like ``Simulator.run`` does — and
-consume the same number of draws per node, so a run is bit-for-bit
-reproducible across both engines.
+per-node bit counters, ``awake_by_label`` and termination rounds are
+identical to the generator loop.  In particular engines must draw from
+the *same* per-node ``spawn_rng`` streams the generator path would — the
+streams are spawned here in index order, exactly like ``Simulator.run``
+does — and consume the same number of draws per node, so a run is
+bit-for-bit reproducible across both engines.
 """
 
 from __future__ import annotations
@@ -46,16 +49,10 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.rng import SeedLike, spawn_rngs
+from repro.errors import SimulationError
+from repro.rng import NodeSeeds, spawn_rngs
 from repro.sim.metrics import NodeMetrics, RunMetrics
-from repro.sim.runner import (
-    RunResult,
-    Simulator,
-    awake_budget_error,
-    livelocked_error,
-    message_too_large_error,
-    missing_outputs_error,
-)
+from repro.sim.runner import RunResult, Simulator, missing_outputs_error
 
 #: Sentinel for "never terminated" in the int64 terminated-round array.
 _NEVER = -(2**62)
@@ -66,6 +63,15 @@ _COUNTERS = ("awake_rounds", "messages_sent", "messages_received",
              "bits_sent", "max_message_bits")
 
 
+class ValveTrip(Exception):
+    """An engine found that a safety valve could trip in its run.
+
+    Never leaves :meth:`Simulator.run <repro.sim.runner.Simulator.run>`,
+    which replays the run on the generator loop: only the loop builds
+    valve errors, in its own precedence.
+    """
+
+
 class VectorizedRun:
     """Mutable state handed to a protocol's vectorized engine.
 
@@ -74,19 +80,18 @@ class VectorizedRun:
     private RNG per node (spawned in index order, exactly like the
     generator path), and the per-node metric arrays the engine fills in.
     The whole-round engine records each array-computed round through
-    :meth:`begin_round`, :meth:`record_awake` and :meth:`record_sends`
-    (in that order), which trip the livelock, awake-budget and CONGEST
-    checks with the generator loop's messages, in its precedence.  The
-    schedule engine records no round one at a time: it sets the arrays,
-    :attr:`active_rounds` and :attr:`last_active_round` itself, raises
-    the same valve errors from its own accounting, and runs generator
-    rounds through :meth:`drive`.
+    :meth:`begin_round`, :meth:`record_awake` and :meth:`record_sends`.
+    The schedule engine records no round one at a time: it sets the
+    arrays, :attr:`active_rounds` and :attr:`last_active_round` itself,
+    and runs generator rounds through :meth:`drive`.  Either raises
+    :class:`ValveTrip` where a safety valve could trip, and the run is
+    replayed on the generator loop.
     """
 
     def __init__(
         self,
         network,
-        seed: SeedLike,
+        seed: NodeSeeds,
         inputs: Dict[str, Any],
         local_inputs: Dict[Any, Any],
         max_active_rounds: int,
@@ -140,10 +145,6 @@ class VectorizedRun:
         #: The awake-budget valve: a node awake more rounds than this
         #: trips it.
         self.max_awake_per_node = max_awake_per_node
-        #: Lowest index that tripped the awake valve this round, raised by
-        #: :meth:`record_sends` once it knows whether a lower-index sender
-        #: tripped the bit limit first.
-        self._awake_offender: Optional[int] = None
         #: The name :attr:`RunResult.engine` reports; engines may rename it.
         self.engine = "vectorized"
         #: Generator-loop state for :meth:`drive`, built on first use: one
@@ -155,43 +156,30 @@ class VectorizedRun:
     # -- round bookkeeping + safety valves ------------------------------
 
     def begin_round(self, round_index: int) -> None:
-        """Count one active round; trip the livelock valve like the loops."""
+        """Count one active round; :class:`ValveTrip` past the livelock
+        valve."""
         self.active_rounds += 1
         if self.active_rounds > self.max_active_rounds:
-            raise livelocked_error(self.max_active_rounds)
+            raise ValveTrip
         self.last_active_round = round_index
 
     def record_awake(self, indices) -> None:
-        """Count one awake round for *indices* (ascending simulator order).
-
-        The awake-budget valve names the lowest offending index — the node
-        the per-node loop (which iterates ascending) names.  It fires in
-        the round's :meth:`record_sends`, because the loop checks node
-        *i*'s awake budget, then its sends, before node *i + 1*: a
-        lower-index oversize sender wins.
-        """
+        """Count one awake round for *indices*; :class:`ValveTrip` if one
+        of them exceeds the awake budget."""
         updated = self.awake_rounds[indices] + 1
         self.awake_rounds[indices] = updated
-        over = updated > self.max_awake_per_node
-        if over.any():
-            self._awake_offender = int(indices[int(np.argmax(over))])
+        if (updated > self.max_awake_per_node).any():
+            raise ValveTrip
 
-    def record_sends(self, senders, bits, round_index: int,
-                     payload_of) -> None:
+    def record_sends(self, senders, bits) -> None:
         """Count one message on every port of each node in *senders*.
 
-        *senders* is ascending; *bits* is each sender's estimated message
-        size (a scalar when all send the same payload), read only on
-        metered runs; ``payload_of(index)`` rebuilds a sender's payload for
-        the error message.  Degree-0 senders send nothing and are skipped;
-        a round with no sender and no awake-valve offender records nothing.
-        Raises the generator loop's :class:`MessageTooLargeError` for the
-        first oversize sender in index order, after any awake-valve
-        offender at or below it.  Engines call this once per round, after
-        :meth:`record_awake`.
+        *bits* is each sender's estimated message size (a scalar when all
+        send the same payload), read only on metered runs.  Degree-0
+        senders send nothing and are skipped; :class:`ValveTrip` if any
+        other sender's size exceeds the bit limit.
         """
-        offender = self._awake_offender
-        if offender is None and not len(senders):
+        if not len(senders):
             return
         degrees = self.degrees[senders]
         sizes = None
@@ -205,22 +193,12 @@ class VectorizedRun:
             if sizes is not None:
                 sizes = sizes[sending]
         self.messages_sent[senders] += degrees
-        oversize = None
         if sizes is not None:
+            if (sizes > self.message_bit_limit).any():
+                raise ValveTrip
             self.bits_sent[senders] += degrees * sizes
             self.max_message_bits[senders] = np.maximum(
                 self.max_message_bits[senders], sizes)
-            over = sizes > self.message_bit_limit
-            if over.any():
-                first = int(np.argmax(over))
-                oversize = int(senders[first])
-        if offender is not None and (oversize is None or offender <= oversize):
-            raise awake_budget_error(self.labels[offender],
-                                     self.max_awake_per_node)
-        if oversize is not None:
-            raise message_too_large_error(
-                self.labels[oversize], int(sizes[first]),
-                self.message_bit_limit, round_index, payload_of(oversize))
 
     # -- generator-loop rounds --------------------------------------------
 
@@ -234,9 +212,9 @@ class VectorizedRun:
         — the one generator round loop — on this run's round clock: the
         livelock valve counts on from :attr:`active_rounds`, and the
         driven nodes' counters are bridged in and out of the metric
-        arrays (the caller must keep every other node asleep meanwhile,
-        and set both to what the generator loop would read when the
-        generators start, so the valves trip where the loop trips them).
+        arrays (the caller must keep every other node asleep meanwhile).
+        Any :class:`~repro.errors.SimulationError` the loop raises becomes
+        a :class:`ValveTrip`, so the whole run is replayed on the loop.
         Returns ``[(index, return value, round)]`` in termination order;
         the caller decides what a return means, so termination rounds are
         not written back.
@@ -257,19 +235,22 @@ class VectorizedRun:
         per_node = dict(zip(generators, nodes))
         finished = []
         pending: List[tuple] = []
-        for index, gen in generators.items():
-            try:
-                call = next(gen)
-            except StopIteration as stop:
-                finished.append((index, stop.value, previous_round))
-                continue
-            simulator._validate_call(call, index, previous_round)
-            pending.append((call.round, index, call))
-        heapq.heapify(pending)
         outputs: Dict[int, Any] = {}
-        self.active_rounds, last_round = simulator._drive(
-            pending, dict(generators), outputs, per_node, self._inboxes,
-            metered=self.metered, active_rounds=self.active_rounds)
+        try:
+            for index, gen in generators.items():
+                try:
+                    call = next(gen)
+                except StopIteration as stop:
+                    finished.append((index, stop.value, previous_round))
+                    continue
+                simulator._validate_call(call, index, previous_round)
+                pending.append((call.round, index, call))
+            heapq.heapify(pending)
+            self.active_rounds, last_round = simulator._drive(
+                pending, dict(generators), outputs, per_node, self._inboxes,
+                metered=self.metered, active_rounds=self.active_rounds)
+        except SimulationError:
+            raise ValveTrip from None
         if last_round is not None:
             self.last_active_round = last_round
         for name in _COUNTERS:

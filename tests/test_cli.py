@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from typing import ClassVar, List
 
 import pytest
@@ -519,3 +522,28 @@ class TestCLIStore:
         assert capsys.readouterr().out == first
         assert main(["report", path]) == 0
         assert "awake_mis" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the command writes: the command
+    exits with status 1 and prints nothing to stderr, whether stdout is
+    buffered (the write fails at the final flush) or not (it fails in
+    ``print``)."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", [["list"], ["experiment", "E8"]])
+    def test_no_traceback_when_the_reader_is_gone(self, argv, unbuffered):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            process = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert process.stderr == b""
+        assert process.returncode == 1

@@ -79,6 +79,32 @@ class TestSpawnRngs:
         assert len({r.random() for r in rngs}) == 8
 
 
+class TestFixNodeSeeds:
+    """A ``Random`` or ``None`` master fixed once spawns the same streams
+    as often as needed: the streams one spawn from the master gives."""
+
+    def _states(self, master, count):
+        return [r.getstate() for r in rng_module.spawn_rngs(master, count)]
+
+    def test_random_master_fixes_the_streams_of_one_spawn(self):
+        seeds = rng_module.fix_node_seeds(random.Random(42), 20)
+        assert isinstance(seeds, tuple) and len(seeds) == 20
+        reference = self._states(random.Random(42), 20)
+        assert self._states(seeds, 20) == reference
+        assert self._states(seeds, 20) == reference
+        assert [rng_module.spawn_rng(seeds, i).getstate()
+                for i in range(20)] == reference
+
+    def test_none_master_is_fixed_once(self):
+        seeds = rng_module.fix_node_seeds(None, 8)
+        assert len(seeds) == 8
+        assert self._states(seeds, 8) == self._states(seeds, 8)
+
+    @pytest.mark.parametrize("master", [0, 17, 2**80 + 123])
+    def test_int_master_is_kept(self, master):
+        assert rng_module.fix_node_seeds(master, 1500) == master
+
+
 class TestRandomUniqueIds:
     def test_ids_are_unique_and_in_range(self):
         ids = rng_module.random_unique_ids(50, 1000, random.Random(1))

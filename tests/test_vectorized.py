@@ -6,13 +6,12 @@ engines, unmetered and CONGEST-metered — the whole-round engine of both
 local-minimum protocols (``luby`` and ``rank_greedy``) and the schedule
 engine of ``awake_mis`` (both presets) — across graph
 families and seeds, the dispatch gating (``vectorized`` tri-state), equal
-RNG consumption per node stream, the whole-round array primitives, and
-identical safety-valve and ``MessageTooLargeError`` messages raised in
-the same precedence (inside the schedule engine's LDT-MIS rounds too,
-and in communication rounds it accounts only after later phases were
-driven), the closed form the schedule engine applies to LDT-MIS
-participants with no participating neighbour, and that it records no
-round one at a time.
+RNG consumption per node stream, the whole-round array primitives,
+identical safety-valve and ``MessageTooLargeError`` messages (a run that
+could trip a valve is replayed on the generator loop from the same
+per-node seeds, and a run inside every valve never is), the closed form
+the schedule engine applies to LDT-MIS participants with no
+participating neighbour, and that it records no round one at a time.
 """
 
 from __future__ import annotations
@@ -41,11 +40,7 @@ from repro.algorithms.ldt_mis import (
 )
 from repro.algorithms.luby import luby_protocol
 from repro.algorithms.rank_greedy import rank_greedy_protocol
-from repro.errors import (
-    ConfigurationError,
-    MessageTooLargeError,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.harness import run_mis
 from repro.graphs.generators import FAMILIES, by_name, to_csr
 from repro.rng import derive_seed
@@ -53,7 +48,7 @@ from repro.sim.actions import WakeCall
 from repro.sim.message import estimate_bits
 from repro.sim.network import build_network
 from repro.sim.runner import Simulator, run_protocol
-from repro.sim.vectorized import VectorizedRun
+from repro.sim.vectorized import ValveTrip, VectorizedRun
 
 np = pytest.importorskip("numpy")
 
@@ -118,6 +113,9 @@ def _run_both_engines(graph, name, seed, inputs=None, **kwargs):
                               seed=seed, vectorized=True, **kwargs)
     assert (generator.engine, vectorized.engine) == ("generator",
                                                       ENGINE_NAMES[name])
+    # Plain ints, as the loop gives: records are JSON-encoded.
+    assert {type(vectorized.metrics.active_rounds),
+            type(vectorized.metrics.last_active_round)} <= {int, type(None)}
     return generator, vectorized
 
 
@@ -405,12 +403,13 @@ def _record_drives(monkeypatch):
     return calls
 
 
-def _outcome(graph, inputs, seed, pinned, **simulator_kwargs):
+def _outcome(graph, inputs, seed, pinned, protocol=awake_mis_protocol,
+             **simulator_kwargs):
     """A run's summary, or its error as ``"Type: message"``."""
     simulator = Simulator(build_network(graph), seed=seed, vectorized=pinned,
                           **simulator_kwargs)
     try:
-        result = simulator.run(awake_mis_protocol, inputs=inputs)
+        result = simulator.run(protocol, inputs=inputs)
     except SimulationError as error:
         return f"{type(error).__name__}: {error}"
     return _summarize(result)
@@ -580,23 +579,19 @@ class TestIsolatedParticipants:
 # --------------------------------------------------------------------------- #
 # Deferred accounting: decisions first, communication rounds after
 # --------------------------------------------------------------------------- #
-def _record_drive_outcomes(monkeypatch):
-    """Patch :meth:`VectorizedRun.drive` to record ``{phase start round:
-    its error as "Type: message", or None}`` of every call."""
-    outcomes = {}
-    original = VectorizedRun.drive
+def _record_replays(monkeypatch):
+    """Patch :meth:`Simulator._run_vectorized` to record, per numpy-engine
+    run, whether it handed the run back to the generator loop."""
+    replays = []
+    original = Simulator._run_vectorized
 
-    def drive(self, generators, previous_round):
-        try:
-            finished = original(self, generators, previous_round)
-        except SimulationError as error:
-            outcomes[previous_round] = f"{type(error).__name__}: {error}"
-            raise
-        outcomes[previous_round] = None
-        return finished
+    def run_vectorized(self, *args):
+        result = original(self, *args)
+        replays.append(result is None)
+        return result
 
-    monkeypatch.setattr(VectorizedRun, "drive", drive)
-    return outcomes
+    monkeypatch.setattr(Simulator, "_run_vectorized", run_vectorized)
+    return replays
 
 
 def _trip_round(graph, inputs, seed, valve, value):
@@ -639,8 +634,8 @@ VALVE_CASES = [
 class TestDeferredAccounting:
     """The schedule engine decides every batch before it accounts any
     communication round, so a valve that trips in a communication round
-    is located after later phases were already driven; it must still
-    win over them, with the loop's message."""
+    is found after later phases were already driven; the replay on the
+    loop must still raise it, with the loop's message."""
 
     @pytest.mark.parametrize("valve, value, graph_name, crowded, id_space, "
                              "seed, case", VALVE_CASES)
@@ -653,21 +648,22 @@ class TestDeferredAccounting:
         if id_space is not None:
             params = dataclasses.replace(params, id_space=id_space)
         inputs = {"awake_params": params}
-        drives = _record_drive_outcomes(monkeypatch)
+        drives = _record_drives(monkeypatch)
+        replays = _record_replays(monkeypatch)
         loop, engine = (_outcome(graph, inputs, seed, pinned, **{valve: value})
                         for pinned in (False, True))
         assert isinstance(loop, str) and engine == loop
+        assert replays == [True]
         tripped = _trip_round(graph, inputs, seed, valve, value)
         phase_length = params.phase_length
         phase = tripped // phase_length + 1
-        driven = {start // phase_length + 1: error
-                  for start, error in drives.items()}
+        driven = {start // phase_length + 1 for start, _ in drives}
         if case == "communication":
             assert tripped % phase_length == 0
             assert max(driven) >= phase
         else:
             assert tripped % phase_length != 0
-            assert driven[phase] == loop
+            assert phase in driven
 
     def test_no_per_round_bookkeeping(self, monkeypatch):
         """Awake-MIS never records a round one at a time; the spy is
@@ -708,6 +704,99 @@ class TestDeferredAccounting:
                            match=r"Observation 5 violated: node \d+ of batch"):
             run_protocol(graph, awake_mis_protocol, seed=1, vectorized=True,
                          inputs=_inputs("awake_mis", graph))
+
+
+# --------------------------------------------------------------------------- #
+# Replay: a run in which a valve could trip goes back to the generator loop
+# --------------------------------------------------------------------------- #
+#: ``(protocol name, Awake-MIS preset)`` of every numpy-engine configuration.
+ENGINE_CONFIGS = [("luby", "scaled"), ("rank_greedy", "scaled"),
+                  ("awake_mis", "scaled"), ("awake_mis", "paper")]
+
+#: Tight and loose settings of each valve, for the replay tests.
+VALVE_VALUES = {"max_awake_per_node": (0, 1, 2, 3, 5, 8, 13, 40, 10_000),
+                "max_active_rounds": (0, 1, 5, 20, 60, 200, 10_000_000),
+                "message_bit_limit": (1, 40, 63, 64, 100, 200, 100_000)}
+
+
+class TestReplay:
+    """A numpy engine that finds a valve could trip hands the run back to
+    ``Simulator.run``, which replays it on the generator loop from the
+    same per-node seeds; a run inside every valve is never replayed."""
+
+    @pytest.mark.parametrize("family", ["gnp", "rgg", "tree"])
+    @pytest.mark.parametrize("name, preset", ENGINE_CONFIGS)
+    def test_a_run_inside_every_valve_never_replays(self, monkeypatch, name,
+                                                    preset, family):
+        replays = _record_replays(monkeypatch)
+        graph = by_name(family, 64, seed=3)
+        params = {"preset": preset} if name == "awake_mis" else {}
+        for seed in (1, 2, 3):
+            assert run_mis(graph, name, seed=seed, **params).verified
+        if name == "awake_mis":
+            result = run_protocol(graph, awake_mis_protocol, seed=1,
+                                  inputs=_crowded(graph, preset),
+                                  message_bit_limit=LOOSE_LIMIT)
+            assert result.engine == "schedule"
+        assert replays and not any(replays)
+
+    @pytest.mark.parametrize("valve", sorted(VALVE_VALUES))
+    @pytest.mark.parametrize("name, preset", ENGINE_CONFIGS)
+    def test_a_random_master_replays_the_same_streams(self, monkeypatch, name,
+                                                      preset, valve):
+        """A ``random.Random`` master is read once per node, so the
+        replay must spawn from the seeds the engine's run drew."""
+        replays = _record_replays(monkeypatch)
+        graph = by_name("gnp", 40, seed=3)
+        inputs = (_crowded(graph, preset) if name == "awake_mis"
+                  else INPUTS)
+        outcomes = []
+        for value in VALVE_VALUES[valve]:
+            loop, engine = (
+                _outcome(graph, inputs, random.Random(7), pinned,
+                         PROTOCOLS[name], **{valve: value})
+                for pinned in (False, None))
+            assert engine == loop
+            outcomes.append(loop)
+        assert isinstance(outcomes[0], str)
+        assert not isinstance(outcomes[-1], str)
+        assert any(replays) and not all(replays)
+
+    @pytest.mark.parametrize("valve", sorted(VALVE_VALUES))
+    def test_valves_outside_every_drive(self, monkeypatch, valve):
+        """No LDT component is driven on this tree, so the final headroom
+        test alone must find every trip: state broadcasts, closed-form
+        ``frag`` announcements (60–74 bits here), awake counts and
+        active rounds."""
+        graph = by_name("tree", 48, seed=3)
+        inputs = _inputs("awake_mis", graph)
+        drives = _record_drives(monkeypatch)
+        values = VALVE_VALUES[valve]
+        if valve == "message_bit_limit":
+            values = tuple(range(38, 76, 2))
+        outcomes = []
+        for value in values:
+            loop, engine = (_outcome(graph, inputs, 3, pinned, **{valve: value})
+                            for pinned in (False, True))
+            assert engine == loop
+            outcomes.append(loop)
+        assert drives == []
+        assert isinstance(outcomes[0], str)
+        assert not isinstance(outcomes[-1], str)
+
+    @pytest.mark.parametrize("name, preset", ENGINE_CONFIGS)
+    def test_vectorized_true_raises_the_loops_error(self, name, preset):
+        graph = by_name("gnp", 24, seed=3)
+        inputs = _inputs(name, graph, preset)
+        errors = []
+        for pinned in (False, True):
+            simulator = Simulator(build_network(graph), seed=1,
+                                  vectorized=pinned, max_awake_per_node=2)
+            with pytest.raises(SimulationError) as excinfo:
+                simulator.run(PROTOCOLS[name], inputs=inputs)
+            errors.append(str(excinfo.value))
+        assert errors[1] == errors[0]
+        assert "exceeded 2 awake rounds" in errors[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -815,28 +904,25 @@ class TestRowPrimitives:
     def test_record_sends_meters_per_port_and_skips_degree_zero(self):
         state = self._state(message_bit_limit=50)
         senders = np.array([1, 2, 3])
-        state.record_sends(senders, [7, 9, 11], 0, None)
-        state.record_sends(senders, 5, 1, None)
+        state.record_sends(senders, [7, 9, 11])
+        state.record_sends(senders, 5)
         assert state.messages_sent.tolist() == [0, 4, 2, 0]
         assert state.bits_sent.tolist() == [0, 2 * 7 + 2 * 5, 9 + 5, 0]
         assert state.max_message_bits.tolist() == [0, 7, 9, 0]
 
     def test_record_sends_unmetered_counts_messages_only(self):
         state = self._state()
-        state.record_sends(np.array([0, 1]), None, 0, None)
+        state.record_sends(np.array([0, 1]), None)
         assert state.messages_sent.tolist() == [1, 2, 0, 0]
         assert state.bits_sent.tolist() == [0, 0, 0, 0]
         assert state.metered is False
 
-    def test_record_sends_names_the_first_oversize_sender(self):
+    def test_record_sends_signals_an_oversize_sender(self):
         state = self._state(message_bit_limit=8)
         # node 3 (degree 0) sends nothing, so its size is never checked.
-        with pytest.raises(MessageTooLargeError) as excinfo:
-            state.record_sends(np.array([0, 1, 2, 3]), [8, 9, 10, 99], 4,
-                               lambda index: ("payload", index))
-        assert str(excinfo.value) == (
-            "node 1 sent a 9-bit message (limit 8) in round 4: "
-            "('payload', 1)")
+        state.record_sends(np.array([0, 3]), [8, 99])
+        with pytest.raises(ValveTrip):
+            state.record_sends(np.array([0, 1, 2, 3]), [8, 9, 8, 0])
 
     def test_degrees_and_adjacency_views(self):
         state = self._state()
@@ -868,12 +954,11 @@ def _staggered_engine(run):
     if early.size:
         run.begin_round(0)
         run.record_awake(early)
-        run.record_sends(early[:0], 0, 0, payloads.__getitem__)
+        run.record_sends(early[:0], 0)
     everyone = np.arange(run.n)
     run.begin_round(1)
     run.record_awake(everyone)
-    run.record_sends(everyone, [estimate_bits(p) for p in payloads], 1,
-                     payloads.__getitem__)
+    run.record_sends(everyone, [estimate_bits(p) for p in payloads])
 
 
 _staggered_protocol.vectorized_engine = _staggered_engine
