@@ -19,8 +19,10 @@ Sub-commands
     Regenerate one of the paper experiments E1–E9; each report states
     the paper claim it checks next to the measured verdict.
     ``--jobs``/``--backend`` parallelise the sweep-backed experiments
-    E1–E5 and E9 the same way; ``--output``/``--resume`` give them the
-    resumable store; E6–E8 ignore all of them.
+    E1–E5 and E9 the same way, and ``--output``/``--resume`` give them
+    the resumable store.  E6–E8 run in-process: they ignore ``--jobs``,
+    ``--backend`` and ``--progress``, and refuse ``--output``/``--resume``
+    (exit 2).
 ``report``
     Rebuild the sweep table and growth-law fits from a JSONL store written
     by ``sweep``/``experiment --output``, without re-running anything.
@@ -46,7 +48,7 @@ import argparse
 import csv
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.backends import (available_backends,
@@ -229,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "in-process, 0 = one per CPU)")
     experiment_parser.add_argument("--output", metavar="FILE", default=None,
                                    help="JSONL results store for the "
-                                        "sweep-backed experiments")
+                                        "sweep-backed experiments E1-E5 "
+                                        "and E9 (E6-E8 refuse it)")
     experiment_parser.add_argument("--resume", action="store_true",
                                    help="skip tasks already recorded in "
                                         "--output")
@@ -360,6 +363,35 @@ def _compose_backend(args: argparse.Namespace):
                         window=args.window, max_batch=args.max_batch)
 
 
+def _run_grid(parser: argparse.ArgumentParser, args: argparse.Namespace,
+              run: Callable[..., Tuple[str, bool]]) -> int:
+    """Run a ``sweep`` or ``experiment`` grid; returns the exit code.
+
+    *run* takes the execution keywords (jobs, backend, store, resume,
+    progress) and returns the text to print and whether it passed.  A
+    :class:`~repro.errors.ConfigurationError` is an ``error:`` line and
+    exit 2; ``--progress`` adds the telemetry table on stderr.
+    """
+    store = None
+    try:
+        backend = _compose_backend(args)
+        store = _open_store(parser, args)
+        text, passed = run(jobs=args.jobs, backend=backend, store=store,
+                           resume=args.resume,
+                           progress=(_progress_printer() if args.progress
+                                     else None))
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    finally:
+        if store is not None:
+            store.close()
+    if args.progress:
+        _print_telemetry(backend)
+    print(text)
+    return 0 if passed else 1
+
+
 def _progress_printer():
     """Build the ``--progress`` callback: stderr-only progress lines.
 
@@ -444,61 +476,21 @@ def _run_command(argv: Optional[List[str]]) -> int:
         from repro.experiments.sweeps import run_sweep
         from repro.experiments.tables import render_sweep
 
-        try:
-            backend = _compose_backend(args)
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        store = _open_store(parser, args)
-        try:
-            sweep = run_sweep(
-                algorithms=args.algorithms,
-                sizes=args.sizes,
-                families=args.families,
-                repetitions=args.repetitions,
-                seed=args.seed,
-                jobs=args.jobs,
-                backend=backend,
-                keep_runs=False,
-                store=store,
-                resume=args.resume,
-                progress=_progress_printer() if args.progress else None,
-            )
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        finally:
-            if store is not None:
-                store.close()
-        if args.progress:
-            _print_telemetry(backend)
-        print(render_sweep(sweep, title="sweep results"))
-        return 0 if sweep.all_verified else 1
+        def sweep(**execution):
+            result = run_sweep(algorithms=args.algorithms, sizes=args.sizes,
+                               families=args.families,
+                               repetitions=args.repetitions, seed=args.seed,
+                               keep_runs=False, **execution)
+            return (render_sweep(result, title="sweep results"),
+                    result.all_verified)
+        return _run_grid(parser, args, sweep)
 
     if args.command == "experiment":
-        try:
-            backend = _compose_backend(args)
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        store = _open_store(parser, args)
-        try:
+        def experiment(**execution):
             report = run_experiment(args.experiment_id, scale=args.scale,
-                                    seed=args.seed, jobs=args.jobs,
-                                    backend=backend,
-                                    store=store, resume=args.resume,
-                                    progress=(_progress_printer()
-                                              if args.progress else None))
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        finally:
-            if store is not None:
-                store.close()
-        if args.progress:
-            _print_telemetry(backend)
-        print(report.render())
-        return 0 if report.passed else 1
+                                    seed=args.seed, **execution)
+            return report.render(), report.passed
+        return _run_grid(parser, args, experiment)
 
     if args.command == "worker":
         if args.worker_command != "serve":

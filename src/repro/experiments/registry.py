@@ -8,21 +8,26 @@ benchmarks under ``benchmarks/`` and the CLI (``repro-mis experiment E1``)
 both dispatch through this registry, so the paper-facing artefacts are
 regenerated from exactly one code path.
 
-The sweep-backed experiments (E1–E5, E9) accept ``jobs`` (worker
-processes), ``backend`` (any scheduler × transport composition — the CLI
-builds it from ``--backend``/``--scheduler``/``--workers``, so a
-full-scale E9 grid can run large-first over socket workers on other
-hosts) and ``store``/``resume`` (a :class:`~repro.experiments.store
-.ResultStore` that persists every task result as it completes and lets an
-interrupted ``full``-scale grid continue instead of restarting).
+The sweep-backed experiments, :data:`SWEEP_EXPERIMENTS` (E1–E5, E9),
+run one grid each through :func:`_sweep` and also accept the execution
+keywords ``jobs`` (worker processes), ``backend`` (any scheduler ×
+transport composition — the CLI builds it from ``--backend``/
+``--scheduler``/``--workers``, so a full-scale E9 grid can run
+large-first over socket workers on other hosts), ``store``/``resume`` (a
+:class:`~repro.experiments.store.ResultStore` that persists every task
+result as it completes and lets an interrupted ``full``-scale grid
+continue instead of restarting) and ``progress``.  E6–E8 run in-process
+and take only the scale and the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import (Any, Callable, Dict, List, Optional, Sequence,
+                    TYPE_CHECKING)
 
 from repro.core.virtual_tree import communication_set, figure_example
+from repro.errors import ConfigurationError
 from repro.experiments.executor import BackendLike, ProgressCallback
 from repro.graphs.generators import gnp_graph
 from repro.rng import SeedLike
@@ -83,133 +88,91 @@ class ExperimentReport:
         return "\n".join(parts)
 
 
-#: Experiment runners take (scale, seed, jobs, store, resume, backend);
-#: *jobs*/*backend* control how many workers the underlying sweep uses and
-#: on which execution backend, and *store*/*resume* select the on-disk
-#: results store (all ignored by the single-process experiments E6-E8).
+#: Experiment runners take (scale, seed); the sweep-backed ones also take
+#: the execution keywords of :func:`_sweep`.
 ExperimentRunner = Callable[..., ExperimentReport]
+
+#: The experiments that run a sweep grid; only these take the execution
+#: keywords (jobs, store, resume, backend, progress).
+SWEEP_EXPERIMENTS = frozenset({"E1", "E2", "E3", "E4", "E5", "E9"})
+
+#: The growth laws ``fit_report`` can pick that count as near-flat (it
+#: picks among these and ``n``).
+_FLAT = ("constant", "loglog(n)", "log(n)")
+
+
+def _sweep(scale: str, seed: SeedLike, algorithms: List[str],
+           families: Sequence[str], sizes: Dict[str, List[int]] = SCALE_SIZES,
+           **execution: Any) -> "SweepResult":
+    """Run one experiment grid at *scale*, keeping aggregates only.
+
+    *execution* (jobs, store, resume, backend, progress) goes to
+    :func:`~repro.experiments.sweeps.run_sweep` unchanged.
+    """
+    from repro.experiments.sweeps import run_sweep
+
+    return run_sweep(algorithms=algorithms, sizes=sizes[scale],
+                     families=families, repetitions=SCALE_REPETITIONS[scale],
+                     seed=seed, keep_runs=False, **execution)
 
 
 def _scaling_report(experiment_id: str, title: str, claim: str,
-                    sweep: "SweepResult", metric: str,
-                    expect_flat: Optional[List[str]] = None) -> ExperimentReport:
+                    sweep: "SweepResult", metric: str = "awake_max",
+                    laws: Optional[Dict[str, Sequence[str]]] = None,
+                    notes: str = "") -> ExperimentReport:
+    """Rows and *metric* fits of *sweep*, judged against *laws*.
+
+    Every run must verify.  *laws* maps an algorithm to the growth laws
+    its best fits may take; they are judged only on grids of at least
+    three sizes, where a fit can tell the laws apart.
+    """
     fits = sweep.fits(metric)
     passed = sweep.all_verified
-    distinct_sizes = len({cell.n for cell in sweep.cells})
-    if expect_flat and distinct_sizes >= 3:
-        for fit in fits:
-            if fit["algorithm"] in expect_flat and fit["best_law"] in ("n", "log^2(n)"):
-                passed = False
-    return ExperimentReport(
-        experiment_id=experiment_id,
-        title=title,
-        paper_claim=claim,
-        rows=sweep.rows(),
-        fits=fits,
-        passed=passed,
-    )
+    if laws and len({cell.n for cell in sweep.cells}) >= 3:
+        passed = passed and all(fit["best_law"] in laws[fit["algorithm"]]
+                                for fit in fits if fit["algorithm"] in laws)
+    return ExperimentReport(experiment_id=experiment_id, title=title,
+                            paper_claim=claim, rows=sweep.rows(), fits=fits,
+                            passed=passed, notes=notes)
 
 
 # --------------------------------------------------------------------------- #
 # E1 / E2 / E3: Awake-MIS scaling and comparison
 # --------------------------------------------------------------------------- #
 def experiment_e1(scale: str = "default", seed: SeedLike = 1,
-                  jobs: Optional[int] = 1,
-                  store: Optional["ResultStore"] = None,
-                  resume: bool = False,
-                  backend: "BackendLike" = None,
-                  progress: Optional["ProgressCallback"] = None,
-                  ) -> ExperimentReport:
+                  **execution: Any) -> ExperimentReport:
     """Corollary 14: Awake-MIS awake complexity grows ~ log log n * log* n."""
-    from repro.experiments.sweeps import run_sweep
-
-    sweep = run_sweep(
-        algorithms=["awake_mis"],
-        sizes=SCALE_SIZES[scale],
-        families=("gnp", "rgg"),
-        repetitions=SCALE_REPETITIONS[scale],
-        seed=seed,
-        jobs=jobs,
-        keep_runs=False,
-        store=store,
-        resume=resume,
-        backend=backend,
-        progress=progress,
-    )
     return _scaling_report(
         "E1",
         "Awake-MIS awake complexity scaling",
         "Corollary 14: O(log log n * log* n) awake complexity, near-flat "
         "growth in n (log* n <= 5 at every simulable size)",
-        sweep,
-        metric="awake_max",
-        expect_flat=["awake_mis"],
+        _sweep(scale, seed, ["awake_mis"], ("gnp", "rgg"), **execution),
+        laws={"awake_mis": _FLAT},
     )
 
 
 def experiment_e2(scale: str = "default", seed: SeedLike = 2,
-                  jobs: Optional[int] = 1,
-                  store: Optional["ResultStore"] = None,
-                  resume: bool = False,
-                  backend: "BackendLike" = None,
-                  progress: Optional["ProgressCallback"] = None,
-                  ) -> ExperimentReport:
+                  **execution: Any) -> ExperimentReport:
     """Theorem 13 comparison: Awake-MIS vs Luby / rank-greedy baselines."""
-    from repro.experiments.sweeps import run_sweep
-
-    sweep = run_sweep(
-        algorithms=["awake_mis", "luby", "rank_greedy"],
-        sizes=SCALE_SIZES[scale],
-        families=("gnp",),
-        repetitions=SCALE_REPETITIONS[scale],
-        seed=seed,
-        jobs=jobs,
-        keep_runs=False,
-        store=store,
-        resume=resume,
-        backend=backend,
-        progress=progress,
-    )
-    report = _scaling_report(
+    return _scaling_report(
         "E2",
         "Awake / round complexity: Awake-MIS vs O(log n) baselines",
         "Awake-MIS awake complexity grows ~ log log n while Luby-style "
         "baselines grow ~ log n; baselines win on round complexity",
-        sweep,
-        metric="awake_max",
+        _sweep(scale, seed, ["awake_mis", "luby", "rank_greedy"], ("gnp",),
+               **execution),
+        notes="Absolute awake constants of Awake-MIS are dominated by the LDT "
+              "construction; the claim under test is the growth shape, not "
+              "the crossover point.",
     )
-    report.notes = (
-        "Absolute awake constants of Awake-MIS are dominated by the LDT "
-        "construction; the claim under test is the growth shape, not the "
-        "crossover point."
-    )
-    return report
 
 
 def experiment_e3(scale: str = "default", seed: SeedLike = 3,
-                  jobs: Optional[int] = 1,
-                  store: Optional["ResultStore"] = None,
-                  resume: bool = False,
-                  backend: "BackendLike" = None,
-                  progress: Optional["ProgressCallback"] = None,
-                  ) -> ExperimentReport:
+                  **execution: Any) -> ExperimentReport:
     """Corollary 14: every Awake-MIS run ends within its schedule."""
-    from repro.experiments.sweeps import run_sweep
-
-    sweep = run_sweep(
-        algorithms=["awake_mis"],
-        sizes=SCALE_SIZES[scale],
-        families=("gnp",),
-        repetitions=SCALE_REPETITIONS[scale],
-        seed=seed,
-        jobs=jobs,
-        keep_runs=False,
-        store=store,
-        resume=resume,
-        backend=backend,
-        progress=progress,
-    )
-    return round_bound_report(sweep)
+    return round_bound_report(
+        _sweep(scale, seed, ["awake_mis"], ("gnp",), **execution))
 
 
 def round_bound_report(sweep: "SweepResult") -> ExperimentReport:
@@ -249,95 +212,36 @@ def round_bound_report(sweep: "SweepResult") -> ExperimentReport:
 # E4 / E5: the auxiliary MIS algorithms
 # --------------------------------------------------------------------------- #
 def experiment_e4(scale: str = "default", seed: SeedLike = 4,
-                  jobs: Optional[int] = 1,
-                  store: Optional["ResultStore"] = None,
-                  resume: bool = False,
-                  backend: "BackendLike" = None,
-                  progress: Optional["ProgressCallback"] = None,
-                  ) -> ExperimentReport:
+                  **execution: Any) -> ExperimentReport:
     """Lemma 10: VT-MIS has O(log I) awake vs the naive O(I)."""
-    from repro.experiments.sweeps import run_sweep
-
-    sweep = run_sweep(
-        algorithms=["vt_mis", "naive_greedy"],
-        sizes=SCALE_SIZES[scale],
-        families=("gnp", "path"),
-        repetitions=SCALE_REPETITIONS[scale],
-        seed=seed,
-        jobs=jobs,
-        keep_runs=False,
-        store=store,
-        resume=resume,
-        backend=backend,
-        progress=progress,
-    )
-    report = _scaling_report(
+    return _scaling_report(
         "E4",
         "VT-MIS vs the naive distributed greedy",
         "Lemma 10: VT-MIS awake complexity O(log I) (vs Theta(I) naive), "
         "round complexity O(I) for both",
-        sweep,
-        metric="awake_max",
-        expect_flat=[],
+        _sweep(scale, seed, ["vt_mis", "naive_greedy"], ("gnp", "path"),
+               **execution),
+        laws={"vt_mis": _FLAT, "naive_greedy": ("n",)},
     )
-    # Growth-law classification needs at least three sizes to be meaningful;
-    # the smoke scale only checks correctness.
-    if len(SCALE_SIZES[scale]) >= 3:
-        naive_fits = [f for f in report.fits if f["algorithm"] == "naive_greedy"]
-        vt_fits = [f for f in report.fits if f["algorithm"] == "vt_mis"]
-        if naive_fits and vt_fits:
-            report.passed = report.passed and all(
-                f["best_law"] in ("n", "sqrt(n)") for f in naive_fits
-            ) and all(f["best_law"] in ("log(n)", "loglog(n)", "constant")
-                      for f in vt_fits)
-    return report
 
 
 def experiment_e5(scale: str = "default", seed: SeedLike = 5,
-                  jobs: Optional[int] = 1,
-                  store: Optional["ResultStore"] = None,
-                  resume: bool = False,
-                  backend: "BackendLike" = None,
-                  progress: Optional["ProgressCallback"] = None,
-                  ) -> ExperimentReport:
+                  **execution: Any) -> ExperimentReport:
     """Lemma 11 / Corollary 12: LDT-MIS awake complexity on small components."""
-    sizes = SCALE_SIZES[scale]
-    from repro.experiments.sweeps import run_sweep
-
-    sweep = run_sweep(
-        algorithms=["ldt_mis"],
-        sizes=sizes,
-        families=("gnp", "tree"),
-        repetitions=SCALE_REPETITIONS[scale],
-        seed=seed,
-        jobs=jobs,
-        keep_runs=False,
-        store=store,
-        resume=resume,
-        backend=backend,
-        progress=progress,
-    )
     return _scaling_report(
         "E5",
         "LDT-MIS awake complexity",
         "Lemma 11 / Corollary 12: awake complexity polylogarithmic in the "
         "component size (plus the permutation-broadcast term)",
-        sweep,
-        metric="awake_max",
-        expect_flat=[],
+        _sweep(scale, seed, ["ldt_mis"], ("gnp", "tree"), **execution),
     )
 
 
 # --------------------------------------------------------------------------- #
 # E6 / E7: probabilistic lemmas
 # --------------------------------------------------------------------------- #
-def experiment_e6(scale: str = "default", seed: SeedLike = 6,
-                  jobs: Optional[int] = 1,
-                  store: Optional["ResultStore"] = None,
-                  resume: bool = False,
-                  backend: "BackendLike" = None,
-                  progress: Optional["ProgressCallback"] = None,
-                  ) -> ExperimentReport:
+def experiment_e6(scale: str = "default",
+                  seed: SeedLike = 6) -> ExperimentReport:
     """Lemma 2: residual sparsity of randomized greedy."""
     n = {"smoke": 512, "default": 2048, "full": 4096}[scale]
     from repro.analysis.residual import run_residual_experiment
@@ -354,13 +258,8 @@ def experiment_e6(scale: str = "default", seed: SeedLike = 6,
     )
 
 
-def experiment_e7(scale: str = "default", seed: SeedLike = 7,
-                  jobs: Optional[int] = 1,
-                  store: Optional["ResultStore"] = None,
-                  resume: bool = False,
-                  backend: "BackendLike" = None,
-                  progress: Optional["ProgressCallback"] = None,
-                  ) -> ExperimentReport:
+def experiment_e7(scale: str = "default",
+                  seed: SeedLike = 7) -> ExperimentReport:
     """Lemma 3: shattering under a random 2-Delta partition."""
     from repro.analysis.components import run_shattering_experiment
 
@@ -383,13 +282,8 @@ def experiment_e7(scale: str = "default", seed: SeedLike = 7,
 # --------------------------------------------------------------------------- #
 # E8: the worked figure
 # --------------------------------------------------------------------------- #
-def experiment_e8(scale: str = "default", seed: SeedLike = 8,
-                  jobs: Optional[int] = 1,
-                  store: Optional["ResultStore"] = None,
-                  resume: bool = False,
-                  backend: "BackendLike" = None,
-                  progress: Optional["ProgressCallback"] = None,
-                  ) -> ExperimentReport:
+def experiment_e8(scale: str = "default",
+                  seed: SeedLike = 8) -> ExperimentReport:
     """Figures 1 and 2: the B([1,6]) worked example."""
     example = figure_example()
     expected = {"S_3": [3, 4, 5], "S_5": [5, 6], "common_round_3_5": 5}
@@ -419,12 +313,7 @@ def experiment_e8(scale: str = "default", seed: SeedLike = 8,
 # E9: node-averaged awake complexity at scale
 # --------------------------------------------------------------------------- #
 def experiment_e9(scale: str = "default", seed: SeedLike = 9,
-                  jobs: Optional[int] = 1,
-                  store: Optional["ResultStore"] = None,
-                  resume: bool = False,
-                  backend: "BackendLike" = None,
-                  progress: Optional["ProgressCallback"] = None,
-                  ) -> ExperimentReport:
+                  **execution: Any) -> ExperimentReport:
     """Node-averaged awake complexity: Awake-MIS vs Luby at larger n.
 
     Chatterjee, Gmyr and Pandurangan measure *node-averaged* awake
@@ -436,37 +325,21 @@ def experiment_e9(scale: str = "default", seed: SeedLike = 9,
     :data:`E9_SIZES` grid that ``--jobs`` plus the resumable store make
     practical.
     """
-    from repro.experiments.sweeps import run_sweep
-
-    sweep = run_sweep(
-        algorithms=["awake_mis", "luby"],
-        sizes=E9_SIZES[scale],
-        families=("gnp",),
-        repetitions=SCALE_REPETITIONS[scale],
-        seed=seed,
-        jobs=jobs,
-        keep_runs=False,
-        store=store,
-        resume=resume,
-        backend=backend,
-        progress=progress,
-    )
-    report = _scaling_report(
+    return _scaling_report(
         "E9",
         "Node-averaged awake complexity at scale: Awake-MIS vs Luby",
         "Chatterjee-Gmyr-Pandurangan's node-averaged awake measure: "
         "Awake-MIS stays near-flat (worst case O(log log n) bounds the "
         "average) while Luby grows with log n",
-        sweep,
+        _sweep(scale, seed, ["awake_mis", "luby"], ("gnp",), sizes=E9_SIZES,
+               **execution),
         metric="avg_awake_mean",
-        expect_flat=["awake_mis"],
+        laws={"awake_mis": _FLAT},
+        notes="Node-averaged awake complexity (the CGP measure) is bounded by "
+              "the worst-case awake complexity, so the paper's O(log log n) "
+              "claim transfers; the interesting comparison is the gap to "
+              "Luby's average.",
     )
-    report.notes = (
-        "Node-averaged awake complexity (the CGP measure) is bounded by the "
-        "worst-case awake complexity, so the paper's O(log log n) claim "
-        "transfers; the interesting comparison is the gap to Luby's average."
-    )
-    return report
 
 
 #: The registry itself.
@@ -492,13 +365,16 @@ def run_experiment(experiment_id: str, scale: str = "default",
                    progress: Optional[ProgressCallback] = None) -> ExperimentReport:
     """Run one experiment by ID (``E1`` .. ``E9``).
 
-    *jobs* and *backend* are forwarded to the sweep-backed experiments
-    (E1–E5, E9) and select how many workers execute the grid and on which
-    execution backend; results are identical for every combination (seeds
-    are planned up front by the executor).  *store*/*resume* likewise flow
-    to the sweep so interrupted grids can be continued, and *progress*
-    fires per executed task (the CLI's ``--progress``); the
-    single-process experiments E6–E8 ignore all five.
+    *seed* ``None`` takes the experiment's own default seed.  The five
+    execution arguments go only to :data:`SWEEP_EXPERIMENTS`: *jobs* and
+    *backend* select how many workers execute the grid and on which
+    execution backend (results are identical for every combination:
+    seeds are planned up front by the executor), *store*/*resume* persist
+    the grid so an interrupted one can be continued, and *progress* fires
+    per executed task (the CLI's ``--progress``).  The other experiments
+    run in-process and ignore *jobs*, *backend* and *progress*; they have
+    no grid to store, so a *store* or *resume* raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     key = experiment_id.upper()
     if key not in EXPERIMENTS:
@@ -506,12 +382,16 @@ def run_experiment(experiment_id: str, scale: str = "default",
                        f"{sorted(EXPERIMENTS)}")
     if scale not in SCALE_SIZES:
         raise KeyError(f"unknown scale '{scale}'")
-    runner = EXPERIMENTS[key]
-    if seed is None:
-        return runner(scale, jobs=jobs, store=store, resume=resume,
-                      backend=backend, progress=progress)
-    return runner(scale, seed, jobs=jobs, store=store, resume=resume,
-                  backend=backend, progress=progress)
+    args = (scale,) if seed is None else (scale, seed)
+    if key in SWEEP_EXPERIMENTS:
+        return EXPERIMENTS[key](*args, jobs=jobs, store=store, resume=resume,
+                                backend=backend, progress=progress)
+    if store is not None or resume:
+        raise ConfigurationError(
+            f"{key} runs no sweep, so it has no results store to write or "
+            "resume; --output/--resume apply only to the sweep-backed "
+            f"experiments {', '.join(sorted(SWEEP_EXPERIMENTS))}")
+    return EXPERIMENTS[key](*args)
 
 
 def available_experiments() -> List[str]:

@@ -74,20 +74,12 @@ def task_key(task: SweepTask,
              schema_version: int = CODE_SCHEMA_VERSION) -> str:
     """Stable spec hash identifying one task's result across processes.
 
-    The hash covers everything that determines the result — algorithm,
+    The hash covers every field of :meth:`SweepTask.to_json` — algorithm,
     graph family/size/seed, run seed, algorithm parameters — plus the code
     schema version, canonicalised through sorted-key JSON so dict ordering
     can never leak into the key.
     """
-    spec = {
-        "algorithm": task.algorithm,
-        "family": task.family,
-        "n": task.n,
-        "graph_seed": task.graph_seed,
-        "run_seed": task.run_seed,
-        "params": [[key, value] for key, value in task.params],
-        "schema": schema_version,
-    }
+    spec = {**_task_to_json(task), "schema": schema_version}
     blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 

@@ -512,6 +512,19 @@ class TestCLIStore:
         assert content.startswith(header)
         assert "luby,gnp,24," in content
 
+    @pytest.mark.parametrize("key", ["E6", "E7", "E8"])
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_experiment_without_a_sweep_refuses_a_store(self, tmp_path,
+                                                        capsys, key, resume):
+        path = tmp_path / "e.jsonl"
+        argv = ["experiment", key, "--scale", "smoke", "--output", str(path)]
+        assert main([*argv, "--resume"] if resume else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} runs no sweep")
+        assert "E1, E2, E3, E4, E5, E9" in captured.err
+        assert not path.exists()
+
     def test_experiment_output_resume(self, tmp_path, capsys):
         path = str(tmp_path / "e1.jsonl")
         argv = ["experiment", "E1", "--scale", "smoke", "--seed", "4",

@@ -183,6 +183,23 @@ class TestRegistry:
         assert report.passed
         assert "S_3" in str(report.rows)
 
+    def test_only_sweep_experiments_take_a_store(self, tmp_path):
+        from repro.errors import ConfigurationError
+        from repro.experiments.store import ResultStore
+
+        assert registry.SWEEP_EXPERIMENTS == {"E1", "E2", "E3", "E4", "E5",
+                                              "E9"}
+        path = tmp_path / "e8.jsonl"
+        with pytest.raises(ConfigurationError,
+                           match="E8 runs no sweep.*E1, E2, E3, E4, E5, E9"):
+            registry.run_experiment("E8", store=ResultStore(path))
+        with pytest.raises(ConfigurationError, match="E7 runs no sweep"):
+            registry.run_experiment("E7", resume=True)
+        assert not path.exists()
+        # jobs/backend/progress stay inert for them.
+        assert registry.run_experiment("E8", jobs=2, backend="serial",
+                                       progress=print).passed
+
     def test_e6_smoke(self):
         report = registry.run_experiment("E6", scale="smoke", seed=1)
         assert report.passed
@@ -277,6 +294,86 @@ class TestRegistry:
             self._awake_sweep([(32, 0, False)]))
         assert not report.passed
         assert report.notes == ""
+
+    @staticmethod
+    def _fake_grid(monkeypatch, awake, averaged=lambda algorithm, n: 5.0):
+        """Make ``run_sweep`` return a fabricated grid over the requested
+        algorithms, families and sizes: one verified run per cell, with
+        ``awake(algorithm, n)`` as its awake complexity and
+        ``averaged(algorithm, n)`` as its node-averaged awake complexity."""
+        from types import SimpleNamespace
+
+        from repro.experiments import sweeps
+
+        def fake_run_sweep(**kwargs):
+            sweep = sweeps.SweepResult()
+            for algorithm in kwargs["algorithms"]:
+                for family in kwargs["families"]:
+                    for n in kwargs["sizes"]:
+                        metrics = SimpleNamespace(
+                            awake_complexity=awake(algorithm, n),
+                            round_complexity=n,
+                            node_averaged_awake=averaged(algorithm, n))
+                        sweep.cell_for(algorithm, family, n,
+                                       keep_runs=False).add(SimpleNamespace(
+                                           verified=True, mis={1},
+                                           metrics=metrics))
+            return sweep
+
+        monkeypatch.setattr(sweeps, "run_sweep", fake_run_sweep)
+
+    def test_e1_linear_awake_growth_is_a_check(self, monkeypatch):
+        self._fake_grid(monkeypatch, lambda algorithm, n: n)
+        report = registry.run_experiment("E1", scale="default")
+        assert {fit["best_law"] for fit in report.fits} == {"n"}
+        assert not report.passed
+
+    def test_e1_flat_awake_growth_passes(self, monkeypatch):
+        self._fake_grid(monkeypatch, lambda algorithm, n: 9)
+        report = registry.run_experiment("E1", scale="default")
+        assert {fit["best_law"] for fit in report.fits} == {"constant"}
+        assert report.passed
+
+    def test_e4_linear_naive_and_flat_vt_passes(self, monkeypatch):
+        self._fake_grid(monkeypatch, lambda algorithm, n:
+                        n if algorithm == "naive_greedy" else 9)
+        report = registry.run_experiment("E4", scale="default")
+        assert {(fit["algorithm"], fit["best_law"]) for fit in report.fits} \
+            == {("naive_greedy", "n"), ("vt_mis", "constant")}
+        assert report.passed
+
+    def test_e4_flat_naive_is_a_check(self, monkeypatch):
+        self._fake_grid(monkeypatch, lambda algorithm, n: 9)
+        assert not registry.run_experiment("E4", scale="default").passed
+
+    def test_e4_linear_vt_is_a_check(self, monkeypatch):
+        self._fake_grid(monkeypatch, lambda algorithm, n: n)
+        assert not registry.run_experiment("E4", scale="default").passed
+
+    def test_e9_is_judged_on_the_node_averaged_measure(self, monkeypatch):
+        self._fake_grid(monkeypatch, lambda algorithm, n: n,
+                        averaged=lambda algorithm, n: 5.0)
+        assert registry.run_experiment("E9", scale="default").passed
+        self._fake_grid(monkeypatch, lambda algorithm, n: 9,
+                        averaged=lambda algorithm, n: float(n))
+        report = registry.run_experiment("E9", scale="default")
+        assert all(fit["metric"] == "avg_awake_mean" for fit in report.fits)
+        assert not report.passed
+
+    def test_e2_and_e5_fits_are_not_judged(self, monkeypatch):
+        self._fake_grid(monkeypatch, lambda algorithm, n: n)
+        for key in ("E2", "E5"):
+            report = registry.run_experiment(key, scale="default")
+            assert {fit["best_law"] for fit in report.fits} == {"n"}
+            assert report.passed
+
+    def test_two_size_grid_is_not_judged(self, monkeypatch):
+        self._fake_grid(monkeypatch, lambda algorithm, n: n,
+                        averaged=lambda algorithm, n: float(n))
+        for key in ("E1", "E4", "E9"):
+            report = registry.run_experiment(key, scale="smoke")
+            assert len({row["n"] for row in report.rows}) == 2
+            assert report.passed
 
     def test_e9_smoke(self):
         report = registry.run_experiment("E9", scale="smoke", seed=5)

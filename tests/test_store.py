@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.experiments.executor import plan_sweep_tasks
+from repro.experiments.executor import SweepTask, plan_sweep_tasks
 from repro.experiments.harness import MISRunResult, run_mis
 from repro.experiments.store import (CODE_SCHEMA_VERSION, ResultStore,
                                      load_sweep_result, merge_stores,
@@ -60,6 +60,16 @@ class TestTaskKey:
             algorithms=["luby"], sizes=[16], repetitions=1, seed=1,
             algorithm_params={"luby": {"max_iterations": 512}})[0]
         assert task_key(base) != task_key(tuned)
+
+    @pytest.mark.parametrize("task, key", [
+        (SweepTask("luby", "gnp", 64, 1, 2),
+         "2e34020cfd16f51ee44584cd039073f8"),
+        (SweepTask("awake_mis", "rgg", 128, 3, 4, (("preset", "paper"),)),
+         "9f03b5fe67fa628714800b041a2573dd"),
+    ])
+    def test_key_is_pinned(self, task, key):
+        # Stores written by earlier code must keep matching on resume.
+        assert task_key(task) == key
 
 
 class TestRecordRoundTrip:
