@@ -1,8 +1,8 @@
 """Benchmark: parallel sweep executor vs the in-process serial path.
 
 Runs the same representative grid (two algorithms × several sizes × a few
-repetitions) once serially (``jobs=1``) and once fanned out over worker
-processes, prints both wall times and the speedup, and asserts the
+repetitions) once serially (the default in-process backend) and once
+fanned out over worker processes (``make_backend(jobs=...)``), prints both wall times and the speedup, and asserts the
 executor's core guarantee: the rows are byte-identical either way.
 
 The speedup itself is hardware-dependent (a single-core CI runner sees
@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import time
 
+from repro.experiments.backends import make_backend
 from repro.experiments.executor import plan_sweep_tasks
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.tables import format_table
@@ -41,11 +42,12 @@ def test_bench_parallel_sweep_equivalence_and_speedup(benchmark, repro_scale,
     task_count = len(plan_sweep_tasks(**grid))
 
     started = time.perf_counter()
-    serial = run_sweep(**grid, jobs=1)
+    serial = run_sweep(**grid)
     serial_seconds = time.perf_counter() - started
 
     parallel = benchmark.pedantic(
-        lambda: run_sweep(**grid, jobs=jobs), rounds=1, iterations=1,
+        lambda: run_sweep(**grid, backend=make_backend(jobs=jobs)),
+        rounds=1, iterations=1,
     )
     parallel_seconds = benchmark.stats.stats.mean
 
@@ -97,9 +99,7 @@ def test_bench_backend_matrix(repro_scale, bench_record):
     straggler-tail win on skewed (ascending-n) grids shows up; the
     ``socket`` rows run against two freshly served local workers.
     """
-    from repro.experiments.backends import (BACKENDS, ComposedBackend,
-                                            SocketTransport,
-                                            available_backends,
+    from repro.experiments.backends import (available_backends,
                                             available_schedulers)
     from repro.experiments.worker import spawn_local_worker
 
@@ -128,15 +128,17 @@ def test_bench_backend_matrix(repro_scale, bench_record):
         for scheduler, name, pipeline in combos:
             if name in slot_workers:
                 _, slot_address = slot_workers[name]
-                transport = SocketTransport(f"{slot_address}*2")
+                backend = make_backend(scheduler=scheduler,
+                                       workers=f"{slot_address}*2",
+                                       jobs=jobs)
             elif name == "socket":
-                transport = SocketTransport(addresses, **(pipeline or {}))
+                backend = make_backend(scheduler=scheduler,
+                                       workers=addresses, jobs=jobs,
+                                       **(pipeline or {}))
             else:
-                transport = BACKENDS[name]()
-            backend = ComposedBackend(scheduler=scheduler,
-                                      transport=transport, jobs=jobs)
+                backend = make_backend(name, scheduler=scheduler, jobs=jobs)
             started = time.perf_counter()
-            sweep = run_sweep(**grid, jobs=jobs, backend=backend)
+            sweep = run_sweep(**grid, backend=backend)
             seconds = time.perf_counter() - started
             if reference is None:
                 reference = sweep

@@ -367,17 +367,19 @@ def _run_grid(parser: argparse.ArgumentParser, args: argparse.Namespace,
               run: Callable[..., Tuple[str, bool]]) -> int:
     """Run a ``sweep`` or ``experiment`` grid; returns the exit code.
 
-    *run* takes the execution keywords (jobs, backend, store, resume,
+    *run* takes the execution keywords (backend, store, resume,
     progress) and returns the text to print and whether it passed.  A
     :class:`~repro.errors.ConfigurationError` is an ``error:`` line and
-    exit 2; ``--progress`` adds the telemetry table on stderr.
+    exit 2; ``--progress`` adds the telemetry table on stderr once the
+    backend has run tasks (E6–E8 and a fully resumed store run none).
     """
+    from repro.experiments.tables import format_telemetry
+
     store = None
     try:
         backend = _compose_backend(args)
         store = _open_store(parser, args)
-        text, passed = run(jobs=args.jobs, backend=backend, store=store,
-                           resume=args.resume,
+        text, passed = run(backend=backend, store=store, resume=args.resume,
                            progress=(_progress_printer() if args.progress
                                      else None))
     except ConfigurationError as error:
@@ -386,8 +388,10 @@ def _run_grid(parser: argparse.ArgumentParser, args: argparse.Namespace,
     finally:
         if store is not None:
             store.close()
-    if args.progress:
-        _print_telemetry(backend)
+    telemetry = backend.telemetry()
+    # The graph-cache counters appear once a backend session has run.
+    if args.progress and "graph_cache" in telemetry:
+        print(format_telemetry(telemetry), file=sys.stderr, flush=True)
     print(text)
     return 0 if passed else 1
 
@@ -409,13 +413,6 @@ def _progress_printer():
                   f"{task.algorithm} on {task.family} n={task.n}",
                   file=sys.stderr, flush=True)
     return progress
-
-
-def _print_telemetry(backend) -> None:
-    """Print the backend's per-worker telemetry table to stderr."""
-    from repro.experiments.tables import format_telemetry
-
-    print(format_telemetry(backend.telemetry()), file=sys.stderr, flush=True)
 
 
 def _write_rows_csv(rows: List[dict], destination: str) -> None:

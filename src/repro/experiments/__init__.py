@@ -6,12 +6,10 @@ from repro.experiments.backends import (
     BACKENDS,
     ComposedBackend,
     available_backends,
-    resolve_backend,
+    make_backend,
 )
 from repro.experiments.executor import (
     SweepTask,
-    execute_tasks,
-    iter_task_results,
     plan_sweep_tasks,
     resolve_jobs,
     run_task,
@@ -41,11 +39,9 @@ __all__ = [
     "available_algorithms",
     "available_backends",
     "default_message_bit_limit",
-    "execute_tasks",
-    "iter_task_results",
     "load_sweep_result",
+    "make_backend",
     "plan_sweep_tasks",
-    "resolve_backend",
     "resolve_jobs",
     "run_mis",
     "run_task",

@@ -14,9 +14,10 @@ backend names select a transport (the scheduler defaults to ``fifo``)::
     process -> process   ProcessPoolExecutor fan-out
     socket  -> socket    TCP workers via --workers / REPRO_WORKERS
 
-A backend implements one method::
+A backend implements two methods::
 
-    submit_tasks(tasks) -> iterator of (index, MISRunResult)
+    submit_tasks(tasks) -> generator of (index, MISRunResult)
+    telemetry() -> dict of pipeline counters
 
 yielding ``(position-in-tasks, compact result)`` pairs as executions
 finish.  Because all seeds are fixed before submission
@@ -25,19 +26,21 @@ byte-identical results for every scheduler × transport × jobs
 combination; only arrival order and the failure model differ.  Closing
 the returned generator early cancels queued work and shuts workers down.
 
-Selection goes through :func:`resolve_backend` (backend names, backend
-objects) or :func:`make_backend` (the CLI's ``--backend``/``--scheduler``/
-``--workers``/``--window``/``--max-batch`` selectors).
+A backend object is the one way to say where a sweep runs, and it carries
+the worker count: build it directly (``ComposedBackend(jobs=4)``) or with
+:func:`make_backend`, the one place that turns names — the CLI's
+``--backend``/``--scheduler``/``--workers``/``--window``/``--max-batch``/
+``--jobs`` selectors — into a backend.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterator, List, Optional, Protocol,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Generator, List, Optional,
+                    Protocol, Sequence, Tuple, Union)
 
 from repro.errors import ConfigurationError
-from repro.experiments.executor import (BackendLike, SweepTask,
-                                        graph_cache_stats, resolve_jobs)
+from repro.experiments.executor import (SweepTask, graph_cache_stats,
+                                        resolve_jobs)
 from repro.experiments.harness import MISRunResult
 from repro.experiments.schedulers import (Scheduler, available_schedulers,
                                           resolve_scheduler)
@@ -45,8 +48,7 @@ from repro.experiments.transports import (SOCKET_WORKERS_ENV,
                                           WORKER_FAULT_DIR_ENV,
                                           InlineTransport, ProcessTransport,
                                           SocketTransport, Transport,
-                                          resolve_max_batch,
-                                          resolve_transport, resolve_window)
+                                          resolve_max_batch, resolve_window)
 
 
 class Backend(Protocol):
@@ -57,8 +59,12 @@ class Backend(Protocol):
 
     def submit_tasks(
         self, tasks: Sequence[SweepTask],
-    ) -> Iterator[Tuple[int, MISRunResult]]:
+    ) -> Generator[Tuple[int, MISRunResult], None, None]:
         """Yield ``(index, result)`` pairs as executions finish."""
+        ...
+
+    def telemetry(self) -> Dict[str, Any]:
+        """Pipeline counters of the last sweep (observational only)."""
         ...
 
 
@@ -71,7 +77,8 @@ class ComposedBackend:
     and closing the transport session brackets the result stream, so an
     abandoned generator still tears every worker down deterministically.
     A ``None`` transport is the ``jobs``-driven default: inline for one
-    worker, the process pool otherwise.
+    worker, the process pool otherwise; ``jobs=None`` (or ``0``) means
+    one worker per CPU.
     """
 
     def __init__(self, scheduler: Union[None, str, Scheduler] = None,
@@ -80,7 +87,10 @@ class ComposedBackend:
         self.jobs = resolve_jobs(jobs)
         self.scheduler = resolve_scheduler(scheduler,
                                            max_attempts=max_attempts)
-        self.transport = resolve_transport(transport, jobs=self.jobs)
+        if transport is None:
+            transport = (InlineTransport() if self.jobs == 1
+                         else ProcessTransport())
+        self.transport = transport
         self._graph_cache: Optional[Dict] = None
 
     @property
@@ -92,7 +102,7 @@ class ComposedBackend:
         """Cumulative worker replacements (crash-recovery accounting)."""
         return self.transport.restarts
 
-    def telemetry(self) -> Dict:
+    def telemetry(self) -> Dict[str, Any]:
         """Machine-readable pipeline telemetry for this backend.
 
         The transport's per-connection/per-worker counter snapshot (RTT
@@ -112,7 +122,7 @@ class ComposedBackend:
 
     def submit_tasks(
         self, tasks: Sequence[SweepTask],
-    ) -> Iterator[Tuple[int, MISRunResult]]:
+    ) -> Generator[Tuple[int, MISRunResult], None, None]:
         task_list = list(tasks)
         if not task_list:
             return
@@ -140,34 +150,8 @@ BACKENDS: Dict[str, Callable[..., Transport]] = {
 
 
 def available_backends() -> List[str]:
-    """Backend names accepted by ``--backend`` / ``resolve_backend``."""
+    """Backend names accepted by ``--backend`` / :func:`make_backend`."""
     return sorted(BACKENDS)
-
-
-def _check_backend_name(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend '{backend}'; known: {available_backends()}"
-        )
-
-
-def resolve_backend(backend: BackendLike, jobs: Optional[int] = 1,
-                    total: Optional[int] = None) -> Backend:
-    """Turn a backend selector into a backend object.
-
-    ``None`` is the ``jobs``-driven choice: serial when one worker would
-    be used (or the grid has at most one task — a pool would be pure
-    overhead), the process pool otherwise.  A string is looked up in
-    :data:`BACKENDS`; anything else is assumed to already be a backend
-    object and returned as-is.
-    """
-    if backend is None:
-        return ComposedBackend(
-            jobs=1 if total is not None and total <= 1 else jobs)
-    if isinstance(backend, str):
-        _check_backend_name(backend)
-        return ComposedBackend(transport=BACKENDS[backend](), jobs=jobs)
-    return backend
 
 
 def make_backend(backend: Optional[str] = None,
@@ -181,7 +165,7 @@ def make_backend(backend: Optional[str] = None,
     """Compose a backend from CLI-style selectors.
 
     ``--backend`` names the transport (``None`` is the ``jobs``-driven
-    default of :func:`resolve_backend`); ``--scheduler`` picks the
+    default of :class:`ComposedBackend`); ``--scheduler`` picks the
     dispatch order; ``--workers`` implies the socket backend.
     ``--window`` / ``--max-batch`` tune the socket transport's
     pipelining (see :mod:`repro.experiments.transports`); ``None`` keeps
@@ -194,8 +178,9 @@ def make_backend(backend: Optional[str] = None,
     before the CLI stamps a results-store header for a sweep that never
     starts.
     """
-    if backend is not None:
-        _check_backend_name(backend)
+    if backend is not None and backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend '{backend}'; known: {available_backends()}")
     if workers is not None:
         if backend is None:
             backend = "socket"  # --workers alone implies socket
@@ -227,6 +212,6 @@ def make_backend(backend: Optional[str] = None,
 
 __all__ = [
     "Backend", "ComposedBackend", "BACKENDS", "available_backends",
-    "resolve_backend", "make_backend", "available_schedulers",
+    "make_backend", "available_schedulers",
     "SocketTransport", "SOCKET_WORKERS_ENV", "WORKER_FAULT_DIR_ENV",
 ]

@@ -3,8 +3,7 @@
 The experiment grid (algorithm × graph family × n × repetition) is the
 product surface of the reproduction: every scaling claim in the paper is
 measured by sweeping it.  This module decomposes a sweep into independent,
-picklable :class:`SweepTask` specs and fans them out over a
-``concurrent.futures.ProcessPoolExecutor``.
+picklable :class:`SweepTask` specs that any execution backend can run.
 
 Design guarantees
 -----------------
@@ -26,25 +25,20 @@ Design guarantees
   :class:`~repro.sim.metrics.CompactRunMetrics` rather than per-node
   counter lists.
 
-``jobs=1`` (the default) executes in-process with no pool, which keeps
-single-run debugging, tracebacks and profiling simple.
-
-*Where* and *in what order* tasks execute is delegated to a pluggable
-execution backend (:mod:`repro.experiments.backends`): a **scheduler**
+*Where* and *in what order* tasks execute is delegated to one execution
+backend object (:mod:`repro.experiments.backends`): a **scheduler**
 (:mod:`repro.experiments.schedulers` — ``fifo``, ``large-first`` or
 ``cost-model`` ordering, retry/requeue, crash-loop accounting) composed
 with a **transport** (:mod:`repro.experiments.transports` — ``inline``,
-a ``process`` pool, or ``socket`` workers on any host).  The
-``backend="serial"|"process"|"socket"`` names select one transport each.
-Every combination consumes the same up-front-seeded task specs, so they
-are interchangeable without affecting a single result byte.
-
-Two consumption modes are offered: :func:`execute_tasks` returns the full
-result list in task order (batch), while :func:`iter_task_results` /
-:func:`iter_indexed_results` stream ``(task, result)`` pairs as workers
-finish, so grids too large to hold every result in memory can aggregate
-and persist incrementally (see :mod:`repro.experiments.sweeps` and
-:mod:`repro.experiments.store`).
+a ``process`` pool, or ``socket`` workers on any host).  The backend also
+carries the worker count (``ComposedBackend(jobs=...)``); with no
+transport given, one job runs inline in-process, which keeps single-run
+debugging, tracebacks and profiling simple.  Every composition consumes
+the same up-front-seeded task specs, so they are interchangeable without
+affecting a single result byte.  :func:`repro.experiments.sweeps
+.run_sweep` streams a backend's ``(index, result)`` pairs as workers
+finish, so grids too large to hold every result in memory aggregate and
+persist incrementally (see :mod:`repro.experiments.store`).
 """
 
 from __future__ import annotations
@@ -54,8 +48,7 @@ import sys
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, UnknownFamilyError
 from repro.experiments.harness import MISRunResult, run_mis
@@ -378,103 +371,3 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 #: Progress callback signature: ``(task, result, done, total)`` where *done*
 #: counts completed executions (1-based) and *total* is the task count.
 ProgressCallback = Callable[[SweepTask, MISRunResult, int, int], None]
-
-#: A backend selector: ``None`` (pick serial/process from *jobs*), a backend
-#: name from :data:`repro.experiments.backends.BACKENDS`, or an already
-#: constructed backend object.
-BackendLike = Union[None, str, Any]
-
-
-def iter_task_results(
-    tasks: Iterable[SweepTask],
-    jobs: Optional[int] = 1,
-    progress: Optional[ProgressCallback] = None,
-    backend: BackendLike = None,
-) -> Iterator[Tuple[SweepTask, MISRunResult]]:
-    """Stream ``(task, result)`` pairs as executions finish.
-
-    This is the streaming counterpart of :func:`execute_tasks`: nothing is
-    buffered, so a consumer can persist or aggregate each result and let it
-    go — the footprint of a sweep no longer grows with the grid size.  With
-    the serial backend tasks run in-process in task order; with a
-    multi-worker backend the pairs arrive in **completion order** (the
-    yielded ``task`` says which one finished).  Because every seed was fixed
-    up front by :func:`plan_sweep_tasks`, arrival order cannot affect any
-    result — consumers that need deterministic aggregation simply fold the
-    pairs back into task order (as :func:`repro.experiments.sweeps
-    .run_sweep` does).
-
-    *backend* selects where tasks execute (see
-    :mod:`repro.experiments.backends`): ``None`` keeps the historical
-    behaviour — in-process for ``jobs=1``, the process pool otherwise —
-    while ``"serial"``/``"process"``/``"socket"`` (or a backend object)
-    pick one explicitly.  Every backend yields byte-identical
-    results; they differ only in placement and failure model.
-
-    *progress*, when given, is called in the coordinator process as
-    ``progress(task, result, done, total)`` after each completed execution
-    — it sees only tasks that actually ran, which is what lets resume tests
-    assert that skipped tasks were never re-executed.
-    """
-    for _, task, result in iter_indexed_results(tasks, jobs=jobs,
-                                                progress=progress,
-                                                backend=backend):
-        yield task, result
-
-
-def iter_indexed_results(
-    tasks: Iterable[SweepTask],
-    jobs: Optional[int] = 1,
-    progress: Optional[ProgressCallback] = None,
-    backend: BackendLike = None,
-) -> Iterator[Tuple[int, SweepTask, MISRunResult]]:
-    """Like :func:`iter_task_results` but each pair carries the task's
-    position in *tasks*, for consumers that fold completion-order arrivals
-    back into deterministic task order."""
-    # Imported lazily: backends import run_task/_build_graph from this
-    # module, so a top-level import would be circular.
-    from repro.experiments.backends import resolve_backend
-
-    task_list = list(tasks)
-    chosen = resolve_backend(backend, jobs=jobs, total=len(task_list))
-    total = len(task_list)
-    done = 0
-    stream = chosen.submit_tasks(task_list)
-    try:
-        for index, result in stream:
-            done += 1
-            if progress is not None:
-                # A raising callback must not abandon in-flight workers or
-                # leak transports: the finally below closes the backend
-                # stream (cancelling queued work and shutting every slot
-                # down) *before* the exception reaches the caller — same
-                # teardown path as a consumer abandoning the stream.
-                progress(task_list[index], result, done, total)
-            yield index, task_list[index], result
-    finally:
-        # Deterministic cleanup on early abandonment, progress-callback
-        # exceptions and worker errors alike: closing the backend stream
-        # cancels queued work and shuts workers down.
-        close = getattr(stream, "close", None)
-        if close is not None:
-            close()
-
-
-def execute_tasks(
-    tasks: Iterable[SweepTask],
-    jobs: Optional[int] = 1,
-    backend: BackendLike = None,
-) -> List[MISRunResult]:
-    """Run every task and return results in task order.
-
-    Batch wrapper over :func:`iter_indexed_results`: results are reassembled
-    positionally, so the returned list aligns with *tasks* regardless of
-    which worker finished first.  Prefer the iterators for large grids —
-    this holds every result until the last task completes.
-    """
-    task_list = list(tasks)
-    results: List[Optional[MISRunResult]] = [None] * len(task_list)
-    for index, _, result in iter_indexed_results(task_list, jobs=jobs,
-                                                 backend=backend):
-        results[index] = result
-    return results  # type: ignore[return-value]

@@ -10,10 +10,10 @@ regenerated from exactly one code path.
 
 The sweep-backed experiments, :data:`SWEEP_EXPERIMENTS` (E1–E5, E9),
 run one grid each through :func:`_sweep` and also accept the execution
-keywords ``jobs`` (worker processes), ``backend`` (any scheduler ×
-transport composition — the CLI builds it from ``--backend``/
-``--scheduler``/``--workers``, so a full-scale E9 grid can run
-large-first over socket workers on other hosts), ``store``/``resume`` (a
+keywords ``backend`` (a backend object, which carries the worker count
+— the CLI builds it from ``--jobs``/``--backend``/``--scheduler``/
+``--workers``, so a full-scale E9 grid can run large-first over socket
+workers on other hosts), ``store``/``resume`` (a
 :class:`~repro.experiments.store.ResultStore` that persists every task
 result as it completes and lets an interrupted ``full``-scale grid
 continue instead of restarting) and ``progress``.  E6–E8 run in-process
@@ -28,7 +28,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 
 from repro.core.virtual_tree import communication_set, figure_example
 from repro.errors import ConfigurationError
-from repro.experiments.executor import BackendLike, ProgressCallback
+from repro.experiments.executor import ProgressCallback
 from repro.graphs.generators import gnp_graph
 from repro.rng import SeedLike
 
@@ -36,6 +36,7 @@ from repro.rng import SeedLike
 # runs: the CLI imports this module to build its parser, and a worker
 # started through the CLI never runs an experiment.
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.backends import Backend
     from repro.experiments.store import ResultStore
     from repro.experiments.sweeps import SweepResult
 
@@ -93,7 +94,7 @@ class ExperimentReport:
 ExperimentRunner = Callable[..., ExperimentReport]
 
 #: The experiments that run a sweep grid; only these take the execution
-#: keywords (jobs, store, resume, backend, progress).
+#: keywords (store, resume, backend, progress).
 SWEEP_EXPERIMENTS = frozenset({"E1", "E2", "E3", "E4", "E5", "E9"})
 
 #: The growth laws ``fit_report`` can pick that count as near-flat (it
@@ -106,7 +107,7 @@ def _sweep(scale: str, seed: SeedLike, algorithms: List[str],
            **execution: Any) -> "SweepResult":
     """Run one experiment grid at *scale*, keeping aggregates only.
 
-    *execution* (jobs, store, resume, backend, progress) goes to
+    *execution* (store, resume, backend, progress) goes to
     :func:`~repro.experiments.sweeps.run_sweep` unchanged.
     """
     from repro.experiments.sweeps import run_sweep
@@ -358,21 +359,20 @@ EXPERIMENTS: Dict[str, ExperimentRunner] = {
 
 def run_experiment(experiment_id: str, scale: str = "default",
                    seed: SeedLike = None,
-                   jobs: Optional[int] = 1,
                    store: Optional["ResultStore"] = None,
                    resume: bool = False,
-                   backend: BackendLike = None,
+                   backend: Optional["Backend"] = None,
                    progress: Optional[ProgressCallback] = None) -> ExperimentReport:
     """Run one experiment by ID (``E1`` .. ``E9``).
 
-    *seed* ``None`` takes the experiment's own default seed.  The five
-    execution arguments go only to :data:`SWEEP_EXPERIMENTS`: *jobs* and
-    *backend* select how many workers execute the grid and on which
-    execution backend (results are identical for every combination:
-    seeds are planned up front by the executor), *store*/*resume* persist
-    the grid so an interrupted one can be continued, and *progress* fires
-    per executed task (the CLI's ``--progress``).  The other experiments
-    run in-process and ignore *jobs*, *backend* and *progress*; they have
+    *seed* ``None`` takes the experiment's own default seed.  The four
+    execution arguments go only to :data:`SWEEP_EXPERIMENTS`: *backend*
+    says where the grid runs and on how many workers (``None`` is
+    in-process; results are identical for every backend: seeds are
+    planned up front by the executor), *store*/*resume* persist the grid
+    so an interrupted one can be continued, and *progress* fires per
+    executed task (the CLI's ``--progress``).  The other experiments run
+    in-process and ignore *backend* and *progress*; they have
     no grid to store, so a *store* or *resume* raises
     :class:`~repro.errors.ConfigurationError`.
     """
@@ -384,7 +384,7 @@ def run_experiment(experiment_id: str, scale: str = "default",
         raise KeyError(f"unknown scale '{scale}'")
     args = (scale,) if seed is None else (scale, seed)
     if key in SWEEP_EXPERIMENTS:
-        return EXPERIMENTS[key](*args, jobs=jobs, store=store, resume=resume,
+        return EXPERIMENTS[key](*args, store=store, resume=resume,
                                 backend=backend, progress=progress)
     if store is not None or resume:
         raise ConfigurationError(

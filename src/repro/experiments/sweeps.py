@@ -7,13 +7,13 @@ round complexity, MIS size, verification) per grid cell.  The scaling
 experiments E1–E5 and E9 are thin wrappers around these sweeps.
 
 Execution is delegated to :mod:`repro.experiments.executor`: the grid is
-expanded into seed-carrying task specs up front, then streamed through a
-pluggable execution backend — a scheduler × transport composition
-(in-process by default for ``jobs=1``, a process pool for ``jobs>1``, or
-any of ``backend="serial"|"process"|"socket"`` / an explicit
-:class:`~repro.experiments.backends.ComposedBackend`, e.g.
-large-first dispatch over TCP workers) with bit-identical results on
-every combination.  Aggregation is **incremental**: each
+expanded into seed-carrying task specs up front, then streamed through one
+execution backend object — a scheduler × transport composition that also
+carries the worker count (in-process by default; build others with
+``ComposedBackend(jobs=...)`` or
+:func:`~repro.experiments.backends.make_backend`, e.g. large-first
+dispatch over TCP workers) with bit-identical results on every
+combination.  Aggregation is **incremental**: each
 :class:`SweepCell` folds results into running :class:`MetricAccumulator`
 counters as they arrive, so a sweep's memory footprint no longer grows with
 the grid size (pass ``keep_runs=True`` — the default for direct callers —
@@ -34,13 +34,12 @@ from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.fitting import fit_report
 from repro.errors import ConfigurationError
-from repro.experiments.executor import (BackendLike, ProgressCallback,
-                                        iter_indexed_results,
-                                        plan_sweep_tasks)
+from repro.experiments.executor import ProgressCallback, plan_sweep_tasks
 from repro.experiments.harness import MISRunResult
 from repro.rng import SeedLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store uses sweeps)
+    from repro.experiments.backends import Backend
     from repro.experiments.store import ResultStore
 
 
@@ -165,11 +164,10 @@ class SweepResult:
     cells: List[SweepCell] = field(default_factory=list)
     #: Pipeline telemetry captured from the execution backend after the
     #: sweep (``ComposedBackend.telemetry()``: per-worker RTT/window/
-    #: frame counters plus scheduler requeues), or ``None`` when the
-    #: backend exposes none (string aliases resolved internally, plain
-    #: pools).  Observational only — never part of rows/fits, and
-    #: excluded from equality so telemetry can never make two
-    #: byte-identical sweeps compare unequal.
+    #: frame counters plus scheduler requeues), or ``None`` for a
+    #: result rebuilt from a store.  Observational only — never part of
+    #: rows/fits, and excluded from equality so telemetry can never make
+    #: two byte-identical sweeps compare unequal.
     telemetry: Optional[Dict[str, Any]] = field(default=None, repr=False,
                                                 compare=False)
 
@@ -242,12 +240,11 @@ def run_sweep(
     repetitions: int = 3,
     seed: SeedLike = None,
     algorithm_params: Optional[Dict[str, Dict[str, Any]]] = None,
-    jobs: Optional[int] = 1,
     keep_runs: bool = True,
     store: Optional["ResultStore"] = None,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
-    backend: BackendLike = None,
+    backend: Optional["Backend"] = None,
 ) -> SweepResult:
     """Run the full grid and return a :class:`SweepResult`.
 
@@ -255,13 +252,11 @@ def run_sweep(
     arguments for :func:`~repro.experiments.harness.run_mis` (e.g.
     ``{"awake_mis": {"preset": "scaled"}}``).
 
-    *jobs* selects how many workers execute the grid: ``1`` (default) runs
-    in-process, ``None``/``0`` uses one worker per CPU.  *backend* selects
-    the execution backend (``"serial"``, ``"process"``, ``"socket"`` or
-    a :class:`~repro.experiments.backends.Backend` object — e.g.
-    :class:`~repro.experiments.backends.ComposedBackend` pairing a
-    scheduling policy with a transport);
-    ``None`` keeps the jobs-driven default of in-process vs process pool.
+    *backend* is where the grid runs: a
+    :class:`~repro.experiments.backends.Backend` object such as
+    :class:`~repro.experiments.backends.ComposedBackend`, which pairs a
+    scheduling policy with a transport and carries the worker count.
+    ``None`` runs in-process, as ``ComposedBackend(jobs=1)``.
 
     *keep_runs* controls whether cells retain the raw
     :class:`MISRunResult` objects besides their running aggregates; pass
@@ -271,14 +266,15 @@ def run_sweep(
     every result as it completes; with *resume* also true, tasks whose spec hash
     is already recorded are **not** re-executed — their stored compact
     metrics are replayed into the aggregation instead.  *progress* is
-    forwarded to the executor and fires only for tasks that actually run.
+    called as ``progress(task, result, done, total)`` before each fresh
+    result is stored, so it sees only tasks that actually run.
 
     Determinism: every task's seeds are derived up front by
     :func:`~repro.experiments.executor.plan_sweep_tasks`, and arrivals are
     folded back into planned-grid order before aggregation, so the returned
-    cells, rows and fits are byte-identical for every value of *jobs*, for
-    every backend — and for any interleaving of stored and freshly
-    executed tasks.
+    cells, rows and fits are byte-identical for every backend and worker
+    count — and for any interleaving of stored and freshly executed
+    tasks.
     """
     tasks = plan_sweep_tasks(
         algorithms=algorithms,
@@ -314,11 +310,11 @@ def run_sweep(
                     replay_offsets[index] = offset
 
     result = SweepResult()
-    # Fold strictly in planned-grid order: arrivals (completion-ordered under
-    # jobs>1) wait in a small reorder buffer of compact results until every
-    # earlier task has been folded.  This is what keeps float accumulation —
-    # and therefore rows and fits — byte-identical across jobs values,
-    # arrival orders and resume.
+    # Fold strictly in planned-grid order: arrivals (completion-ordered on
+    # several workers) wait in a small reorder buffer of compact results
+    # until every earlier task has been folded.  This is what keeps float
+    # accumulation — and therefore rows and fits — byte-identical across
+    # backends, arrival orders and resume.
     buffer: Dict[int, MISRunResult] = {}
     next_index = 0
 
@@ -338,22 +334,30 @@ def run_sweep(
             next_index += 1
 
     drain()
+    if backend is None:
+        # Imported at call time, so importing this module does not load
+        # the transport layer.
+        from repro.experiments.backends import ComposedBackend
+        backend = ComposedBackend(jobs=1)
     pending = [tasks[index] for index in pending_indices]
-    local_to_global = {local: global_index
-                       for local, global_index in enumerate(pending_indices)}
-    for local_index, task, run in iter_indexed_results(pending, jobs=jobs,
-                                                       progress=progress,
-                                                       backend=backend):
-        global_index = local_to_global[local_index]
-        if store is not None:
-            store.append(global_index, task, run)
-        buffer[global_index] = run
-        drain()
+    stream = backend.submit_tasks(pending)
+    try:
+        for done, (local_index, run) in enumerate(stream, 1):
+            task = pending[local_index]
+            if progress is not None:
+                progress(task, run, done, len(pending))
+            global_index = pending_indices[local_index]
+            if store is not None:
+                store.append(global_index, task, run)
+            buffer[global_index] = run
+            drain()
+    finally:
+        # Closing the stream cancels queued work and shuts every worker
+        # down — on completion, on a raising callback or store, and when
+        # a worker error ends the sweep early.
+        stream.close()
     drain()
-    # Attach the backend's pipeline telemetry (when it exposes any) so
-    # callers holding only the SweepResult — the CLI's --progress table,
-    # library consumers — can see what the transport actually did.
-    telemetry = getattr(backend, "telemetry", None)
-    if callable(telemetry):
-        result.telemetry = telemetry()
+    # Callers holding only the SweepResult (the CLI's --progress table,
+    # library consumers) can see what the transport actually did.
+    result.telemetry = backend.telemetry()
     return result

@@ -1127,14 +1127,3 @@ class SocketTransport(Transport):
             raise
         return _FramedSession(self, addresses, peers)
 
-
-def resolve_transport(transport: Optional[Transport],
-                      jobs: int = 1) -> Transport:
-    """Turn a transport selector into a transport object.
-
-    ``None`` is the ``jobs``-driven choice — inline for one worker, the
-    process pool otherwise; a transport object is returned as-is.
-    """
-    if transport is None:
-        return InlineTransport() if jobs == 1 else ProcessTransport()
-    return transport

@@ -4,7 +4,7 @@ A backend is a (scheduler × transport) composition; the cross-backend
 byte-identity matrix lives in ``tests/test_executor.py`` and the
 transport/scheduler layers have their own suites
 (``test_transports.py``, ``test_schedulers.py``).  This file covers the
-backend facade itself: name resolution, CLI-style composition
+backend facade itself: the jobs-driven default, CLI-style composition
 (``make_backend``), the framed worker protocol, and crash recovery over
 socket workers — a worker dying mid-task is requeued, a crash loop is
 bounded, and task errors come back as the right exception.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 
 import pytest
@@ -27,10 +28,8 @@ from repro.experiments.backends import (
     SocketTransport,
     available_backends,
     make_backend,
-    resolve_backend,
 )
-from repro.experiments.executor import (SweepTask, iter_task_results,
-                                        plan_sweep_tasks, run_task)
+from repro.experiments.executor import SweepTask, plan_sweep_tasks, run_task
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.worker import read_frame, write_frame
 
@@ -45,36 +44,63 @@ def enable_socket_backend(name, request, monkeypatch):
                            request.getfixturevalue("socket_workers"))
 
 
-class TestResolveBackend:
+def lazy_backend(name, jobs):
+    """A fifo backend over the *name* transport, opened only on submit."""
+    return ComposedBackend(transport=BACKENDS[name](), jobs=jobs)
+
+
+class TestBackendSelection:
     def test_default_is_serial_for_one_worker(self):
-        assert resolve_backend(None, jobs=1).transport.name == "inline"
+        assert ComposedBackend(jobs=1).transport.name == "inline"
 
     def test_default_is_process_pool_for_many_workers(self):
-        backend = resolve_backend(None, jobs=4)
+        backend = ComposedBackend(jobs=4)
         assert backend.transport.name == "process"
         assert backend.jobs == 4
 
-    def test_tiny_grids_stay_in_process(self):
-        # A pool for <= 1 task is pure overhead.
-        assert resolve_backend(None, jobs=4, total=1).transport.name == \
-            "inline"
-        assert resolve_backend(None, jobs=4, total=0).transport.name == \
-            "inline"
+    def test_default_jobs_is_one_worker_per_cpu(self):
+        assert ComposedBackend().jobs == (os.cpu_count() or 1)
+        assert ComposedBackend(jobs=0).jobs == (os.cpu_count() or 1)
+
+    def test_sweep_default_is_one_inline_worker(self):
+        sweep = run_sweep(algorithms=["luby"], sizes=[16], repetitions=1,
+                          seed=1)
+        assert sweep.telemetry["transport"] == "inline"
+
+    def test_backend_objects_pass_through(self):
+        # run_sweep drives exactly the backend it is given, with that
+        # backend's own worker count: there is no second selector.
+        backend = ComposedBackend(jobs=2)
+        submitted = []
+        submit_tasks = backend.submit_tasks
+
+        def spy(tasks):
+            submitted.append(len(tasks))
+            return submit_tasks(tasks)
+
+        backend.submit_tasks = spy
+        sweep = run_sweep(**GRID, backend=backend)
+        assert submitted == [len(plan_sweep_tasks(**GRID))]
+        assert backend.jobs == 2
+        assert sweep.telemetry["transport"] == "process"
 
     def test_names_resolve_to_their_transports(self):
         for name, transport_cls in BACKENDS.items():
-            backend = resolve_backend(name, jobs=2)
+            workers = "127.0.0.1:1" if name == "socket" else None
+            backend = make_backend(name, workers=workers, jobs=2)
             assert isinstance(backend, ComposedBackend)
             assert isinstance(backend.transport, transport_cls)
             assert backend.scheduler.name == "fifo"
+            assert backend.jobs == 2
 
-    def test_backend_objects_pass_through(self):
-        backend = ComposedBackend(jobs=2)
-        assert resolve_backend(backend) is backend
+    def test_a_given_transport_is_kept(self):
+        transport = SocketTransport("127.0.0.1:1")
+        assert ComposedBackend(transport=transport,
+                               jobs=4).transport is transport
 
     def test_unknown_name_rejected_with_known_list(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            resolve_backend("cluster")
+            make_backend("cluster")
         message = str(excinfo.value)
         assert "unknown backend 'cluster'" in message
         for name in available_backends():
@@ -90,7 +116,7 @@ class TestResolveBackend:
         pairs = {"serial": "inline", "process": "process",
                  "socket": "socket"}
         for name, transport in pairs.items():
-            assert resolve_backend(name, jobs=2).name == f"fifo+{transport}"
+            assert lazy_backend(name, jobs=2).name == f"fifo+{transport}"
 
 
 class TestMakeBackend:
@@ -147,7 +173,7 @@ class TestMakeBackend:
     def test_socket_backend_without_workers_fails_at_open_not_construct(
             self, monkeypatch):
         monkeypatch.delenv(SOCKET_WORKERS_ENV, raising=False)
-        backend = resolve_backend("socket", jobs=2)  # stays lazy
+        backend = lazy_backend("socket", jobs=2)
         tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                  repetitions=1, seed=1)
         with pytest.raises(ConfigurationError, match="worker addresses"):
@@ -236,7 +262,7 @@ class TestBackendStreams:
     def test_empty_task_list_yields_nothing(self, name):
         # No transport session is even opened for an empty grid, so the
         # socket backend needs no live workers here.
-        backend = resolve_backend(name, jobs=2)
+        backend = lazy_backend(name, jobs=2)
         assert list(backend.submit_tasks([])) == []
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -244,7 +270,7 @@ class TestBackendStreams:
                                                 monkeypatch):
         enable_socket_backend(name, request, monkeypatch)
         tasks = plan_sweep_tasks(**GRID)
-        backend = resolve_backend(name, jobs=2)
+        backend = make_backend(name, jobs=2)
         reference = {index: run_task(task)
                      for index, task in enumerate(tasks)}
         for index, result in backend.submit_tasks(tasks):
@@ -258,7 +284,7 @@ class TestBackendStreams:
         # to the first socket worker.
         enable_socket_backend(name, request, monkeypatch)
         tasks = plan_sweep_tasks(**GRID)
-        backend = resolve_backend(name, jobs=1)
+        backend = make_backend(name, jobs=1)
         pairs = list(backend.submit_tasks(tasks))
         assert sorted(index for index, _ in pairs) == list(range(len(tasks)))
         for index, result in pairs:
@@ -269,7 +295,7 @@ class TestBackendStreams:
                                                       monkeypatch):
         enable_socket_backend(name, request, monkeypatch)
         tasks = plan_sweep_tasks(**GRID)
-        stream = iter_task_results(tasks, jobs=2, backend=name)
+        stream = make_backend(name, jobs=2).submit_tasks(tasks)
         next(stream)
         stream.close()  # must not hang on queued work or live workers
 
@@ -373,9 +399,8 @@ class TestSocketCrashRecovery:
         _, address = spawn_socket_worker(
             extra_env={WORKER_FAULT_DIR_ENV: str(tmp_path)}, slots=2)
         backend = ComposedBackend(transport=SocketTransport(address))
-        pairs = list(iter_task_results(tasks, backend=backend))
-        assert sorted(t.run_seed for t, _ in pairs) == sorted(
-            t.run_seed for t in tasks)
+        pairs = list(backend.submit_tasks(tasks))
+        assert sorted(index for index, _ in pairs) == list(range(len(tasks)))
 
     def test_crash_looping_task_raises_instead_of_spinning(
             self, tmp_path, spawn_socket_worker):

@@ -59,13 +59,13 @@ DENSE_GRID = dict(algorithms=["luby"], sizes=[16], families=("gnp",),
 @pytest.fixture(scope="module")
 def serial_rows():
     """Serial reference for :data:`GRID` (the byte-identity oracle)."""
-    sweep = run_sweep(**GRID, jobs=1)
+    sweep = run_sweep(**GRID)
     return repr(sweep.rows()), repr(sweep.fits("awake_max"))
 
 
 @pytest.fixture(scope="module")
 def dense_serial_rows():
-    sweep = run_sweep(**DENSE_GRID, jobs=1)
+    sweep = run_sweep(**DENSE_GRID)
     return repr(sweep.rows()), repr(sweep.fits("awake_max"))
 
 
@@ -158,7 +158,7 @@ class TestFlapProxy:
             transport=SocketTransport(f"{proxy.address}*2",
                                       window=4, max_batch=2),
             jobs=2)
-        sweep = run_sweep(**GRID, jobs=2, backend=backend)
+        sweep = run_sweep(**GRID, backend=backend)
         assert (repr(sweep.rows()),
                 repr(sweep.fits("awake_max"))) == serial_rows
         assert proxy.kills == 0
@@ -190,7 +190,7 @@ class TestConnectionFlaps:
             transport=SocketTransport(f"{proxy.address}*2",
                                       window=4, max_batch=2),
             jobs=2, max_attempts=max_attempts)
-        sweep = run_sweep(**GRID, jobs=2, backend=backend)
+        sweep = run_sweep(**GRID, backend=backend)
 
         telemetry = backend.telemetry()
         (tmp_path / "telemetry.json").write_text(
@@ -242,7 +242,7 @@ class TestConnectionFlaps:
             transport=SocketTransport(f"{proxy.address}*2",
                                       window="adaptive", max_batch=2),
             jobs=2, max_attempts=max_attempts)
-        sweep = run_sweep(**DENSE_GRID, jobs=2, backend=backend)
+        sweep = run_sweep(**DENSE_GRID, backend=backend)
 
         telemetry = backend.telemetry()
         (tmp_path / "telemetry.json").write_text(
@@ -291,7 +291,7 @@ class TestSlotProcessChaos:
             backend = ComposedBackend(
                 transport=SocketTransport(f"{address}*2"),
                 jobs=2, max_attempts=max_attempts)
-            sweep = run_sweep(**GRID, jobs=2, backend=backend)
+            sweep = run_sweep(**GRID, backend=backend)
 
             telemetry = backend.telemetry()
             (tmp_path / "telemetry.json").write_text(

@@ -60,6 +60,19 @@ class TestCLI:
         assert main(["experiment", "E8", "--jobs", "2"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_progress_prints_telemetry_only_for_a_grid_that_ran(self,
+                                                                capsys):
+        # E8 runs no grid, so it has no transport table to print.
+        assert main(["experiment", "E8", "--jobs", "2", "--progress"]) == 0
+        captured = capsys.readouterr()
+        assert "PASS" in captured.out
+        assert captured.err == ""
+        assert main(["experiment", "E1", "--scale", "smoke",
+                     "--progress"]) == 0
+        err = capsys.readouterr().err
+        assert "transport telemetry (inline transport" in err
+        assert "graph cache hits=" in err
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 0
         assert "usage" in capsys.readouterr().out.lower()

@@ -2,8 +2,9 @@
 
 The load-bearing guarantee: because :func:`plan_sweep_tasks` derives every
 seed up front from the master RNG (in the exact order the historical serial
-loop consumed it), ``run_sweep(jobs=K)`` is cell-for-cell identical for
-every ``K`` — the rows, the fits, even their ``repr`` strings.
+loop consumed it), ``run_sweep`` is cell-for-cell identical on every
+backend and worker count — the rows, the fits, even their ``repr``
+strings.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.backends import ComposedBackend, make_backend
 from repro.experiments.executor import (
     SweepTask,
-    execute_tasks,
-    iter_task_results,
     plan_sweep_tasks,
     resolve_jobs,
     run_task,
@@ -32,7 +32,8 @@ def _enable_socket(backend, request, monkeypatch):
     """Point the socket backend at a session worker pool when needed.
 
     ``socket`` dials two single-slot workers; ``socket-slots`` dials both
-    slots of one ``--slots 2`` worker.  Returns the backend name to select.
+    slots of one ``--slots 2`` worker.  Returns the backend name to select
+    (``None`` for the jobs-driven default).
     """
     fixtures = {"socket": "socket_workers",
                 "socket-slots": "multislot_socket_worker"}
@@ -173,21 +174,18 @@ class TestResolveJobs:
 class TestStreaming:
     def test_jobs1_streams_in_task_order(self):
         tasks = plan_sweep_tasks(**GRID)
-        pairs = list(iter_task_results(tasks, jobs=1))
-        assert [task for task, _ in pairs] == tasks
-        reference = execute_tasks(tasks, jobs=1)
-        assert [result.mis for _, result in pairs] == [r.mis
-                                                       for r in reference]
+        pairs = list(ComposedBackend(jobs=1).submit_tasks(tasks))
+        assert [index for index, _ in pairs] == list(range(len(tasks)))
+        assert [result.mis for _, result in pairs] == [run_task(t).mis
+                                                       for t in tasks]
 
     def test_parallel_stream_covers_every_task_exactly_once(self):
         tasks = plan_sweep_tasks(**GRID)
-        pairs = list(iter_task_results(tasks, jobs=4))
-        assert sorted(task.run_seed for task, _ in pairs) == sorted(
-            task.run_seed for task in tasks)
-        by_seed = {task.run_seed: result for task, result in pairs}
-        reference = execute_tasks(tasks, jobs=1)
-        for task, expected in zip(tasks, reference):
-            assert by_seed[task.run_seed].mis == expected.mis
+        pairs = list(make_backend(jobs=4).submit_tasks(tasks))
+        assert sorted(index for index, _ in pairs) == list(range(len(tasks)))
+        for index, result in pairs:
+            reference = run_task(tasks[index])
+            assert (result.mis, result.seed) == (reference.mis, reference.seed)
 
     def test_progress_callback_sees_every_execution(self):
         tasks = plan_sweep_tasks(**GRID)
@@ -196,7 +194,7 @@ class TestStreaming:
         def progress(task, result, done, total):
             seen.append((task.run_seed, done, total))
 
-        list(iter_task_results(tasks, jobs=1, progress=progress))
+        run_sweep(**GRID, progress=progress)
         assert [done for _, done, _ in seen] == list(range(1, len(tasks) + 1))
         assert all(total == len(tasks) for _, _, total in seen)
         assert sorted(seed for seed, _, _ in seen) == sorted(
@@ -205,15 +203,58 @@ class TestStreaming:
     def test_yielded_results_are_compact(self):
         tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                  repetitions=1, seed=7)
-        for _, result in iter_task_results(tasks, jobs=1):
+        for _, result in ComposedBackend(jobs=1).submit_tasks(tasks):
             assert isinstance(result.metrics, CompactRunMetrics)
             assert result.raw is None
 
     def test_abandoning_the_stream_shuts_the_pool_down(self):
         tasks = plan_sweep_tasks(**GRID)
-        stream = iter_task_results(tasks, jobs=4)
+        stream = make_backend(jobs=4).submit_tasks(tasks)
         next(stream)
         stream.close()  # must not hang on queued futures
+
+
+class _ClosingRecorder(ComposedBackend):
+    """An inline backend that records whether its stream was closed."""
+
+    def __init__(self):
+        super().__init__(jobs=1)
+        self.closed = False
+
+    def submit_tasks(self, tasks):
+        try:
+            yield from super().submit_tasks(tasks)
+        finally:
+            self.closed = True
+
+
+class TestRunSweepClosesTheStream:
+    # Each test keeps the traceback (and with it run_sweep's frame and
+    # the open stream) alive, so only run_sweep's own close can pass it.
+    def test_stream_closed_when_the_callback_raises(self):
+        backend = _ClosingRecorder()
+
+        def explode(task, result, done, total):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom") as excinfo:
+            run_sweep(**GRID, backend=backend, progress=explode)
+        assert backend.closed
+        assert excinfo.tb is not None
+
+    def test_stream_closed_when_the_store_raises(self, tmp_path):
+        from repro.experiments.store import ResultStore
+
+        class FullDisk(ResultStore):
+            def append(self, index, task, run):
+                raise OSError("no space left")
+
+        backend = _ClosingRecorder()
+        with pytest.raises(OSError, match="no space") as excinfo:
+            run_sweep(**GRID, backend=backend,
+                      store=FullDisk(tmp_path / "out.jsonl"))
+        assert backend.closed
+        assert excinfo.tb is not None
 
 
 class TestGraphCacheLifecycle:
@@ -222,7 +263,7 @@ class TestGraphCacheLifecycle:
 
         tasks = plan_sweep_tasks(algorithms=["luby"], sizes=[16],
                                  repetitions=2, seed=11)
-        list(iter_task_results(tasks, jobs=1))
+        list(ComposedBackend(jobs=1).submit_tasks(tasks))
         assert _build_graph.cache_info().currsize == 0
 
     def test_worker_initializer_resets_the_cache(self):
@@ -263,17 +304,10 @@ class TestGraphCacheLifecycle:
 @pytest.fixture(scope="module")
 def serial_baseline():
     """The reference sweep every backend/jobs combination must reproduce."""
-    return run_sweep(**GRID, jobs=1)
+    return run_sweep(**GRID)
 
 
 class TestSerialParallelEquivalence:
-    def test_execute_tasks_preserves_task_order(self):
-        tasks = plan_sweep_tasks(**GRID)
-        serial = execute_tasks(tasks, jobs=1)
-        parallel = execute_tasks(tasks, jobs=4)
-        assert [r.mis for r in serial] == [r.mis for r in parallel]
-        assert [r.seed for r in serial] == [r.seed for r in parallel]
-
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize(
         "backend", [None, "serial", "process", "socket", "socket-slots"])
@@ -287,8 +321,8 @@ class TestSerialParallelEquivalence:
         ``socket`` runs against two live local workers, ``socket-slots``
         against both slots of one ``--slots 2`` worker.
         """
-        backend = _enable_socket(backend, request, monkeypatch)
-        sweep = run_sweep(**GRID, jobs=jobs, backend=backend)
+        name = _enable_socket(backend, request, monkeypatch)
+        sweep = run_sweep(**GRID, backend=make_backend(name, jobs=jobs))
         assert repr(sweep.rows()) == repr(serial_baseline.rows())
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
         assert sweep.all_verified and serial_baseline.all_verified
@@ -308,12 +342,10 @@ class TestSerialParallelEquivalence:
         derived at planning time and arrivals are folded back into grid
         order.
         """
-        from repro.experiments.backends import make_backend
-
         _enable_socket(backend, request, monkeypatch)
         composed = make_backend(backend=backend, scheduler=scheduler,
                                 jobs=2)
-        sweep = run_sweep(**GRID, jobs=2, backend=composed)
+        sweep = run_sweep(**GRID, backend=composed)
         assert repr(sweep.rows()) == repr(serial_baseline.rows())
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
 
@@ -325,13 +357,12 @@ class TestSerialParallelEquivalence:
         *process* serving two concurrent connections (slot subprocesses
         sharing one shared-memory graph cache) must reproduce the serial
         rows and fits byte-for-byte under every scheduling policy."""
-        from repro.experiments.backends import ComposedBackend
         from repro.experiments.transports import SocketTransport
 
         backend = ComposedBackend(
             scheduler=scheduler,
             transport=SocketTransport(multislot_socket_worker), jobs=2)
-        sweep = run_sweep(**GRID, jobs=2, backend=backend)
+        sweep = run_sweep(**GRID, backend=backend)
         assert repr(sweep.rows()) == repr(serial_baseline.rows())
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
 
@@ -350,7 +381,6 @@ class TestSerialParallelEquivalence:
         5 ms) are pure wall-clock mechanics — rows and fits must stay
         byte-identical to the serial reference at every (window,
         max_batch, threshold) point."""
-        from repro.experiments.backends import ComposedBackend
         from repro.experiments.telemetry import RttEstimator
         from repro.experiments.transports import SocketTransport
 
@@ -361,7 +391,7 @@ class TestSerialParallelEquivalence:
             transport=SocketTransport(multislot_socket_worker,
                                       window=window, max_batch=max_batch),
             jobs=2)
-        sweep = run_sweep(**GRID, jobs=2, backend=backend)
+        sweep = run_sweep(**GRID, backend=backend)
         assert repr(sweep.rows()) == repr(serial_baseline.rows())
         assert sweep.fits("awake_max") == serial_baseline.fits("awake_max")
 
@@ -369,22 +399,22 @@ class TestSerialParallelEquivalence:
         "backend", ["serial", "process", "socket", "socket-slots"])
     def test_stream_covers_every_task_on_every_backend(self, backend,
                                                        request, monkeypatch):
-        backend = _enable_socket(backend, request, monkeypatch)
+        name = _enable_socket(backend, request, monkeypatch)
         tasks = plan_sweep_tasks(**GRID)
-        pairs = list(iter_task_results(tasks, jobs=2, backend=backend))
-        assert sorted(t.run_seed for t, _ in pairs) == sorted(
-            t.run_seed for t in tasks)
+        pairs = list(make_backend(name, jobs=2).submit_tasks(tasks))
+        assert sorted(index for index, _ in pairs) == list(range(len(tasks)))
 
     def test_sweep_with_algorithm_params_matches_across_jobs(self):
         grid = dict(algorithms=["luby"], sizes=[16], repetitions=2, seed=5,
                     algorithm_params={"luby": {"max_iterations": 512}})
-        serial = run_sweep(**grid, jobs=1)
-        parallel = run_sweep(**grid, jobs=2)
+        serial = run_sweep(**grid)
+        parallel = run_sweep(**grid, backend=make_backend(jobs=2))
         assert repr(serial.rows()) == repr(parallel.rows())
 
     def test_serial_jobs_run_in_process(self):
-        """jobs=1 must not spawn a pool (keeps debugging/profiling simple):
-        an unpicklable monkeypatched adapter still works in-process."""
+        """The default backend must not spawn a pool (keeps debugging and
+        profiling simple): an unpicklable monkeypatched adapter still
+        works in-process."""
         import repro.experiments.harness as harness
 
         calls = []
@@ -397,7 +427,7 @@ class TestSerialParallelEquivalence:
         harness.ALGORITHMS["luby"] = spy
         try:
             run_sweep(algorithms=["luby"], sizes=[16], repetitions=2,
-                      seed=3, jobs=1)
+                      seed=3)
         finally:
             harness.ALGORITHMS["luby"] = original
         assert len(calls) == 2
@@ -405,7 +435,7 @@ class TestSerialParallelEquivalence:
 
 class TestSweepStructure:
     def test_cells_keep_the_serial_ordering(self):
-        sweep = run_sweep(**GRID, jobs=4)
+        sweep = run_sweep(**GRID, backend=make_backend(jobs=4))
         keys = [(c.algorithm, c.family, c.n) for c in sweep.cells]
         # family -> n -> algorithm, exactly the order the serial loop built.
         assert keys == [("luby", "gnp", 16), ("vt_mis", "gnp", 16),
@@ -485,10 +515,7 @@ class TestGraphCacheConfiguration:
         assert GRAPH_CACHE_ENV in capsys.readouterr().err
 
     def test_counters_reach_backend_telemetry(self):
-        from repro.experiments.backends import resolve_backend
-        from repro.experiments.sweeps import run_sweep
-
-        backend = resolve_backend("serial")
+        backend = make_backend("serial")
         run_sweep(["luby", "vt_mis"], [16], repetitions=1, seed=5,
                   backend=backend)
         cache = backend.telemetry()["graph_cache"]

@@ -11,6 +11,7 @@ from repro.analysis.components import (
 )
 from repro.analysis.residual import run_residual_experiment
 from repro.experiments import registry
+from repro.experiments.backends import make_backend
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.tables import ascii_plot, format_csv, format_series, format_table
 from repro.graphs import generators
@@ -196,8 +197,8 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="E7 runs no sweep"):
             registry.run_experiment("E7", resume=True)
         assert not path.exists()
-        # jobs/backend/progress stay inert for them.
-        assert registry.run_experiment("E8", jobs=2, backend="serial",
+        # backend/progress stay inert for them.
+        assert registry.run_experiment("E8", backend=make_backend(jobs=2),
                                        progress=print).passed
 
     def test_e6_smoke(self):

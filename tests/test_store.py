@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.experiments.backends import make_backend
 from repro.experiments.executor import SweepTask, plan_sweep_tasks
 from repro.experiments.harness import MISRunResult, run_mis
 from repro.experiments.store import (CODE_SCHEMA_VERSION, ResultStore,
@@ -192,7 +193,8 @@ class TestResume:
     def test_resume_after_kill_matches_uninterrupted_byte_for_byte(
             self, tmp_path):
         full_path = tmp_path / "full.jsonl"
-        uninterrupted = run_sweep(**GRID, jobs=4, store=ResultStore(full_path))
+        uninterrupted = run_sweep(**GRID, backend=make_backend(jobs=4),
+                                  store=ResultStore(full_path))
 
         kept = 5
         partial_path = tmp_path / "killed.jsonl"
@@ -201,7 +203,8 @@ class TestResume:
         executed = []
         with pytest.warns(UserWarning, match="truncated"):
             resumed = run_sweep(
-                **GRID, jobs=4, store=ResultStore(partial_path), resume=True,
+                **GRID, backend=make_backend(jobs=4),
+                store=ResultStore(partial_path), resume=True,
                 progress=lambda task, *rest: executed.append(task))
 
         # The execution-count hook proves the recorded tasks never re-ran:
@@ -220,14 +223,15 @@ class TestResume:
 
     def test_jobs_1_and_jobs_4_resume_identically(self, tmp_path):
         full_path = tmp_path / "full.jsonl"
-        baseline = run_sweep(**GRID, jobs=1, store=ResultStore(full_path))
+        baseline = run_sweep(**GRID, store=ResultStore(full_path))
 
         results = {}
         for jobs in (1, 4):
             partial = tmp_path / f"partial-{jobs}.jsonl"
             _truncated_copy(full_path, partial, keep_results=3)
             with pytest.warns(UserWarning):
-                results[jobs] = run_sweep(**GRID, jobs=jobs,
+                results[jobs] = run_sweep(**GRID,
+                                          backend=make_backend(jobs=jobs),
                                           store=ResultStore(partial),
                                           resume=True)
         assert repr(results[1].rows()) == repr(baseline.rows())
@@ -260,7 +264,8 @@ class TestCorruption:
 class TestReport:
     def test_load_sweep_result_matches_live_rows(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        live = run_sweep(**GRID, jobs=4, keep_runs=False,
+        live = run_sweep(**GRID, backend=make_backend(jobs=4),
+                         keep_runs=False,
                          store=ResultStore(path))
         header, rebuilt = load_sweep_result(path)
         assert header["sweep"]["sizes"] == [16, 32]
@@ -278,13 +283,15 @@ class TestSingleFileLayout:
 
     def test_parallel_sweep_writes_one_file(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        run_sweep(**GRID, jobs=4, keep_runs=False, store=ResultStore(path))
+        run_sweep(**GRID, backend=make_backend(jobs=4), keep_runs=False,
+                  store=ResultStore(path))
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
         assert len(ResultStore(path)) == GRID_TASKS
 
     def test_header_is_the_only_header_and_the_first_line(self, tmp_path):
         path = tmp_path / "out.jsonl"
-        run_sweep(**GRID, jobs=4, keep_runs=False, store=ResultStore(path))
+        run_sweep(**GRID, backend=make_backend(jobs=4), keep_runs=False,
+                  store=ResultStore(path))
         records = [json.loads(line) for line in _store_lines(path)]
         assert records[0]["kind"] == "header"
         assert records[0]["schema"] == CODE_SCHEMA_VERSION
@@ -297,7 +304,8 @@ class TestSingleFileLayout:
         """Records may land in completion order; the report folds them in
         grid order, so the rows are those of a plain serial run."""
         path = tmp_path / "out.jsonl"
-        live = run_sweep(**GRID, jobs=jobs, keep_runs=False,
+        live = run_sweep(**GRID, backend=make_backend(jobs=jobs),
+                         keep_runs=False,
                          store=ResultStore(path))
         plain = run_sweep(**GRID)
         header, rebuilt = load_sweep_result(path)
@@ -395,7 +403,8 @@ class TestSingleFileLayout:
         records are never re-executed."""
         baseline = run_sweep(**GRID)
         path = tmp_path / "out.jsonl"
-        run_sweep(**GRID, jobs=3, keep_runs=False, store=ResultStore(path))
+        run_sweep(**GRID, backend=make_backend(jobs=3), keep_runs=False,
+                  store=ResultStore(path))
         lines = _store_lines(path)
         # Drop the last record, then tear the one before it in half.
         path.write_text("".join(lines[:-2]) + lines[-2][:len(lines[-2]) // 2],
@@ -405,7 +414,8 @@ class TestSingleFileLayout:
         executed = []
         with pytest.warns(UserWarning, match="truncated"):
             resumed = run_sweep(
-                **GRID, jobs=resume_jobs, keep_runs=False,
+                **GRID, backend=make_backend(jobs=resume_jobs),
+                keep_runs=False,
                 store=ResultStore(path), resume=True,
                 progress=lambda task, *rest: executed.append(task))
         assert len(executed) == GRID_TASKS - len(surviving) == 2
@@ -619,7 +629,7 @@ class TestMergeStores:
         order, byte for byte, whatever order a parallel sweep appended
         its records in."""
         source = tmp_path / "source.jsonl"
-        live = self._sweep_to(source, jobs=jobs)
+        live = self._sweep_to(source, backend=make_backend(jobs=jobs))
         merged = tmp_path / "merged.jsonl"
         assert merge_stores([source], merged) == GRID_TASKS
         header_line, *records = _store_lines(source)

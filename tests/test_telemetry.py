@@ -209,7 +209,7 @@ class TestEndToEndTelemetry:
         backend = ComposedBackend(
             transport=SocketTransport(multislot_socket_worker, window=4,
                                       max_batch=2), jobs=2)
-        sweep = run_sweep(**grid, jobs=2, backend=backend)
+        sweep = run_sweep(**grid, backend=backend)
         planned = len(plan_sweep_tasks(**grid))
 
         telemetry = sweep.telemetry
@@ -255,11 +255,11 @@ class TestEndToEndTelemetry:
         """The inline transport has no framed connections: telemetry is
         present but its worker table is empty (and format_telemetry says
         so instead of printing a header-only table)."""
-        from repro.experiments.backends import resolve_backend
+        from repro.experiments.backends import make_backend
         from repro.experiments.sweeps import run_sweep
         from repro.experiments.tables import format_telemetry
 
-        backend = resolve_backend("serial")
+        backend = make_backend("serial")
         sweep = run_sweep(algorithms=["luby"], sizes=[16], repetitions=2,
                           seed=3, backend=backend)
         telemetry = sweep.telemetry

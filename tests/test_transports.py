@@ -17,9 +17,8 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.experiments.backends import ComposedBackend, resolve_backend
-from repro.experiments.executor import (SweepTask, iter_task_results,
-                                        plan_sweep_tasks, run_task)
+from repro.experiments.backends import ComposedBackend, make_backend
+from repro.experiments.executor import SweepTask, plan_sweep_tasks, run_task
 from repro.experiments.store import CODE_SCHEMA_VERSION
 from repro.experiments.sweeps import run_sweep
 from repro.experiments.transports import (
@@ -28,7 +27,6 @@ from repro.experiments.transports import (
     SocketTransport,
     parse_worker_addresses,
     resolve_max_batch,
-    resolve_transport,
     resolve_window,
     split_host_port,
 )
@@ -57,16 +55,6 @@ def _wait_for_no_transport_threads(timeout=5.0):
             return
         time.sleep(0.01)
     raise AssertionError(f"leaked transport threads: {_transport_threads()}")
-
-
-class TestResolveTransport:
-    def test_none_is_jobs_driven(self):
-        assert resolve_transport(None, jobs=1).name == "inline"
-        assert resolve_transport(None, jobs=4).name == "process"
-
-    def test_objects_pass_through(self):
-        transport = SocketTransport("127.0.0.1:1")
-        assert resolve_transport(transport) is transport
 
 
 class TestWorkerAddresses:
@@ -344,9 +332,8 @@ class TestSocketFailureModes:
         addresses = [spawn_socket_worker(extra_env=fault_env)[1]
                      for _ in range(2)]
         backend = socket_backend(",".join(addresses))
-        pairs = list(iter_task_results(tasks, backend=backend))
-        assert sorted(t.run_seed for t, _ in pairs) == sorted(
-            t.run_seed for t in tasks)
+        pairs = list(backend.submit_tasks(tasks))
+        assert sorted(index for index, _ in pairs) == list(range(len(tasks)))
 
     def test_all_workers_dead_raises_instead_of_hanging(
             self, tmp_path, spawn_socket_worker):
@@ -472,8 +459,7 @@ class TestSocketFailureModes:
         and immediately serve a fresh, byte-identical sweep."""
         serial = run_sweep(**GRID)
         tasks = plan_sweep_tasks(**GRID)
-        stream = iter_task_results(
-            tasks, backend=socket_backend(socket_workers))
+        stream = socket_backend(socket_workers).submit_tasks(tasks)
         next(stream)
         stream.close()
         _wait_for_no_transport_threads()
@@ -490,10 +476,9 @@ class TestProgressCallbackSafety:
             self, name, request, monkeypatch):
         if name == "socket":
             workers = request.getfixturevalue("socket_workers")
-            backend = socket_backend(workers)
+            backend = socket_backend(workers, jobs=2)
         else:
-            backend = resolve_backend(name, jobs=2)
-        tasks = plan_sweep_tasks(**GRID)
+            backend = make_backend(name, jobs=2)
 
         class CallbackBoom(RuntimeError):
             pass
@@ -506,8 +491,7 @@ class TestProgressCallbackSafety:
                 raise CallbackBoom("progress callback exploded")
 
         with pytest.raises(CallbackBoom):
-            list(iter_task_results(tasks, jobs=2, progress=progress,
-                                   backend=backend))
+            run_sweep(**GRID, progress=progress, backend=backend)
         assert calls  # the callback genuinely fired before raising
         _wait_for_no_transport_threads()
 
@@ -548,17 +532,17 @@ class TestProgressCallbackSafety:
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            run_sweep(**GRID, jobs=2, backend=socket_backend(socket_workers),
+            run_sweep(**GRID, backend=socket_backend(socket_workers, jobs=2),
                       progress=explode)
         _wait_for_no_transport_threads()
-        again = run_sweep(**GRID, jobs=2,
-                          backend=socket_backend(socket_workers))
+        again = run_sweep(**GRID,
+                          backend=socket_backend(socket_workers, jobs=2))
         assert repr(again.rows()) == repr(run_sweep(**GRID).rows())
 
 
 class TestSocketTransportHygiene:
     def test_no_threads_leak_after_a_normal_sweep(self, socket_workers):
-        run_sweep(**GRID, jobs=2, backend=socket_backend(socket_workers))
+        run_sweep(**GRID, backend=socket_backend(socket_workers, jobs=2))
         _wait_for_no_transport_threads()
 
     def test_restart_counter_counts_replacements_only(
@@ -779,13 +763,12 @@ class TestWindowedProtocol:
 
         backend = ComposedBackend(transport=SocketTransport(
             f"{address}*2", window=4, max_batch=2))
-        pairs = list(iter_task_results(tasks, backend=backend))
+        pairs = list(backend.submit_tasks(tasks))
 
         assert not marker.exists()  # the fault actually fired
         assert proc.poll() is None  # the slot died, the server lives
         assert backend.worker_restarts >= 1
-        assert sorted(t.run_seed for t, _ in pairs) == sorted(
-            t.run_seed for t in tasks)
+        assert sorted(index for index, _ in pairs) == list(range(len(tasks)))
         sweep = run_sweep(**self.WGRID, backend=ComposedBackend(
             transport=SocketTransport(f"{address}*2", window=4,
                                       max_batch=2)))
