@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Optional, Tuple
 
 import networkx as nx
@@ -48,14 +47,14 @@ from repro.algorithms.ldt_mis import (
     ldt_mis_core,
     ldt_mis_round_budget,
 )
-from repro.core.virtual_tree import communication_set, in_communication_set
+from repro.core.virtual_tree import communication_set
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike
 from repro.sim.actions import WakeCall
 from repro.sim.context import NodeContext, require_input
 from repro.sim.message import estimate_bits
 from repro.sim.runner import RunResult, run_protocol
-from repro.sim.vectorized import ValveTrip
+from repro.sim.vectorized import ScheduleTable
 
 
 @dataclass(frozen=True)
@@ -241,11 +240,6 @@ def awake_mis_protocol(ctx: NodeContext):
     )
 
 
-#: Attendances per chunk when the schedule engine tabulates the edges a
-#: communication round can deliver on (bounds its scratch memory).
-_EDGE_CHUNK = 1 << 14
-
-
 def awake_mis_schedule(run) -> None:
     """Schedule engine: Awake-MIS decided batch by batch, then accounted.
 
@@ -253,7 +247,8 @@ def awake_mis_schedule(run) -> None:
     exactly the communication rounds of ``communication_set(batch,
     batch_count)`` (Observation 4) — so the engine draws every node's ID
     and batch up front (from its own stream, in the protocol's order) and
-    tabulates once which nodes attend each phase and which edges join two
+    tabulates once, in a :class:`~repro.sim.vectorized.ScheduleTable` keyed
+    by batch, which nodes attend each phase and which edges join two
     attendees of one phase.  Then it works in two steps.
 
     1.  **Decide, batch by batch.**  Only an ``IN_MIS`` sender decides a
@@ -276,12 +271,14 @@ def awake_mis_schedule(run) -> None:
     2.  **Account, in one pass.**  A node decides in its own LDT-MIS, or
         in the first communication round in which an ``IN_MIS`` sender
         decided before it reaches it; it broadcasts its state in every
-        later round it attends.  From those decision phases, array
-        operations over the attendances and the tabulated edges give
-        every awake, message and bit counter, the active rounds and the
-        last active round.  A node terminates in its last communication
-        round, or in its last LDT-MIS round when that comes later; outputs
-        are inserted in (round, index) order, the loop's order.
+        later round it attends, and nothing before.  The closed form's
+        wakes and announcements are added first; then the table's
+        :meth:`~repro.sim.vectorized.ScheduleTable.account`, shared with
+        VT-MIS, turns the decision phases into every awake, message and
+        bit counter, the active rounds and the last active round.  A node
+        terminates in its last communication round, or in its last
+        LDT-MIS round when that comes later; outputs are inserted in
+        (round, index) order, the loop's order.
 
     Safety valves: a valve ``drive`` trips, or final counters outside a
     valve (the largest awake count, the active rounds, the largest message
@@ -323,25 +320,10 @@ class _Schedule:
             self.pairs.append(choose_batch(rng, params))
         self.batches = [batch_index(group, slot, params)
                         for group, slot in self.pairs]
-        schedules = {batch: sorted(communication_set(batch, batch_count))
-                     for batch in set(self.batches)}
-        node_rounds = [schedules[batch] for batch in self.batches]
-        self.lengths = np.array([len(rounds) for rounds in node_rounds],
-                                dtype=np.int64)
-
-        # The (phase, node) attendance pairs sorted by phase (the stable
-        # sort keeps node order within a phase).
-        phase_of = np.fromiter(chain.from_iterable(node_rounds),
-                               dtype=np.int64, count=int(self.lengths.sum()))
-        order = np.argsort(phase_of, kind="stable")
-        self.phase_of = phase_of[order]
-        self.attendees = np.repeat(np.arange(n), self.lengths)[order]
         self.batch_of = np.array(self.batches, dtype=np.int64)
-        self.edge_senders, self.edge_receivers, self.edge_phases = (
-            _phase_edges(run, self.phase_of, self.attendees, self.batch_of))
-        self.last_phase = [rounds[-1] for rounds in node_rounds]
-        self.bits_of = np.array([estimate_bits(NOT_IN_MIS),
-                                 estimate_bits(IN_MIS)], dtype=np.int64)
+        self.table = ScheduleTable(run, self.batch_of, batch_count,
+                                   params.phase_length)
+        self.last_phase = self.table.last_phase.tolist()
 
         # Decision-loop tables: each nonempty batch's members, ascending,
         # and the edges joining two members of one batch (the only edges
@@ -449,63 +431,31 @@ class _Schedule:
 
     def account(self) -> None:
         """Every counter and output, from the decisions, in one pass."""
-        run, params = self.run, self.params
+        run, table = self.run, self.table
         np = run.np
         in_mis = np.array(self.in_mis, dtype=bool)
         closed = np.array(self.closed, dtype=bool)
-        # The first communication round in which an IN_MIS sender decided
-        # before it reaches each node (batch_count + 1 if none), and the
-        # phase after which the node broadcasts its state: its own batch
-        # when its LDT-MIS decided it, else that round.
-        senders, phases = self.edge_senders, self.edge_phases
-        reaching = in_mis[senders] & (self.batch_of[senders] < phases)
-        reached = np.full(run.n, params.batch_count + 1, dtype=np.int64)
-        np.minimum.at(reached, self.edge_receivers[reaching],
-                      phases[reaching])
-        decided = np.where(np.array(self.by_ldt, dtype=bool),
-                           self.batch_of, reached)
-        strays = ((reached > self.batch_of)
-                  & ~np.array(self.participant, dtype=bool))
-        if strays.any():
-            node = int(np.argmax(strays))
-            raise AssertionError(
-                f"Observation 5 violated: node {run.labels[node]} of batch "
-                f"{self.batches[node]} has an IN_MIS neighbour in an "
-                "earlier batch but no shared communication round by its own")
-        # The run holds the LDT-MIS counters and rounds so far; add one
-        # active round per attended phase (``phase_of`` is sorted).
-        run.awake_rounds += self.lengths + np.where(closed, 2, 0)
-        run.active_rounds += 1 + int(np.count_nonzero(np.diff(self.phase_of)))
-        sends = self.phase_of > decided[self.attendees]
-        messages = (np.bincount(self.attendees[sends], minlength=run.n)
-                    * run.degrees)
+        # A node broadcasts its state after its own batch when its LDT-MIS
+        # decided it, else after the first IN_MIS sender reached it.
+        reached = table.reached(in_mis, np.array(self.participant, dtype=bool),
+                                "batch")
+        decided = np.where(np.array(self.by_ldt, dtype=bool), self.batch_of,
+                           reached)
+        # The run holds the driven LDT-MIS counters and rounds; add the
+        # closed form's two wakes and one announcement on every port.
+        run.awake_rounds += np.where(closed, 2, 0)
         announcements = np.where(closed, run.degrees, 0)
-        run.messages_sent += messages + announcements
+        run.messages_sent += announcements
         if run.metered:
-            sizes = self.bits_of[in_mis.view(np.uint8)]
             announced = np.where(announcements > 0,
                                  np.array(self.announcement_bits), 0)
-            run.bits_sent += messages * sizes + announcements * announced
-            run.max_message_bits[:] = np.maximum.reduce([
-                run.max_message_bits, np.where(messages > 0, sizes, 0),
-                announced])
-        # With every final counter inside its valve, no valve tripped.
-        if (run.awake_rounds.max() > run.max_awake_per_node
-                or run.active_rounds > run.max_active_rounds
-                or run.metered and (run.max_message_bits.max()
-                                    > run.message_bit_limit)):
-            raise ValveTrip
-        delivered = self.edge_phases > decided[self.edge_senders]
-        run.messages_received += np.bincount(
-            self.edge_receivers[delivered], minlength=run.n)
-        run.last_active_round = max(
-            (int(self.phase_of[-1]) - 1) * params.phase_length,
-            -1 if run.last_active_round is None else run.last_active_round)
-        run.terminated_round[:] = self.terminated
-        labels, outputs = run.labels, run.outputs
-        lengths = self.lengths.tolist()
-        for index in np.argsort(run.terminated_round, kind="stable").tolist():
-            outputs[labels[index]] = MISDecision(
+            run.bits_sent += announcements * announced
+            np.maximum(run.max_message_bits, announced,
+                       out=run.max_message_bits)
+        table.account(decided, in_mis.view(np.uint8), (NOT_IN_MIS, IN_MIS))
+        lengths = table.lengths.tolist()
+        run.finish(self.terminated, [
+            MISDecision(
                 in_mis=self.in_mis[index],
                 detail={
                     "batch": self.pairs[index],
@@ -514,34 +464,7 @@ class _Schedule:
                     "communication_rounds": lengths[index],
                 },
             )
-
-
-def _phase_edges(run, phase_of, attendees, batch_of):
-    """The directed edges joining two attendees of one phase.
-
-    *phase_of* and *attendees* are the (phase, node) attendance pairs,
-    sorted by phase; *batch_of* is every node's batch.  Returns
-    ``(senders, receivers, phases)``, sorted by phase.  Each attendance's
-    CSR row is expanded, a chunk of attendances at a time to bound the
-    scratch memory, and kept where the neighbour's schedule holds the
-    phase too.
-    """
-    np = run.np
-    senders, receivers, phases = [], [], []
-    for start in range(0, len(attendees), _EDGE_CHUNK):
-        nodes = attendees[start:start + _EDGE_CHUNK]
-        degrees = run.degrees[nodes]
-        ends = np.cumsum(degrees)
-        slots = (np.repeat(run.offsets[nodes] - ends + degrees, degrees)
-                 + np.arange(ends[-1]))
-        neighbors = run.neighbors[slots]
-        phase = np.repeat(phase_of[start:start + _EDGE_CHUNK], degrees)
-        shared = in_communication_set(phase, batch_of[neighbors])
-        senders.append(np.repeat(nodes, degrees)[shared])
-        receivers.append(neighbors[shared])
-        phases.append(phase[shared])
-    return (np.concatenate(senders), np.concatenate(receivers),
-            np.concatenate(phases))
+            for index in range(run.n)])
 
 
 awake_mis_protocol.vectorized_engine = awake_mis_schedule

@@ -67,8 +67,9 @@ _ENGINES_EPILOG = (
     "Engines: runs enforce CONGEST metering by default (every message's "
     "size is estimated and checked).  Algorithms with a numpy engine run "
     "on it, metered or not: luby and rank_greedy on the whole-round "
-    "engine, awake_mis on the schedule engine (its communication rounds "
-    "as array operations, LDT-MIS on the generator loop); the rest take "
+    "engine, vt_mis and awake_mis on schedule engines (their "
+    "communication rounds as array operations, Awake-MIS's LDT-MIS on "
+    "the generator loop); the rest take "
     "the simulator's generator loop, which every algorithm falls back to "
     "when traced or when the Python API pins vectorized=False.  Engine "
     "choice never changes outputs, recorded rows or awake/round/message/"

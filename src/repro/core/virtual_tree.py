@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
+import numpy as np
+
 #: Entries kept by the :func:`communication_set` memo (a few MB at most).
 COMMUNICATION_SET_CACHE = 4096
 
@@ -148,6 +150,28 @@ def in_communication_set(r, k):
     """
     inner = 2 * r - 2
     return (r == k) | ((r >= 2) & (abs(2 * k - 1 - inner) < (inner & -inner)))
+
+
+def communication_table(keys, i):
+    """``S_k([1, i])`` for every ``k`` of the integer array *keys*, at once.
+
+    Row ``j`` holds the ``B*`` labels of the ``depth + 1`` ancestors of
+    leaf ``keys[j]`` (leaf first, root last), with 0 where a label falls
+    outside ``[1, i]`` or repeats the leaf's; its nonzero entries are
+    exactly ``communication_set(keys[j], i)``.  Closed form: the
+    height-``h`` ancestor of the ``B`` leaf ``x = 2k - 1`` is ``x`` with
+    its low ``h + 1`` bits cleared, plus ``2^h``; it maps to ``B*`` label
+    ``a // 2 + 1``.  Only the leaf and an ancestor ``2k - 2`` share a
+    label (``k``).  The result has *keys*' dtype; an ``object`` array of
+    Python ints serves keys whose ancestors outgrow int64.
+    """
+    heights = np.arange(tree_depth(i) + 1).astype(keys.dtype)
+    leaves = 2 * keys[:, None] - 1
+    labels = (((leaves >> (heights + 1)) << (heights + 1)) + (1 << heights)
+              ) // 2 + 1
+    keep = labels <= i
+    keep[:, 1:] &= labels[:, 1:] != keys[:, None]
+    return np.where(keep, labels, 0)
 
 
 def communication_sets(i: int) -> Dict[int, FrozenSet[int]]:

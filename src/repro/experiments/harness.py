@@ -297,8 +297,8 @@ def run_mis(
         never estimated (``max_message_bits`` reads ``None``).  Either way,
         algorithms that opt in take a numpy engine, which meters CONGEST
         itself: ``luby`` and ``rank_greedy`` the whole-round engine,
-        ``awake_mis`` the schedule engine.  Select it with the
-        ``vectorized`` parameter, tri-state as in
+        ``vt_mis`` and ``awake_mis`` their schedule engines.  Select it
+        with the ``vectorized`` parameter, tri-state as in
         :func:`repro.sim.runner.run_protocol`; ``vectorized=False`` or
         ``trace=True`` runs the generator loop.  Engine choice never
         changes outputs, awake/round/message counts or bit counts, only

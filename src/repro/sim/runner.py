@@ -44,10 +44,12 @@ wall-clock time, never bytes:
    array operations over the same flat arrays.  A protocol opts in by
    exposing a ``vectorized_engine`` attribute on its factory: ``luby``
    and ``rank_greedy`` share the *whole-round* engine (every undecided
-   node awake every iteration); ``awake_mis`` has the *schedule* engine,
-   which computes its communication rounds from each node's
-   batch-determined wake schedule and drives LDT-MIS, in between, on the
-   generator loop above (:meth:`VectorizedRun.drive
+   node awake every iteration); ``vt_mis`` and ``awake_mis`` have
+   *schedule* engines, which compute every communication round from each
+   node's ID- or batch-determined wake schedule through one shared
+   account (:class:`~repro.sim.vectorized.ScheduleTable`); Awake-MIS
+   drives LDT-MIS, in between, on the generator loop above
+   (:meth:`VectorizedRun.drive
    <repro.sim.vectorized.VectorizedRun.drive>`).  They engage whenever
    tracing is off, CONGEST-metered runs included (they meter message
    sizes themselves, with the same per-node bit counters), and fall back

@@ -4,25 +4,30 @@ The simulator's second kind of engine (beside the generator loop of
 :mod:`repro.sim.runner`).  A protocol opts in by exposing a
 ``vectorized_engine`` attribute on its factory: a callable receiving one
 :class:`VectorizedRun` — the network's flat arrays as numpy views, the
-per-node RNG streams, per-node metric arrays, and the same safety valves
-the generator loop enforces.  Two engines use it:
+per-node RNG streams (spawned on first use), per-node metric arrays, and
+the same safety valves the generator loop enforces.  Three engines use
+it:
 
 * the **whole-round** engine of ``luby`` and ``rank_greedy``
   (``repro.algorithms.luby``), for dense phases in which every undecided
   node is awake every iteration;
-* the **schedule** engine of ``awake_mis``
-  (``repro.algorithms.awake_mis``), for sparse phases whose wake
-  schedule is known up front: it decides every node's state batch by
-  batch, applying the LDT-MIS of isolated participants (one-node
-  components, almost all of them) in closed form and handing only the
-  non-trivial LDT-MIS components back to the generator loop through
-  :meth:`VectorizedRun.drive`; then it accounts every communication
-  round in one array pass over the whole schedule and sets the metric
-  arrays, the active-round count and the last active round directly.
+* the **schedule** engines of ``vt_mis`` and ``awake_mis``
+  (``repro.algorithms.vt_mis``, ``repro.algorithms.awake_mis``), for
+  sparse runs in which node ``i`` attends exactly the phases of a
+  virtual-tree communication set ``S_key([1, bound])`` — its ID in
+  VT-MIS, its batch in Awake-MIS.  Each decides every node's state on
+  its own (VT-MIS greedily in ID order; Awake-MIS batch by batch,
+  applying the LDT-MIS of isolated participants in closed form and
+  handing only the non-trivial LDT-MIS components back to the generator
+  loop through :meth:`VectorizedRun.drive`), then both account every
+  communication round through one :class:`ScheduleTable`: one array pass
+  over the whole schedule sets the metric arrays, the active-round count
+  and the last active round directly.
 
 The engines engage whenever tracing is off, CONGEST-metered runs
 included: they meter message sizes themselves (the whole-round engine
-through :meth:`VectorizedRun.record_sends`), with the generator loop's
+through :meth:`VectorizedRun.record_sends`, the schedule engines through
+:meth:`ScheduleTable.account`), with the generator loop's
 ``estimate_bits`` on each sender's real payload.  Under tracing, or with
 ``vectorized=False``, the generator loop runs instead.
 
@@ -38,19 +43,23 @@ per-node bit counters, ``awake_by_label`` and termination rounds are
 identical to the generator loop.  In particular engines must draw from
 the *same* per-node ``spawn_rng`` streams the generator path would — the
 streams are spawned here in index order, exactly like ``Simulator.run``
-does — and consume the same number of draws per node, so a run is
-bit-for-bit reproducible across both engines.
+does, the first time an engine reads :attr:`VectorizedRun.rngs` — and
+consume the same number of draws per node, so a run is bit-for-bit
+reproducible across both engines.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.virtual_tree import communication_table, in_communication_set
 from repro.errors import SimulationError
 from repro.rng import NodeSeeds, spawn_rngs
+from repro.sim.message import estimate_bits
 from repro.sim.metrics import NodeMetrics, RunMetrics
 from repro.sim.runner import RunResult, Simulator, missing_outputs_error
 
@@ -61,6 +70,10 @@ _NEVER = -(2**62)
 #: :class:`NodeMetrics` — named like its fields, in its field order.
 _COUNTERS = ("awake_rounds", "messages_sent", "messages_received",
              "bits_sent", "max_message_bits")
+
+#: Attendances per chunk when :class:`ScheduleTable` tabulates the edges a
+#: communication round can deliver on (bounds its scratch memory).
+_EDGE_CHUNK = 1 << 14
 
 
 class ValveTrip(Exception):
@@ -77,15 +90,16 @@ class VectorizedRun:
 
     Exposes the graph as flat int64 numpy arrays (zero-copy views over the
     network's routing arrays — shared-memory segments included), one
-    private RNG per node (spawned in index order, exactly like the
-    generator path), and the per-node metric arrays the engine fills in.
-    The whole-round engine records each array-computed round through
-    :meth:`begin_round`, :meth:`record_awake` and :meth:`record_sends`.
-    The schedule engine records no round one at a time: it sets the
-    arrays, :attr:`active_rounds` and :attr:`last_active_round` itself,
-    and runs generator rounds through :meth:`drive`.  Either raises
-    :class:`ValveTrip` where a safety valve could trip, and the run is
-    replayed on the generator loop.
+    private RNG per node (:attr:`rngs`, spawned on first use, in index
+    order, exactly like the generator path), and the per-node metric
+    arrays the engine fills in.  The whole-round engine records each
+    array-computed round through :meth:`begin_round`,
+    :meth:`record_awake` and :meth:`record_sends`.  The schedule engines
+    record no round one at a time: a :class:`ScheduleTable` sets the
+    arrays, :attr:`active_rounds` and :attr:`last_active_round`, Awake-MIS
+    runs generator rounds through :meth:`drive`, and :meth:`finish`
+    inserts the outputs.  Each raises :class:`ValveTrip` where a safety
+    valve could trip, and the run is replayed on the generator loop.
     """
 
     def __init__(
@@ -119,10 +133,7 @@ class VectorizedRun:
         #: Whether any node has degree 0 (its sends go nowhere and are
         #: never counted, so :meth:`record_sends` must filter them out).
         self._isolated = not self._nonempty.all()
-        #: One private generator per node, spawned in index order — the same
-        #: derivation order ``Simulator.run`` uses, so streams are identical
-        #: (``spawn_rngs`` is the batched twin of per-index ``spawn_rng``).
-        self.rngs = spawn_rngs(seed, self.n)
+        self._seed = seed
         self.awake_rounds = np.zeros(self.n, dtype=np.int64)
         self.messages_sent = np.zeros(self.n, dtype=np.int64)
         self.messages_received = np.zeros(self.n, dtype=np.int64)
@@ -152,6 +163,15 @@ class VectorizedRun:
         #: one inbox buffer per node, shared by every call.
         self._simulator = None
         self._inboxes: Optional[List[list]] = None
+
+    @cached_property
+    def rngs(self) -> List[Any]:
+        """One private generator per node, spawned in index order on first
+        access — the same derivation order ``Simulator.run`` uses, so
+        streams are identical (``spawn_rngs`` is the batched twin of
+        per-index ``spawn_rng``).  An engine that draws nothing (VT-MIS on
+        given IDs) never seeds one."""
+        return spawn_rngs(self._seed, self.n)
 
     # -- round bookkeeping + safety valves ------------------------------
 
@@ -289,6 +309,19 @@ class VectorizedRun:
 
     # -- result assembly -------------------------------------------------
 
+    def finish(self, terminated, values: Sequence[Any]) -> None:
+        """Set every node's termination round and insert its output.
+
+        *values* holds one output per node index; they are inserted in
+        termination order (round, then index within a round), the
+        generator loop's order.  Rounds beyond int64 (VT-MIS with a huge
+        ID bound) are kept as an ``object`` array of Python ints.
+        """
+        self.terminated_round = np.asarray(terminated)
+        labels, outputs = self.labels, self.outputs
+        for index in np.argsort(self.terminated_round, kind="stable").tolist():
+            outputs[labels[index]] = values[index]
+
     def to_result(self):
         """Package the filled-in state as a :class:`RunResult`."""
         labels = self.labels
@@ -319,6 +352,146 @@ class VectorizedRun:
             trace=None,
             engine=self.engine,
         )
+
+
+class ScheduleTable:
+    """A run whose node ``i`` attends exactly the phases ``S_keys[i]([1,
+    bound])``, tabulated once; its :meth:`account` adds every
+    communication round's counters to the run in one array pass.
+
+    Shared by the schedule engines: VT-MIS keys each node by its ID (one
+    round per phase), Awake-MIS by its batch (``phase_length`` rounds per
+    phase, the communication round first).  Phase ``p`` is round ``(p -
+    1) * phase_length``.  *keys* is an integer array (``object`` dtype for
+    keys beyond int64's reach); the sets are tabulated arithmetically
+    (:func:`~repro.core.virtual_tree.communication_table`), never through
+    the :func:`~repro.core.virtual_tree.communication_set` memo.
+
+    Attributes: ``lengths`` (phases each node attends), ``last_phase``
+    (each node's last), the ``(phase_of, attendees)`` attendance pairs
+    sorted by phase then node, and the ``(edge_senders, edge_receivers,
+    edge_phases)`` directed edges joining two attendees of one phase,
+    sorted by phase.
+    """
+
+    def __init__(self, run: VectorizedRun, keys, bound,
+                 phase_length: int = 1) -> None:
+        self.run, self.keys, self.bound = run, keys, bound
+        self.phase_length = phase_length
+        sets = communication_table(keys, bound)
+        attending = sets > 0
+        self.lengths = np.count_nonzero(attending, axis=1)
+        self.last_phase = sets.max(axis=1)
+        # Row-major selection lists a node's phases together, nodes in
+        # index order; the stable sort keeps that order within a phase.
+        phases = sets[attending]
+        order = np.argsort(phases, kind="stable")
+        self.phase_of = phases[order]
+        self.attendees = np.nonzero(attending)[0][order]
+        self.edge_senders, self.edge_receivers, self.edge_phases = (
+            self._phase_edges())
+
+    def _phase_edges(self):
+        """The directed edges joining two attendees of one phase.
+
+        Each attendance's CSR row is expanded, a chunk of attendances at a
+        time to bound the scratch memory, and kept where the neighbour's
+        set holds the phase too (the closed form
+        :func:`~repro.core.virtual_tree.in_communication_set`).
+        """
+        run, keys = self.run, self.keys
+        senders, receivers, phases = [], [], []
+        for start in range(0, len(self.attendees), _EDGE_CHUNK):
+            nodes = self.attendees[start:start + _EDGE_CHUNK]
+            degrees = run.degrees[nodes]
+            ends = np.cumsum(degrees)
+            slots = (np.repeat(run.offsets[nodes] - ends + degrees, degrees)
+                     + np.arange(ends[-1]))
+            neighbors = run.neighbors[slots]
+            phase = np.repeat(self.phase_of[start:start + _EDGE_CHUNK],
+                              degrees)
+            shared = in_communication_set(phase, keys[neighbors])
+            senders.append(np.repeat(nodes, degrees)[shared])
+            receivers.append(neighbors[shared])
+            phases.append(phase[shared])
+        return (np.concatenate(senders), np.concatenate(receivers),
+                np.concatenate(phases))
+
+    def reached(self, in_mis, excused, noun: str):
+        """The first phase in which an ``IN_MIS`` neighbour reaches each
+        node (``bound + 1`` if none).
+
+        An ``IN_MIS`` node decides in its own key's phase and broadcasts
+        its state in every later phase it attends.  By Observation 5 a
+        node with such a neighbour of smaller key shares a phase with it
+        by its own key; a node that is neither *excused* nor reached by
+        then raises an ``AssertionError`` naming the observation (*noun*
+        names a key in the message).
+        """
+        keys, senders, phases = self.keys, self.edge_senders, self.edge_phases
+        reaching = in_mis[senders] & (keys[senders] < phases)
+        reached = np.full(self.run.n, self.bound + 1, dtype=keys.dtype)
+        np.minimum.at(reached, self.edge_receivers[reaching],
+                      phases[reaching])
+        strays = (reached > keys) & ~excused
+        if strays.any():
+            node = int(np.argmax(strays))
+            raise AssertionError(
+                f"Observation 5 violated: node {self.run.labels[node]} of "
+                f"{noun} {keys[node]} has an IN_MIS neighbour in an earlier "
+                f"{noun} but no shared communication round by its own")
+        return reached
+
+    def account(self, decided, final, payloads: Sequence[Any],
+                undecided: Any = None) -> None:
+        """Add every communication round's counters to the run.
+
+        Node ``i`` sends ``payloads[final[i]]`` on every port in each phase
+        it attends after its decision phase ``decided[i]``, and
+        *undecided* in those up to it (nothing, when ``None``).  Adds the
+        awake, sent and received counts, the bit counters (metered runs
+        only) and the active rounds, and sets the last active round.  The
+        caller adds every other counter first: with every final counter
+        inside its valve, no valve tripped, and otherwise this raises
+        :class:`ValveTrip`.
+        """
+        run = self.run
+        degrees = run.degrees
+        run.awake_rounds += self.lengths
+        run.active_rounds += 1 + int(np.count_nonzero(np.diff(self.phase_of)))
+        after = self.phase_of > decided[self.attendees]
+        told = np.bincount(self.attendees[after], minlength=run.n)
+        messages = told * degrees
+        run.messages_sent += messages
+        waiting = None
+        if undecided is not None:
+            waiting = (self.lengths - told) * degrees
+            run.messages_sent += waiting
+        if run.metered:
+            sizes = np.array([estimate_bits(payload) for payload in payloads],
+                             dtype=np.int64)[final]
+            run.bits_sent += messages * sizes
+            np.maximum(run.max_message_bits, np.where(messages > 0, sizes, 0),
+                       out=run.max_message_bits)
+            if waiting is not None:
+                bits = estimate_bits(undecided)
+                run.bits_sent += waiting * bits
+                np.maximum(run.max_message_bits,
+                           np.where(waiting > 0, bits, 0),
+                           out=run.max_message_bits)
+        if (run.awake_rounds.max() > run.max_awake_per_node
+                or run.active_rounds > run.max_active_rounds
+                or run.metered and (run.max_message_bits.max()
+                                    > run.message_bit_limit)):
+            raise ValveTrip
+        receivers = self.edge_receivers
+        if undecided is None:
+            receivers = receivers[self.edge_phases
+                                  > decided[self.edge_senders]]
+        run.messages_received += np.bincount(receivers, minlength=run.n)
+        run.last_active_round = max(
+            (int(self.phase_of[-1]) - 1) * self.phase_length,
+            -1 if run.last_active_round is None else run.last_active_round)
 
 
 def _int64_view(words):

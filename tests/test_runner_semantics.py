@@ -3,8 +3,8 @@
 The simulator has two kinds of round engine — the generator loop, which
 meters message sizes when a bit limit or a trace is set, and the numpy
 engines of protocols that opt in (the whole-round engine of ``luby`` and
-``rank_greedy``, the schedule engine of ``awake_mis``; they meter bit
-limits themselves).  These tests pin
+``rank_greedy``, the schedule engines of ``vt_mis`` and ``awake_mis``;
+they meter bit limits themselves).  These tests pin
 the model semantics of paper Section 1.3 on every configuration: messages
 to sleeping nodes are lost, the bit budget fires exactly at the limit,
 protocol violations (non-increasing rounds, out-of-range ports) are

@@ -4,9 +4,11 @@ The engines' contract is "bytes never change, only wall-clock": these
 tests pin agreement between the generator loop and the vectorized
 engines, unmetered and CONGEST-metered — the whole-round engine of both
 local-minimum protocols (``luby`` and ``rank_greedy``) and the schedule
-engine of ``awake_mis`` (both presets) — across graph
-families and seeds, the dispatch gating (``vectorized`` tri-state), equal
-RNG consumption per node stream, the whole-round array primitives,
+engines of ``vt_mis`` (given and random IDs, duplicates included) and
+``awake_mis`` (both presets) — across graph families and seeds, the
+dispatch gating (``vectorized`` tri-state), equal RNG consumption per
+node stream (and no stream spawned where none is drawn from), the
+whole-round array primitives, the LFMIS oracle at scale,
 identical safety-valve and ``MessageTooLargeError`` messages (a run that
 could trip a valve is replayed on the generator loop from the same
 per-node seeds, and a run inside every valve never is), the closed form
@@ -25,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import awake_mis
 from repro.algorithms.awake_mis import (
     AwakeMISParameters,
     awake_mis_protocol,
@@ -40,14 +41,17 @@ from repro.algorithms.ldt_mis import (
 )
 from repro.algorithms.luby import luby_protocol
 from repro.algorithms.rank_greedy import rank_greedy_protocol
+from repro.algorithms.vt_mis import assign_sequential_ids, vt_mis_protocol
+from repro.core.mis import greedy_mis_from_order
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.harness import run_mis
-from repro.graphs.generators import FAMILIES, by_name, to_csr
+from repro.graphs.generators import FAMILIES, build_csr, by_name, to_csr
 from repro.rng import derive_seed
 from repro.sim.actions import WakeCall
 from repro.sim.message import estimate_bits
 from repro.sim.network import build_network
 from repro.sim.runner import Simulator, run_protocol
+from repro.sim import vectorized as vectorized_module
 from repro.sim.vectorized import ValveTrip, VectorizedRun
 
 np = pytest.importorskip("numpy")
@@ -56,14 +60,14 @@ INPUTS = {"max_iterations": 4096}
 
 #: Every protocol that ships a vectorized twin.
 PROTOCOLS = {"luby": luby_protocol, "rank_greedy": rank_greedy_protocol,
-             "awake_mis": awake_mis_protocol}
+             "vt_mis": vt_mis_protocol, "awake_mis": awake_mis_protocol}
 
 #: The two protocols on the shared local-minimum whole-round engine.
 LOCAL_MINIMUM = ("luby", "rank_greedy")
 
 #: ``RunResult.engine`` of each protocol's vectorized twin.
 ENGINE_NAMES = {"luby": "vectorized", "rank_greedy": "vectorized",
-                "awake_mis": "schedule"}
+                "vt_mis": "schedule", "awake_mis": "schedule"}
 
 #: A bit limit that turns metering on without ever tripping it.
 LOOSE_LIMIT = 100_000
@@ -75,7 +79,11 @@ PROPERTY_FAMILIES = ("gnp", "gnp_dense", "tree", "path", "cycle", "star",
 
 
 def _inputs(name, graph, preset="scaled"):
-    """The global inputs *name*'s protocol runs with on *graph*."""
+    """The global inputs *name*'s protocol runs with on *graph* (VT-MIS
+    draws its IDs from ``[1, N^3]``, so it needs no local inputs)."""
+    if name == "vt_mis":
+        return {"id_bound": max(1, graph.number_of_nodes()) ** 3,
+                "id_source": "random"}
     if name != "awake_mis":
         return INPUTS
     build = (AwakeMISParameters.paper if preset == "paper"
@@ -119,13 +127,14 @@ def _run_both_engines(graph, name, seed, inputs=None, **kwargs):
     return generator, vectorized
 
 
-def _assert_engines_agree(graph, name, seed, inputs=None):
+def _assert_engines_agree(graph, name, seed, inputs=None, **kwargs):
     """Both engines agree byte for byte, unmetered and metered."""
-    generator, vectorized = _run_both_engines(graph, name, seed, inputs)
+    generator, vectorized = _run_both_engines(graph, name, seed, inputs,
+                                              **kwargs)
     assert _summarize(vectorized) == _summarize(generator)
     assert vectorized.metrics.max_message_bits is None
     metered_generator, metered = _run_both_engines(
-        graph, name, seed, inputs, message_bit_limit=LOOSE_LIMIT)
+        graph, name, seed, inputs, message_bit_limit=LOOSE_LIMIT, **kwargs)
     assert _summarize(metered) == _summarize(metered_generator)
     assert metered.metrics.bits_metered is True
     assert _summarize(metered, bits=False) == _summarize(vectorized,
@@ -351,6 +360,115 @@ class TestScheduleEngine:
         assert "awake_params" in errors[0]
 
 
+def _harness_ids(graph, seed):
+    """VT-MIS inputs as the harness gives them: a random permutation of
+    ``[1, n]`` as local IDs."""
+    order = list(graph.nodes)
+    random.Random(seed).shuffle(order)
+    return ({"id_bound": max(1, len(order))},
+            assign_sequential_ids(graph.nodes, seed_order=order))
+
+
+def _id_order(result):
+    """The labels of a VT-MIS run in ascending ID order."""
+    return sorted(result.outputs,
+                  key=lambda label: result.outputs[label].detail["id"])
+
+
+class TestVtMisSchedule:
+    """VT-MIS's schedule engine against the generator loop: given IDs,
+    random IDs (duplicates included), metered and unmetered, and the same
+    input errors."""
+
+    @pytest.mark.parametrize("family", PROPERTY_FAMILIES)
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=40),
+           graph_seed=st.integers(min_value=0, max_value=10),
+           run_seed=st.integers(min_value=0, max_value=1000))
+    def test_given_ids_agree_on_every_family(self, family, n, graph_seed,
+                                             run_seed):
+        graph = by_name(family, n, seed=graph_seed)
+        inputs, local_inputs = _harness_ids(graph, run_seed)
+        metered = _assert_engines_agree(graph, "vt_mis", run_seed, inputs,
+                                        local_inputs=local_inputs)
+        assert metered.output_set() == greedy_mis_from_order(
+            graph, _id_order(metered))
+
+    @pytest.mark.parametrize("family", PROPERTY_FAMILIES)
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=40),
+           id_bound=st.integers(min_value=1, max_value=12),
+           graph_seed=st.integers(min_value=0, max_value=10),
+           run_seed=st.integers(min_value=0, max_value=1000))
+    def test_random_small_ids_agree_on_every_family(self, family, n,
+                                                    id_bound, graph_seed,
+                                                    run_seed):
+        """IDs from a small bound collide; equal IDs decide together."""
+        _assert_engines_agree(by_name(family, n, seed=graph_seed), "vt_mis",
+                              run_seed, {"id_bound": id_bound,
+                                         "id_source": "random"})
+
+    def test_adjacent_duplicates_both_join(self):
+        """On a clique with IDs from ``[1, 3]``, every node holding the
+        smallest drawn ID joins, on both engines."""
+        graph = by_name("clique", 12)
+        inputs = {"id_bound": 3, "id_source": "random"}
+        metered = _assert_engines_agree(graph, "vt_mis", 5, inputs)
+        ids = [decision.detail["id"] for decision in
+               metered.outputs.values()]
+        joined = metered.output_set()
+        assert len(joined) == ids.count(min(ids)) > 1
+        assert {metered.outputs[label].detail["id"]
+                for label in joined} == {min(ids)}
+
+    def test_ids_beyond_int64(self):
+        """IDs drawn from ``[1, 2^70]`` are tabulated as Python ints."""
+        graph = by_name("gnp", 40, seed=2)
+        metered = _assert_engines_agree(
+            graph, "vt_mis", 3, {"id_bound": 2**70, "id_source": "random"})
+        assert metered.metrics.last_active_round > 2**63
+
+    def test_empty_graph(self):
+        generator, schedule = _run_both_engines(nx.Graph(), "vt_mis", 1,
+                                                inputs={})
+        assert _summarize(schedule) == _summarize(generator)
+        assert schedule.outputs == {}
+
+    @pytest.mark.parametrize("inputs, ids, error", [
+        ({}, {0: 1, 1: 2, 2: 3}, KeyError),
+        ({"id_bound": 3}, {0: 1, 2: 3}, ValueError),
+        ({"id_bound": 3}, {0: 1, 1: 4, 2: None}, ValueError),
+        ({"id_bound": 3}, {0: 1, 1: 0, 2: 2}, ValueError),
+        ({"id_bound": 3}, {0: 2, 1: 1.5, 2: 7}, TypeError),
+        ({"id_bound": 0, "id_source": "random"}, {}, ValueError),
+    ])
+    def test_input_errors_match_the_loops(self, inputs, ids, error):
+        """A missing bound, a missing, out-of-range or non-integer ID:
+        the loop's exception, for the first offending node in index
+        order."""
+        graph = by_name("path", 3)
+        local_inputs = {label: {"id": value} for label, value in ids.items()
+                        if value is not None}
+        messages = []
+        for pinned in (False, True):
+            with pytest.raises(error) as excinfo:
+                run_protocol(graph, vt_mis_protocol, inputs=inputs,
+                             local_inputs=local_inputs, seed=1,
+                             vectorized=pinned)
+            messages.append(str(excinfo.value))
+        assert messages[1] == messages[0]
+
+    @pytest.mark.parametrize("family", ["gnp", "rgg"])
+    def test_lfmis_oracle_at_scale(self, family):
+        """At n = 2^14, where the generator loop is too slow to be the
+        reference, the engine's MIS is the LFMIS by ID."""
+        graph = build_csr(family, 2**14, seed=5).view()
+        result = run_mis(graph, "vt_mis", seed=3, keep_raw=True)
+        assert result.raw.engine == "schedule"
+        assert result.mis == greedy_mis_from_order(graph,
+                                                   _id_order(result.raw))
+
+
 # --------------------------------------------------------------------------- #
 # Isolated LDT-MIS participants in closed form
 # --------------------------------------------------------------------------- #
@@ -404,12 +522,13 @@ def _record_drives(monkeypatch):
 
 
 def _outcome(graph, inputs, seed, pinned, protocol=awake_mis_protocol,
-             **simulator_kwargs):
+             local_inputs=None, **simulator_kwargs):
     """A run's summary, or its error as ``"Type: message"``."""
     simulator = Simulator(build_network(graph), seed=seed, vectorized=pinned,
                           **simulator_kwargs)
     try:
-        result = simulator.run(protocol, inputs=inputs)
+        result = simulator.run(protocol, inputs=inputs,
+                               local_inputs=local_inputs)
     except SimulationError as error:
         return f"{type(error).__name__}: {error}"
     return _summarize(result)
@@ -666,8 +785,9 @@ class TestDeferredAccounting:
             assert phase in driven
 
     def test_no_per_round_bookkeeping(self, monkeypatch):
-        """Awake-MIS never records a round one at a time; the spy is
-        live (Luby's whole-round engine still calls it)."""
+        """The schedule engines (Awake-MIS, VT-MIS) never record a round
+        one at a time; the spy is live (Luby's whole-round engine still
+        calls it)."""
         calls = []
         for name in ("begin_round", "record_awake", "record_sends"):
             original = getattr(VectorizedRun, name)
@@ -686,24 +806,32 @@ class TestDeferredAccounting:
                         (_crowded(graph, "paper"), {}))]
         assert [isinstance(outcome, str) for outcome in outcomes] == [
             False, False, True, False]
+        assert run_protocol(graph, vt_mis_protocol, seed=1, vectorized=True,
+                            inputs=_inputs("vt_mis", graph),
+                            message_bit_limit=LOOSE_LIMIT).engine == "schedule"
         assert calls == []
         run_protocol(graph, luby_protocol, inputs=INPUTS, seed=1,
                      vectorized=True)
         assert set(calls) == {"begin_round", "record_awake", "record_sends"}
 
-    def test_a_broken_shortcut_is_a_named_failure(self, monkeypatch):
+    @pytest.mark.parametrize("name, noun", [("awake_mis", "batch"),
+                                            ("vt_mis", "step")])
+    def test_a_broken_shortcut_is_a_named_failure(self, monkeypatch, name,
+                                                  noun):
         """A schedule without Observation 5's shared rounds (each node
-        attends its own batch's round only) leaves dominated nodes
-        unreached; the engine names that instead of diverging."""
-        monkeypatch.setattr(awake_mis, "communication_set",
-                            lambda k, i: frozenset({k}))
-        monkeypatch.setattr(awake_mis, "in_communication_set",
+        attends its own key's round only) leaves dominated nodes
+        unreached; both schedule engines name that instead of
+        diverging."""
+        monkeypatch.setattr(vectorized_module, "communication_table",
+                            lambda keys, i: keys[:, None])
+        monkeypatch.setattr(vectorized_module, "in_communication_set",
                             lambda r, k: r == k)
         graph = by_name("path", 48)
         with pytest.raises(AssertionError,
-                           match=r"Observation 5 violated: node \d+ of batch"):
-            run_protocol(graph, awake_mis_protocol, seed=1, vectorized=True,
-                         inputs=_inputs("awake_mis", graph))
+                           match=rf"Observation 5 violated: node \d+ of "
+                                 rf"{noun} \d+ has an IN_MIS neighbour"):
+            run_protocol(graph, PROTOCOLS[name], seed=1, vectorized=True,
+                         inputs=_inputs(name, graph))
 
 
 # --------------------------------------------------------------------------- #
@@ -711,7 +839,8 @@ class TestDeferredAccounting:
 # --------------------------------------------------------------------------- #
 #: ``(protocol name, Awake-MIS preset)`` of every numpy-engine configuration.
 ENGINE_CONFIGS = [("luby", "scaled"), ("rank_greedy", "scaled"),
-                  ("awake_mis", "scaled"), ("awake_mis", "paper")]
+                  ("vt_mis", "scaled"), ("awake_mis", "scaled"),
+                  ("awake_mis", "paper")]
 
 #: Tight and loose settings of each valve, for the replay tests.
 VALVE_VALUES = {"max_awake_per_node": (0, 1, 2, 3, 5, 8, 13, 40, 10_000),
@@ -749,7 +878,7 @@ class TestReplay:
         replays = _record_replays(monkeypatch)
         graph = by_name("gnp", 40, seed=3)
         inputs = (_crowded(graph, preset) if name == "awake_mis"
-                  else INPUTS)
+                  else _inputs(name, graph))
         outcomes = []
         for value in VALVE_VALUES[valve]:
             loop, engine = (
@@ -783,6 +912,28 @@ class TestReplay:
         assert drives == []
         assert isinstance(outcomes[0], str)
         assert not isinstance(outcomes[-1], str)
+
+    @pytest.mark.parametrize("valve", sorted(VALVE_VALUES))
+    def test_vt_mis_given_ids_replays_exactly_when_a_valve_trips(
+            self, monkeypatch, valve):
+        """VT-MIS on harness IDs wakes at most 7 times per node over 40
+        rounds and sends 72-bit ``undecided`` states: each valve's tight
+        settings give the loop's error through a replay, and its loose
+        ones never replay."""
+        replays = _record_replays(monkeypatch)
+        graph = by_name("gnp", 40, seed=3)
+        inputs, local_inputs = _harness_ids(graph, 4)
+        outcomes = []
+        for value in VALVE_VALUES[valve]:
+            loop, engine = (
+                _outcome(graph, inputs, 1, pinned, vt_mis_protocol,
+                         local_inputs, **{valve: value})
+                for pinned in (False, None))
+            assert engine == loop
+            outcomes.append(loop)
+        tripped = [isinstance(outcome, str) for outcome in outcomes]
+        assert tripped[0] and not tripped[-1]
+        assert replays == tripped
 
     @pytest.mark.parametrize("name, preset", ENGINE_CONFIGS)
     def test_vectorized_true_raises_the_loops_error(self, name, preset):
@@ -834,7 +985,6 @@ class TestRngConsumption:
         future protocol changes honest about RNG discipline: equal draw
         counts, and every stream left in the same state."""
         import repro.sim.runner as runner_module
-        import repro.sim.vectorized as vectorized_module
 
         graph = by_name("gnp", 32, seed=9)
         inputs = _inputs(name, graph)
@@ -872,6 +1022,30 @@ class TestRngConsumption:
         assert vectorized_counts == generator_counts
         assert [stream.getstate() for stream in vectorized_streams] == [
             generator_streams[index].getstate() for index in range(32)]
+
+
+    def test_streams_spawn_only_when_an_engine_draws(self, monkeypatch):
+        """``VectorizedRun.rngs`` spawns on first use: luby, rank_greedy,
+        Awake-MIS and random-ID VT-MIS spawn n streams once; VT-MIS on
+        given IDs seeds none."""
+        spawned = []
+        original = vectorized_module.spawn_rngs
+
+        def spy(seed, count):
+            spawned.append(count)
+            return original(seed, count)
+
+        monkeypatch.setattr(vectorized_module, "spawn_rngs", spy)
+        graph = by_name("gnp", 32, seed=9)
+        for name in ("luby", "rank_greedy", "awake_mis", "vt_mis"):
+            spawned.clear()
+            result = run_mis(graph, name, seed=1, keep_raw=True)
+            assert result.raw.engine == ENGINE_NAMES[name]
+            assert spawned == ([] if name == "vt_mis" else [32])
+        result = run_protocol(graph, vt_mis_protocol, seed=1,
+                              inputs=_inputs("vt_mis", graph))
+        assert result.engine == "schedule"
+        assert spawned == [32]
 
 
 # --------------------------------------------------------------------------- #
