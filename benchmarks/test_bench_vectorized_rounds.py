@@ -122,8 +122,8 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
     # byte-identity contract on this exact workload before timing anything.
     warm_generator = run_protocol(csr, luby_protocol, seed=0,
                                   vectorized=False)
-    warm_vectorized = run_protocol(csr, luby_protocol, seed=0,
-                                   vectorized=True)
+    warm_vectorized = run_protocol(csr, luby_protocol, seed=0)
+    assert warm_vectorized.engine == "vectorized"
     assert _summarize(warm_vectorized) == _summarize(warm_generator)
     assert list(warm_vectorized.outputs) == list(warm_generator.outputs)
 
@@ -135,8 +135,9 @@ def test_bench_vectorized_rounds(repro_scale, bench_record):
     vectorized_times = []
     for run in range(vectorized_runs):
         started = time.perf_counter()
-        run_protocol(csr, luby_protocol, seed=run + 1, vectorized=True)
+        result = run_protocol(csr, luby_protocol, seed=run + 1)
         vectorized_times.append(time.perf_counter() - started)
+        assert result.engine == "vectorized"
 
     congest_runs = CONGEST_RUNS_BY_SCALE[repro_scale]
     bit_limit = default_message_bit_limit(n)

@@ -280,11 +280,11 @@ def awake_mis_schedule(run) -> None:
         LDT-MIS round when that comes later; outputs are inserted in
         (round, index) order, the loop's order.
 
-    Safety valves: a valve ``drive`` trips, or final counters outside a
-    valve (the largest awake count, the active rounds, the largest message
-    sent, closed-form ``frag`` announcements included), raise
-    :class:`~repro.sim.vectorized.ValveTrip`, and the run is replayed on
-    the generator loop, which raises the valve's error.  The participant
+    Safety valves: a valve that trips inside ``drive`` raises
+    :class:`~repro.sim.vectorized.ValveTrip`; otherwise the simulator
+    judges the final counters (closed-form ``frag`` announcements
+    included).  Either way a run outside a valve is replayed on the
+    generator loop, which raises the valve's error.  The participant
     shortcut is checked: a non-participant that no ``IN_MIS`` sender
     reaches by its own batch raises an ``AssertionError`` naming
     Observation 5.
@@ -480,10 +480,10 @@ def run_awake_mis(graph: nx.Graph, seed: SeedLike = None,
                   message_bit_limit: Optional[int] = None,
                   trace: bool = False,
                   max_active_rounds: int = 20_000_000,
-                  vectorized: Optional[bool] = None) -> RunResult:
+                  vectorized: bool = True) -> RunResult:
     """Run ``Awake-MIS`` on *graph* (harness / tests / benchmarks entry point).
 
-    *vectorized* selects the schedule engine as in
+    *vectorized* switches the schedule engine on or off as in
     :func:`~repro.sim.runner.run_protocol`; it never changes bytes.
     """
     if params is None:

@@ -212,12 +212,11 @@ def run_ldt_mis(graph: nx.Graph, seed: SeedLike = None,
                 n_bound: Optional[int] = None,
                 id_space: Optional[int] = None,
                 max_active_rounds: int = 10_000_000,
-                vectorized: Optional[bool] = None) -> RunResult:
+                vectorized: bool = True) -> RunResult:
     """Run standalone LDT-MIS on *graph* (used by the harness and tests).
 
     *vectorized* is forwarded to :func:`~repro.sim.runner.run_protocol`;
-    LDT-MIS has no numpy engine, so only ``True`` (refused) changes
-    anything.
+    LDT-MIS has no numpy engine, so it changes nothing.
     """
     n = graph.number_of_nodes()
     if n_bound is None:

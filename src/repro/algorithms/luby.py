@@ -25,10 +25,11 @@ from __future__ import annotations
 import functools
 import itertools
 
-from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
+from repro.algorithms.common import IN_MIS, MISDecision
 from repro.sim.actions import WakeCall
 from repro.sim.context import NodeContext
 from repro.sim.message import estimate_bits
+from repro.sim.vectorized import ValveTrip
 
 #: Priorities are drawn from [0, PRIORITY_SPACE); collisions simply cause the
 #: colliding nodes to skip one iteration, so correctness never depends on
@@ -45,69 +46,74 @@ PRIORITY_TAG = "priority"
 EXHAUSTED = ("Luby did not terminate within {} iterations "
              "(this indicates a bug or an absurdly small max_iterations)")
 
+#: Luby's parameters of :func:`local_minimum_protocol` and its engine:
+#: priorities are redrawn every iteration.
+LUBY = dict(tag=PRIORITY_TAG, value_space=PRIORITY_SPACE, redraw=True,
+            value_key=None)
+
+
+def local_minimum_protocol(ctx: NodeContext, *, tag, value_space, redraw,
+                           value_key, exhausted):
+    """The two-round local-minimum generator of ``luby`` and
+    ``rank_greedy``.
+
+    Each iteration, every undecided node sends ``(tag, value)`` on every
+    port, then joins the MIS if its value is a strict minimum over the
+    values it heard and announces ``IN_MIS``, or drops out on hearing an
+    announcement.  Values are drawn from ``[0, value_space)``: afresh
+    every iteration (``redraw``, Luby) or once up front (rank greedy).
+    The decision's ``detail`` holds the iterations survived and, under
+    ``value_key`` when given, the value.  ``max_iterations`` (a global
+    input, 4096 by default) is a safety valve: the protocol terminates
+    with probability 1, and a run that exhausts it raises ``RuntimeError``
+    with the *exhausted* message (``{}`` is ``max_iterations``).
+    """
+    max_iterations = ctx.input("max_iterations", 4096)
+    ports = list(ctx.ports)
+    if not redraw:
+        value = ctx.rng.randrange(value_space)
+
+    for iteration in range(max_iterations):
+        base = ROUNDS_PER_ITERATION * iteration
+        if redraw:
+            value = ctx.rng.randrange(value_space)
+
+        # Round 1: exchange values with the still-undecided neighbours.
+        inbox = yield WakeCall(
+            round=base,
+            sends=[(port, (tag, value)) for port in ports],
+        )
+        wins = all(value < payload[1] for _, payload in inbox
+                   if isinstance(payload, tuple) and payload[0] == tag)
+
+        # Round 2: winners announce; losers listen.
+        inbox = yield WakeCall(
+            round=base + 1,
+            sends=[(port, IN_MIS) for port in ports] if wins else [],
+        )
+        if wins or any(payload == IN_MIS for _, payload in inbox):
+            detail = {"iterations": iteration + 1}
+            if value_key is not None:
+                detail[value_key] = value
+            return MISDecision(in_mis=wins, decided_round=base + 1,
+                               detail=detail)
+
+    raise RuntimeError(exhausted.format(max_iterations))
+
 
 def luby_protocol(ctx: NodeContext):
     """Protocol factory for Luby's MIS in the sleeping model.
 
     Global inputs: none are required; ``max_iterations`` optionally caps the
-    number of iterations (defaults to a generous bound used only as a safety
-    valve — the algorithm terminates with probability 1 regardless).
+    number of iterations — a safety valve, see
+    :func:`local_minimum_protocol`.
     """
-    max_iterations = ctx.input("max_iterations", 4096)
-    state = UNDECIDED
-    ports = list(ctx.ports)
-
-    for iteration in range(max_iterations):
-        base = ROUNDS_PER_ITERATION * iteration
-        priority = ctx.rng.randrange(PRIORITY_SPACE)
-
-        # Round 1: exchange priorities with the still-undecided neighbours.
-        inbox = yield WakeCall(
-            round=base,
-            sends=[(port, (PRIORITY_TAG, priority)) for port in ports],
-        )
-        neighbor_priorities = [
-            payload[1]
-            for _, payload in inbox
-            if isinstance(payload, tuple) and payload[0] == PRIORITY_TAG
-        ]
-        is_local_minimum = all(priority < other for other in neighbor_priorities)
-
-        # Round 2: winners announce; losers listen.
-        if is_local_minimum:
-            inbox = yield WakeCall(
-                round=base + 1,
-                sends=[(port, IN_MIS) for port in ports],
-            )
-            state = IN_MIS
-            return MISDecision(
-                in_mis=True,
-                decided_round=base + 1,
-                detail={"iterations": iteration + 1},
-            )
-        inbox = yield WakeCall(round=base + 1, sends=[])
-        if any(payload == IN_MIS for _, payload in inbox):
-            state = NOT_IN_MIS
-            return MISDecision(
-                in_mis=False,
-                decided_round=base + 1,
-                detail={"iterations": iteration + 1},
-            )
-
-    raise RuntimeError(EXHAUSTED.format(max_iterations))
+    return local_minimum_protocol(ctx, **LUBY, exhausted=EXHAUSTED)
 
 
-def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
-                             exhausted):
-    """Whole-round numpy twin of the two-round local-minimum protocols.
-
-    One engine serves :func:`luby_protocol` and
-    :func:`~repro.algorithms.rank_greedy.rank_greedy_protocol`, which
-    differ only in the message ``tag``, the ``value_space`` values are
-    drawn from, whether values are redrawn every iteration (``redraw``,
-    Luby) or drawn once up front (rank greedy), the optional ``value_key``
-    under which the drawn value also lands in each decision's ``detail``,
-    and the ``exhausted`` message template (``{}`` is ``max_iterations``).
+def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key):
+    """Whole-round numpy twin of :func:`local_minimum_protocol`, with the
+    same parameters but the message for exhausted iterations.
 
     Byte-identity with the generators is a hard contract (pinned by
     ``tests/test_vectorized.py``): one ``randrange`` per node per draw in
@@ -115,9 +121,12 @@ def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
     ``(tag, value)`` on every port, round 2 only winners send ``IN_MIS``,
     a message is received only by awake — i.e. undecided — neighbours),
     the same bit counts on metered runs (``estimate_bits`` of those real
-    payloads), the same termination rounds, the same :class:`MISDecision`
-    payloads, and the same ``RuntimeError`` when ``max_iterations`` runs
-    out.
+    payloads), the same termination rounds and the same
+    :class:`MISDecision` payloads.  It records a whole iteration at a
+    time: two active rounds, the last of them, and two awake rounds per
+    undecided node.  A run that exhausts ``max_iterations`` raises
+    :class:`~repro.sim.vectorized.ValveTrip`, and the generator loop's
+    replay raises the protocol's ``RuntimeError``.
     """
     np = run.np
     max_iterations = run.inputs.get("max_iterations", 4096)
@@ -144,19 +153,20 @@ def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
         bits = ([estimate_bits((tag, value)) for value in values[idx].tolist()]
                 if run.metered else None)
 
-        # Round 1: every undecided node is awake, sends its value on
-        # every port, and receives one message per undecided neighbour.
-        run.begin_round(base)
-        run.record_awake(idx)
+        # Both rounds: every undecided node is awake.
+        run.active_rounds += ROUNDS_PER_ITERATION
+        run.last_active_round = base + 1
+        run.awake_rounds[idx] += ROUNDS_PER_ITERATION
+
+        # Round 1: every undecided node sends its value on every port and
+        # receives one message per undecided neighbour.
         run.record_sends(idx, bits)
         run.messages_received[idx] += run.row_count(undecided)[idx]
         winners = undecided & (values < run.row_min(values, empty=INF))
 
-        # Round 2: winners announce on every port; every undecided node is
-        # awake and hears one message per winning neighbour (0 for winners
+        # Round 2: winners announce on every port; every undecided node
+        # hears one message per winning neighbour (0 for winners
         # themselves — no two adjacent strict local minima exist).
-        run.begin_round(base + 1)
-        run.record_awake(idx)
         run.record_sends(np.flatnonzero(winners), in_mis_bits)
         winning = run.row_count(winners)
         run.messages_received[idx] += winning[idx]
@@ -182,11 +192,10 @@ def local_minimum_vectorized(run, *, tag, value_space, redraw, value_key,
             values[decided_idx] = INF
 
     if undecided.any():
-        raise RuntimeError(exhausted.format(max_iterations))
+        raise ValveTrip
 
 
 #: Opt the generator protocol into the vectorized engine (see
 #: ``repro.sim.vectorized``); the simulator discovers this attribute.
-luby_protocol.vectorized_engine = functools.partial(
-    local_minimum_vectorized, tag=PRIORITY_TAG, value_space=PRIORITY_SPACE,
-    redraw=True, value_key=None, exhausted=EXHAUSTED)
+luby_protocol.vectorized_engine = functools.partial(local_minimum_vectorized,
+                                                    **LUBY)

@@ -16,6 +16,7 @@ the comparison in E4 is conservative.
 from __future__ import annotations
 
 from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
+from repro.algorithms.vt_mis import _node_id
 from repro.sim.actions import WakeCall
 from repro.sim.context import NodeContext
 
@@ -25,17 +26,11 @@ def naive_greedy_protocol(ctx: NodeContext):
 
     Global inputs: ``id_bound`` (the common ID upper bound ``I``).  Per-node
     ``local_inputs`` must provide ``{"id": <int in [1, I]>}`` as for
-    :func:`repro.algorithms.vt_mis.vt_mis_protocol`.
+    :func:`repro.algorithms.vt_mis.vt_mis_protocol`, read and checked as
+    there.
     """
     id_bound = ctx.require_input("id_bound")
-    if not isinstance(ctx.local_input, dict) or "id" not in ctx.local_input:
-        raise ValueError(
-            "naive_greedy_protocol requires local_inputs of the form "
-            "{node: {'id': <int>}}"
-        )
-    my_id = ctx.local_input["id"]
-    if not 1 <= my_id <= id_bound:
-        raise ValueError(f"ID {my_id} outside [1, {id_bound}]")
+    my_id = _node_id(id_bound, "local", ctx.local_input, None)
 
     state = UNDECIDED
     ports = list(ctx.ports)

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import functools
 
-from repro.algorithms.common import IN_MIS, MISDecision, NOT_IN_MIS, UNDECIDED
-from repro.algorithms.luby import local_minimum_vectorized
-from repro.sim.actions import WakeCall
+from repro.algorithms.luby import local_minimum_protocol, local_minimum_vectorized
 from repro.sim.context import NodeContext
 
 #: Ranks are drawn from this space once per run.
@@ -33,45 +31,23 @@ RANK_TAG = "rank"
 #: Raised (formatted with ``max_iterations``) when iterations run out.
 EXHAUSTED = "rank-greedy did not terminate within {} iterations"
 
+#: Rank greedy's parameters of the local-minimum protocol and its engine:
+#: ranks are drawn once and land in each decision's ``detail``.
+RANK_GREEDY = dict(tag=RANK_TAG, value_space=RANK_SPACE, redraw=False,
+                   value_key="rank")
+
 
 def rank_greedy_protocol(ctx: NodeContext):
-    """Protocol factory for the parallel randomized greedy (rank) MIS."""
-    max_iterations = ctx.input("max_iterations", 4096)
-    rank = ctx.rng.randrange(RANK_SPACE)
-    ports = list(ctx.ports)
-    state = UNDECIDED
+    """Protocol factory for the parallel randomized greedy (rank) MIS.
 
-    for iteration in range(max_iterations):
-        base = 2 * iteration
-
-        # Round 1: exchange (rank, state) with undecided neighbours.
-        inbox = yield WakeCall(
-            round=base,
-            sends=[(port, (RANK_TAG, rank)) for port in ports],
-        )
-        neighbor_ranks = [
-            payload[1]
-            for _, payload in inbox
-            if isinstance(payload, tuple) and payload[0] == RANK_TAG
-        ]
-        wins = all(rank < other for other in neighbor_ranks)
-
-        # Round 2: winners announce, losers listen.
-        if wins:
-            yield WakeCall(round=base + 1, sends=[(port, IN_MIS) for port in ports])
-            return MISDecision(in_mis=True, decided_round=base + 1,
-                               detail={"iterations": iteration + 1, "rank": rank})
-        inbox = yield WakeCall(round=base + 1, sends=[])
-        if any(payload == IN_MIS for _, payload in inbox):
-            state = NOT_IN_MIS
-            return MISDecision(in_mis=False, decided_round=base + 1,
-                               detail={"iterations": iteration + 1, "rank": rank})
-
-    raise RuntimeError(EXHAUSTED.format(max_iterations))
+    Global inputs: ``max_iterations`` optionally caps the number of
+    iterations — a safety valve, see
+    :func:`~repro.algorithms.luby.local_minimum_protocol`.
+    """
+    return local_minimum_protocol(ctx, **RANK_GREEDY, exhausted=EXHAUSTED)
 
 
 #: Opt into the vectorized engine Luby uses: ranks are drawn once, one
 #: ``randrange(RANK_SPACE)`` per node in index order, like the generators.
 rank_greedy_protocol.vectorized_engine = functools.partial(
-    local_minimum_vectorized, tag=RANK_TAG, value_space=RANK_SPACE,
-    redraw=False, value_key="rank", exhausted=EXHAUSTED)
+    local_minimum_vectorized, **RANK_GREEDY)

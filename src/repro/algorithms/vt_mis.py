@@ -126,8 +126,8 @@ def _node_id(id_bound, id_source, local_input, rng):
     else:
         if not isinstance(local_input, dict) or "id" not in local_input:
             raise ValueError(
-                "vt_mis_protocol with id_source='local' requires local_inputs "
-                "of the form {node: {'id': <int>}}"
+                "local IDs require local_inputs of the form "
+                "{node: {'id': <int>}}"
             )
         my_id = local_input["id"]
     _check_id(my_id, id_bound)
@@ -156,10 +156,10 @@ def vt_mis_schedule(run) -> None:
         that into every counter; a node terminates in its last round, and
         outputs are inserted in (round, index) order, the loop's order.
 
-    A final counter outside a valve raises
-    :class:`~repro.sim.vectorized.ValveTrip`, and the run is replayed on
-    the generator loop, which raises the valve's error.  Byte-identical to
-    the loop (pinned by ``tests/test_vectorized.py``).
+    The simulator judges the final counters against its valves, and a run
+    outside one is replayed on the generator loop, which raises the
+    valve's error.  Byte-identical to the loop (pinned by
+    ``tests/test_vectorized.py``).
     """
     run.engine = "schedule"
     if run.n == 0:

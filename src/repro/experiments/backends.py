@@ -77,13 +77,13 @@ class ComposedBackend:
     and closing the transport session brackets the result stream, so an
     abandoned generator still tears every worker down deterministically.
     A ``None`` transport is the ``jobs``-driven default: inline for one
-    worker, the process pool otherwise; ``jobs=None`` (or ``0``) means
-    one worker per CPU.
+    worker (the default, as in :func:`make_backend`), the process pool
+    otherwise; ``jobs=None`` (or ``0``) means one worker per CPU.
     """
 
     def __init__(self, scheduler: Union[None, str, Scheduler] = None,
                  transport: Optional[Transport] = None,
-                 jobs: Optional[int] = None, max_attempts: int = 3) -> None:
+                 jobs: Optional[int] = 1, max_attempts: int = 3) -> None:
         self.jobs = resolve_jobs(jobs)
         self.scheduler = resolve_scheduler(scheduler,
                                            max_attempts=max_attempts)

@@ -297,10 +297,12 @@ def run_mis(
         never estimated (``max_message_bits`` reads ``None``).  Either way,
         algorithms that opt in take a numpy engine, which meters CONGEST
         itself: ``luby`` and ``rank_greedy`` the whole-round engine,
-        ``vt_mis`` and ``awake_mis`` their schedule engines.  Select it
-        with the ``vectorized`` parameter, tri-state as in
+        ``vt_mis`` and ``awake_mis`` their schedule engines.  The
+        ``vectorized`` switch (on by default) is forwarded to
         :func:`repro.sim.runner.run_protocol`; ``vectorized=False`` or
-        ``trace=True`` runs the generator loop.  Engine choice never
+        ``trace=True`` runs the generator loop.  Engines fill counters,
+        the simulator judges them against its safety valves once, and
+        only the generator loop raises.  Engine choice never
         changes outputs, awake/round/message counts or bit counts, only
         wall-clock.
     keep_raw:

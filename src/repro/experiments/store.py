@@ -99,8 +99,8 @@ class ResultStore:
 
     One store holds one sweep.  :meth:`ensure_header` stamps the sweep
     configuration on first use and refuses to mix configurations;
-    :meth:`append` persists each result as it completes; and
-    :meth:`load_results` / :meth:`completed_keys` feed resume.
+    :meth:`append` persists each result as it completes; and resume
+    restores them through :meth:`result_offsets` / :meth:`result_at`.
     """
 
     def __init__(self, path: StorePath) -> None:
@@ -204,16 +204,6 @@ class ResultStore:
         result: MISRunResult = MISRunResult.from_record(
             self._record_at(offset)["result"])
         return result
-
-    def load_results(self) -> Dict[str, MISRunResult]:
-        """Map spec hash -> restored compact result for every intact record.
-
-        Convenience for small stores/tests; resume itself goes through
-        :meth:`result_offsets` to avoid materialising the whole store.
-        """
-        return {record["key"]: MISRunResult.from_record(record["result"])
-                for record in self.records()
-                if record.get("kind") == "result"}
 
     def iter_grid_ordered_results(
         self,

@@ -59,14 +59,16 @@ wall-clock time, never bytes:
    ``tests/test_runner_semantics.py`` and ``tests/test_vectorized.py``).
    :attr:`RunResult.engine` names the engine that ran (``"generator"``,
    ``"vectorized"`` or ``"schedule"``).  Pass ``vectorized=False`` to pin
-   the generator loop, ``vectorized=True`` to require the protocol's
-   engine (a configuration that cannot use it then raises).
+   the generator loop.
 
 Safety valves (the livelock count, the per-node awake budget and the
-CONGEST bit limit) have one rule: a numpy engine that finds a valve could
-trip hands the run back, and :meth:`Simulator.run` replays it on the
-generator loop from the same per-node seeds, so only the loop builds
-valve errors, in its own precedence.
+CONGEST bit limit) have one rule: engines fill counters,
+:meth:`Simulator._run_vectorized` judges them once, and only the loop
+raises.  A numpy run whose final counters lie outside a valve is replayed
+on the generator loop from the same per-node seeds, which raises the
+valve's error in its own precedence.  The judgement is exact, because
+every counter only grows: a final value inside its valve was inside it
+in every round.
 
 Buffer-reuse contract: the inbox list a generator is resumed with is only
 valid until the node's next ``yield``; protocols must consume (or copy) it
@@ -81,7 +83,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (
-    ConfigurationError,
     MessageTooLargeError,
     ProtocolViolationError,
     SimulationError,
@@ -160,13 +161,10 @@ class Simulator:
         When True, record a :class:`~repro.sim.trace.Trace` of awake sets and
         message events.
     vectorized:
-        Engine selection for protocols that expose a ``vectorized_engine``
-        hook: ``None`` (default) engages the protocol's numpy engine
-        whenever tracing is off (bit limits included); ``False``
-        pins the generator loop; ``True``
-        requires the numpy engine and raises
-        :class:`~repro.errors.ConfigurationError` when it cannot run.
-        Engine choice never changes outputs or counts.
+        When true (the default), a protocol that exposes a
+        ``vectorized_engine`` hook runs on that numpy engine whenever
+        tracing is off (bit limits included); ``False`` pins the generator
+        loop.  Engine choice never changes outputs or counts.
     """
 
     def __init__(
@@ -177,7 +175,7 @@ class Simulator:
         max_active_rounds: int = 5_000_000,
         max_awake_per_node: int = 1_000_000,
         trace: bool = False,
-        vectorized: Optional[bool] = None,
+        vectorized: bool = True,
     ) -> None:
         self._network = network
         self._seed = seed
@@ -206,10 +204,11 @@ class Simulator:
         local_inputs = dict(local_inputs or {})
 
         seeds: NodeSeeds = self._seed
-        engine = self._select_vectorized_engine(protocol)
+        engine = (getattr(protocol, "vectorized_engine", None)
+                  if self._vectorized and not self._trace_enabled else None)
         if engine is not None:
-            # A numpy engine hands back a run in which a valve could trip;
-            # the loop below then replays it from the same seeds.
+            # A numpy run outside a valve is handed back; the loop below
+            # then replays it from the same seeds.
             seeds = fix_node_seeds(seeds, n)
             result = self._run_vectorized(engine, seeds, inputs, local_inputs)
             if result is not None:
@@ -279,50 +278,22 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------ #
-    def _select_vectorized_engine(self, protocol: ProtocolFactory):
-        """Return the protocol's vectorized engine when it should engage.
-
-        The engine engages only when the protocol opts in (a
-        ``vectorized_engine`` hook on the factory), tracing is off, and
-        the caller did not pin ``vectorized=False``.  ``vectorized=True``
-        turns every reason *not* to engage into a
-        :class:`ConfigurationError` instead of a silent fallback.
-        """
-        if self._vectorized is False:
-            return None
-        hook = getattr(protocol, "vectorized_engine", None)
-        blocker = None
-        if hook is None:
-            blocker = "the protocol exposes no vectorized_engine hook"
-        elif self._trace_enabled:
-            blocker = "tracing is enabled"
-        if blocker is None:
-            return hook
-        if self._vectorized is True:
-            raise ConfigurationError(
-                f"vectorized=True but the vectorized engine cannot run: "
-                f"{blocker}"
-            )
-        return None
-
     def _run_vectorized(self, engine, seeds: NodeSeeds, inputs,
                         local_inputs) -> Optional[RunResult]:
-        """Drive *engine* over a :class:`~repro.sim.vectorized.VectorizedRun`;
-        ``None`` when it finds that a safety valve could trip."""
+        """Drive *engine* over a :class:`~repro.sim.vectorized.VectorizedRun`
+        and judge its final counters against the safety valves; ``None``
+        when one lies outside its valve or the engine cannot finish."""
         from repro.sim.vectorized import ValveTrip, VectorizedRun
 
-        state = VectorizedRun(
-            self._network,
-            seed=seeds,
-            inputs=inputs,
-            local_inputs=local_inputs,
-            max_active_rounds=self._max_active_rounds,
-            max_awake_per_node=self._max_awake_per_node,
-            message_bit_limit=self._message_bit_limit,
-        )
+        state = VectorizedRun(self, seeds, inputs, local_inputs)
         try:
             engine(state)
         except ValveTrip:
+            return None
+        if (state.awake_rounds.max(initial=0) > self._max_awake_per_node
+                or state.active_rounds > self._max_active_rounds
+                or state.metered and (state.max_message_bits.max(initial=0)
+                                      > self._message_bit_limit)):
             return None
         return state.to_result()
 
@@ -471,15 +442,16 @@ def run_protocol(
     message_bit_limit: Optional[int] = None,
     trace: bool = False,
     max_active_rounds: int = 5_000_000,
-    vectorized: Optional[bool] = None,
+    vectorized: bool = True,
 ) -> RunResult:
     """Convenience wrapper: build the network and run *protocol* on *graph*.
 
     *graph* is a networkx graph (converted to CSR arrays once) or a CSR
     graph or view (adopted without copying); see
     :class:`repro.sim.network.Network`.
-    *vectorized* selects the protocol's numpy engine for protocols that
-    opt in (see :class:`Simulator`); it can only change speed, never bytes.
+    *vectorized* switches the protocol's numpy engine on or off for
+    protocols that opt in (see :class:`Simulator`); it can only change
+    speed, never bytes.
     """
     network = build_network(graph)
     simulator = Simulator(

@@ -4,9 +4,8 @@ The simulator's second kind of engine (beside the generator loop of
 :mod:`repro.sim.runner`).  A protocol opts in by exposing a
 ``vectorized_engine`` attribute on its factory: a callable receiving one
 :class:`VectorizedRun` — the network's flat arrays as numpy views, the
-per-node RNG streams (spawned on first use), per-node metric arrays, and
-the same safety valves the generator loop enforces.  Three engines use
-it:
+per-node RNG streams (spawned on first use) and per-node metric arrays.
+Three engines use it:
 
 * the **whole-round** engine of ``luby`` and ``rank_greedy``
   (``repro.algorithms.luby``), for dense phases in which every undecided
@@ -31,11 +30,12 @@ through :meth:`VectorizedRun.record_sends`, the schedule engines through
 ``estimate_bits`` on each sender's real payload.  Under tracing, or with
 ``vectorized=False``, the generator loop runs instead.
 
-Safety valves have one rule: an engine that finds the livelock valve,
-the awake budget or the bit limit could trip raises :class:`ValveTrip`,
-and :meth:`Simulator.run <repro.sim.runner.Simulator.run>` replays the
-run on the generator loop from the same per-node seeds, so only the loop
-builds valve errors.
+Safety valves have one rule: engines fill counters,
+:meth:`Simulator._run_vectorized
+<repro.sim.runner.Simulator._run_vectorized>` judges them once, and only
+the generator loop raises.  A run whose final counters lie outside a
+valve (or that an engine cannot finish, :class:`ValveTrip`) is replayed
+on the loop from the same per-node seeds.
 
 Byte-identity contract (pinned by ``tests/test_runner_semantics.py`` and
 ``tests/test_vectorized.py``): outputs, awake/round/message counts,
@@ -77,11 +77,11 @@ _EDGE_CHUNK = 1 << 14
 
 
 class ValveTrip(Exception):
-    """An engine found that a safety valve could trip in its run.
+    """An engine cannot finish its run: a loop error inside
+    :meth:`VectorizedRun.drive`, or iterations exhausted.
 
     Never leaves :meth:`Simulator.run <repro.sim.runner.Simulator.run>`,
-    which replays the run on the generator loop: only the loop builds
-    valve errors, in its own precedence.
+    which replays the run on the generator loop: only the loop raises.
     """
 
 
@@ -92,28 +92,24 @@ class VectorizedRun:
     network's routing arrays — shared-memory segments included), one
     private RNG per node (:attr:`rngs`, spawned on first use, in index
     order, exactly like the generator path), and the per-node metric
-    arrays the engine fills in.  The whole-round engine records each
-    array-computed round through :meth:`begin_round`,
-    :meth:`record_awake` and :meth:`record_sends`.  The schedule engines
-    record no round one at a time: a :class:`ScheduleTable` sets the
-    arrays, :attr:`active_rounds` and :attr:`last_active_round`, Awake-MIS
-    runs generator rounds through :meth:`drive`, and :meth:`finish`
-    inserts the outputs.  Each raises :class:`ValveTrip` where a safety
-    valve could trip, and the run is replayed on the generator loop.
+    arrays the engine fills in.  Engines add to the arrays,
+    :attr:`active_rounds` and :attr:`last_active_round` directly — the
+    whole-round engine one iteration at a time, its sends through
+    :meth:`record_sends`; the schedule engines through one
+    :class:`ScheduleTable` — Awake-MIS runs generator rounds through
+    :meth:`drive`, and :meth:`finish` inserts the outputs.  An engine
+    never sees a valve: *simulator* judges the final counters once.
     """
 
     def __init__(
         self,
-        network,
+        simulator: Simulator,
         seed: NodeSeeds,
         inputs: Dict[str, Any],
         local_inputs: Dict[Any, Any],
-        max_active_rounds: int,
-        max_awake_per_node: int,
-        message_bit_limit: Optional[int] = None,
     ) -> None:
         self.np = np
-        self.network = network
+        self.network = network = simulator._network
         self.inputs = inputs
         self.local_inputs = local_inputs
         self.n = network.size
@@ -134,6 +130,7 @@ class VectorizedRun:
         #: never counted, so :meth:`record_sends` must filter them out).
         self._isolated = not self._nonempty.all()
         self._seed = seed
+        self._simulator = simulator
         self.awake_rounds = np.zeros(self.n, dtype=np.int64)
         self.messages_sent = np.zeros(self.n, dtype=np.int64)
         self.messages_received = np.zeros(self.n, dtype=np.int64)
@@ -141,8 +138,7 @@ class VectorizedRun:
         #: Message sizes are estimated only on metered runs (a bit limit is
         #: set), exactly like the generator loop; otherwise the bit arrays
         #: stay 0 and ``max_message_bits`` reads "not measured".
-        self.message_bit_limit = message_bit_limit
-        self.metered = message_bit_limit is not None
+        self.metered = simulator._message_bit_limit is not None
         self.bits_sent = np.zeros(self.n, dtype=np.int64)
         self.max_message_bits = np.zeros(self.n, dtype=np.int64)
         #: Graph label -> protocol return value, inserted in termination
@@ -151,17 +147,9 @@ class VectorizedRun:
         self.outputs: Dict[Any, Any] = {}
         self.active_rounds = 0
         self.last_active_round: Optional[int] = None
-        #: The livelock valve: more active rounds than this trip it.
-        self.max_active_rounds = max_active_rounds
-        #: The awake-budget valve: a node awake more rounds than this
-        #: trips it.
-        self.max_awake_per_node = max_awake_per_node
         #: The name :attr:`RunResult.engine` reports; engines may rename it.
         self.engine = "vectorized"
-        #: Generator-loop state for :meth:`drive`, built on first use: one
-        #: :class:`~repro.sim.runner.Simulator` with this run's valves and
-        #: one inbox buffer per node, shared by every call.
-        self._simulator = None
+        #: :meth:`drive`'s inbox buffers, one per node, built on first use.
         self._inboxes: Optional[List[list]] = None
 
     @cached_property
@@ -173,31 +161,14 @@ class VectorizedRun:
         given IDs) never seeds one."""
         return spawn_rngs(self._seed, self.n)
 
-    # -- round bookkeeping + safety valves ------------------------------
-
-    def begin_round(self, round_index: int) -> None:
-        """Count one active round; :class:`ValveTrip` past the livelock
-        valve."""
-        self.active_rounds += 1
-        if self.active_rounds > self.max_active_rounds:
-            raise ValveTrip
-        self.last_active_round = round_index
-
-    def record_awake(self, indices) -> None:
-        """Count one awake round for *indices*; :class:`ValveTrip` if one
-        of them exceeds the awake budget."""
-        updated = self.awake_rounds[indices] + 1
-        self.awake_rounds[indices] = updated
-        if (updated > self.max_awake_per_node).any():
-            raise ValveTrip
+    # -- whole-round sends --------------------------------------------------
 
     def record_sends(self, senders, bits) -> None:
         """Count one message on every port of each node in *senders*.
 
         *bits* is each sender's estimated message size (a scalar when all
         send the same payload), read only on metered runs.  Degree-0
-        senders send nothing and are skipped; :class:`ValveTrip` if any
-        other sender's size exceeds the bit limit.
+        senders send nothing and are skipped.
         """
         if not len(senders):
             return
@@ -214,8 +185,6 @@ class VectorizedRun:
                 sizes = sizes[sending]
         self.messages_sent[senders] += degrees
         if sizes is not None:
-            if (sizes > self.message_bit_limit).any():
-                raise ValveTrip
             self.bits_sent[senders] += degrees * sizes
             self.max_message_bits[senders] = np.maximum(
                 self.max_message_bits[senders], sizes)
@@ -229,23 +198,18 @@ class VectorizedRun:
         if each node's protocol entered them when resumed in
         *previous_round*.  They are started in index order, then driven
         through :meth:`Simulator._drive <repro.sim.runner.Simulator._drive>`
-        — the one generator round loop — on this run's round clock: the
-        livelock valve counts on from :attr:`active_rounds`, and the
-        driven nodes' counters are bridged in and out of the metric
-        arrays (the caller must keep every other node asleep meanwhile).
-        Any :class:`~repro.errors.SimulationError` the loop raises becomes
-        a :class:`ValveTrip`, so the whole run is replayed on the loop.
+        — the one generator round loop — of this run's simulator, on this
+        run's round clock: the livelock valve counts on from
+        :attr:`active_rounds`, and the driven nodes' counters are bridged
+        in and out of the metric arrays (the caller must keep every other
+        node asleep meanwhile).  Any :class:`~repro.errors.SimulationError`
+        the loop raises becomes a :class:`ValveTrip`, so the whole run is
+        replayed on the loop.
         Returns ``[(index, return value, round)]`` in termination order;
         the caller decides what a return means, so termination rounds are
         not written back.
         """
-        if self._simulator is None:
-            self._simulator = Simulator(
-                self.network,
-                message_bit_limit=self.message_bit_limit,
-                max_active_rounds=self.max_active_rounds,
-                max_awake_per_node=self.max_awake_per_node,
-            )
+        if self._inboxes is None:
             self._inboxes = [[] for _ in range(self.n)]
         simulator = self._simulator
         indices = np.fromiter(generators, dtype=np.int64,
@@ -450,10 +414,8 @@ class ScheduleTable:
         it attends after its decision phase ``decided[i]``, and
         *undecided* in those up to it (nothing, when ``None``).  Adds the
         awake, sent and received counts, the bit counters (metered runs
-        only) and the active rounds, and sets the last active round.  The
-        caller adds every other counter first: with every final counter
-        inside its valve, no valve tripped, and otherwise this raises
-        :class:`ValveTrip`.
+        only) and the active rounds, and sets the last active round; the
+        simulator judges the final counters against its valves.
         """
         run = self.run
         degrees = run.degrees
@@ -479,11 +441,6 @@ class ScheduleTable:
                 np.maximum(run.max_message_bits,
                            np.where(waiting > 0, bits, 0),
                            out=run.max_message_bits)
-        if (run.awake_rounds.max() > run.max_awake_per_node
-                or run.active_rounds > run.max_active_rounds
-                or run.metered and (run.max_message_bits.max()
-                                    > run.message_bit_limit)):
-            raise ValveTrip
         receivers = self.edge_receivers
         if undecided is None:
             receivers = receivers[self.edge_phases

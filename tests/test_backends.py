@@ -51,7 +51,11 @@ def lazy_backend(name, jobs):
 
 class TestBackendSelection:
     def test_default_is_serial_for_one_worker(self):
-        assert ComposedBackend(jobs=1).transport.name == "inline"
+        # An omitted jobs is one worker too, as in make_backend, run_sweep
+        # and the CLI.
+        for backend in (ComposedBackend(jobs=1), ComposedBackend(),
+                        make_backend()):
+            assert (backend.jobs, backend.transport.name) == (1, "inline")
 
     def test_default_is_process_pool_for_many_workers(self):
         backend = ComposedBackend(jobs=4)
@@ -59,7 +63,7 @@ class TestBackendSelection:
         assert backend.jobs == 4
 
     def test_default_jobs_is_one_worker_per_cpu(self):
-        assert ComposedBackend().jobs == (os.cpu_count() or 1)
+        assert ComposedBackend(jobs=None).jobs == (os.cpu_count() or 1)
         assert ComposedBackend(jobs=0).jobs == (os.cpu_count() or 1)
 
     def test_sweep_default_is_one_inline_worker(self):

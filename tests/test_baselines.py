@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms.common import MISDecision, mis_from_result
 from repro.algorithms.naive_greedy import naive_greedy_protocol
-from repro.algorithms.vt_mis import assign_sequential_ids
+from repro.algorithms.vt_mis import assign_sequential_ids, vt_mis_protocol
 from repro.core.mis import greedy_mis_from_order
 from repro.experiments.harness import run_mis
 from repro.graphs import generators
@@ -89,6 +89,25 @@ class TestNaiveGreedy:
         result = run_mis(graph, algorithm="naive_greedy", seed=2)
         assert result.verified
         assert len(result.mis) == 1
+
+    @pytest.mark.parametrize("ids, error", [
+        ({0: 2, 2: 1}, ValueError),          # node 1 has no ID
+        ({0: 2, 1: 4, 2: 1}, ValueError),    # 4 is outside [1, 3]
+        ({0: 2, 1: 3, 2: 1.5}, TypeError),   # 1.5 is no integer
+    ])
+    def test_id_errors_match_vt_mis(self, ids, error):
+        """Naive greedy reads and checks its ID as VT-MIS does: a missing,
+        out-of-range or non-integer ID raises the same error, never a
+        silently non-maximal output."""
+        local_inputs = {label: {"id": value} for label, value in ids.items()}
+        messages = []
+        for protocol in (vt_mis_protocol, naive_greedy_protocol):
+            with pytest.raises(error) as excinfo:
+                run_protocol(generators.path_graph(3), protocol,
+                             inputs={"id_bound": 3},
+                             local_inputs=local_inputs, seed=1)
+            messages.append(str(excinfo.value))
+        assert messages[1] == messages[0]
 
     def test_requires_ids(self, path_graph):
         with pytest.raises(ValueError):

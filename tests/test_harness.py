@@ -155,12 +155,13 @@ class TestRunMIS:
             assert result.verified
 
     @pytest.mark.parametrize("algorithm", ["luby", "rank_greedy"])
-    @pytest.mark.parametrize("vectorized, engine", [
-        (None, "vectorized"), (True, "vectorized"), (False, "generator")])
-    def test_vectorized_is_forwarded(self, small_gnp, algorithm, vectorized,
+    @pytest.mark.parametrize("switch, engine", [
+        ({}, "vectorized"), ({"vectorized": True}, "vectorized"),
+        ({"vectorized": False}, "generator")], ids=["default", "on", "off"])
+    def test_vectorized_is_forwarded(self, small_gnp, algorithm, switch,
                                      engine):
         result = run_mis(small_gnp, algorithm=algorithm, seed=3,
-                         keep_raw=True, vectorized=vectorized)
+                         keep_raw=True, **switch)
         assert result.raw.engine == engine
         assert result.metrics.max_message_bits is not None  # CONGEST on
 

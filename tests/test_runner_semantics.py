@@ -359,7 +359,7 @@ class TestVectorizedEngineEquivalence:
         fast = run_protocol(graph, luby_protocol, inputs=inputs,
                             seed=algorithm_seed, vectorized=False)
         vectorized = run_protocol(graph, luby_protocol, inputs=inputs,
-                                  seed=algorithm_seed, vectorized=True)
+                                  seed=algorithm_seed)
         metered = run_protocol(graph, luby_protocol, inputs=inputs,
                                seed=algorithm_seed, trace=True,
                                message_bit_limit=10_000)
@@ -374,6 +374,8 @@ class TestVectorizedEngineEquivalence:
                     result.awake_by_label, result.metrics.active_rounds,
                     result.metrics.last_active_round)
 
+        assert (fast.engine, vectorized.engine, metered.engine) == (
+            "generator", "vectorized", "generator")
         assert essence(vectorized) == essence(fast)
         assert essence(vectorized) == essence(metered)
         assert vectorized.metrics.bits_metered is False
@@ -398,7 +400,7 @@ class TestVectorizedEngineEquivalence:
         fast = run_protocol(graph, awake_mis_protocol, inputs=inputs,
                             seed=algorithm_seed, vectorized=False)
         schedule = run_protocol(graph, awake_mis_protocol, inputs=inputs,
-                                seed=algorithm_seed, vectorized=True)
+                                seed=algorithm_seed)
         metered = run_protocol(graph, awake_mis_protocol, inputs=inputs,
                                seed=algorithm_seed, trace=True,
                                message_bit_limit=10_000)

@@ -6,21 +6,24 @@ engines, unmetered and CONGEST-metered — the whole-round engine of both
 local-minimum protocols (``luby`` and ``rank_greedy``) and the schedule
 engines of ``vt_mis`` (given and random IDs, duplicates included) and
 ``awake_mis`` (both presets) — across graph families and seeds, the
-dispatch gating (``vectorized`` tri-state), equal RNG consumption per
+dispatch gating (the ``vectorized`` switch), equal RNG consumption per
 node stream (and no stream spawned where none is drawn from), the
 whole-round array primitives, the LFMIS oracle at scale,
-identical safety-valve and ``MessageTooLargeError`` messages (a run that
-could trip a valve is replayed on the generator loop from the same
-per-node seeds, and a run inside every valve never is), the closed form
-the schedule engine applies to LDT-MIS participants with no
-participating neighbour, and that it records no round one at a time.
+identical safety-valve and ``MessageTooLargeError`` messages (engines
+fill counters, the simulator judges them once, and a run outside a valve
+is replayed on the generator loop from the same per-node seeds, while a
+run inside every valve never is), the closed form the schedule engine
+applies to LDT-MIS participants with no participating neighbour, and
+that it records no round one at a time.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import random
 from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -43,7 +46,7 @@ from repro.algorithms.luby import luby_protocol
 from repro.algorithms.rank_greedy import rank_greedy_protocol
 from repro.algorithms.vt_mis import assign_sequential_ids, vt_mis_protocol
 from repro.core.mis import greedy_mis_from_order
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.experiments.harness import run_mis
 from repro.graphs.generators import FAMILIES, build_csr, by_name, to_csr
 from repro.rng import derive_seed
@@ -52,7 +55,7 @@ from repro.sim.message import estimate_bits
 from repro.sim.network import build_network
 from repro.sim.runner import Simulator, run_protocol
 from repro.sim import vectorized as vectorized_module
-from repro.sim.vectorized import ValveTrip, VectorizedRun
+from repro.sim.vectorized import VectorizedRun
 
 np = pytest.importorskip("numpy")
 
@@ -118,7 +121,7 @@ def _run_both_engines(graph, name, seed, inputs=None, **kwargs):
     generator = run_protocol(graph, PROTOCOLS[name], inputs=inputs,
                              seed=seed, vectorized=False, **kwargs)
     vectorized = run_protocol(graph, PROTOCOLS[name], inputs=inputs,
-                              seed=seed, vectorized=True, **kwargs)
+                              seed=seed, **kwargs)
     assert (generator.engine, vectorized.engine) == ("generator",
                                                       ENGINE_NAMES[name])
     # Plain ints, as the loop gives: records are JSON-encoded.
@@ -220,25 +223,21 @@ class TestEngineDispatch:
         assert run_awake_mis(graph, seed=1).engine == "schedule"
         assert run_awake_mis(graph, seed=1,
                              vectorized=False).engine == "generator"
-        with pytest.raises(ConfigurationError, match="tracing is enabled"):
-            run_awake_mis(graph, seed=1, trace=True, vectorized=True)
+        assert run_awake_mis(graph, seed=1, trace=True).engine == "generator"
 
-    def test_vectorized_true_requires_a_hook(self):
+    def test_vectorized_is_only_a_switch(self):
+        """``vectorized=True`` is the default: a protocol without a hook,
+        or a traced run, takes the generator loop."""
         def plain_protocol(ctx):
             if False:  # pragma: no cover - makes this a generator function
                 yield
             return True
 
         graph = by_name("path", 4)
-        with pytest.raises(ConfigurationError,
-                           match="no vectorized_engine hook"):
-            run_protocol(graph, plain_protocol, seed=1, vectorized=True)
-
-    def test_vectorized_true_rejects_tracing(self):
-        graph = by_name("path", 4)
-        with pytest.raises(ConfigurationError, match="tracing is enabled"):
-            run_protocol(graph, luby_protocol, seed=1, trace=True,
-                         vectorized=True)
+        assert run_protocol(graph, plain_protocol, seed=1,
+                            vectorized=True).engine == "generator"
+        assert run_protocol(graph, luby_protocol, seed=1, trace=True,
+                            vectorized=True).engine == "generator"
 
 
 # --------------------------------------------------------------------------- #
@@ -257,10 +256,11 @@ class TestThreeWayByteIdentity:
         graph = by_name("gnp", 48, seed=2)
         metered = _assert_engines_agree(to_csr(graph).view(), name, seed)
         # and the CSR run matches the adjacency-list run byte for byte
-        assert _summarize(metered) == _summarize(
-            run_protocol(graph, PROTOCOLS[name], inputs=_inputs(name, graph),
-                         seed=seed, message_bit_limit=LOOSE_LIMIT,
-                         vectorized=True))
+        listed = run_protocol(graph, PROTOCOLS[name],
+                              inputs=_inputs(name, graph), seed=seed,
+                              message_bit_limit=LOOSE_LIMIT)
+        assert listed.engine == ENGINE_NAMES[name]
+        assert _summarize(metered) == _summarize(listed)
 
     def test_edgeless_graph(self, name):
         metered = _assert_engines_agree(by_name("path", 1), name, seed=7)
@@ -787,16 +787,15 @@ class TestDeferredAccounting:
     def test_no_per_round_bookkeeping(self, monkeypatch):
         """The schedule engines (Awake-MIS, VT-MIS) never record a round
         one at a time; the spy is live (Luby's whole-round engine still
-        calls it)."""
+        records its sends)."""
         calls = []
-        for name in ("begin_round", "record_awake", "record_sends"):
-            original = getattr(VectorizedRun, name)
+        original = VectorizedRun.record_sends
 
-            def spy(self, *args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(self, *args)
+        def spy(self, *args):
+            calls.append("record_sends")
+            return original(self, *args)
 
-            monkeypatch.setattr(VectorizedRun, name, spy)
+        monkeypatch.setattr(VectorizedRun, "record_sends", spy)
         graph = by_name("gnp", 48, seed=3)
         outcomes = [_outcome(graph, inputs, 1, True, **kwargs)
                     for inputs, kwargs in (
@@ -806,13 +805,13 @@ class TestDeferredAccounting:
                         (_crowded(graph, "paper"), {}))]
         assert [isinstance(outcome, str) for outcome in outcomes] == [
             False, False, True, False]
-        assert run_protocol(graph, vt_mis_protocol, seed=1, vectorized=True,
+        assert run_protocol(graph, vt_mis_protocol, seed=1,
                             inputs=_inputs("vt_mis", graph),
                             message_bit_limit=LOOSE_LIMIT).engine == "schedule"
         assert calls == []
-        run_protocol(graph, luby_protocol, inputs=INPUTS, seed=1,
-                     vectorized=True)
-        assert set(calls) == {"begin_round", "record_awake", "record_sends"}
+        assert run_protocol(graph, luby_protocol, inputs=INPUTS,
+                            seed=1).engine == "vectorized"
+        assert set(calls) == {"record_sends"}
 
     @pytest.mark.parametrize("name, noun", [("awake_mis", "batch"),
                                             ("vt_mis", "step")])
@@ -830,7 +829,7 @@ class TestDeferredAccounting:
         with pytest.raises(AssertionError,
                            match=rf"Observation 5 violated: node \d+ of "
                                  rf"{noun} \d+ has an IN_MIS neighbour"):
-            run_protocol(graph, PROTOCOLS[name], seed=1, vectorized=True,
+            run_protocol(graph, PROTOCOLS[name], seed=1,
                          inputs=_inputs(name, graph))
 
 
@@ -884,7 +883,7 @@ class TestReplay:
             loop, engine = (
                 _outcome(graph, inputs, random.Random(7), pinned,
                          PROTOCOLS[name], **{valve: value})
-                for pinned in (False, None))
+                for pinned in (False, True))
             assert engine == loop
             outcomes.append(loop)
         assert isinstance(outcomes[0], str)
@@ -928,7 +927,7 @@ class TestReplay:
             loop, engine = (
                 _outcome(graph, inputs, 1, pinned, vt_mis_protocol,
                          local_inputs, **{valve: value})
-                for pinned in (False, None))
+                for pinned in (False, True))
             assert engine == loop
             outcomes.append(loop)
         tripped = [isinstance(outcome, str) for outcome in outcomes]
@@ -948,6 +947,78 @@ class TestReplay:
             errors.append(str(excinfo.value))
         assert errors[1] == errors[0]
         assert "exceeded 2 awake rounds" in errors[0]
+
+
+# --------------------------------------------------------------------------- #
+# One judge: engines fill counters, the simulator judges them once
+# --------------------------------------------------------------------------- #
+def _raise_sites(exception):
+    """Sorted ``(module, innermost function)`` of every ``raise
+    <exception>`` in the package's sources."""
+    package = Path(vectorized_module.__file__).resolve().parents[1]
+    sites = {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk visits an outer function before the ones nested in it,
+        # so an inner function's name overwrites its enclosing one's.
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Raise):
+                    continue
+                raised = node.exc
+                if isinstance(raised, ast.Call):
+                    raised = raised.func
+                if isinstance(raised, ast.Name) and raised.id == exception:
+                    sites[id(node)] = (path.stem, function.name)
+    return sorted(sites.values())
+
+
+class TestOneJudge:
+    """Engines fill counters; ``Simulator._run_vectorized`` judges the
+    final ones against the safety valves once, and only the generator
+    loop raises."""
+
+    def test_engines_never_judge_a_valve(self):
+        """No per-round valve check is left in an engine: ``ValveTrip`` is
+        raised only where ``drive`` converts a loop error and where the
+        whole-round engine runs out of iterations."""
+        assert not hasattr(VectorizedRun, "begin_round")
+        assert not hasattr(VectorizedRun, "record_awake")
+        assert _raise_sites("ValveTrip") == [
+            ("luby", "local_minimum_vectorized"), ("vectorized", "drive")]
+
+    @pytest.mark.parametrize("valve", sorted(VALVE_VALUES))
+    @pytest.mark.parametrize("name", LOCAL_MINIMUM)
+    def test_replays_exactly_past_a_final_counter(self, monkeypatch, name,
+                                                  valve):
+        """A valve set to the run's final counter is never replayed and
+        gives the loop's bytes; one below it is replayed and raises the
+        loop's error."""
+        graph = by_name("gnp", 40, seed=3)
+        reference = run_protocol(graph, PROTOCOLS[name], inputs=INPUTS,
+                                 seed=1, message_bit_limit=LOOSE_LIMIT,
+                                 vectorized=False)
+        metrics = reference.metrics
+        final = {"max_awake_per_node": max(node.awake_rounds
+                                           for node in metrics.per_node),
+                 "max_active_rounds": metrics.active_rounds,
+                 "message_bit_limit": metrics.max_message_bits}[valve]
+        settings = {"message_bit_limit": LOOSE_LIMIT, valve: final}
+        replays = _record_replays(monkeypatch)
+        outcomes = []
+        for value in (final, final - 1):
+            settings[valve] = value
+            loop, engine = (_outcome(graph, INPUTS, 1, pinned,
+                                     PROTOCOLS[name], **settings)
+                            for pinned in (False, True))
+            assert engine == loop
+            outcomes.append(loop)
+        assert outcomes[0] == _summarize(reference)
+        assert isinstance(outcomes[1], str)
+        assert replays == [False, True]
 
 
 # --------------------------------------------------------------------------- #
@@ -1014,8 +1085,7 @@ class TestRngConsumption:
         monkeypatch.setattr(vectorized_module, "spawn_rngs",
                             spawn_all_counting)
         result = run_protocol(graph, PROTOCOLS[name], inputs=inputs,
-                              seed=master, message_bit_limit=limit,
-                              vectorized=True)
+                              seed=master, message_bit_limit=limit)
 
         assert result.engine == ENGINE_NAMES[name]
         assert sum(generator_counts) > 0
@@ -1057,10 +1127,9 @@ class TestRowPrimitives:
         # reduceat segment that must read the identity, not a neighbour.
         graph = by_name("path", 3)
         graph.add_node(3)
-        network = build_network(graph)
-        return VectorizedRun(network, seed=0, inputs={}, local_inputs={},
-                             max_active_rounds=100, max_awake_per_node=100,
-                             message_bit_limit=message_bit_limit)
+        simulator = Simulator(build_network(graph),
+                              message_bit_limit=message_bit_limit)
+        return VectorizedRun(simulator, seed=0, inputs={}, local_inputs={})
 
     def test_row_min_over_neighbour_rows(self):
         state = self._state()
@@ -1091,12 +1160,14 @@ class TestRowPrimitives:
         assert state.bits_sent.tolist() == [0, 0, 0, 0]
         assert state.metered is False
 
-    def test_record_sends_signals_an_oversize_sender(self):
+    def test_record_sends_records_an_oversize_sender(self):
+        """Sizes beyond the bit limit are recorded, not judged: the
+        simulator reads ``max_message_bits`` once the engine returns."""
         state = self._state(message_bit_limit=8)
-        # node 3 (degree 0) sends nothing, so its size is never checked.
+        # node 3 (degree 0) sends nothing, so its size is never recorded.
         state.record_sends(np.array([0, 3]), [8, 99])
-        with pytest.raises(ValveTrip):
-            state.record_sends(np.array([0, 1, 2, 3]), [8, 9, 8, 0])
+        state.record_sends(np.array([0, 1, 2, 3]), [8, 9, 8, 0])
+        assert state.max_message_bits.tolist() == [8, 9, 8, 0]
 
     def test_degrees_and_adjacency_views(self):
         state = self._state()
@@ -1120,19 +1191,17 @@ def _staggered_protocol(ctx):
 
 
 def _staggered_engine(run):
-    """Vectorized twin of :func:`_staggered_protocol` (valves only)."""
+    """Vectorized twin of :func:`_staggered_protocol` (counters only, so
+    it must trip a valve)."""
     np = run.np
     early = np.flatnonzero([run.local_inputs[label][0]
                             for label in run.labels])
     payloads = [run.local_inputs[label][1] for label in run.labels]
-    if early.size:
-        run.begin_round(0)
-        run.record_awake(early)
-        run.record_sends(early[:0], 0)
-    everyone = np.arange(run.n)
-    run.begin_round(1)
-    run.record_awake(everyone)
-    run.record_sends(everyone, [estimate_bits(p) for p in payloads])
+    run.active_rounds = 1 + bool(early.size)
+    run.last_active_round = 1
+    run.awake_rounds[early] += 1
+    run.awake_rounds += 1
+    run.record_sends(np.arange(run.n), [estimate_bits(p) for p in payloads])
 
 
 _staggered_protocol.vectorized_engine = _staggered_engine
@@ -1265,9 +1334,8 @@ class TestSafetyValves:
         assert error.startswith(expected)
 
     def test_missing_outputs_message_matches_the_loops(self):
-        state = VectorizedRun(build_network(by_name("path", 3)), seed=0,
-                              inputs={}, local_inputs={},
-                              max_active_rounds=10, max_awake_per_node=10)
+        state = VectorizedRun(Simulator(build_network(by_name("path", 3))),
+                              seed=0, inputs={}, local_inputs={})
         with pytest.raises(SimulationError,
                            match=r"3 node\(s\) never terminated"):
             state.to_result()
